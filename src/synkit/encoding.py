@@ -16,9 +16,10 @@ from .errors import (
     DegenerateComponentError,
     DimensionMismatchError,
     EmptyDemoError,
+    InvalidInputError,
     NonMonotonicTimeError,
 )
-from .synergy import SynergyBasis, project
+from .synergy import SynergyBasis, _frozen, project
 
 __all__ = [
     "SynergyTrajectory",
@@ -34,12 +35,6 @@ __all__ = [
 _COV_FLOOR = 1e-6
 # Slack for the per-iteration log-likelihood monotonicity assertion.
 _LL_SLACK = 1e-7
-
-
-def _frozen(a):
-    out = np.array(a, dtype=float)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -295,7 +290,7 @@ def fit_gmm(trajectories, n_components: int = 5, seed: int = 0,
     collapsing despite the floor.
     """
     if n_components < 1:
-        raise ValueError("n_components must be >= 1")
+        raise InvalidInputError("n_components must be >= 1")
     dims = {t.synergy_dim for t in trajectories}
     if len(dims) != 1:
         raise DimensionMismatchError("all trajectories must share the synergy dim")

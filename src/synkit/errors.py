@@ -1,8 +1,16 @@
 """Semantic exception hierarchy shared by all synkit modules."""
 
+# Condition number beyond which a system is treated as singular or rank
+# deficient (SingularSystemError, RankDeficientError).
+COND_LIMIT = 1e12
+
 
 class SynkitError(Exception):
     """Base class for every error raised by synkit."""
+
+
+class InvalidInputError(SynkitError, ValueError):
+    """An input value lies outside its valid domain (NaN, nonpositive, ...)."""
 
 
 class DimensionMismatchError(SynkitError):

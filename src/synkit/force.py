@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, LengthMismatchError, RankDeficientError
+from .errors import COND_LIMIT, DimensionMismatchError, LengthMismatchError, RankDeficientError
 from .synergy import SynergyBasis
 
 __all__ = [
@@ -26,8 +26,6 @@ __all__ = [
     "adapt_force",
     "grip_force",
 ]
-
-_COND_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
@@ -142,7 +140,7 @@ class ForceProfile:
 
 
 def _check_pinv(matrix, name):
-    if np.linalg.cond(matrix) > _COND_LIMIT:
+    if np.linalg.cond(matrix) > COND_LIMIT:
         raise RankDeficientError(f"{name} pseudo-inverse is unstable (condition > 1e12)")
 
 
@@ -191,7 +189,7 @@ def motor_currents(model: GraspModel, forces) -> np.ndarray:
         raise DimensionMismatchError("forces must supply one 3-vector per contact")
     a = model.hand_jacobian @ model.motor_constant
     sv = np.linalg.svd(a, compute_uv=False)
-    if sv[-1] <= 0.0 or sv[0] / sv[-1] > _COND_LIMIT:
+    if sv[-1] <= 0.0 or sv[0] / sv[-1] > COND_LIMIT:
         raise RankDeficientError("hand Jacobian times motor constant is rank deficient")
     return np.linalg.pinv(a) @ flat
 

@@ -14,7 +14,9 @@ import numpy as np
 
 from .encoding import ReferenceTrajectory
 from .errors import (
+    COND_LIMIT,
     DimensionMismatchError,
+    InvalidInputError,
     SingularCovarianceError,
     SingularSystemError,
 )
@@ -33,7 +35,6 @@ __all__ = [
 ]
 
 KERNEL_KINDS = ("exponential", "gaussian", "cauchy")
-_COND_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
@@ -54,7 +55,7 @@ class KernelSpec:
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}; choose from {KERNEL_KINDS}")
         if self.l <= 0.0 or self.sigma2 <= 0.0:
-            raise ValueError("kernel parameters l and sigma2 must be positive")
+            raise InvalidInputError("kernel parameters l and sigma2 must be positive")
         if self.kind == "cauchy":
             if self.alpha is None or self.alpha <= 0.0:
                 raise ValueError("cauchy kernel requires alpha > 0")
@@ -173,7 +174,7 @@ def kmp_fit(reference: ReferenceTrajectory, spec: KernelSpec, lam: float = 1.0) 
     mu = reference.means.reshape(n * s)
 
     a_mean = kmat + lam * np.eye(n * s)
-    if np.linalg.cond(a_mean) > _COND_LIMIT:
+    if np.linalg.cond(a_mean) > COND_LIMIT:
         raise SingularSystemError("(K + lambda I) condition estimate exceeds 1e12")
     mean_factor = np.linalg.solve(a_mean, mu)
 
@@ -181,7 +182,7 @@ def kmp_fit(reference: ReferenceTrajectory, spec: KernelSpec, lam: float = 1.0) 
     for i in range(n):
         sigma[i * s:(i + 1) * s, i * s:(i + 1) * s] = reference.covariances[i]
     a_cov = kmat + lam * sigma
-    if np.linalg.cond(a_cov) > _COND_LIMIT:
+    if np.linalg.cond(a_cov) > COND_LIMIT:
         raise SingularSystemError("(K + lambda Sigma) condition estimate exceeds 1e12")
     cov_factor = np.linalg.solve(a_cov, np.eye(n * s))
     cov_factor = 0.5 * (cov_factor + cov_factor.T)
@@ -294,7 +295,7 @@ def fuse_priorities(trajectories, priorities) -> ReferenceTrajectory:
         moment = np.zeros(s)
         for traj, w in zip(trajectories, weights):
             cov = traj.covariances[i]
-            if np.linalg.cond(cov) > _COND_LIMIT:
+            if np.linalg.cond(cov) > COND_LIMIT:
                 raise SingularCovarianceError(f"covariance at grid point {i} is singular")
             prec = np.linalg.solve(cov, np.eye(s))
             precision += w[i] * prec

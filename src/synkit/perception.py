@@ -13,8 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    COND_LIMIT,
     DegenerateCloudError,
     DimensionMismatchError,
+    InvalidInputError,
     RankDeficientError,
     SingleClassError,
 )
@@ -34,13 +36,12 @@ __all__ = [
     "extract_features",
     "svm_train",
     "svm_classify",
-    "OneVsRestSvm",
     "estimate_pose",
     "pose_to_synergy",
 ]
 
-_COND_LIMIT = 1e12
-BRUTE_FORCE_LIMIT = 2000  # below this many points, pairwise distances directly
+# candidate pairs distance-tested per vectorized step; bounds clustering memory
+_PAIR_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -116,7 +117,7 @@ def load_cloud(path) -> np.ndarray:
             points.append([float(c) for c in cells])
     cloud = np.asarray(points, dtype=float).reshape(-1, 3)
     if cloud.size and not np.isfinite(cloud).all():
-        raise ValueError(f"{path}: cloud contains NaN or Inf coordinates")
+        raise InvalidInputError(f"{path}: cloud contains NaN or Inf coordinates")
     return cloud
 
 
@@ -168,52 +169,49 @@ def ransac_plane(cloud, iterations: int = 200, inlier_threshold: float = 0.005,
     return plane, inliers, outliers
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, i):
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
-def _link_pairs_brute(points, epsilon, uf):
-    n = points.shape[0]
-    eps2 = epsilon * epsilon
-    for i in range(n - 1):
-        d2 = np.sum((points[i + 1:] - points[i]) ** 2, axis=1)
-        for j in np.flatnonzero(d2 <= eps2):
-            uf.union(i, i + 1 + int(j))
+def _cell_codes(points, epsilon):
+    """Integer code of each point's grid cell (side epsilon), plus the code
+    offsets of the 13 neighbour cells that follow a cell in code order."""
+    cells = np.floor(points / epsilon)
+    codes = np.zeros(points.shape[0], dtype=np.int64)
+    widths = []
+    for axis in range(3):
+        values, inverse = np.unique(cells[:, axis], return_inverse=True)
+        # adjacent cells stay one rank apart and all others two, so a width
+        # stays below 2n + 2 however far apart the points lie
+        rank = np.concatenate([[0], np.cumsum(np.where(np.diff(values) == 1.0, 1, 2))])
+        # a spare rank at each end: a neighbour past either end aliases no cell
+        widths.append(int(rank[-1]) + 2)
+        codes = codes * widths[-1] + rank[inverse]
+    _, wy, wz = widths
+    offsets = [(dx * wy + dy) * wz + dz
+               for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)
+               if (dx, dy, dz) > (0, 0, 0)]
+    return codes, offsets
 
 
-def _link_pairs_grid(points, epsilon, uf):
-    cells = {}
-    keys = np.floor(points / epsilon).astype(np.int64)
-    for i, key in enumerate(map(tuple, keys)):
-        cells.setdefault(key, []).append(i)
-    eps2 = epsilon * epsilon
-    offsets = [(dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)]
-    for key, members in cells.items():
-        for off in offsets:
-            other = (key[0] + off[0], key[1] + off[1], key[2] + off[2])
-            if other not in cells or other < key:
-                continue
-            candidates = cells[other]
-            for i in members:
-                d2 = np.sum((points[candidates] - points[i]) ** 2, axis=1)
-                for j in np.flatnonzero(d2 <= eps2):
-                    cand = candidates[int(j)]
-                    if other != key or cand > i:
-                        uf.union(i, cand)
+def _roots(parent, nodes):
+    """Root of each node, halving the paths it walks."""
+    while True:
+        up = parent[nodes]
+        if np.array_equal(up, nodes):
+            return nodes
+        grand = parent[up]
+        parent[nodes] = grand
+        nodes = grand
+
+
+def _link(parent, a, b):
+    """Merge the components of each pair (a[k], b[k]).
+
+    The larger root is hooked onto the smaller one, so every root is the
+    smallest index of its component.
+    """
+    while a.size:
+        a, b = _roots(parent, a), _roots(parent, b)
+        split = a != b
+        a, b = np.minimum(a[split], b[split]), np.maximum(a[split], b[split])
+        np.minimum.at(parent, b, a)
 
 
 def euclidean_cluster(cloud, epsilon: float, min_points: int = 1) -> list[Cluster]:
@@ -221,28 +219,48 @@ def euclidean_cluster(cloud, epsilon: float, min_points: int = 1) -> list[Cluste
 
     Components with fewer than ``min_points`` members are discarded; the
     surviving clusters come back ordered by descending size, ties broken by
-    smallest member index. Uses grid hashing with cell size epsilon above
-    BRUTE_FORCE_LIMIT points, direct pairwise distances below.
+    smallest member index. Points are sorted by grid cell (side epsilon);
+    the candidate pairs within a cell and between neighbouring cells are
+    distance-tested in fixed-size vectorized chunks.
     """
     if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+        raise InvalidInputError("epsilon must be positive")
     if min_points < 1:
-        raise ValueError("min_points must be >= 1")
+        raise InvalidInputError("min_points must be >= 1")
     points = np.asarray(cloud, dtype=float).reshape(-1, 3)
     n = points.shape[0]
     if n == 0:
         return []
-    uf = _UnionFind(n)
-    if n <= BRUTE_FORCE_LIMIT:
-        _link_pairs_brute(points, epsilon, uf)
-    else:
-        _link_pairs_grid(points, epsilon, uf)
-    components = {}
-    for i in range(n):
-        components.setdefault(uf.find(i), []).append(i)
-    kept = [np.asarray(sorted(m), dtype=int) for m in components.values() if len(m) >= min_points]
-    kept.sort(key=lambda idx: (-idx.shape[0], int(idx[0])))
-    return [Cluster(indices=idx, cloud=points) for idx in kept]
+    codes, offsets = _cell_codes(points, epsilon)
+    order = np.argsort(codes, kind="stable")
+    codes = codes[order]
+    parent = np.arange(n)
+    eps2 = epsilon * epsilon
+    for offset in [0, *offsets]:
+        # the candidates of sorted point i sit at sorted positions lo[i] .. hi[i];
+        # numbered consecutively over all i, candidate k of i is at k + shift[i]
+        target = codes + offset
+        hi = np.searchsorted(codes, target, side="right")
+        lo = (np.arange(1, n + 1) if offset == 0
+              else np.searchsorted(codes, target, side="left"))
+        ends = np.cumsum(hi - lo)
+        shift = hi - ends
+        total = int(ends[-1])
+        for start in range(0, total, _PAIR_CHUNK):
+            pair = np.arange(start, min(start + _PAIR_CHUNK, total))
+            row = np.searchsorted(ends, pair, side="right")
+            a = order[row]
+            b = order[pair + shift[row]]
+            near = np.sum((points[a] - points[b]) ** 2, axis=1) <= eps2
+            _link(parent, a[near], b[near])
+    labels = _roots(parent, np.arange(n))
+    sizes = np.bincount(labels, minlength=n)
+    members = np.argsort(labels, kind="stable")
+    starts = np.cumsum(sizes) - sizes
+    kept = np.flatnonzero(sizes >= min_points)
+    kept = kept[np.argsort(-sizes[kept], kind="stable")]
+    return [Cluster(indices=members[starts[r]:starts[r] + sizes[r]], cloud=points)
+            for r in kept]
 
 
 def extract_features(cluster: Cluster) -> np.ndarray:
@@ -391,38 +409,6 @@ def svm_classify(model: SvmModel, feature):
     return label, score
 
 
-class OneVsRestSvm:
-    """Multi-class composition of binary SVMs, one per label.
-
-    Each member model separates its label from the rest; classification
-    picks the largest decision value. Reduces to a single binary model for
-    two classes.
-    """
-
-    def __init__(self, models):
-        self.models = dict(models)
-
-    @classmethod
-    def train(cls, features, labels, c=10.0, epochs=200, seed=0):
-        labels = list(labels)
-        classes = sorted(set(labels), key=str)
-        if len(classes) < 2:
-            raise SingleClassError("need at least 2 classes")
-        models = {}
-        for label in classes:
-            rest = [lab if lab == label else f"not-{label}" for lab in labels]
-            models[label] = svm_train(features, rest, c=c, epochs=epochs, seed=seed)
-        return cls(models)
-
-    def classify(self, feature):
-        scores = {}
-        for label, model in self.models.items():
-            value = svm_decision(model, feature)
-            scores[label] = value if model.classes[1] == label else -value
-        best = max(sorted(scores), key=lambda lab: scores[lab])
-        return best, scores[best]
-
-
 def estimate_pose(cluster: Cluster, label: str = "", score: float = 0.0) -> ObjectPose:
     """Centroid and axis-aligned bounding-box extents of a cluster."""
     pts = cluster.points
@@ -488,7 +474,7 @@ def pose_to_synergy(pose: ObjectPose, params: SynergyMappingParams, basis: Syner
         raise DimensionMismatchError(f"cannot embed a 6-D pose into {j} joints")
     op_embedded = np.zeros(j)
     op_embedded[: op.shape[0]] = op
-    if np.linalg.cond(params.motion_transfer) > _COND_LIMIT:
+    if np.linalg.cond(params.motion_transfer) > COND_LIMIT:
         raise RankDeficientError("motion transfer matrix pseudo-inverse is unstable")
     joint_displacement = np.linalg.pinv(params.motion_transfer) @ op_embedded
     e_o = basis.e_hat.T @ (params.compliance @ joint_displacement)
@@ -496,9 +482,9 @@ def pose_to_synergy(pose: ObjectPose, params: SynergyMappingParams, basis: Syner
                     desired_cov=confidence * np.eye(basis.synergy_dim))
 
 
-def segmentation_to_json(plane: PlaneModel, poses, cluster_sizes) -> str:
-    """Serialize segmentation results as the documented JSON payload."""
-    payload = {
+def segmentation_record(plane: PlaneModel, poses, cluster_sizes) -> dict:
+    """The documented segmentation payload: ``{"plane", "clusters"}``."""
+    return {
         "plane": {"normal": plane.normal.tolist(), "offset": plane.offset},
         "clusters": [
             {
@@ -511,4 +497,9 @@ def segmentation_to_json(plane: PlaneModel, poses, cluster_sizes) -> str:
             for pose, size in zip(poses, cluster_sizes)
         ],
     }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def segmentation_to_json(plane: PlaneModel, poses, cluster_sizes) -> str:
+    """Serialize segmentation results as the documented JSON payload."""
+    record = segmentation_record(plane, poses, cluster_sizes)
+    return json.dumps(record, sort_keys=True, indent=2) + "\n"

@@ -443,24 +443,15 @@ def run_task(config: PipelineConfig) -> TaskLog:
         for cluster in clusters:
             label, score = perception.svm_classify(svm, perception.extract_features(cluster))
             poses.append(perception.estimate_pose(cluster, label=label, score=score))
+        sizes = [len(c) for c in clusters]
         log.add("perception", {
-            "plane": {"normal": plane.normal.tolist(), "offset": plane.offset},
+            **perception.segmentation_record(plane, poses, sizes),
             "inlier_count": int(inliers.shape[0]),
             "outlier_count": int(outliers.shape[0]),
-            "clusters": [
-                {
-                    "label": pose.label,
-                    "score": pose.score,
-                    "centroid": pose.centroid.tolist(),
-                    "extents": pose.extents.tolist(),
-                    "size": int(len(cluster)),
-                }
-                for pose, cluster in zip(poses, clusters)
-            ],
         })
         if out_dir is not None:
             (out_dir / "segmentation.json").write_text(
-                perception.segmentation_to_json(plane, poses, [len(c) for c in clusters]))
+                perception.segmentation_to_json(plane, poses, sizes))
             svm.to_json(out_dir / "svm.json")
 
     with _stage(log, "adaptation"):
@@ -555,10 +546,6 @@ def _nominal_object_pose(task, label):
     )
 
 
-def _smoothstep(u):
-    return u * u * (3.0 - 2.0 * u)
-
-
 def _task_via_points(config, scenario, basis, reference, pose_delta):
     """Grasp via-point plus the manipulation steering sequence.
 
@@ -579,7 +566,7 @@ def _task_via_points(config, scenario, basis, reference, pose_delta):
     steering = sorted(
         {float(t) for t in reference.times if t >= t0 - 1e-12} | {float(t0), 1.0})
     for t in steering:
-        u = _smoothstep(np.clip((t - t0) / span, 0.0, 1.0))
+        u = synthetic.smoothstep(np.clip((t - t0) / span, 0.0, 1.0))
         desired = scenario["manip_start_e"] + u * (
             scenario["manip_end_e"] - scenario["manip_start_e"])
         vias.append(kmp.ViaPoint(t_star=t, desired_e=desired, desired_cov=cov))

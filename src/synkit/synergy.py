@@ -159,12 +159,6 @@ def fit_synergy_basis(configs: ConfigurationMatrix, variance_threshold: float = 
                         variance_fractions=fractions[:n_keep])
 
 
-def explained_variance_fractions(configs: ConfigurationMatrix) -> np.ndarray:
-    """Full explained-variance spectrum (sums to 1) of the configuration matrix."""
-    full = fit_synergy_basis(configs, variance_threshold=1.0)
-    return np.asarray(full.variance_fractions)
-
-
 def project(basis: SynergyBasis, posture) -> np.ndarray:
     """Map a posture into synergy coordinates: ``e = E^T (posture - theta0)``.
 

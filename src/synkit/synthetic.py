@@ -104,7 +104,8 @@ def _hand_directions():
     return d1, d2
 
 
-def _smoothstep(u):
+def smoothstep(u):
+    """Cubic ease ``3u^2 - 2u^3`` from 0 at u=0 to 1 at u=1."""
     return u * u * (3.0 - 2.0 * u)
 
 
@@ -127,7 +128,7 @@ def coefficient_curves(task: str, times) -> np.ndarray:
         seg = min(int(np.searchsorted(knots, t, side="right")) - 1, len(knots) - 2)
         seg = max(seg, 0)
         u = (t - knots[seg]) / (knots[seg + 1] - knots[seg])
-        out[i] = values[seg] + (values[seg + 1] - values[seg]) * _smoothstep(np.clip(u, 0.0, 1.0))
+        out[i] = values[seg] + (values[seg + 1] - values[seg]) * smoothstep(np.clip(u, 0.0, 1.0))
     return out
 
 

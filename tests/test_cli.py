@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from synkit import pipeline
+from synkit import perception, pipeline
 from synkit.cli import cli_dispatch
 
 
@@ -34,6 +35,26 @@ class TestUsage:
         payload = json.loads(out)
         assert payload["task"] == "ketchup"
         assert payload["force_mu"] == 0.71
+
+
+class TestInvalidInput:
+    @pytest.mark.parametrize("argv", [
+        ("segment", "--cloud", "{nan}"),
+        ("segment", "--cloud", "{plane}", "--epsilon", "0"),
+        ("segment", "--cloud", "{plane}", "--min-points", "0"),
+        ("benchmark-kernels", "--length-scale", "-1"),
+        ("encode", "--components", "0"),
+    ])
+    def test_bad_value_is_stage_failure(self, argv, tmp_path, capsys):
+        plane = tmp_path / "plane.xyz"
+        grid = np.linspace(0.0, 0.1, 5)
+        perception.save_cloud(plane, [[x, y, 0.0] for x in grid for y in grid])
+        nan = tmp_path / "nan.xyz"
+        nan.write_text("0 0 0\n1 0 0\nnan 1 2\n")
+        argv = [a.format(plane=plane, nan=nan) for a in argv]
+        code, _, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert err.startswith("error:")
 
 
 class TestGenerate:

@@ -135,21 +135,31 @@ class TestClustering:
         assert perception.euclidean_cluster(blob, epsilon=0.01, min_points=10) == []
 
     def test_matches_oracle_on_random_instances(self, rng):
+        cases = []
         for _ in range(10):
             n = int(rng.integers(20, 300))
-            cloud = rng.uniform(0.0, 0.2, size=(n, 3))
-            eps = float(rng.uniform(0.01, 0.05))
+            cases.append((rng.uniform(0.0, 0.2, size=(n, 3)), float(rng.uniform(0.01, 0.05))))
+        # negative coordinates, cells on both sides of zero
+        cases.append((rng.uniform(-0.2, 0.1, size=(250, 3)), 0.03))
+        # exact duplicates, linked at distance zero
+        base = rng.uniform(0.0, 0.3, size=(80, 3))
+        cases.append((rng.permutation(np.vstack([base, base, base[:20]])), 0.01))
+        # one grid cell holding 20k candidate pairs, tested in several chunks:
+        # a clump at one corner, then a pair at the far corner whose only
+        # link is the last candidate pair
+        clump = rng.uniform(0.0001, 0.0011, size=(200, 3))
+        cases.append((np.vstack([clump, [[0.0095] * 3, [0.0096] * 3]]), 0.01))
+        for cloud, eps in cases:
             clusters = perception.euclidean_cluster(cloud, epsilon=eps, min_points=1)
             got = {frozenset(c.indices.tolist()) for c in clusters}
             assert got == oracle_components(cloud, eps)
 
-    def test_grid_path_matches_brute_force(self, rng):
-        # above the brute-force limit the grid-hash path must agree
+    def test_large_cloud_matches_oracle(self, rng):
+        # a cloud spread over thousands of grid cells
         cloud = rng.uniform(0.0, 0.5, size=(2500, 3))
         eps = 0.03
         clusters = perception.euclidean_cluster(cloud, epsilon=eps, min_points=1)
-        small = perception.BRUTE_FORCE_LIMIT
-        assert cloud.shape[0] > small
+        assert cloud.shape[0] > 2000
         got = {frozenset(c.indices.tolist()) for c in clusters}
         assert got == oracle_components(cloud, eps)
 
@@ -311,17 +321,6 @@ class TestSvm:
         loaded = perception.SvmModel.from_json(tmp_path / "svm.json")
         assert np.array_equal(loaded.weights, model.weights)
         assert loaded.classes == model.classes
-
-    def test_one_vs_rest_three_classes(self, rng):
-        centers = {"a": (0.0, 6.0), "b": (6.0, -3.0), "c": (-6.0, -3.0)}
-        feats, labels = [], []
-        for label, center in centers.items():
-            feats.append(rng.uniform(-1.0, 1.0, size=(60, 2)) + np.asarray(center))
-            labels += [label] * 60
-        feats = np.vstack(feats)
-        model = perception.OneVsRestSvm.train(feats, labels, c=10.0, epochs=200, seed=4)
-        pred = [model.classify(f)[0] for f in feats]
-        assert pred == labels
 
 
 class TestPoseToSynergy:
