@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import encoding, evaluation, kmp, perception, pipeline, synergy, synthetic
+from ._io import dump_json, write_csv
 from .errors import SynkitError, UsageError
 
 COMMANDS = (
@@ -265,29 +266,21 @@ def _cmd_generate(args):
     if args.what == "demos":
         demos, truth = synthetic.generate_synthetic_demos(
             task, count=args.count, noise=args.noise, seed=seed)
+        joints = [f"q{j + 1}" for j in range(demos[0][1].shape[1])]
         for k, (times, angles) in enumerate(demos):
-            with open(out / f"demo_{k:02d}.csv", "w") as fh:
-                fh.write("t," + ",".join(f"q{j + 1}" for j in range(angles.shape[1])) + "\n")
-                for t, q in zip(times, angles):
-                    fh.write(",".join(repr(float(v)) for v in (t, *q)) + "\n")
-        postures = np.vstack([angles for _, angles in demos])
-        with open(out / "postures.csv", "w") as fh:
-            fh.write(",".join(f"q{j + 1}" for j in range(postures.shape[1])) + "\n")
-            for q in postures:
-                fh.write(",".join(repr(float(v)) for v in q) + "\n")
-        payload = {
+            write_csv(out / f"demo_{k:02d}.csv", ["t", *joints],
+                      np.column_stack([times, angles]))
+        write_csv(out / "postures.csv", joints, np.vstack([angles for _, angles in demos]))
+        dump_json({
             "task": task, "seed": seed, "count": args.count, "noise": args.noise,
             "directions": truth["directions"].tolist(),
             "theta0": truth["theta0"].tolist(),
-        }
-        (out / "demos_truth.json").write_text(
-            json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        }, out / "demos_truth.json")
         print(f"wrote {len(demos)} demos -> {out}")
     else:
         cloud, meta = synthetic.generate_synthetic_scene(task, seed=seed)
         perception.save_cloud(out / "scene.xyz", cloud)
-        (out / "scene_truth.json").write_text(
-            json.dumps(meta, sort_keys=True, indent=2) + "\n")
+        dump_json(meta, out / "scene_truth.json")
         features, labels = synthetic.svm_training_fixture(task, seed=seed + 2)
         svm = perception.svm_train(features, labels, seed=seed + 2)
         svm.to_json(out / "svm.json")

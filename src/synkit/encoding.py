@@ -7,11 +7,11 @@ and covariances.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._io import dump_json, load_json, write_csv
 from .errors import (
     DegenerateComponentError,
     DimensionMismatchError,
@@ -33,7 +33,7 @@ __all__ = [
 
 # Relative covariance floor added each M-step, scaled by the data spread.
 _COV_FLOOR = 1e-6
-# Slack for the per-iteration log-likelihood monotonicity assertion.
+# Slack for the per-iteration log-likelihood monotonicity check.
 _LL_SLACK = 1e-7
 
 
@@ -101,20 +101,16 @@ class GmmModel:
         return self.means.shape[1] - 1
 
     def to_json(self, path):
-        payload = {
+        dump_json({
             "priors": self.priors.tolist(),
             "means": self.means.tolist(),
             "covariances": self.covariances.tolist(),
             "ll_history": self.ll_history.tolist(),
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        }, path)
 
     @classmethod
     def from_json(cls, path):
-        with open(path) as fh:
-            payload = json.load(fh)
+        payload = load_json(path)
         return cls(
             priors=np.asarray(payload["priors"], dtype=float),
             means=np.asarray(payload["means"], dtype=float),
@@ -154,19 +150,15 @@ class ReferenceTrajectory:
         return self.means.shape[1]
 
     def to_json(self, path):
-        payload = {
+        dump_json({
             "times": self.times.tolist(),
             "means": self.means.tolist(),
             "covariances": self.covariances.tolist(),
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        }, path)
 
     @classmethod
     def from_json(cls, path):
-        with open(path) as fh:
-            payload = json.load(fh)
+        payload = load_json(path)
         return cls(
             times=np.asarray(payload["times"], dtype=float),
             means=np.asarray(payload["means"], dtype=float),
@@ -181,11 +173,8 @@ class ReferenceTrajectory:
             + [f"mu{i + 1}" for i in range(s)]
             + [f"sigma{i + 1}{j + 1}" for i in range(s) for j in range(s)]
         )
-        with open(path, "w") as fh:
-            fh.write(",".join(header) + "\n")
-            for k in range(len(self)):
-                cells = [self.times[k], *self.means[k], *self.covariances[k].ravel()]
-                fh.write(",".join(repr(float(c)) for c in cells) + "\n")
+        flat_covs = self.covariances.reshape(len(self), s * s)
+        write_csv(path, header, np.column_stack([self.times, self.means, flat_covs]))
 
 
 def normalize_times(times) -> np.ndarray:
@@ -326,7 +315,8 @@ def fit_gmm(trajectories, n_components: int = 5, seed: int = 0,
         )
         log_norm = _logsumexp(log_resp, axis=1)
         ll = float(log_norm.sum())
-        assert ll >= prev_ll - _LL_SLACK * (1.0 + abs(prev_ll)), "EM log-likelihood decreased"
+        if ll < prev_ll - _LL_SLACK * (1.0 + abs(prev_ll)):
+            raise DegenerateComponentError("EM log-likelihood decreased")
         ll_history.append(ll)
         resp = np.exp(log_resp - log_norm[:, None])
 
@@ -362,24 +352,16 @@ def gmr_condition(model: GmmModel, t: float):
     """
     s = model.output_dim
     n = model.n_components
-    log_h = np.empty(n)
     cond_means = np.empty((n, s))
     cond_covs = np.empty((n, s, s))
     for k in range(n):
         mu_t = model.means[k, 0]
-        mu_e = model.means[k, 1:]
         s_tt = model.covariances[k, 0, 0]
         s_te = model.covariances[k, 0, 1:]
-        s_ee = model.covariances[k, 1:, 1:]
-        log_h[k] = (
-            np.log(model.priors[k])
-            - 0.5 * ((t - mu_t) ** 2 / s_tt + np.log(2.0 * np.pi * s_tt))
-        )
         gain = s_te / s_tt
-        cond_means[k] = mu_e + gain * (t - mu_t)
-        cond_covs[k] = s_ee - np.outer(gain, s_te)
-    log_h -= _logsumexp(log_h[None, :], axis=1)
-    h = np.exp(log_h)
+        cond_means[k] = model.means[k, 1:] + gain * (t - mu_t)
+        cond_covs[k] = model.covariances[k, 1:, 1:] - np.outer(gain, s_te)
+    h = gmr_responsibilities(model, t)
     mean = h @ cond_means
     cov = np.zeros((s, s))
     for k in range(n):

@@ -1,11 +1,12 @@
 """Trajectory reproduction metrics and the kernel comparison benchmark."""
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
+from ._io import dump_json, write_csv
 from .encoding import ReferenceTrajectory
 from .errors import LengthMismatchError, ZeroVarianceError
 from .kmp import apply_via_points, kmp_fit, kmp_predict
@@ -78,7 +79,7 @@ class MetricReport:
         }
 
     def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return dump_json(self.to_dict())
 
     def to_text(self):
         """Fixed-width comparison table, one row per kernel."""
@@ -153,17 +154,11 @@ def benchmark_kernels(reference: ReferenceTrajectory, adaptations, kernel_specs,
 
 
 def _dump_csv(dump_dir, kind, idx, grid, actual_means, predicted_means):
-    from pathlib import Path
-
-    path = Path(dump_dir) / f"trajectory_{kind}_adaptation{idx}.csv"
     s = actual_means.shape[1]
     header = (
         ["t"]
         + [f"actual{j + 1}" for j in range(s)]
         + [f"predicted{j + 1}" for j in range(s)]
     )
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(grid.shape[0]):
-            cells = [grid[i], *actual_means[i], *predicted_means[i]]
-            fh.write(",".join(repr(float(c)) for c in cells) + "\n")
+    write_csv(Path(dump_dir) / f"trajectory_{kind}_adaptation{idx}.csv", header,
+              np.column_stack([grid, actual_means, predicted_means]))

@@ -3,23 +3,21 @@
 Contact forces balancing a grasped object are the pseudo-inverse wrench
 distribution plus a stiffness response to synergy-space displacements.
 Stability is the per-contact friction-cone ratio test; forces map to motor
-currents through the hand Jacobian and motor constant, and grip errors map
-back to synergy corrections.
+currents through the hand Jacobian and motor constant, and the scalar grip
+error maps back to a synergy correction.
 """
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import COND_LIMIT, DimensionMismatchError, LengthMismatchError, RankDeficientError
+from .errors import COND_LIMIT, DimensionMismatchError, RankDeficientError
 from .synergy import SynergyBasis
 
 __all__ = [
     "GraspModel",
-    "ForceProfile",
     "contact_forces",
     "friction_cone_check",
     "motor_currents",
@@ -36,6 +34,8 @@ class GraspModel:
     object wrench; ``stiffness`` (3 n_c x J) maps joint displacements to
     contact-force changes; ``hand_jacobian`` (3 n_c x J) and the diagonal
     ``motor_constant`` (J x J) relate motor currents to contact forces.
+    The constant pseudo-inverses are cached per model (no ``slots``:
+    ``cached_property`` stores them in the instance ``__dict__``).
     """
 
     grasp_matrix: np.ndarray
@@ -73,75 +73,28 @@ class GraspModel:
     def joint_dim(self):
         return self.stiffness.shape[1]
 
-    def to_json(self, path):
-        payload = {
-            "grasp_matrix": self.grasp_matrix.tolist(),
-            "stiffness": self.stiffness.tolist(),
-            "hand_jacobian": self.hand_jacobian.tolist(),
-            "motor_constant": self.motor_constant.tolist(),
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+    @cached_property
+    def grasp_pinv(self) -> np.ndarray:
+        """Pseudo-inverse of the grasp matrix, computed on first use."""
+        return _stable_pinv(self.grasp_matrix, "grasp matrix")
 
-    @classmethod
-    def from_json(cls, path):
-        with open(path) as fh:
-            payload = json.load(fh)
-        return cls(
-            grasp_matrix=np.asarray(payload["grasp_matrix"], dtype=float),
-            stiffness=np.asarray(payload["stiffness"], dtype=float),
-            hand_jacobian=np.asarray(payload["hand_jacobian"], dtype=float),
-            motor_constant=np.asarray(payload["motor_constant"], dtype=float),
-        )
+    @cached_property
+    def actuation_pinv(self) -> np.ndarray:
+        """Pseudo-inverse of hand Jacobian times motor constant, computed on first use."""
+        return _stable_pinv(self.hand_jacobian @ self.motor_constant,
+                            "hand Jacobian times motor constant")
 
 
-@dataclass(frozen=True)
-class ForceProfile:
-    """Scalar grip-force magnitude over time, plus its nominal ramp rate."""
+def _stable_pinv(matrix, name):
+    """``pinv(matrix)``, or RankDeficientError when its condition exceeds COND_LIMIT.
 
-    times: np.ndarray
-    forces: np.ndarray
-    ramp_rate: float = 0.0
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        forces = np.asarray(self.forces, dtype=float)
-        if times.shape != forces.shape or times.ndim != 1:
-            raise DimensionMismatchError("times and forces must be matching 1-D arrays")
-        if times.shape[0] > 1 and not np.all(np.diff(times) > 0.0):
-            raise ValueError("profile timestamps must increase")
-        object.__setattr__(self, "times", times.copy())
-        object.__setattr__(self, "forces", forces.copy())
-
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("t,force\n")
-            for t, f in zip(self.times, self.forces):
-                fh.write(f"{float(t)!r},{float(f)!r}\n")
-
-    @classmethod
-    def from_csv(cls, path, ramp_rate: float = 0.0):
-        times, forces = [], []
-        with open(path, newline="") as fh:
-            for row in csv.reader(fh):
-                cells = [c.strip() for c in row if c.strip()]
-                if not cells:
-                    continue
-                try:
-                    t, f = float(cells[0]), float(cells[1])
-                except (ValueError, IndexError):
-                    if times:
-                        raise LengthMismatchError(f"bad force profile row in {path}")
-                    continue  # header
-                times.append(t)
-                forces.append(f)
-        return cls(times=np.asarray(times), forces=np.asarray(forces), ramp_rate=ramp_rate)
-
-
-def _check_pinv(matrix, name):
-    if np.linalg.cond(matrix) > COND_LIMIT:
+    A raised error is not cached, so every later use of a rank-deficient
+    model raises again.
+    """
+    sv = np.linalg.svd(matrix, compute_uv=False)
+    if sv[-1] <= 0.0 or sv[0] / sv[-1] > COND_LIMIT:
         raise RankDeficientError(f"{name} pseudo-inverse is unstable (condition > 1e12)")
+    return np.linalg.pinv(matrix)
 
 
 def contact_forces(model: GraspModel, omega, basis: SynergyBasis, delta_e) -> np.ndarray:
@@ -158,9 +111,8 @@ def contact_forces(model: GraspModel, omega, basis: SynergyBasis, delta_e) -> np
         raise DimensionMismatchError("delta_e length must match the synergy dim")
     if basis.joint_dim != model.joint_dim:
         raise DimensionMismatchError("grasp model joints disagree with the basis")
-    _check_pinv(model.grasp_matrix, "grasp matrix")
     dq_ref = basis.e_hat @ delta_e
-    flat = np.linalg.pinv(model.grasp_matrix) @ omega + model.stiffness @ dq_ref
+    flat = model.grasp_pinv @ omega + model.stiffness @ dq_ref
     return flat.reshape(model.n_contacts, 3)
 
 
@@ -187,11 +139,7 @@ def motor_currents(model: GraspModel, forces) -> np.ndarray:
     flat = np.asarray(forces, dtype=float).reshape(-1)
     if flat.shape[0] != 3 * model.n_contacts:
         raise DimensionMismatchError("forces must supply one 3-vector per contact")
-    a = model.hand_jacobian @ model.motor_constant
-    sv = np.linalg.svd(a, compute_uv=False)
-    if sv[-1] <= 0.0 or sv[0] / sv[-1] > COND_LIMIT:
-        raise RankDeficientError("hand Jacobian times motor constant is rank deficient")
-    return np.linalg.pinv(a) @ flat
+    return model.actuation_pinv @ flat
 
 
 def realized_forces(model: GraspModel, currents) -> np.ndarray:
@@ -213,24 +161,18 @@ def normal_pattern(n_contacts: int) -> np.ndarray:
     return pattern
 
 
-def adapt_force(target: ForceProfile, measured: ForceProfile, model: GraspModel,
-                basis: SynergyBasis, gain: float = 0.5) -> np.ndarray:
-    """Synergy correction reducing the gap between target and measured grip.
+def adapt_force(error: float, model: GraspModel, basis: SynergyBasis,
+                gain: float = 0.5) -> np.ndarray:
+    """Synergy correction reducing the scalar grip error (target minus measured).
 
-    The profiles must share timestamps; the scalar error at the latest
-    common time is distributed along each contact normal and pulled back
-    through the stiffness-basis product by least squares, scaled by ``gain``.
-    Linear in the force error and zero when the profiles match.
+    The error is distributed along each contact normal and pulled back
+    through the stiffness-basis product by least squares, scaled by
+    ``gain``. Linear in the error and zero when it is zero.
     """
     if gain <= 0.0:
         raise ValueError("gain must be positive")
-    if target.times.shape != measured.times.shape or not np.allclose(
-        target.times, measured.times, atol=1e-12
-    ):
-        raise DimensionMismatchError("force profiles must be time-aligned")
     if basis.joint_dim != model.joint_dim:
         raise DimensionMismatchError("grasp model joints disagree with the basis")
-    error = float(target.forces[-1] - measured.forces[-1])
-    desired_change = error * normal_pattern(model.n_contacts)
+    desired_change = float(error) * normal_pattern(model.n_contacts)
     coupling = model.stiffness @ basis.e_hat
     return gain * (np.linalg.pinv(coupling) @ desired_change)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._io import write_csv
 from .encoding import ReferenceTrajectory
 from .errors import (
     COND_LIMIT,
@@ -53,14 +54,16 @@ class KernelSpec:
 
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
-            raise ValueError(f"unknown kernel kind {self.kind!r}; choose from {KERNEL_KINDS}")
+            raise InvalidInputError(
+                f"unknown kernel kind {self.kind!r}; choose from {KERNEL_KINDS}")
         if self.l <= 0.0 or self.sigma2 <= 0.0:
             raise InvalidInputError("kernel parameters l and sigma2 must be positive")
         if self.kind == "cauchy":
             if self.alpha is None or self.alpha <= 0.0:
-                raise ValueError("cauchy kernel requires alpha > 0")
+                raise InvalidInputError("cauchy kernel requires alpha > 0")
         elif self.alpha is not None:
-            raise ValueError(f"alpha is only meaningful for the cauchy kernel, not {self.kind!r}")
+            raise InvalidInputError(
+                f"alpha is only meaningful for the cauchy kernel, not {self.kind!r}")
 
     def to_dict(self):
         d = {"kind": self.kind, "l": self.l, "sigma2": self.sigma2}
@@ -165,7 +168,7 @@ def kmp_fit(reference: ReferenceTrajectory, spec: KernelSpec, lam: float = 1.0) 
     1e12; systems are solved by factorization, never explicit inversion.
     """
     if lam <= 0.0:
-        raise ValueError("lambda must be positive")
+        raise InvalidInputError("lambda must be positive")
     if len(reference) == 0:
         raise DimensionMismatchError("reference trajectory is empty")
     s = reference.synergy_dim
@@ -310,8 +313,5 @@ def save_kmp_predictions(path, times, means, covs):
     """CSV dump of predictions: t, mean components, diagonal variances."""
     s = means.shape[1]
     header = ["t"] + [f"mu{i + 1}" for i in range(s)] + [f"var{i + 1}" for i in range(s)]
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(times.shape[0]):
-            cells = [times[i], *means[i], *np.diag(covs[i])]
-            fh.write(",".join(repr(float(c)) for c in cells) + "\n")
+    variances = np.diagonal(covs, axis1=1, axis2=2)
+    write_csv(path, header, np.column_stack([times, means, variances]))

@@ -7,11 +7,11 @@ centroid poses, and finally mapped into synergy-space via-point targets.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._io import dump_json, load_json
 from .errors import (
     COND_LIMIT,
     DegenerateCloudError,
@@ -136,6 +136,10 @@ def ransac_plane(cloud, iterations: int = 200, inlier_threshold: float = 0.005,
     plane with the most inliers (points within the threshold distance).
     Deterministic given the seed: one 3-sample draw per iteration.
     """
+    if iterations < 1:
+        raise InvalidInputError("iterations must be >= 1")
+    if not inlier_threshold > 0.0:
+        raise InvalidInputError("inlier_threshold must be positive")
     points = np.asarray(cloud, dtype=float)
     if points.ndim != 2 or points.shape[1] != 3 or points.shape[0] < 3:
         raise DegenerateCloudError("need at least 3 points of dimension 3")
@@ -321,14 +325,11 @@ class SvmModel:
         )
 
     def to_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        dump_json(self.to_dict(), path)
 
     @classmethod
     def from_json(cls, path):
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(load_json(path))
 
 
 def _svm_objective(w, b, x, y, c):
@@ -501,5 +502,4 @@ def segmentation_record(plane: PlaneModel, poses, cluster_sizes) -> dict:
 
 def segmentation_to_json(plane: PlaneModel, poses, cluster_sizes) -> str:
     """Serialize segmentation results as the documented JSON payload."""
-    record = segmentation_record(plane, poses, cluster_sizes)
-    return json.dumps(record, sort_keys=True, indent=2) + "\n"
+    return dump_json(segmentation_record(plane, poses, cluster_sizes))

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import encoding, force, kmp, perception, synergy, synthetic
+from ._io import dump_json, load_json, write_csv
 from .errors import ConfigInvalidError, StageError, SynkitError
 
 __all__ = ["PipelineConfig", "TaskLog", "default_config", "run_task", "build_reference"]
@@ -135,14 +136,11 @@ class PipelineConfig:
         return self.force_mu if self.force_mu is not None else self.scenario()["mu"]
 
     def to_json(self, path=None) -> str:
-        text = json.dumps(dataclasses.asdict(self), sort_keys=True, indent=2) + "\n"
-        if path is not None:
-            Path(path).write_text(text)
-        return text
+        return dump_json(dataclasses.asdict(self), path)
 
     @classmethod
     def from_json(cls, path) -> "PipelineConfig":
-        payload = json.loads(Path(path).read_text())
+        payload = load_json(path)
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(payload) - known
         if unknown:
@@ -178,11 +176,8 @@ class TaskLog:
         raise KeyError(name)
 
     def to_json(self, path=None) -> str:
-        payload = {"task": self.task, "config": self.config, "stages": self.stages}
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-        if path is not None:
-            Path(path).write_text(text)
-        return text
+        return dump_json({"task": self.task, "config": self.config, "stages": self.stages},
+                         path)
 
 
 # Stage names in execution order; the learning stages precede the perception
@@ -315,8 +310,9 @@ def _run_force_loop(config: PipelineConfig, basis, grasp_model):
     """First-order grip plant tracking a ramped force target.
 
     The measured grip lags the commanded grip with time constant
-    ``force_lag``; each step applies a synergy correction from the target
-    minus measured error and logs the per-contact friction-cone flags.
+    ``force_lag``; each step applies a synergy correction from the scalar
+    target-minus-measured grip error and logs the per-contact friction-cone
+    flags.
     """
     lo, hi = config.force_band()
     target_final = 0.5 * (lo + hi)
@@ -334,35 +330,26 @@ def _run_force_loop(config: PipelineConfig, basis, grasp_model):
     pattern = force.normal_pattern(grasp_model.n_contacts)
     delta_e = np.linalg.pinv(coupling) @ (lo * pattern)
 
-    times, targets, measures = [], [], []
     measured = lo
     records = []
     for k in range(steps):
         t = k * dt
         target_k = lo + min(t / ramp_time, 1.0) * (target_final - lo)
-        times.append(t)
-        targets.append(target_k)
-        measures.append(measured)
-        target_profile = force.ForceProfile(np.asarray(times), np.asarray(targets),
-                                            ramp_rate=ramp_rate)
-        measured_profile = force.ForceProfile(np.asarray(times), np.asarray(measures))
-        correction = force.adapt_force(target_profile, measured_profile, grasp_model,
-                                       basis, gain=config.force_gain)
-        delta_e = delta_e + correction
+        delta_e = delta_e + force.adapt_force(float(target_k - measured), grasp_model,
+                                              basis, gain=config.force_gain)
         contacts = force.contact_forces(grasp_model, omega, basis, delta_e)
         currents = force.motor_currents(grasp_model, contacts)
         realized = force.realized_forces(grasp_model, currents)
         command = force.grip_force(realized)
-        flags = [force.friction_cone_check(f, mu) for f in realized]
-        measured = measured + (dt / config.force_lag) * (command - measured)
         records.append({
             "t": t,
             "target": float(target_k),
-            "measured": float(measures[-1]),
+            "measured": float(measured),
             "command": float(command),
-            "stable": flags,
+            "stable": [force.friction_cone_check(f, mu) for f in realized],
             "delta_e": [float(v) for v in delta_e],
         })
+        measured = measured + (dt / config.force_lag) * (command - measured)
     final_grip = float(measured)
     return {
         "mu": mu,
@@ -507,11 +494,8 @@ def run_task(config: PipelineConfig) -> TaskLog:
         force_log = _run_force_loop(config, basis, grasp_model)
         log.add("force", force_log)
         if out_dir is not None:
-            profile = force.ForceProfile(
-                times=np.asarray([r["t"] for r in force_log["records"]]),
-                forces=np.asarray([r["measured"] for r in force_log["records"]]),
-                ramp_rate=force_log["ramp_rate"])
-            profile.to_csv(out_dir / "grip_force.csv")
+            write_csv(out_dir / "grip_force.csv", ["t", "force"],
+                      [(r["t"], r["measured"]) for r in force_log["records"]])
 
     with _stage(log, "metrics"):
         from .evaluation import pearson_r, rmse

@@ -8,11 +8,11 @@ coordinates and to reconstruct postures from them.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._io import dump_json, load_json
 from .errors import DimensionMismatchError, ZeroVarianceError
 
 __all__ = [
@@ -208,19 +208,15 @@ def load_postures_csv(path) -> np.ndarray:
 
 
 def save_basis(basis: SynergyBasis, path) -> None:
-    payload = {
+    dump_json({
         "theta0": basis.theta0.tolist(),
         "e_hat": basis.e_hat.tolist(),
         "variance_fractions": basis.variance_fractions.tolist(),
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    }, path)
 
 
 def load_basis(path) -> SynergyBasis:
-    with open(path) as fh:
-        payload = json.load(fh)
+    payload = load_json(path)
     return SynergyBasis(
         e_hat=np.asarray(payload["e_hat"], dtype=float),
         theta0=np.asarray(payload["theta0"], dtype=float),

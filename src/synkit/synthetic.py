@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import UnknownTaskError
+from .errors import InvalidInputError, UnknownTaskError
 
 __all__ = [
     "TASKS",
@@ -156,7 +156,7 @@ def generate_synthetic_demos(task: str, count: int = 8, noise: float = 0.004,
     """
     sc = task_scenario(task)
     if count < 2:
-        raise ValueError("need at least 2 demonstrations")
+        raise InvalidInputError("need at least 2 demonstrations")
     d1, d2 = _hand_directions()
     rng = np.random.default_rng(seed)
     demos = []

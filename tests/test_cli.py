@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from synkit import perception, pipeline
+from synkit import encoding, perception, pipeline
 from synkit.cli import cli_dispatch
 
 
@@ -44,6 +44,11 @@ class TestInvalidInput:
         ("segment", "--cloud", "{plane}", "--min-points", "0"),
         ("benchmark-kernels", "--length-scale", "-1"),
         ("encode", "--components", "0"),
+        ("kmp-predict", "--reference", "{reference}", "--lam", "0"),
+        ("kmp-predict", "--reference", "{reference}", "--kernel", "cauchy", "--alpha", "0"),
+        ("generate", "demos", "--count", "1"),
+        ("segment", "--cloud", "{plane}", "--threshold", "-1"),
+        ("segment", "--cloud", "{plane}", "--iterations", "0"),
     ])
     def test_bad_value_is_stage_failure(self, argv, tmp_path, capsys):
         plane = tmp_path / "plane.xyz"
@@ -51,7 +56,11 @@ class TestInvalidInput:
         perception.save_cloud(plane, [[x, y, 0.0] for x in grid for y in grid])
         nan = tmp_path / "nan.xyz"
         nan.write_text("0 0 0\n1 0 0\nnan 1 2\n")
-        argv = [a.format(plane=plane, nan=nan) for a in argv]
+        reference = tmp_path / "reference.json"
+        encoding.ReferenceTrajectory(times=grid, means=np.zeros((5, 2)),
+                                     covariances=np.tile(np.eye(2), (5, 1, 1))
+                                     ).to_json(reference)
+        argv = [a.format(plane=plane, nan=nan, reference=reference) for a in argv]
         code, _, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
         assert code == 2
         assert err.startswith("error:")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from synkit import encoding, synergy
-from synkit.errors import EmptyDemoError, NonMonotonicTimeError
+from synkit.errors import EmptyDemoError, NonMonotonicTimeError, SynkitError
 
 
 @pytest.fixture()
@@ -126,6 +126,19 @@ class TestFitGmm:
         diffs = np.diff(model.ll_history)
         assert np.all(diffs >= -1e-7 * (1.0 + np.abs(model.ll_history[:-1])))
         assert float(model.priors.sum()) == pytest.approx(1.0, abs=1e-9)
+
+    def test_falling_log_likelihood_is_synkit_error(self, rng, monkeypatch):
+        trajs, *_ = _single_gaussian_trajectories(rng, n=300)
+        calls = []
+        log_gauss = encoding._log_gauss
+
+        def falling(x, mean, cov):
+            calls.append(None)  # each E-step scores lower than the last
+            return log_gauss(x, mean, cov) - 10.0 * len(calls)
+
+        monkeypatch.setattr(encoding, "_log_gauss", falling)
+        with pytest.raises(SynkitError, match="log-likelihood decreased"):
+            encoding.fit_gmm(trajs, n_components=2, seed=2)
 
 
 class TestGmr:

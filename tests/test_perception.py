@@ -5,6 +5,7 @@ from synkit import perception, synergy
 from synkit.errors import (
     DegenerateCloudError,
     DimensionMismatchError,
+    InvalidInputError,
     RankDeficientError,
     SingleClassError,
 )
@@ -111,6 +112,17 @@ class TestRansac:
         line = np.column_stack([t, 2.0 * t, -t])
         with pytest.raises(DegenerateCloudError):
             perception.ransac_plane(line, iterations=50, seed=1)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"iterations": 0}, "iterations"),
+        ({"inlier_threshold": 0.0}, "inlier_threshold"),
+        ({"inlier_threshold": -1.0}, "inlier_threshold"),
+        ({"inlier_threshold": float("nan")}, "inlier_threshold"),
+    ])
+    def test_bad_parameters_rejected(self, rng, kwargs, name):
+        cloud = rng.uniform(-1.0, 1.0, size=(50, 3))
+        with pytest.raises(InvalidInputError, match=name):
+            perception.ransac_plane(cloud, seed=0, **kwargs)
 
 
 class TestClustering:

@@ -136,6 +136,18 @@ class TestRunTask:
         loaded = synergy.load_basis(out / "basis.json")
         assert loaded.synergy_dim == 2
 
+    def test_grip_force_csv_matches_force_records(self, tmp_path):
+        config = pipeline.default_config("ketchup")
+        config.out_dir = str(tmp_path / "run")
+        log = pipeline.run_task(config)
+        path = tmp_path / "run" / "grip_force.csv"
+        assert path.read_text().splitlines()[0] == "t,force"
+        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        records = log.stage("force")["records"]
+        expected = np.array([(r["t"], r["measured"]) for r in records])
+        assert rows.shape == (config.force_steps, 2)
+        assert np.array_equal(rows, expected)
+
 
 class TestFileIngestion:
     def test_run_from_generated_files(self, tmp_path, capsys):
