@@ -165,8 +165,8 @@ def _cmd_kmp_predict(args):
                           sigma2=args.sigma2, alpha=alpha)
     model = kmp.kmp_fit(reference, spec, args.lam)
     grid = np.linspace(float(reference.times[0]), float(reference.times[-1]), args.points)
-    means, covs = kmp.kmp_predict(model, grid)
-    kmp.save_kmp_predictions(out / "predictions.csv", grid, means, covs)
+    kmp.save_kmp_predictions(out / "predictions.csv", grid, kmp.kmp_predict(model, grid),
+                             kmp.kmp_predict_cov(model, grid))
     print(f"predicted {args.points} points with {args.kernel} kernel "
           f"-> {out / 'predictions.csv'}")
     return 0

@@ -136,7 +136,7 @@ def benchmark_kernels(reference: ReferenceTrajectory, adaptations, kernel_specs,
         for idx, vias in enumerate(scenarios):
             adapted = apply_via_points(reference, vias) if vias else reference
             model = kmp_fit(adapted, spec, lam)
-            means, _ = kmp_predict(model, grid)
+            means = kmp_predict(model, grid)
             r, e = _score(actual.means, means)
             r_scores.append(r)
             e_scores.append(e)

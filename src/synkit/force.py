@@ -161,18 +161,14 @@ def normal_pattern(n_contacts: int) -> np.ndarray:
     return pattern
 
 
-def adapt_force(error: float, model: GraspModel, basis: SynergyBasis,
-                gain: float = 0.5) -> np.ndarray:
+def adapt_force(error: float, coupling_pinv: np.ndarray, gain: float = 0.5) -> np.ndarray:
     """Synergy correction reducing the scalar grip error (target minus measured).
 
     The error is distributed along each contact normal and pulled back
-    through the stiffness-basis product by least squares, scaled by
-    ``gain``. Linear in the error and zero when it is zero.
+    through ``coupling_pinv``, the pseudo-inverse of the stiffness-basis
+    product ``stiffness @ e_hat`` (a least-squares fit), scaled by ``gain``.
+    Linear in the error and zero when it is zero.
     """
     if gain <= 0.0:
         raise ValueError("gain must be positive")
-    if basis.joint_dim != model.joint_dim:
-        raise DimensionMismatchError("grasp model joints disagree with the basis")
-    desired_change = float(error) * normal_pattern(model.n_contacts)
-    coupling = model.stiffness @ basis.e_hat
-    return gain * (np.linalg.pinv(coupling) @ desired_change)
+    return gain * (coupling_pinv @ (float(error) * normal_pattern(coupling_pinv.shape[1] // 3)))

@@ -29,7 +29,7 @@ __all__ = [
     "kernel_eval",
     "build_kernel_matrix",
     "kmp_fit",
-    "kmp_predict_mean",
+    "kmp_predict",
     "kmp_predict_cov",
     "insert_via_point",
     "fuse_priorities",
@@ -105,12 +105,6 @@ def build_kernel_matrix(spec: KernelSpec, times, dim: int = 1) -> np.ndarray:
     return np.kron(k, np.eye(dim))
 
 
-def _kernel_row(spec, t_star, times, dim):
-    """The dim x (N*dim) cross-kernel block row for a query time."""
-    k = kernel_eval(spec, float(t_star), times)
-    return np.kron(k[None, :], np.eye(dim))
-
-
 @dataclass(frozen=True)
 class ViaPoint:
     """Desired (time, value, confidence) constraint for adaptation.
@@ -138,19 +132,18 @@ class ViaPoint:
 
 @dataclass(frozen=True)
 class KmpModel:
-    """Fitted kernel regression factors over a reference trajectory.
+    """Fitted kernel regression over a reference trajectory.
 
-    ``mean_factor`` is (K + lambda I)^-1 mu for the stacked reference means;
-    ``cov_factor`` is (K + lambda Sigma)^-1 with Sigma the block diagonal of
-    reference covariances. Both are precomputed so prediction is a pure
-    read-only product, safe to call concurrently.
+    ``mean_factor`` is the (N, S) solution of (K + lambda I) W = mu for the
+    reference means, with K the N x N scalar kernel matrix: the block kernel
+    is K kron I_S, so one N x N system serves every output dimension.
+    Prediction is a pure read-only product, safe to call concurrently.
     """
 
     kernel: KernelSpec
     lam: float
     reference: ReferenceTrajectory
     mean_factor: np.ndarray
-    cov_factor: np.ndarray
 
     @property
     def n_reference(self):
@@ -162,63 +155,51 @@ class KmpModel:
 
 
 def kmp_fit(reference: ReferenceTrajectory, spec: KernelSpec, lam: float = 1.0) -> KmpModel:
-    """Precompute the mean and covariance regression factors.
+    """Solve the mean regression system once for all output dimensions.
 
     Raises SingularSystemError when (K + lambda I) is conditioned beyond
-    1e12; systems are solved by factorization, never explicit inversion.
+    1e12; its spectrum is that of the block system (K + lambda I) kron I_S.
+    The system is solved by factorization, never explicit inversion.
     """
     if lam <= 0.0:
         raise InvalidInputError("lambda must be positive")
     if len(reference) == 0:
         raise DimensionMismatchError("reference trajectory is empty")
-    s = reference.synergy_dim
-    n = len(reference)
-    kmat = build_kernel_matrix(spec, reference.times, s)
-    mu = reference.means.reshape(n * s)
-
-    a_mean = kmat + lam * np.eye(n * s)
+    a_mean = build_kernel_matrix(spec, reference.times) + lam * np.eye(len(reference))
     if np.linalg.cond(a_mean) > COND_LIMIT:
         raise SingularSystemError("(K + lambda I) condition estimate exceeds 1e12")
-    mean_factor = np.linalg.solve(a_mean, mu)
+    mean_factor = np.linalg.solve(a_mean, reference.means)
+    return KmpModel(kernel=spec, lam=lam, reference=reference, mean_factor=mean_factor)
 
-    sigma = np.zeros((n * s, n * s))
-    for i in range(n):
-        sigma[i * s:(i + 1) * s, i * s:(i + 1) * s] = reference.covariances[i]
-    a_cov = kmat + lam * sigma
+
+def kmp_predict(model: KmpModel, times) -> np.ndarray:
+    """Expected synergy coordinates: (S,) for one query time, (Q, S) for a grid."""
+    t = np.asarray(times, dtype=float)
+    return kernel_eval(model.kernel, t[..., None], model.reference.times) @ model.mean_factor
+
+
+def kmp_predict_cov(model: KmpModel, times) -> np.ndarray:
+    """Predicted covariance, symmetric PSD: (S, S) for one time, (Q, S, S) for a grid.
+
+    Solves (K kron I_S + lambda Sigma), with Sigma the block diagonal of
+    reference covariances, against the stacked query kernel rows. Raises
+    SingularSystemError when that system is conditioned beyond 1e12.
+    """
+    ref = model.reference
+    n, s = len(ref), ref.synergy_dim
+    a_cov = build_kernel_matrix(model.kernel, ref.times, s)
+    diagonal = np.arange(n)
+    # the fresh kron result is contiguous, so this reshape is a writable view
+    a_cov.reshape(n, s, n, s)[diagonal, :, diagonal, :] += model.lam * ref.covariances
     if np.linalg.cond(a_cov) > COND_LIMIT:
         raise SingularSystemError("(K + lambda Sigma) condition estimate exceeds 1e12")
-    cov_factor = np.linalg.solve(a_cov, np.eye(n * s))
-    cov_factor = 0.5 * (cov_factor + cov_factor.T)
-
-    return KmpModel(kernel=spec, lam=lam, reference=reference,
-                    mean_factor=mean_factor, cov_factor=cov_factor)
-
-
-def kmp_predict_mean(model: KmpModel, t_star: float) -> np.ndarray:
-    """Expected synergy coordinates at a query time."""
-    row = _kernel_row(model.kernel, t_star, model.reference.times, model.synergy_dim)
-    return row @ model.mean_factor
-
-
-def kmp_predict_cov(model: KmpModel, t_star: float) -> np.ndarray:
-    """Predicted covariance at a query time (symmetric PSD)."""
-    s = model.synergy_dim
-    row = _kernel_row(model.kernel, t_star, model.reference.times, s)
-    k_self = kernel_eval(model.kernel, t_star, t_star) * np.eye(s)
-    cov = (model.n_reference / model.lam) * (k_self - row @ model.cov_factor @ row.T)
-    return 0.5 * (cov + cov.T)
-
-
-def kmp_predict(model: KmpModel, times):
-    """Means and covariances over a grid of query times."""
-    times = np.asarray(times, dtype=float)
-    s = model.synergy_dim
-    means = np.empty((times.shape[0], s))
-    covs = np.empty((times.shape[0], s, s))
-    for i, t in enumerate(times):
-        means[i] = kmp_predict_mean(model, float(t))
-        covs[i] = kmp_predict_cov(model, float(t))
-    return means, covs
+    t = np.asarray(times, dtype=float)
+    q = t.size
+    rows = np.kron(kernel_eval(model.kernel, t.reshape(q, 1), ref.times), np.eye(s))
+    solved = np.linalg.solve(a_cov, rows.T).reshape(n * s, q, s).transpose(1, 0, 2)
+    k_self = kernel_eval(model.kernel, t, t).reshape(q, 1, 1) * np.eye(s)
+    cov = (n / model.lam) * (k_self - rows.reshape(q, s, n * s) @ solved)
+    return (0.5 * (cov + cov.transpose(0, 2, 1))).reshape(t.shape + (s, s))
 
 
 def default_via_radius(reference: ReferenceTrajectory) -> float:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -194,17 +195,15 @@ STAGE_ORDER = (
 )
 
 
-def _stage(log, name):
-    class _Ctx:
-        def __enter__(self):
-            return None
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and not isinstance(exc, StageError):
-                raise StageError(name, exc) from exc
-            return False
-
-    return _Ctx()
+@contextmanager
+def _stage(name):
+    """Re-raise a stage's failure as StageError; interrupts pass through."""
+    try:
+        yield
+    except StageError:
+        raise
+    except Exception as exc:
+        raise StageError(name, exc) from exc
 
 
 def load_demo_dir(path):
@@ -326,17 +325,17 @@ def _run_force_loop(config: PipelineConfig, basis, grasp_model):
     ramp_time = 0.5 * steps * dt
     ramp_rate = (target_final - lo) / ramp_time
 
-    coupling = grasp_model.stiffness @ basis.e_hat
+    coupling_pinv = np.linalg.pinv(grasp_model.stiffness @ basis.e_hat)
     pattern = force.normal_pattern(grasp_model.n_contacts)
-    delta_e = np.linalg.pinv(coupling) @ (lo * pattern)
+    delta_e = coupling_pinv @ (lo * pattern)
 
     measured = lo
     records = []
     for k in range(steps):
         t = k * dt
         target_k = lo + min(t / ramp_time, 1.0) * (target_final - lo)
-        delta_e = delta_e + force.adapt_force(float(target_k - measured), grasp_model,
-                                              basis, gain=config.force_gain)
+        delta_e = delta_e + force.adapt_force(float(target_k - measured), coupling_pinv,
+                                              gain=config.force_gain)
         contacts = force.contact_forces(grasp_model, omega, basis, delta_e)
         currents = force.motor_currents(grasp_model, contacts)
         realized = force.realized_forces(grasp_model, currents)
@@ -377,7 +376,7 @@ def run_task(config: PipelineConfig) -> TaskLog:
         out_dir.mkdir(parents=True, exist_ok=True)
     log = TaskLog(task=config.task, config=json.loads(config.to_json()))
 
-    with _stage(log, "synergy"):
+    with _stage("synergy"):
         demos, truth, basis, gmm_model, reference = build_reference(config)
         log.add("synergy", {
             "joint_dim": basis.joint_dim,
@@ -387,15 +386,21 @@ def run_task(config: PipelineConfig) -> TaskLog:
             "demo_count": len(demos),
         })
 
-    with _stage(log, "encoding"):
+    with _stage("encoding"):
+        # fit_gmm stops once a log-likelihood step falls below gmm_tol
+        ll = gmm_model.ll_history
+        final_ll_delta = float(ll[-1] - ll[-2]) if ll.shape[0] >= 2 else None
+        converged = final_ll_delta is not None and final_ll_delta < config.gmm_tol
         log.add("encoding", {
             "components": gmm_model.n_components,
-            "em_iterations": int(gmm_model.ll_history.shape[0]),
-            "log_likelihood": float(gmm_model.ll_history[-1]),
+            "em_iterations": int(ll.shape[0]),
+            "log_likelihood": float(ll[-1]),
+            "converged": converged,
+            "final_ll_delta": final_ll_delta,
             "grid_points": len(reference),
         })
 
-    with _stage(log, "kmp"):
+    with _stage("kmp"):
         spec = config.kernel_spec()
         baseline = kmp.kmp_fit(reference, spec, config.lam)
         log.add("kmp", {
@@ -404,7 +409,7 @@ def run_task(config: PipelineConfig) -> TaskLog:
             "reference_points": baseline.n_reference,
         })
 
-    with _stage(log, "perception"):
+    with _stage("perception"):
         if config.scene_path is not None:
             cloud = perception.load_cloud(config.scene_path)
         else:
@@ -441,7 +446,7 @@ def run_task(config: PipelineConfig) -> TaskLog:
                 perception.segmentation_to_json(plane, poses, sizes))
             svm.to_json(out_dir / "svm.json")
 
-    with _stage(log, "adaptation"):
+    with _stage("adaptation"):
         target_label = scenario["target_label"]
         detected = [p for p in poses if p.label == target_label]
         if not detected:
@@ -467,7 +472,7 @@ def run_task(config: PipelineConfig) -> TaskLog:
         # executed steps follow the adapted reference grid; the dense
         # prediction is dumped for plotting only
         steps = np.asarray(adapted_reference.times)
-        means, covs = kmp.kmp_predict(adapted, steps)
+        means = kmp.kmp_predict(adapted, steps)
         log.add("adaptation", {
             "pose_delta": pose_delta.tolist(),
             "via_points": [
@@ -480,15 +485,15 @@ def run_task(config: PipelineConfig) -> TaskLog:
         })
         if out_dir is not None:
             dense = np.linspace(0.0, 1.0, config.dense_points)
-            dense_means, dense_covs = kmp.kmp_predict(adapted, dense)
             kmp.save_kmp_predictions(out_dir / "predictions.csv", dense,
-                                     dense_means, dense_covs)
+                                     kmp.kmp_predict(adapted, dense),
+                                     kmp.kmp_predict_cov(adapted, dense))
 
-    with _stage(log, "reconstruction"):
+    with _stage("reconstruction"):
         joints = np.vstack([synergy.reconstruct(basis, e) for e in means])
         log.add("reconstruction", {"joint_angles": joints.tolist()})
 
-    with _stage(log, "force"):
+    with _stage("force"):
         contact_radius = 0.5 * float(np.mean(target_pose.extents[:2]))
         grasp_model = build_grasp_model(basis, contact_radius)
         force_log = _run_force_loop(config, basis, grasp_model)
@@ -497,10 +502,10 @@ def run_task(config: PipelineConfig) -> TaskLog:
             write_csv(out_dir / "grip_force.csv", ["t", "force"],
                       [(r["t"], r["measured"]) for r in force_log["records"]])
 
-    with _stage(log, "metrics"):
+    with _stage("metrics"):
         from .evaluation import pearson_r, rmse
 
-        baseline_means, _ = kmp.kmp_predict(baseline, steps)
+        baseline_means = kmp.kmp_predict(baseline, steps)
         per_r = [pearson_r(baseline_means[:, j], means[:, j]) for j in range(means.shape[1])]
         per_e = [rmse(baseline_means[:, j], means[:, j]) for j in range(means.shape[1])]
         log.add("metrics", {

@@ -53,13 +53,13 @@ def test_criterion_2_kmp_reproduction(egg_learning):
         spec = kmp.KernelSpec(kind="gaussian", l=0.05, sigma2=1.0)
         model = kmp.kmp_fit(reference, spec, lam=1e-8)
         predictions = np.vstack([
-            kmp.kmp_predict_mean(model, float(t)) for t in reference.times
+            kmp.kmp_predict(model, float(t)) for t in reference.times
         ])
         assert evaluation.rmse(reference.means.ravel(), predictions.ravel()) < 1e-2
         # dense linear-solve oracle over a sample of training times
         for t in reference.times[::6]:
             want = oracle_predict_mean(reference, spec, 1e-8, float(t))
-            got = kmp.kmp_predict_mean(model, float(t))
+            got = kmp.kmp_predict(model, float(t))
             assert np.abs(got - want).max() < 1e-8
 
 
@@ -74,7 +74,7 @@ def test_criterion_3_via_point_attainment(egg_learning):
             spec = kmp.KernelSpec(kind=kind, l=0.05, sigma2=1.0,
                                   alpha=1.0 if kind == "cauchy" else None)
             model = kmp.kmp_fit(adapted, spec, lam=1e-8)
-            got = kmp.kmp_predict_mean(model, 0.47)
+            got = kmp.kmp_predict(model, 0.47)
             assert np.abs(got - desired).max() < 0.01, kind
 
 

@@ -166,6 +166,8 @@ class TestMotorCurrents:
         basis = make_basis(rng)
         contacts = force.contact_forces(model, np.ones(6), basis, np.ones(2))
         currents = force.motor_currents(model, contacts)
+        coupling_pinv = np.linalg.pinv(model.stiffness @ basis.e_hat)
+        correction = force.adapt_force(1.0, coupling_pinv)
 
         def no_pinv(*args, **kwargs):
             raise AssertionError("pseudo-inverse recomputed")
@@ -174,6 +176,7 @@ class TestMotorCurrents:
         assert np.array_equal(force.contact_forces(model, np.ones(6), basis, np.ones(2)),
                               contacts)
         assert np.array_equal(force.motor_currents(model, contacts), currents)
+        assert np.array_equal(force.adapt_force(1.0, coupling_pinv), correction)
 
 
 def closing_model(rng, basis):
@@ -186,17 +189,21 @@ def closing_model(rng, basis):
                             motor_constant=np.eye(6))
 
 
+def coupling_pinv(model, basis):
+    return np.linalg.pinv(model.stiffness @ basis.e_hat)
+
+
 class TestAdaptForce:
     def test_matching_profiles_zero_correction(self, rng):
         model = make_model(rng)
         basis = make_basis(rng)
-        out = force.adapt_force(2.5 - 2.5, model, basis, gain=0.5)
+        out = force.adapt_force(2.5 - 2.5, coupling_pinv(model, basis), gain=0.5)
         assert np.abs(out).max() < 1e-12
 
     def test_low_measurement_raises_predicted_grip(self, rng):
         basis = make_basis(rng)
         model = closing_model(rng, basis)
-        correction = force.adapt_force(3.0 - 2.0, model, basis, gain=0.5)
+        correction = force.adapt_force(3.0 - 2.0, coupling_pinv(model, basis), gain=0.5)
         before = force.grip_force(force.contact_forces(model, np.zeros(6), basis,
                                                        np.zeros(2)))
         after = force.grip_force(force.contact_forces(model, np.zeros(6), basis,
@@ -206,14 +213,16 @@ class TestAdaptForce:
     def test_linearity_in_error(self, rng):
         model = make_model(rng)
         basis = make_basis(rng)
-        c1 = force.adapt_force(3.0 - 2.0, model, basis, gain=0.5)
-        c2 = force.adapt_force(5.0 - 1.0, model, basis, gain=0.5)
-        c12 = force.adapt_force((3.0 + 5.0) - (2.0 + 1.0), model, basis, gain=0.5)
+        pinv = coupling_pinv(model, basis)
+        c1 = force.adapt_force(3.0 - 2.0, pinv, gain=0.5)
+        c2 = force.adapt_force(5.0 - 1.0, pinv, gain=0.5)
+        c12 = force.adapt_force((3.0 + 5.0) - (2.0 + 1.0), pinv, gain=0.5)
         assert np.abs(c12 - (c1 + c2)).max() < 1e-12
 
     def test_closed_loop_error_decreases(self, rng):
         basis = make_basis(rng)
         model = closing_model(rng, basis)
+        pinv = coupling_pinv(model, basis)
         target_value = 3.0
         delta_e = np.zeros(2)
         for gain in (0.25, 0.5, 1.0):
@@ -222,8 +231,8 @@ class TestAdaptForce:
                 force.contact_forces(model, np.zeros(6), basis, delta_e))
             err = abs(target_value - predicted)
             for _ in range(40):
-                delta_e = delta_e + force.adapt_force(target_value - predicted, model,
-                                                      basis, gain=gain)
+                delta_e = delta_e + force.adapt_force(target_value - predicted, pinv,
+                                                      gain=gain)
                 predicted = force.grip_force(
                     force.contact_forces(model, np.zeros(6), basis, delta_e))
                 new_err = abs(target_value - predicted)

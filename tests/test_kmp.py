@@ -38,6 +38,39 @@ def oracle_predict_mean(reference, spec, lam, t_star):
     return row @ w
 
 
+def oracle_predict_cov(reference, spec, lam, t_star):
+    """Dense linear-solve oracle for the covariance prediction, from scratch."""
+    times = np.asarray(reference.times)
+    n = times.shape[0]
+    s = reference.means.shape[1]
+    alpha = spec.alpha if spec.alpha is not None else 1.0
+    big = np.zeros((n * s, n * s))
+    for i in range(n):
+        for j in range(n):
+            kij = oracle_kernel(spec.kind, spec.l, spec.sigma2, alpha, times[i], times[j])
+            for d in range(s):
+                big[i * s + d, j * s + d] = kij
+        big[i * s:(i + 1) * s, i * s:(i + 1) * s] += lam * reference.covariances[i]
+    row = np.zeros((s, n * s))
+    for i in range(n):
+        k = oracle_kernel(spec.kind, spec.l, spec.sigma2, alpha, t_star, times[i])
+        for d in range(s):
+            row[d, i * s + d] = k
+    k_self = oracle_kernel(spec.kind, spec.l, spec.sigma2, alpha, t_star, t_star)
+    return (n / lam) * (k_self * np.eye(s) - row @ np.linalg.solve(big, row.T))
+
+
+def random_spd_reference(rng, n=10, s=2):
+    times = np.sort(rng.uniform(0.0, 1.0, n))
+    times += np.arange(n) * 1e-6  # keep strictly increasing
+    means = rng.standard_normal((n, s))
+    covs = np.empty((n, s, s))
+    for i in range(n):
+        a = rng.standard_normal((s, s))
+        covs[i] = a @ a.T + 0.1 * np.eye(s)
+    return make_reference(times, means, covs)
+
+
 ALL_SPECS = [
     kmp.KernelSpec(kind="exponential", l=0.07, sigma2=1.3),
     kmp.KernelSpec(kind="gaussian", l=0.07, sigma2=1.3),
@@ -134,7 +167,7 @@ class TestFitPredict:
         model = kmp.kmp_fit(ref, spec, lam=0.5)
         assert model.mean_factor[0] == pytest.approx(2.0 / (1.5 + 0.5))
         # prediction at the training time
-        assert kmp.kmp_predict_mean(model, 0.5)[0] == pytest.approx(1.5 * 2.0 / (1.5 + 0.5))
+        assert kmp.kmp_predict(model, 0.5)[0] == pytest.approx(1.5 * 2.0 / (1.5 + 0.5))
 
     def test_scalar_closed_form_cov(self):
         s2, lam, svar = 1.5, 0.5, 0.3
@@ -153,11 +186,11 @@ class TestFitPredict:
         spec = kmp.KernelSpec(kind="gaussian", l=0.1, sigma2=1.0)
         model = kmp.kmp_fit(ref, spec, lam=1e-8)
         for t in times:
-            got = kmp.kmp_predict_mean(model, float(t))
+            got = kmp.kmp_predict(model, float(t))
             want = oracle_predict_mean(ref, spec, 1e-8, float(t))
             assert np.abs(got - want).max() < 1e-8
         # interpolation property: reproduces the reference at training times
-        pred = np.vstack([kmp.kmp_predict_mean(model, float(t)) for t in times])
+        pred = np.vstack([kmp.kmp_predict(model, float(t)) for t in times])
         assert np.sqrt(np.mean((pred - means) ** 2)) < 1e-3
 
     def test_constant_reference_reproduced(self, rng):
@@ -170,7 +203,7 @@ class TestFitPredict:
             spec = kmp.KernelSpec(kind=kind, l=1.0, sigma2=1.0,
                                   alpha=1.0 if kind == "cauchy" else None)
             model = kmp.kmp_fit(ref, spec, lam=1e-6)
-            got = kmp.kmp_predict_mean(model, 0.5)[0]
+            got = kmp.kmp_predict(model, 0.5)[0]
             assert abs(got - c) < 1e-2 * abs(c)
 
     def test_determinism(self):
@@ -181,7 +214,8 @@ class TestFitPredict:
         a = kmp.kmp_fit(ref, spec, lam=0.3)
         b = kmp.kmp_fit(ref, spec, lam=0.3)
         assert np.array_equal(a.mean_factor, b.mean_factor)
-        assert np.array_equal(a.cov_factor, b.cov_factor)
+        grid = np.linspace(0.0, 1.0, 17)
+        assert np.array_equal(kmp.kmp_predict_cov(a, grid), kmp.kmp_predict_cov(b, grid))
 
     def test_far_query_cov_approaches_prior_scale(self):
         times = np.linspace(0.0, 1.0, 8)
@@ -194,20 +228,47 @@ class TestFitPredict:
         assert np.abs(cov - want).max() < 1e-9
 
     def test_random_cov_symmetric_psd(self, rng):
-        times = np.sort(rng.uniform(0.0, 1.0, 10))
-        times += np.arange(10) * 1e-6  # keep strictly increasing
-        means = rng.standard_normal((10, 2))
-        covs = np.empty((10, 2, 2))
-        for i in range(10):
-            a = rng.standard_normal((2, 2))
-            covs[i] = a @ a.T + 0.1 * np.eye(2)
-        ref = make_reference(times, means, covs)
+        ref = random_spd_reference(rng)
         for spec in ALL_SPECS:
             model = kmp.kmp_fit(ref, spec, lam=0.5)
             for t in rng.uniform(-0.2, 1.2, 10):
                 cov = kmp.kmp_predict_cov(model, float(t))
                 assert np.abs(cov - cov.T).max() < 1e-9
                 assert np.linalg.eigvalsh(cov).min() >= -1e-9
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
+    def test_cov_vs_oracle_on_grid(self, spec, rng):
+        ref = random_spd_reference(rng)
+        model = kmp.kmp_fit(ref, spec, lam=0.5)
+        grid = np.linspace(-0.2, 1.2, 41)
+        got = kmp.kmp_predict_cov(model, grid)
+        assert got.shape == (41, 2, 2)
+        for t, cov in zip(grid, got):
+            want = oracle_predict_cov(ref, spec, 0.5, float(t))
+            assert np.abs(cov - want).max() < 1e-9
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
+    def test_grid_matches_single_times(self, spec, rng):
+        model = kmp.kmp_fit(random_spd_reference(rng, s=3), spec, lam=0.5)
+        grid = np.linspace(-0.2, 1.2, 23)
+        means = kmp.kmp_predict(model, grid)
+        covs = kmp.kmp_predict_cov(model, grid)
+        assert means.shape == (23, 3) and covs.shape == (23, 3, 3)
+        for t, mean, cov in zip(grid, means, covs):
+            single_mean = kmp.kmp_predict(model, float(t))
+            single_cov = kmp.kmp_predict_cov(model, float(t))
+            assert single_mean.shape == (3,) and single_cov.shape == (3, 3)
+            assert np.abs(single_mean - mean).max() < 1e-12
+            assert np.abs(single_cov - cov).max() < 1e-12
+
+    def test_singular_cov_system_raises_on_every_prediction(self):
+        # K + lambda Sigma = 1.5 + 0.5 * (-3.0) = 0 while K + lambda I = 2.0
+        ref = make_reference([0.5], [[2.0]], [[[-3.0]]])
+        spec = kmp.KernelSpec(kind="gaussian", l=0.1, sigma2=1.5)
+        model = kmp.kmp_fit(ref, spec, lam=0.5)
+        for _ in range(2):
+            with pytest.raises(SingularSystemError):
+                kmp.kmp_predict_cov(model, 0.5)
 
     def test_singular_system_raises(self):
         times = np.array([0.2, 0.2 + 1e-15, 0.4])
@@ -247,7 +308,7 @@ class TestViaPoints:
                            desired_cov=1e-6 * np.eye(2))
         adapted = kmp.insert_via_point(reference, via)
         model = kmp.kmp_fit(adapted, spec, lam=1e-8)
-        got = kmp.kmp_predict_mean(model, 0.35)
+        got = kmp.kmp_predict(model, 0.35)
         assert np.abs(got - desired).max() < 0.01
         # independent dense-solve oracle agrees
         want = oracle_predict_mean(adapted, spec, 1e-8, 0.35)

@@ -111,6 +111,30 @@ class TestRunTask:
                 assert np.abs(back - e).max() < 1e-9
                 assert np.abs(synergy.reconstruct(basis, e) - q).max() < 1e-9
 
+    def test_em_convergence_recorded(self, egg_log, ketchup_log):
+        egg = egg_log.stage("encoding")
+        assert egg["converged"] and egg["em_iterations"] == 119
+        assert egg["final_ll_delta"] == pytest.approx(6.0e-7, rel=1e-2)
+        # ketchup EM hits gmm_max_iter with its last step above gmm_tol = 1e-6
+        ketchup = ketchup_log.stage("encoding")
+        assert not ketchup["converged"] and ketchup["em_iterations"] == 200
+        assert ketchup["final_ll_delta"] == pytest.approx(9.35e-6, rel=1e-3)
+
+    def test_em_single_iteration_not_converged(self):
+        config = pipeline.default_config("egg")
+        config.gmm_max_iter = 1
+        stage = pipeline.run_task(config).stage("encoding")
+        assert stage["em_iterations"] == 1
+        assert stage["final_ll_delta"] is None and stage["converged"] is False
+
+    def test_interrupt_passes_through_stages(self, monkeypatch):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(pipeline.synthetic, "generate_synthetic_scene", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            pipeline.run_task(pipeline.default_config("egg"))
+
     def test_rerun_bit_identical(self, egg_log):
         again = pipeline.run_task(pipeline.default_config("egg"))
         assert again.to_json() == egg_log.to_json()
