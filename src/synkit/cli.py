@@ -14,7 +14,7 @@ import numpy as np
 
 from . import encoding, evaluation, kmp, perception, pipeline, synergy, synthetic
 from ._io import dump_json, write_csv
-from .errors import SynkitError, UsageError
+from .errors import InvalidInputError, SynkitError, UsageError
 
 COMMANDS = (
     "fit-synergies",
@@ -158,6 +158,8 @@ def _cmd_encode(args):
 
 
 def _cmd_kmp_predict(args):
+    if args.points < 1:
+        raise InvalidInputError("--points must be at least 1")
     out = _out_dir(args)
     reference = encoding.ReferenceTrajectory.from_json(args.reference)
     alpha = args.alpha if args.kernel == "cauchy" else None

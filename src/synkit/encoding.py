@@ -83,10 +83,8 @@ class GmmModel:
         if covs.shape[1] != means.shape[1] or covs.shape[2] != means.shape[1]:
             raise DimensionMismatchError("covariance blocks must be square over (t, e)")
         if np.any(priors <= 0.0) or abs(priors.sum() - 1.0) > 1e-9:
-            raise ValueError("priors must be positive and sum to 1")
-        for k in range(n):
-            if np.linalg.eigvalsh(covs[k]).min() <= 0.0:
-                raise ValueError(f"component {k} covariance not positive definite")
+            raise InvalidInputError("priors must be positive and sum to 1")
+        _require_positive_definite(covs, InvalidInputError, "not positive definite")
         object.__setattr__(self, "priors", _frozen(priors))
         object.__setattr__(self, "means", _frozen(means))
         object.__setattr__(self, "covariances", _frozen(covs))
@@ -217,22 +215,49 @@ def interpolate_coefficients(demos, basis: SynergyBasis, grid) -> list[SynergyTr
     return out
 
 
-def _log_gauss(x, mean, cov):
-    """Log density of N(mean, cov) at rows of x."""
+def _log_gauss(x, means, covs):
+    """Log density of every N(means[k], covs[k]) at every row of x, shape (M, C).
+
+    Multiplying by the inverse d x d Cholesky factors is far cheaper than
+    solving against the M right-hand sides.
+    """
     d = x.shape[1]
-    L = np.linalg.cholesky(cov)
-    diff = x - mean[None, :]
-    sol = np.linalg.solve(L, diff.T)
+    chol = np.linalg.cholesky(covs)
+    sol = np.linalg.inv(chol) @ _centered(x, means)
+    log_det = np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
     return (
-        -0.5 * np.sum(sol**2, axis=0)
-        - np.sum(np.log(np.diag(L)))
+        -0.5 * np.sum(sol**2, axis=1)
+        - log_det[:, None]
         - 0.5 * d * np.log(2.0 * np.pi)
-    )
+    ).T
 
 
-def _logsumexp(a, axis):
-    m = np.max(a, axis=axis, keepdims=True)
-    return (m + np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True))).squeeze(axis)
+def _centered(x, means):
+    """Differences of the rows of x from every mean, laid out (C, d, M)."""
+    return np.ascontiguousarray(x.T) - means[:, :, None]  # a strided x.T is 3x slower
+
+
+def _posterior(x, priors, means, covs):
+    """Per-row log evidence (M,) and normalized responsibilities (M, C)."""
+    log_joint = np.log(priors) + _log_gauss(x, means, covs)
+    top = log_joint.max(axis=1, keepdims=True)
+    log_norm = top[:, 0] + np.log(np.exp(log_joint - top).sum(axis=1))
+    return log_norm, np.exp(log_joint - log_norm[:, None])
+
+
+def _require_positive_definite(covs, error, what):
+    """Raise ``error`` naming the first covariance of a (C, d, d) stack that is not PD."""
+    bad = np.flatnonzero(np.linalg.eigvalsh(covs).min(axis=1) <= 0.0)
+    if bad.size:
+        raise error(f"component {bad[0]} covariance {what}")
+
+
+def _weighted_moments(x, weights, mass, floor):
+    """Means (C, d) and floored covariances (C, d, d) of x under (M, C) weights."""
+    means = (weights.T @ x) / mass[:, None]
+    diff = _centered(x, means)
+    covs = (diff * weights.T[:, None, :]) @ np.swapaxes(diff, 1, 2) / mass[:, None, None] + floor
+    return means, 0.5 * (covs + np.swapaxes(covs, 1, 2))
 
 
 def _kmeanspp_centers(x, n, rng):
@@ -265,8 +290,7 @@ def _lloyd(x, centers, iters=10):
                 centers[k] = x[far]
             else:
                 centers[k] = x[mask].mean(axis=0)
-    labels = np.argmin(np.sum((x[:, None, :] - centers[None, :, :]) ** 2, axis=2), axis=1)
-    return centers, labels
+    return np.argmin(np.sum((x[:, None, :] - centers[None, :, :]) ** 2, axis=2), axis=1)
 
 
 def fit_gmm(trajectories, n_components: int = 5, seed: int = 0,
@@ -286,39 +310,29 @@ def fit_gmm(trajectories, n_components: int = 5, seed: int = 0,
     x = np.vstack([np.column_stack([t.times, t.coeffs]) for t in trajectories])
     m, d = x.shape
     if m < n_components * (d + 1):
-        raise ValueError(f"too few samples ({m}) for {n_components} components in {d}-D")
+        raise InvalidInputError(f"too few samples ({m}) for {n_components} components in {d}-D")
 
     spread = np.var(x, axis=0).mean()
     floor = _COV_FLOOR * max(spread, 1e-12) * np.eye(d)
 
     rng = np.random.default_rng(seed)
-    centers, labels = _lloyd(x, _kmeanspp_centers(x, n_components, rng))
-    priors = np.empty(n_components)
-    means = np.empty((n_components, d))
-    covs = np.empty((n_components, d, d))
-    for k in range(n_components):
-        mask = labels == k
-        pts = x[mask] if mask.any() else x
-        priors[k] = max(mask.sum(), 1) / m
-        means[k] = pts.mean(axis=0)
-        diff = pts - means[k]
-        covs[k] = diff.T @ diff / max(pts.shape[0], 1) + floor
+    labels = _lloyd(x, _kmeanspp_centers(x, n_components, rng))
+    hard = (labels[:, None] == np.arange(n_components)).astype(float)
+    counts = hard.sum(axis=0)
+    hard[:, counts == 0] = 1.0  # an empty cluster starts from all the data
+    means, covs = _weighted_moments(x, hard, hard.sum(axis=0), floor)
+    priors = np.maximum(counts, 1.0) / m
     priors /= priors.sum()
 
     ll_history = []
     prev_ll = -np.inf
     for _ in range(max_iter):
         # E-step
-        log_resp = np.stack(
-            [np.log(priors[k]) + _log_gauss(x, means[k], covs[k]) for k in range(n_components)],
-            axis=1,
-        )
-        log_norm = _logsumexp(log_resp, axis=1)
+        log_norm, resp = _posterior(x, priors, means, covs)
         ll = float(log_norm.sum())
         if ll < prev_ll - _LL_SLACK * (1.0 + abs(prev_ll)):
             raise DegenerateComponentError("EM log-likelihood decreased")
         ll_history.append(ll)
-        resp = np.exp(log_resp - log_norm[:, None])
 
         # M-step
         mass = resp.sum(axis=0)
@@ -326,15 +340,9 @@ def fit_gmm(trajectories, n_components: int = 5, seed: int = 0,
             raise DegenerateComponentError("a component lost all responsibility mass")
         priors = mass / m
         priors = priors / priors.sum()
-        means = (resp.T @ x) / mass[:, None]
-        for k in range(n_components):
-            diff = x - means[k]
-            covs[k] = (resp[:, k][:, None] * diff).T @ diff / mass[k] + floor
-            covs[k] = 0.5 * (covs[k] + covs[k].T)
-            if np.linalg.eigvalsh(covs[k]).min() <= 0.0:
-                raise DegenerateComponentError(
-                    f"component {k} covariance collapsed below the regularization floor"
-                )
+        means, covs = _weighted_moments(x, resp, mass, floor)
+        _require_positive_definite(covs, DegenerateComponentError,
+                                   "collapsed below the regularization floor")
         if ll - prev_ll < tol and np.isfinite(prev_ll):
             break
         prev_ll = ll
@@ -343,56 +351,39 @@ def fit_gmm(trajectories, n_components: int = 5, seed: int = 0,
                     ll_history=np.asarray(ll_history))
 
 
-def gmr_condition(model: GmmModel, t: float):
-    """Condition the mixture on time, returning (mean, covariance) over e.
+def gmr_condition(model: GmmModel, t):
+    """Condition the mixture on time: (mean, covariance) over e.
 
-    Each component contributes its Gaussian conditional, blended by the
-    responsibilities of t under the marginal time densities; the blended
-    covariance is moment-matched so it stays symmetric PSD.
+    ``t`` is one time, giving shapes (S,) and (S, S), or a 1-D grid, giving
+    (Q, S) and (Q, S, S). Each component contributes its Gaussian
+    conditional, blended by the responsibilities of t under the marginal
+    time densities; the blended covariance is moment-matched so it stays
+    symmetric PSD.
     """
-    s = model.output_dim
-    n = model.n_components
-    cond_means = np.empty((n, s))
-    cond_covs = np.empty((n, s, s))
-    for k in range(n):
-        mu_t = model.means[k, 0]
-        s_tt = model.covariances[k, 0, 0]
-        s_te = model.covariances[k, 0, 1:]
-        gain = s_te / s_tt
-        cond_means[k] = model.means[k, 1:] + gain * (t - mu_t)
-        cond_covs[k] = model.covariances[k, 1:, 1:] - np.outer(gain, s_te)
-    h = gmr_responsibilities(model, t)
-    mean = h @ cond_means
-    cov = np.zeros((s, s))
-    for k in range(n):
-        dm = cond_means[k] - mean
-        cov += h[k] * (cond_covs[k] + np.outer(dm, dm))
-    cov = 0.5 * (cov + cov.T)
-    return mean, cov
+    t = np.asarray(t, dtype=float)
+    q, s, n = t.size, model.output_dim, model.n_components
+    gain = model.covariances[:, 0, 1:] / model.covariances[:, 0, :1]
+    # (Q, C, S): every component's conditional mean at every time
+    cond_means = model.means[:, 1:] + (t.reshape(q, 1, 1) - model.means[:, :1]) * gain
+    cond_covs = model.covariances[:, 1:, 1:] - gain[:, :, None] * model.covariances[:, None, 0, 1:]
+    h = gmr_responsibilities(model, t).reshape(q, n)
+    mean = (h[:, None, :] @ cond_means)[:, 0, :]
+    dm = cond_means - mean[:, None, :]
+    cov = (h @ cond_covs.reshape(n, s * s)).reshape(q, s, s)
+    cov += np.swapaxes(dm * h[:, :, None], 1, 2) @ dm
+    cov = 0.5 * (cov + np.swapaxes(cov, 1, 2))
+    return mean.reshape(t.shape + (s,)), cov.reshape(t.shape + (s, s))
 
 
-def gmr_responsibilities(model: GmmModel, t: float) -> np.ndarray:
-    """Normalized component responsibilities of a time point."""
-    log_h = np.array(
-        [
-            np.log(model.priors[k])
-            - 0.5
-            * (
-                (t - model.means[k, 0]) ** 2 / model.covariances[k, 0, 0]
-                + np.log(2.0 * np.pi * model.covariances[k, 0, 0])
-            )
-            for k in range(model.n_components)
-        ]
-    )
-    log_h -= _logsumexp(log_h[None, :], axis=1)
-    return np.exp(log_h)
+def gmr_responsibilities(model: GmmModel, t) -> np.ndarray:
+    """Normalized component responsibilities: (C,) for one time, (Q, C) for a grid."""
+    t = np.asarray(t, dtype=float)
+    _, h = _posterior(t.reshape(-1, 1), model.priors, model.means[:, :1],
+                      model.covariances[:, :1, :1])
+    return h.reshape(t.shape + (model.n_components,))
 
 
 def generate_reference(model: GmmModel, grid) -> ReferenceTrajectory:
     """Condition the mixture on every grid time to build the reference."""
-    grid = np.asarray(grid, dtype=float)
-    means = np.empty((grid.shape[0], model.output_dim))
-    covs = np.empty((grid.shape[0], model.output_dim, model.output_dim))
-    for i, t in enumerate(grid):
-        means[i], covs[i] = gmr_condition(model, float(t))
+    means, covs = gmr_condition(model, grid)
     return ReferenceTrajectory(times=grid, means=means, covariances=covs)

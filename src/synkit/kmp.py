@@ -37,6 +37,9 @@ __all__ = [
 
 KERNEL_KINDS = ("exponential", "gaussian", "cauchy")
 
+# query times per solve in kmp_predict_cov, above the pipeline's 201 dense points
+_QUERY_BLOCK = 256  # bounds its memory at O(block * N * S^2)
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -182,8 +185,9 @@ def kmp_predict_cov(model: KmpModel, times) -> np.ndarray:
     """Predicted covariance, symmetric PSD: (S, S) for one time, (Q, S, S) for a grid.
 
     Solves (K kron I_S + lambda Sigma), with Sigma the block diagonal of
-    reference covariances, against the stacked query kernel rows. Raises
-    SingularSystemError when that system is conditioned beyond 1e12.
+    reference covariances, against the stacked kernel rows of each block of
+    query times. Raises SingularSystemError when that system is conditioned
+    beyond 1e12.
     """
     ref = model.reference
     n, s = len(ref), ref.synergy_dim
@@ -193,13 +197,16 @@ def kmp_predict_cov(model: KmpModel, times) -> np.ndarray:
     a_cov.reshape(n, s, n, s)[diagonal, :, diagonal, :] += model.lam * ref.covariances
     if np.linalg.cond(a_cov) > COND_LIMIT:
         raise SingularSystemError("(K + lambda Sigma) condition estimate exceeds 1e12")
-    t = np.asarray(times, dtype=float)
-    q = t.size
-    rows = np.kron(kernel_eval(model.kernel, t.reshape(q, 1), ref.times), np.eye(s))
-    solved = np.linalg.solve(a_cov, rows.T).reshape(n * s, q, s).transpose(1, 0, 2)
-    k_self = kernel_eval(model.kernel, t, t).reshape(q, 1, 1) * np.eye(s)
-    cov = (n / model.lam) * (k_self - rows.reshape(q, s, n * s) @ solved)
-    return (0.5 * (cov + cov.transpose(0, 2, 1))).reshape(t.shape + (s, s))
+    flat = np.asarray(times, dtype=float).reshape(-1)
+    quad = np.empty((flat.size, s, s))
+    for start in range(0, flat.size, _QUERY_BLOCK):
+        block = flat[start:start + _QUERY_BLOCK]
+        q = block.size
+        rows = np.kron(kernel_eval(model.kernel, block[:, None], ref.times), np.eye(s))
+        solved = np.linalg.solve(a_cov, rows.T).reshape(n * s, q, s).transpose(1, 0, 2)
+        quad[start:start + q] = rows.reshape(q, s, n * s) @ solved
+    cov = (n / model.lam) * (model.kernel.sigma2 * np.eye(s) - quad)
+    return (0.5 * (cov + cov.transpose(0, 2, 1))).reshape(np.shape(times) + (s, s))
 
 
 def default_via_radius(reference: ReferenceTrajectory) -> float:

@@ -49,6 +49,10 @@ class TestInvalidInput:
         ("generate", "demos", "--count", "1"),
         ("segment", "--cloud", "{plane}", "--threshold", "-1"),
         ("segment", "--cloud", "{plane}", "--iterations", "0"),
+        ("encode", "--components", "60"),
+        ("encode", "--grid-points", "1"),
+        ("kmp-predict", "--reference", "{reference}", "--points", "-3"),
+        ("kmp-predict", "--reference", "{reference}", "--points", "0"),
     ])
     def test_bad_value_is_stage_failure(self, argv, tmp_path, capsys):
         plane = tmp_path / "plane.xyz"

@@ -63,6 +63,30 @@ class TestInterpolate:
                                               np.array([0.5]))
 
 
+def oracle_log_gauss(x, mean, cov):
+    """Log density of one Gaussian at rows of x, from slogdet and an explicit inverse."""
+    d = x.shape[1]
+    _, log_det = np.linalg.slogdet(cov)
+    diff = x - mean
+    maha = np.sum((diff @ np.linalg.inv(cov)) * diff, axis=1)
+    return -0.5 * (maha + log_det + d * np.log(2.0 * np.pi))
+
+
+class TestLogGauss:
+    def test_batched_matches_per_component_oracle(self, rng):
+        for n in range(1, 5):
+            for d in (1, 2, 3):
+                a = rng.standard_normal((n, d, d))
+                covs = a @ np.swapaxes(a, 1, 2) + 0.2 * np.eye(d)
+                means = rng.standard_normal((n, d))
+                x = rng.standard_normal((40, d))
+                got = encoding._log_gauss(x, means, covs)
+                assert got.shape == (40, n)
+                for k in range(n):
+                    want = oracle_log_gauss(x, means[k], covs[k])
+                    assert np.abs(got[:, k] - want).max() < 1e-10
+
+
 def _single_gaussian_trajectories(rng, n=400):
     mean = np.array([0.3, -0.2])
     cov = np.array([[0.04, 0.01], [0.01, 0.09]])
@@ -98,18 +122,12 @@ class TestFitGmm:
             np.stack([np.sum((x - model.means[k]) ** 2, axis=1) for k in range(2)], axis=1),
             axis=1,
         )
+        joint = np.exp(np.log(model.priors)
+                       + encoding._log_gauss(x, model.means, model.covariances))
+        resp = joint / joint.sum(axis=1, keepdims=True)
         agree = 0
         for k in range(2):
-            resp = np.exp(
-                np.log(model.priors[k])
-                + encoding._log_gauss(x, model.means[k], model.covariances[k])
-            )
-            total = sum(
-                np.exp(np.log(model.priors[j])
-                       + encoding._log_gauss(x, model.means[j], model.covariances[j]))
-                for j in range(2)
-            )
-            agree += np.sum((resp / total > 0.99) & (labels == k))
+            agree += np.sum((resp[:, k] > 0.99) & (labels == k))
         assert agree / x.shape[0] > 0.99
 
     def test_same_seed_identical_fit(self, rng):
@@ -132,9 +150,9 @@ class TestFitGmm:
         calls = []
         log_gauss = encoding._log_gauss
 
-        def falling(x, mean, cov):
+        def falling(x, means, covs):
             calls.append(None)  # each E-step scores lower than the last
-            return log_gauss(x, mean, cov) - 10.0 * len(calls)
+            return log_gauss(x, means, covs) - 10.0 * len(calls)
 
         monkeypatch.setattr(encoding, "_log_gauss", falling)
         with pytest.raises(SynkitError, match="log-likelihood decreased"):
@@ -208,6 +226,16 @@ class TestGenerateReference:
         mean, cov = encoding.gmr_condition(model, 0.4)
         assert np.array_equal(ref.means[0], mean)
         assert np.array_equal(ref.covariances[0], cov)
+
+    def test_grid_matches_per_time_conditioning(self, rng):
+        trajs, *_ = _single_gaussian_trajectories(rng, n=300)
+        model = encoding.fit_gmm(trajs, n_components=4, seed=8)
+        grid = np.linspace(-0.1, 1.1, 50)
+        ref = encoding.generate_reference(model, grid)
+        for i, t in enumerate(grid):
+            mean, cov = encoding.gmr_condition(model, float(t))
+            assert np.abs(ref.means[i] - mean).max() < 1e-12
+            assert np.abs(ref.covariances[i] - cov).max() < 1e-12
 
     def test_noiseless_linear_data_recovered(self):
         t = np.linspace(0.0, 1.0, 200)

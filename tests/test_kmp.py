@@ -247,6 +247,19 @@ class TestFitPredict:
             want = oracle_predict_cov(ref, spec, 0.5, float(t))
             assert np.abs(cov - want).max() < 1e-9
 
+    def test_cov_grid_spanning_several_blocks_vs_oracle(self, rng):
+        ref = random_spd_reference(rng)
+        spec = kmp.KernelSpec(kind="cauchy", l=0.1, sigma2=1.0, alpha=1.0)
+        model = kmp.kmp_fit(ref, spec, lam=0.5)
+        block = kmp._QUERY_BLOCK
+        grid = np.linspace(-0.2, 1.2, 2 * block + 3)
+        got = kmp.kmp_predict_cov(model, grid)
+        assert got.shape == (grid.size, 2, 2)
+        # both ends and either side of every block boundary
+        for i in (0, block - 1, block, 2 * block - 1, 2 * block, grid.size - 1):
+            want = oracle_predict_cov(ref, spec, 0.5, float(grid[i]))
+            assert np.abs(got[i] - want).max() < 1e-9
+
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
     def test_grid_matches_single_times(self, spec, rng):
         model = kmp.kmp_fit(random_spd_reference(rng, s=3), spec, lam=0.5)
