@@ -6,10 +6,13 @@ one header line, then one row per record with every cell written as
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
+
+from .errors import InvalidInputError, SynkitError
 
 
 def dump_json(payload, path=None) -> str:
@@ -20,9 +23,49 @@ def dump_json(payload, path=None) -> str:
     return text
 
 
-def load_json(path):
-    with open(path) as fh:
-        return json.load(fh)
+class JsonRecord:
+    """JSON I/O for a dataclass, derived from its fields.
+
+    The record is one JSON object whose keys are exactly the field names;
+    array values are written as nested lists. Reading checks the keys (a
+    field with a default may be left out) and hands the values to the
+    constructor, which coerces and validates them. A payload that does not
+    fit raises ``json_error``.
+    """
+
+    json_error = InvalidInputError
+
+    def to_json(self, path=None) -> str:
+        """Canonical JSON text of the record, also written to ``path`` when given."""
+        return dump_json({f.name: _plain(getattr(self, f.name))
+                          for f in dataclasses.fields(self)}, path)
+
+    @classmethod
+    def from_json(cls, path):
+        try:
+            payload = json.loads(Path(path).read_text())
+        except ValueError as exc:  # undecodable text or malformed JSON
+            raise cls.json_error(f"{path}: not JSON: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise cls.json_error(
+                f"{path}: expected a JSON object, got {type(payload).__name__}")
+        fields = dataclasses.fields(cls)
+        unknown = sorted(set(payload) - {f.name for f in fields})
+        missing = [f.name for f in fields if f.name not in payload
+                   and f.default is dataclasses.MISSING
+                   and f.default_factory is dataclasses.MISSING]
+        if unknown or missing:
+            raise cls.json_error(f"{path}: unknown keys {unknown}, missing keys {missing}")
+        try:
+            return cls(**payload)
+        except SynkitError:
+            raise
+        except (TypeError, ValueError) as exc:  # values the constructor cannot coerce
+            raise cls.json_error(f"{path}: {exc}") from exc
+
+
+def _plain(value):
+    return value.tolist() if isinstance(value, np.ndarray) else value
 
 
 def write_csv(path, header, rows) -> None:

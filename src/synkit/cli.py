@@ -5,8 +5,8 @@ Exit codes: 0 on success, 1 on usage errors, 2 when a pipeline stage fails.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import difflib
-import json
 import sys
 from pathlib import Path
 
@@ -107,20 +107,16 @@ def _common():
     return common
 
 
-def _load_config(args, default_task="egg"):
-    if args.config is not None:
-        config = pipeline.PipelineConfig.from_json(args.config)
-    else:
-        config = pipeline.default_config(task=args.task or default_task)
+def _load_config(args, **overrides):
+    """The --config file (or the task default) with the flags applied, validated once."""
+    config = (pipeline.PipelineConfig.from_json(args.config) if args.config is not None
+              else pipeline.default_config())
     if args.task is not None:
-        config.task = args.task
+        overrides["task"] = args.task
     if args.seed is not None:
-        config.seed = args.seed
-        config.gmm_seed = args.seed
-        config.ransac_seed = args.seed + 1
-        config.svm_seed = args.seed + 2
-    config.out_dir = args.out
-    return config.validate()
+        overrides.update(seed=args.seed, gmm_seed=args.seed,
+                         ransac_seed=args.seed + 1, svm_seed=args.seed + 2)
+    return dataclasses.replace(config, out_dir=args.out, **overrides).validate()
 
 
 def _out_dir(args) -> Path:
@@ -134,7 +130,7 @@ def _cmd_fit_synergies(args):
     postures = synergy.load_postures_csv(args.input)
     configs = synergy.ConfigurationMatrix.from_postures(postures)
     basis = synergy.fit_synergy_basis(configs, args.threshold)
-    synergy.save_basis(basis, out / "basis.json")
+    basis.to_json(out / "basis.json")
     print(f"retained {basis.synergy_dim} synergies "
           f"(fractions {np.round(basis.variance_fractions, 4).tolist()}) -> {out / 'basis.json'}")
     return 0
@@ -142,13 +138,10 @@ def _cmd_fit_synergies(args):
 
 def _cmd_encode(args):
     out = _out_dir(args)
-    config = _load_config(args)
-    config.demo_count = args.count
-    config.demo_noise = args.noise
-    config.gmm_components = args.components
-    config.reference_points = args.grid_points
+    config = _load_config(args, demo_count=args.count, demo_noise=args.noise,
+                          gmm_components=args.components, reference_points=args.grid_points)
     _, _, basis, model, reference = pipeline.build_reference(config)
-    synergy.save_basis(basis, out / "basis.json")
+    basis.to_json(out / "basis.json")
     model.to_json(out / "gmm.json")
     reference.to_json(out / "reference.json")
     reference.to_csv(out / "reference.csv")
@@ -332,10 +325,7 @@ def cli_dispatch(argv) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except SynkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (SynkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

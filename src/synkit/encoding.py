@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import dump_json, load_json, write_csv
+from ._io import JsonRecord, write_csv
 from .errors import (
     DegenerateComponentError,
     DimensionMismatchError,
@@ -60,7 +60,7 @@ class SynergyTrajectory:
 
 
 @dataclass(frozen=True)
-class GmmModel:
+class GmmModel(JsonRecord):
     """Gaussian mixture over the joint (time, synergy) space.
 
     One-dimensional input (time) in the leading coordinate, S output
@@ -77,6 +77,8 @@ class GmmModel:
         priors = np.asarray(self.priors, dtype=float)
         means = np.asarray(self.means, dtype=float)
         covs = np.asarray(self.covariances, dtype=float)
+        if priors.ndim != 1 or means.ndim != 2 or covs.ndim != 3:
+            raise DimensionMismatchError("priors, means, covariances must be 1-, 2- and 3-D")
         n = priors.shape[0]
         if means.shape[0] != n or covs.shape[0] != n:
             raise DimensionMismatchError("priors, means, covariances disagree on N")
@@ -98,27 +100,9 @@ class GmmModel:
     def output_dim(self):
         return self.means.shape[1] - 1
 
-    def to_json(self, path):
-        dump_json({
-            "priors": self.priors.tolist(),
-            "means": self.means.tolist(),
-            "covariances": self.covariances.tolist(),
-            "ll_history": self.ll_history.tolist(),
-        }, path)
-
-    @classmethod
-    def from_json(cls, path):
-        payload = load_json(path)
-        return cls(
-            priors=np.asarray(payload["priors"], dtype=float),
-            means=np.asarray(payload["means"], dtype=float),
-            covariances=np.asarray(payload["covariances"], dtype=float),
-            ll_history=np.asarray(payload["ll_history"], dtype=float),
-        )
-
 
 @dataclass(frozen=True)
-class ReferenceTrajectory:
+class ReferenceTrajectory(JsonRecord):
     """Per-time mean and covariance of the synergy coefficients."""
 
     times: np.ndarray
@@ -146,22 +130,6 @@ class ReferenceTrajectory:
     @property
     def synergy_dim(self):
         return self.means.shape[1]
-
-    def to_json(self, path):
-        dump_json({
-            "times": self.times.tolist(),
-            "means": self.means.tolist(),
-            "covariances": self.covariances.tolist(),
-        }, path)
-
-    @classmethod
-    def from_json(cls, path):
-        payload = load_json(path)
-        return cls(
-            times=np.asarray(payload["times"], dtype=float),
-            means=np.asarray(payload["means"], dtype=float),
-            covariances=np.asarray(payload["covariances"], dtype=float),
-        )
 
     def to_csv(self, path):
         """Write rows of t, mean components, then the flattened covariance."""
@@ -195,7 +163,7 @@ def interpolate_coefficients(demos, basis: SynergyBasis, grid) -> list[SynergyTr
     if grid.ndim != 1 or grid.size == 0:
         raise DimensionMismatchError("grid must be a nonempty 1-D array")
     if grid.min() < -1e-12 or grid.max() > 1.0 + 1e-12:
-        raise ValueError("grid must lie within the normalized span [0, 1]")
+        raise InvalidInputError("grid must lie within the normalized span [0, 1]")
     out = []
     for times, angles in demos:
         times = np.asarray(times, dtype=float)
@@ -304,6 +272,8 @@ def fit_gmm(trajectories, n_components: int = 5, seed: int = 0,
     """
     if n_components < 1:
         raise InvalidInputError("n_components must be >= 1")
+    if max_iter < 1:
+        raise InvalidInputError("max_iter must be >= 1")
     dims = {t.synergy_dim for t in trajectories}
     if len(dims) != 1:
         raise DimensionMismatchError("all trajectories must share the synergy dim")

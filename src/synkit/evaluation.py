@@ -8,7 +8,7 @@ import numpy as np
 
 from ._io import dump_json, write_csv
 from .encoding import ReferenceTrajectory
-from .errors import LengthMismatchError, ZeroVarianceError
+from .errors import InvalidInputError, LengthMismatchError, ZeroVarianceError
 from .kmp import apply_via_points, kmp_fit, kmp_predict
 
 __all__ = ["MetricReport", "pearson_r", "rmse", "benchmark_kernels"]
@@ -65,9 +65,9 @@ class MetricReport:
         for kind, row in self.rows.items():
             r = row["R"]
             if not -1.0 - 1e-9 <= r <= 1.0 + 1e-9:
-                raise ValueError(f"R out of range for kernel {kind}: {r}")
+                raise InvalidInputError(f"R out of range for kernel {kind}: {r}")
             if row["rmse"] < 0.0:
-                raise ValueError(f"negative rmse for kernel {kind}")
+                raise InvalidInputError(f"negative rmse for kernel {kind}")
 
     def to_dict(self):
         return {

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import COND_LIMIT, DimensionMismatchError, RankDeficientError
+from .errors import COND_LIMIT, DimensionMismatchError, InvalidInputError, RankDeficientError
 from .synergy import SynergyBasis
 
 __all__ = [
@@ -59,7 +59,7 @@ class GraspModel:
         for name, m in (("grasp_matrix", g), ("stiffness", xi),
                         ("hand_jacobian", jh), ("motor_constant", km)):
             if not np.isfinite(m).all():
-                raise ValueError(f"{name} contains non-finite entries")
+                raise InvalidInputError(f"{name} contains non-finite entries")
         object.__setattr__(self, "grasp_matrix", g.copy())
         object.__setattr__(self, "stiffness", xi.copy())
         object.__setattr__(self, "hand_jacobian", jh.copy())
@@ -124,7 +124,7 @@ def friction_cone_check(force, mu: float) -> bool:
     non-positive normal never is.
     """
     if mu <= 0.0:
-        raise ValueError("friction coefficient must be positive")
+        raise InvalidInputError("friction coefficient must be positive")
     fx, fy, fz = (float(v) for v in np.asarray(force, dtype=float).reshape(3))
     if fz <= 0.0:
         return False
@@ -170,5 +170,5 @@ def adapt_force(error: float, coupling_pinv: np.ndarray, gain: float = 0.5) -> n
     Linear in the error and zero when it is zero.
     """
     if gain <= 0.0:
-        raise ValueError("gain must be positive")
+        raise InvalidInputError("gain must be positive")
     return gain * (coupling_pinv @ (float(error) * normal_pattern(coupling_pinv.shape[1] // 3)))

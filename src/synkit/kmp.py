@@ -74,11 +74,6 @@ class KernelSpec:
             d["alpha"] = self.alpha
         return d
 
-    @classmethod
-    def from_dict(cls, d):
-        return cls(kind=d["kind"], l=float(d["l"]), sigma2=float(d["sigma2"]),
-                   alpha=float(d["alpha"]) if d.get("alpha") is not None else None)
-
 
 def kernel_eval(spec: KernelSpec, t1, t2):
     """Evaluate the kernel at a pair of times (vectorized over arrays).
@@ -126,9 +121,9 @@ class ViaPoint:
         if e.ndim != 1 or cov.shape != (e.shape[0], e.shape[0]):
             raise DimensionMismatchError("desired_cov must be S x S matching desired_e")
         if not np.allclose(cov, cov.T, atol=1e-12):
-            raise ValueError("desired_cov must be symmetric")
+            raise InvalidInputError("desired_cov must be symmetric")
         if np.linalg.eigvalsh(cov).min() <= 0.0:
-            raise ValueError("desired_cov must be positive definite")
+            raise InvalidInputError("desired_cov must be positive definite")
         object.__setattr__(self, "desired_e", e.copy())
         object.__setattr__(self, "desired_cov", cov.copy())
 
@@ -276,7 +271,7 @@ def fuse_priorities(trajectories, priorities) -> ReferenceTrajectory:
             raise DimensionMismatchError("trajectories must share grid and dimension")
         w = np.broadcast_to(np.asarray(w, dtype=float), t.shape).copy()
         if np.any(w <= 0.0):
-            raise ValueError("priority weights must be positive")
+            raise InvalidInputError("priority weights must be positive")
         weights.append(w)
 
     means = np.empty((t.shape[0], s))

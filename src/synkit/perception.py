@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import dump_json, load_json
+from ._io import JsonRecord, dump_json
 from .errors import (
     COND_LIMIT,
     DegenerateCloudError,
@@ -56,7 +56,7 @@ class PlaneModel:
         if normal.shape != (3,):
             raise DimensionMismatchError("plane normal must be a 3-vector")
         if abs(np.linalg.norm(normal) - 1.0) > 1e-9:
-            raise ValueError("plane normal must be unit length")
+            raise InvalidInputError("plane normal must be unit length")
         object.__setattr__(self, "normal", normal.copy())
 
     def distances(self, points) -> np.ndarray:
@@ -98,7 +98,7 @@ class ObjectPose:
         if centroid.shape != (3,) or extents.shape != (3,):
             raise DimensionMismatchError("centroid and extents must be 3-vectors")
         if np.any(extents < 0.0):
-            raise ValueError("extents must be nonnegative")
+            raise InvalidInputError("extents must be nonnegative")
         object.__setattr__(self, "centroid", centroid.copy())
         object.__setattr__(self, "extents", extents.copy())
 
@@ -114,7 +114,11 @@ def load_cloud(path) -> np.ndarray:
             cells = body.split()
             if len(cells) != 3:
                 raise DimensionMismatchError(f"{path}:{lineno}: expected 3 coordinates")
-            points.append([float(c) for c in cells])
+            try:
+                points.append([float(c) for c in cells])
+            except ValueError:
+                raise DimensionMismatchError(
+                    f"{path}:{lineno}: non-numeric coordinate in {body!r}") from None
     cloud = np.asarray(points, dtype=float).reshape(-1, 3)
     if cloud.size and not np.isfinite(cloud).all():
         raise InvalidInputError(f"{path}: cloud contains NaN or Inf coordinates")
@@ -287,7 +291,7 @@ def extract_features(cluster: Cluster) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SvmModel:
+class SvmModel(JsonRecord):
     """Linear soft-margin classifier with internal feature standardization.
 
     ``classes`` is the (negative, positive) label pair; the decision value is
@@ -303,33 +307,17 @@ class SvmModel:
     feature_scale: np.ndarray
     objective_history: np.ndarray
 
-    def to_dict(self):
-        return {
-            "weights": self.weights.tolist(),
-            "bias": self.bias,
-            "classes": list(self.classes),
-            "feature_mean": self.feature_mean.tolist(),
-            "feature_scale": self.feature_scale.tolist(),
-            "objective_history": self.objective_history.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(
-            weights=np.asarray(d["weights"], dtype=float),
-            bias=float(d["bias"]),
-            classes=tuple(d["classes"]),
-            feature_mean=np.asarray(d["feature_mean"], dtype=float),
-            feature_scale=np.asarray(d["feature_scale"], dtype=float),
-            objective_history=np.asarray(d["objective_history"], dtype=float),
-        )
-
-    def to_json(self, path):
-        dump_json(self.to_dict(), path)
-
-    @classmethod
-    def from_json(cls, path):
-        return cls.from_dict(load_json(path))
+    def __post_init__(self):
+        for name in ("weights", "feature_mean", "feature_scale", "objective_history"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        object.__setattr__(self, "bias", float(self.bias))
+        object.__setattr__(self, "classes", tuple(self.classes))
+        shape = self.weights.shape
+        if len(shape) != 1 or {self.feature_mean.shape, self.feature_scale.shape} != {shape}:
+            raise DimensionMismatchError(
+                "weights, feature_mean and feature_scale must be equal-length vectors")
+        if len(self.classes) != 2:
+            raise DimensionMismatchError(f"need exactly 2 classes, got {len(self.classes)}")
 
 
 def _svm_objective(w, b, x, y, c):
@@ -442,7 +430,7 @@ class SynergyMappingParams:
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise DimensionMismatchError(f"{name} matrix must be square")
             if not np.isfinite(m).all():
-                raise ValueError(f"{name} matrix contains non-finite entries")
+                raise InvalidInputError(f"{name} matrix contains non-finite entries")
         if c.shape != a.shape:
             raise DimensionMismatchError("compliance and motion_transfer must agree on size")
         object.__setattr__(self, "compliance", c.copy())

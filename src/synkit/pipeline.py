@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import typing
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,22 +20,25 @@ from pathlib import Path
 import numpy as np
 
 from . import encoding, force, kmp, perception, synergy, synthetic
-from ._io import dump_json, load_json, write_csv
+from ._io import JsonRecord, write_csv
 from .errors import ConfigInvalidError, StageError, SynkitError
 
 __all__ = ["PipelineConfig", "TaskLog", "default_config", "run_task", "build_reference"]
 
 
 @dataclass
-class PipelineConfig:
+class PipelineConfig(JsonRecord):
     """Every knob of the pipeline, JSON round-trippable.
 
     Optional ``demos_path`` (directory of demo_*.csv trajectories) and
     ``scene_path`` (ASCII cloud) switch those stages from synthetic
     generation to file ingestion; ``models_dir`` reuses a persisted
     ``basis.json`` / ``svm.json`` when present. Force band and friction
-    defaults come from the task scenario when left None.
+    defaults come from the task scenario when left None. A JSON config may
+    leave out any key; ``validate`` runs once the overrides are applied.
     """
+
+    json_error = ConfigInvalidError
 
     task: str = "egg"
     seed: int = 7
@@ -73,42 +78,35 @@ class PipelineConfig:
     via_confidence: float = 1e-6
 
     def validate(self):
-        if self.task not in synthetic.TASKS:
-            raise ConfigInvalidError(f"unknown task {self.task!r}")
-        positive = {
-            "synergy_threshold": self.synergy_threshold,
-            "gmm_components": self.gmm_components,
-            "gmm_tol": self.gmm_tol,
-            "kernel_l": self.kernel_l,
-            "kernel_sigma2": self.kernel_sigma2,
-            "kernel_alpha": self.kernel_alpha,
-            "lam": self.lam,
-            "reference_points": self.reference_points,
-            "dense_points": self.dense_points,
-            "ransac_iterations": self.ransac_iterations,
-            "ransac_threshold": self.ransac_threshold,
-            "cluster_epsilon": self.cluster_epsilon,
-            "cluster_min_points": self.cluster_min_points,
-            "svm_c": self.svm_c,
-            "svm_epochs": self.svm_epochs,
-            "force_gain": self.force_gain,
-            "force_steps": self.force_steps,
-            "force_dt": self.force_dt,
-            "force_lag": self.force_lag,
-            "via_confidence": self.via_confidence,
-            "demo_noise": self.demo_noise + 1.0,  # zero noise allowed
-        }
-        for name, value in positive.items():
-            if value <= 0.0:
-                raise ConfigInvalidError(f"{name} must be positive, got {value}")
+        """Check every field against its annotation, then the cross-field rules.
+
+        Ints must be ints (not bools), floats finite, ``| None`` fields may be
+        None; every number must be positive unless ``_MINIMUM`` gives its
+        least allowed value.
+        """
+        hints = typing.get_type_hints(type(self))
+        for f in dataclasses.fields(self):
+            name, value = f.name, getattr(self, f.name)
+            kinds = typing.get_args(hints[name]) or (hints[name],)
+            kind = kinds[0]
+            if value is None and type(None) in kinds:
+                continue
+            accepted = (int, float) if kind is float else kind
+            if isinstance(value, bool) or not isinstance(value, accepted):
+                raise ConfigInvalidError(f"{name} must be {kind.__name__}, got {value!r}")
+            if kind is str:
+                if name in _CHOICES and value not in _CHOICES[name]:
+                    raise ConfigInvalidError(
+                        f"unknown {name} {value!r}; choose from {_CHOICES[name]}")
+            elif not math.isfinite(value):
+                raise ConfigInvalidError(f"{name} must be finite, got {value!r}")
+            elif name in _MINIMUM:
+                if value < _MINIMUM[name]:
+                    raise ConfigInvalidError(f"{name} must be >= {_MINIMUM[name]}, got {value!r}")
+            elif value <= 0:
+                raise ConfigInvalidError(f"{name} must be positive, got {value!r}")
         if self.synergy_threshold > 1.0:
             raise ConfigInvalidError("synergy_threshold must lie in (0, 1]")
-        if self.demo_count < 2:
-            raise ConfigInvalidError("demo_count must be at least 2")
-        if self.kernel_kind not in kmp.KERNEL_KINDS:
-            raise ConfigInvalidError(f"unknown kernel kind {self.kernel_kind!r}")
-        if self.force_mu is not None and self.force_mu <= 0.0:
-            raise ConfigInvalidError("force_mu must be positive")
         band = (self.force_target_low, self.force_target_high)
         if None not in band and band[0] >= band[1]:
             raise ConfigInvalidError("force target band must satisfy low < high")
@@ -136,28 +134,20 @@ class PipelineConfig:
     def mu(self) -> float:
         return self.force_mu if self.force_mu is not None else self.scenario()["mu"]
 
-    def to_json(self, path=None) -> str:
-        return dump_json(dataclasses.asdict(self), path)
 
-    @classmethod
-    def from_json(cls, path) -> "PipelineConfig":
-        payload = load_json(path)
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(payload) - known
-        if unknown:
-            raise ConfigInvalidError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**payload).validate()
+# Least allowed values of the numeric fields that may be zero or must exceed
+# one; every other number must be positive.
+_MINIMUM = {"seed": 0, "gmm_seed": 0, "ransac_seed": 0, "svm_seed": 0,
+            "demo_noise": 0.0, "demo_count": 2}
+_CHOICES = {"task": synthetic.TASKS, "kernel_kind": kmp.KERNEL_KINDS}
 
 
 def default_config(task: str = "egg", seed: int = 7) -> PipelineConfig:
-    scenario = synthetic.task_scenario(task)
-    lo, hi = scenario["force_band"]
-    return PipelineConfig(task=task, seed=seed, force_mu=scenario["mu"],
-                          force_target_low=lo, force_target_high=hi)
+    return PipelineConfig(task=task, seed=seed)
 
 
 @dataclass
-class TaskLog:
+class TaskLog(JsonRecord):
     """Ordered stage records of one pipeline run."""
 
     task: str
@@ -176,9 +166,6 @@ class TaskLog:
                 return s["data"]
         raise KeyError(name)
 
-    def to_json(self, path=None) -> str:
-        return dump_json({"task": self.task, "config": self.config, "stages": self.stages},
-                         path)
 
 
 # Stage names in execution order; the learning stages precede the perception
@@ -235,7 +222,7 @@ def build_reference(config: PipelineConfig):
     models_dir = Path(config.models_dir) if config.models_dir is not None else None
     basis_file = models_dir / "basis.json" if models_dir is not None else None
     if basis_file is not None and basis_file.exists():
-        basis = synergy.load_basis(basis_file)
+        basis = synergy.SynergyBasis.from_json(basis_file)
     else:
         postures = np.vstack([angles for _, angles in demos])
         configs = synergy.ConfigurationMatrix.from_postures(
@@ -516,7 +503,7 @@ def run_task(config: PipelineConfig) -> TaskLog:
         })
 
     if out_dir is not None:
-        synergy.save_basis(basis, out_dir / "basis.json")
+        basis.to_json(out_dir / "basis.json")
         gmm_model.to_json(out_dir / "gmm.json")
         reference.to_json(out_dir / "reference.json")
         reference.to_csv(out_dir / "reference.csv")

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._io import dump_json, load_json
-from .errors import DimensionMismatchError, ZeroVarianceError
+from ._io import JsonRecord
+from .errors import DimensionMismatchError, InvalidInputError, ZeroVarianceError
 
 __all__ = [
     "ConfigurationMatrix",
@@ -22,8 +22,6 @@ __all__ = [
     "project",
     "reconstruct",
     "load_postures_csv",
-    "save_basis",
-    "load_basis",
 ]
 
 _ORTHO_TOL = 1e-9
@@ -82,7 +80,7 @@ class ConfigurationMatrix:
 
 
 @dataclass(frozen=True)
-class SynergyBasis:
+class SynergyBasis(JsonRecord):
     """Orthonormal synergy directions plus the nominal posture they are about.
 
     ``e_hat`` is J x S with orthonormal columns ordered by descending explained
@@ -102,7 +100,7 @@ class SynergyBasis:
             raise DimensionMismatchError("theta0 length does not match e_hat rows")
         gram = e_hat.T @ e_hat
         if not np.allclose(gram, np.eye(e_hat.shape[1]), atol=1e-8):
-            raise ValueError("synergy columns must be orthonormal")
+            raise InvalidInputError("synergy columns must be orthonormal")
         fractions = self.variance_fractions
         if fractions is None:
             fractions = np.full(e_hat.shape[1], np.nan)
@@ -133,7 +131,7 @@ def fit_synergy_basis(configs: ConfigurationMatrix, variance_threshold: float = 
     Raises ZeroVarianceError when all demonstrations are identical.
     """
     if not 0.0 < variance_threshold <= 1.0:
-        raise ValueError("variance_threshold must lie in (0, 1]")
+        raise InvalidInputError("variance_threshold must lie in (0, 1]")
     rows = configs.rows
     centered = rows - rows.mean(axis=0, keepdims=True)
     if not np.any(np.abs(centered) > 0.0):
@@ -206,19 +204,3 @@ def load_postures_csv(path) -> np.ndarray:
         raise DimensionMismatchError(f"ragged rows in {path}: widths {sorted(widths)}")
     return np.asarray(rows, dtype=float)
 
-
-def save_basis(basis: SynergyBasis, path) -> None:
-    dump_json({
-        "theta0": basis.theta0.tolist(),
-        "e_hat": basis.e_hat.tolist(),
-        "variance_fractions": basis.variance_fractions.tolist(),
-    }, path)
-
-
-def load_basis(path) -> SynergyBasis:
-    payload = load_json(path)
-    return SynergyBasis(
-        e_hat=np.asarray(payload["e_hat"], dtype=float),
-        theta0=np.asarray(payload["theta0"], dtype=float),
-        variance_fractions=np.asarray(payload["variance_fractions"], dtype=float),
-    )

@@ -29,12 +29,15 @@ class TestUsage:
         assert code == 1
         assert "error" in err
 
-    def test_print_config_emits_valid_template(self, capsys):
+    def test_print_config_emits_valid_template(self, tmp_path, capsys):
         code, out, _ = run(capsys, "--print-config", "--task", "ketchup")
         assert code == 0
         payload = json.loads(out)
         assert payload["task"] == "ketchup"
-        assert payload["force_mu"] == 0.71
+        assert payload["force_mu"] is None
+        template = tmp_path / "config.json"
+        template.write_text(out)
+        assert pipeline.PipelineConfig.from_json(template).mu() == 0.71
 
 
 class TestInvalidInput:
@@ -53,6 +56,8 @@ class TestInvalidInput:
         ("encode", "--grid-points", "1"),
         ("kmp-predict", "--reference", "{reference}", "--points", "-3"),
         ("kmp-predict", "--reference", "{reference}", "--points", "0"),
+        ("fit-synergies", "--input", "{postures}", "--threshold", "1.5"),
+        ("encode", "--noise", "-0.5"),
     ])
     def test_bad_value_is_stage_failure(self, argv, tmp_path, capsys):
         plane = tmp_path / "plane.xyz"
@@ -64,10 +69,35 @@ class TestInvalidInput:
         encoding.ReferenceTrajectory(times=grid, means=np.zeros((5, 2)),
                                      covariances=np.tile(np.eye(2), (5, 1, 1))
                                      ).to_json(reference)
-        argv = [a.format(plane=plane, nan=nan, reference=reference) for a in argv]
+        postures = tmp_path / "postures.csv"
+        np.savetxt(postures, np.column_stack([grid, grid**2, np.cos(grid)]), delimiter=",")
+        argv = [a.format(plane=plane, nan=nan, reference=reference, postures=postures)
+                for a in argv]
         code, _, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
         assert code == 2
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("field,value", [
+        ("force_dt", "NaN"),
+        ("force_gain", "NaN"),
+        ("force_target_low", "NaN"),
+        ("force_mu", "NaN"),
+        ("force_steps", "true"),
+        ("force_steps", '"ten"'),
+        ("force_steps", "2.5"),
+        ("svm_epochs", "3.0"),
+        ("gmm_max_iter", "0"),
+        ("lam", "Infinity"),
+        ("seed", "-1"),
+        ("demo_noise", "-0.5"),
+    ])
+    def test_bad_config_field_is_named(self, field, value, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(f'{{"{field}": {value}}}')
+        code, _, err = run(capsys, "simulate", "--config", str(config),
+                           "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert err.startswith("error:") and field in err
 
 
 class TestGenerate:
@@ -176,6 +206,20 @@ class TestSimulateAndBenchmark:
         assert (out / "tasklog.json").exists()
         log = json.loads((out / "tasklog.json").read_text())
         assert [s["name"] for s in log["stages"]] == list(pipeline.STAGE_ORDER)
+
+    def test_task_flag_resolves_force_defaults_of_that_task(self, tmp_path, capsys):
+        code, template, _ = run(capsys, "--print-config", "--task", "egg")
+        assert code == 0
+        config_path = tmp_path / "egg.json"
+        config_path.write_text(template)
+        code, _, _ = run(capsys, "simulate", "--config", str(config_path),
+                         "--task", "ketchup", "--out", str(tmp_path / "sim"))
+        assert code == 0
+        log = json.loads((tmp_path / "sim" / "tasklog.json").read_text())
+        force = next(s["data"] for s in log["stages"] if s["name"] == "force")
+        assert force["mu"] == 0.71
+        assert force["band"] == [2.38, 4.26]
+        assert round(force["final_grip"], 3) == 3.320
 
     def test_benchmark_writes_reports(self, tmp_path, capsys):
         out = tmp_path / "bench"

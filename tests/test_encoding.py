@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from synkit import encoding, synergy
-from synkit.errors import EmptyDemoError, NonMonotonicTimeError, SynkitError
+from synkit.errors import EmptyDemoError, InvalidInputError, NonMonotonicTimeError, SynkitError
 
 
 @pytest.fixture()
@@ -157,6 +157,11 @@ class TestFitGmm:
         monkeypatch.setattr(encoding, "_log_gauss", falling)
         with pytest.raises(SynkitError, match="log-likelihood decreased"):
             encoding.fit_gmm(trajs, n_components=2, seed=2)
+
+    def test_zero_iterations_is_invalid_input(self, rng):
+        trajs, *_ = _single_gaussian_trajectories(rng, n=150)
+        with pytest.raises(InvalidInputError, match="max_iter"):
+            encoding.fit_gmm(trajs, n_components=2, seed=2, max_iter=0)
 
 
 class TestGmr:

@@ -412,3 +412,9 @@ class TestCloudIo:
         path.write_text("0 0\n")
         with pytest.raises(DimensionMismatchError):
             perception.load_cloud(path)
+
+    def test_rejects_non_numeric_coordinate_naming_its_line(self, tmp_path):
+        path = tmp_path / "bad.xyz"
+        path.write_text("0 0 0\n1 0 x\n")
+        with pytest.raises(DimensionMismatchError, match="bad.xyz:2"):
+            perception.load_cloud(path)

@@ -157,7 +157,7 @@ class TestRunTask:
                      "segmentation.json", "svm.json", "predictions.csv",
                      "grip_force.csv", "tasklog.json"):
             assert (out / name).exists(), name
-        loaded = synergy.load_basis(out / "basis.json")
+        loaded = synergy.SynergyBasis.from_json(out / "basis.json")
         assert loaded.synergy_dim == 2
 
     def test_grip_force_csv_matches_force_records(self, tmp_path):

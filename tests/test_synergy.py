@@ -131,8 +131,8 @@ class TestPersistence:
         configs = synergy.ConfigurationMatrix.from_postures(postures)
         basis = synergy.fit_synergy_basis(configs, 0.9)
         path = tmp_path / "basis.json"
-        synergy.save_basis(basis, path)
-        loaded = synergy.load_basis(path)
+        basis.to_json(path)
+        loaded = synergy.SynergyBasis.from_json(path)
         assert np.array_equal(loaded.e_hat, basis.e_hat)
         assert np.array_equal(loaded.theta0, basis.theta0)
         payload = json.loads(path.read_text())
