@@ -2,7 +2,8 @@
 
 JSON is sorted-key, two-space-indented text with a trailing newline. CSV is
 one header line, then one row per record with every cell written as
-``repr(float(cell))``, so a float reads back exactly.
+``repr(float(cell))``, so a float reads back exactly. Text inputs (clouds,
+postures) are read line by line through ``text_lines``.
 """
 from __future__ import annotations
 
@@ -66,6 +67,15 @@ class JsonRecord:
 
 def _plain(value):
     return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+def text_lines(path, **open_args):
+    """The lines of a text file; an undecodable file raises InvalidInputError naming it."""
+    try:
+        with open(path, **open_args) as fh:
+            yield from fh
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"{path}: not a text file: {exc}") from None
 
 
 def write_csv(path, header, rows) -> None:

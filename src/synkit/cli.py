@@ -41,19 +41,30 @@ def _build_parser():
                         help="task used by --print-config")
     sub = parser.add_subparsers(dest="command")
 
-    p = sub.add_parser("fit-synergies", parents=[_common()], add_help=True,
+    # Each subcommand takes --out plus the shared flags it reads: the flag
+    # sets nest, so each parent adds one flag to the one before.
+    out_flags = _Parser(add_help=False)
+    out_flags.add_argument("--out", default="out", help="output directory")
+    seed_flags = _Parser(add_help=False, parents=[out_flags])
+    seed_flags.add_argument("--seed", type=int, default=None, help="override the default seed")
+    task_flags = _Parser(add_help=False, parents=[seed_flags])
+    task_flags.add_argument("--task", default=None, choices=synthetic.TASKS)
+    config_flags = _Parser(add_help=False, parents=[task_flags])
+    config_flags.add_argument("--config", default=None, help="pipeline config JSON")
+
+    p = sub.add_parser("fit-synergies", parents=[out_flags],
                        help="fit a synergy basis from a postures CSV")
     p.add_argument("--input", required=True, help="CSV of postures, one per row")
     p.add_argument("--threshold", type=float, default=0.85)
 
-    p = sub.add_parser("encode", parents=[_common()], add_help=True,
+    p = sub.add_parser("encode", parents=[config_flags],
                        help="encode generated demos into a GMR reference")
     p.add_argument("--count", type=int, default=8)
     p.add_argument("--noise", type=float, default=0.004)
     p.add_argument("--components", type=int, default=5)
     p.add_argument("--grid-points", type=int, default=25)
 
-    p = sub.add_parser("kmp-predict", parents=[_common()], add_help=True,
+    p = sub.add_parser("kmp-predict", parents=[out_flags],
                        help="fit a KMP on a reference JSON and predict on a grid")
     p.add_argument("--reference", required=True)
     p.add_argument("--kernel", default="gaussian", choices=kmp.KERNEL_KINDS)
@@ -63,48 +74,32 @@ def _build_parser():
     p.add_argument("--lam", type=float, default=1.0)
     p.add_argument("--points", type=int, default=201)
 
-    p = sub.add_parser("segment", parents=[_common()], add_help=True,
-                       help="plane removal plus clustering on an ASCII cloud")
-    p.add_argument("--cloud", required=True)
-    p.add_argument("--iterations", type=int, default=300)
-    p.add_argument("--threshold", type=float, default=0.005)
-    p.add_argument("--epsilon", type=float, default=0.02)
-    p.add_argument("--min-points", type=int, default=30)
+    for name, text in (("segment", "plane removal plus clustering on an ASCII cloud"),
+                       ("classify", "segment a cloud and label clusters with a trained SVM")):
+        p = sub.add_parser(name, parents=[seed_flags], help=text)
+        p.add_argument("--cloud", required=True)
+        if name == "classify":
+            p.add_argument("--svm", required=True, help="SvmModel JSON")
+        p.add_argument("--iterations", type=int, default=300)
+        p.add_argument("--threshold", type=float, default=0.005)
+        p.add_argument("--epsilon", type=float, default=0.02)
+        p.add_argument("--min-points", type=int, default=30)
 
-    p = sub.add_parser("classify", parents=[_common()], add_help=True,
-                       help="segment a cloud and label clusters with a trained SVM")
-    p.add_argument("--cloud", required=True)
-    p.add_argument("--svm", required=True, help="SvmModel JSON")
-    p.add_argument("--iterations", type=int, default=300)
-    p.add_argument("--threshold", type=float, default=0.005)
-    p.add_argument("--epsilon", type=float, default=0.02)
-    p.add_argument("--min-points", type=int, default=30)
-
-    p = sub.add_parser("benchmark-kernels", parents=[_common()], add_help=True,
+    p = sub.add_parser("benchmark-kernels", parents=[config_flags],
                        help="compare the three kernels on the synthetic benchmark")
     p.add_argument("--lam", type=float, default=1.0)
     p.add_argument("--length-scale", type=float, default=0.02)
     p.add_argument("--alpha", type=float, default=1.0)
 
-    p = sub.add_parser("simulate", parents=[_common()], add_help=True,
-                       help="run a full task simulation")
+    sub.add_parser("simulate", parents=[config_flags], help="run a full task simulation")
 
-    p = sub.add_parser("generate", parents=[_common()], add_help=True,
+    p = sub.add_parser("generate", parents=[task_flags],
                        help="emit synthetic demos or a synthetic scene")
     p.add_argument("what", choices=("demos", "scene"))
     p.add_argument("--count", type=int, default=8)
     p.add_argument("--noise", type=float, default=0.004)
 
     return parser
-
-
-def _common():
-    common = _Parser(add_help=False)
-    common.add_argument("--config", default=None, help="pipeline config JSON")
-    common.add_argument("--seed", type=int, default=None, help="override the config seed")
-    common.add_argument("--out", default="out", help="output directory")
-    common.add_argument("--task", default=None, choices=synthetic.TASKS)
-    return common
 
 
 def _load_config(args, **overrides):
@@ -141,10 +136,7 @@ def _cmd_encode(args):
     config = _load_config(args, demo_count=args.count, demo_noise=args.noise,
                           gmm_components=args.components, reference_points=args.grid_points)
     _, _, basis, model, reference = pipeline.build_reference(config)
-    basis.to_json(out / "basis.json")
-    model.to_json(out / "gmm.json")
-    reference.to_json(out / "reference.json")
-    reference.to_csv(out / "reference.csv")
+    pipeline.save_learning(out, basis, model, reference)
     print(f"encoded {config.demo_count} demos into {len(reference)} reference points "
           f"-> {out / 'reference.json'}")
     return 0
@@ -160,47 +152,28 @@ def _cmd_kmp_predict(args):
                           sigma2=args.sigma2, alpha=alpha)
     model = kmp.kmp_fit(reference, spec, args.lam)
     grid = np.linspace(float(reference.times[0]), float(reference.times[-1]), args.points)
-    kmp.save_kmp_predictions(out / "predictions.csv", grid, kmp.kmp_predict(model, grid),
-                             kmp.kmp_predict_cov(model, grid))
+    kmp.save_kmp_predictions(out / "predictions.csv", model, grid)
     print(f"predicted {args.points} points with {args.kernel} kernel "
           f"-> {out / 'predictions.csv'}")
     return 0
 
 
-def _segment_cloud(args):
-    cloud = perception.load_cloud(args.cloud)
-    plane, inliers, outliers = perception.ransac_plane(
-        cloud, iterations=args.iterations, inlier_threshold=args.threshold,
-        seed=args.seed if args.seed is not None else 11)
-    clusters = perception.euclidean_cluster(cloud[outliers], epsilon=args.epsilon,
-                                            min_points=args.min_points)
-    return cloud, plane, inliers, outliers, clusters
-
-
 def _cmd_segment(args):
+    """``segment``, and ``classify`` with its SVM: one detection path."""
     out = _out_dir(args)
-    _, plane, inliers, outliers, clusters = _segment_cloud(args)
-    poses = [perception.estimate_pose(c) for c in clusters]
-    (out / "segmentation.json").write_text(
-        perception.segmentation_to_json(plane, poses, [len(c) for c in clusters]))
-    print(f"plane inliers {inliers.shape[0]}, outliers {outliers.shape[0]}, "
-          f"{len(clusters)} clusters -> {out / 'segmentation.json'}")
-    return 0
-
-
-def _cmd_classify(args):
-    out = _out_dir(args)
-    svm = perception.SvmModel.from_json(args.svm)
-    _, plane, _, _, clusters = _segment_cloud(args)
-    poses = []
-    for cluster in clusters:
-        label, score = perception.svm_classify(svm, perception.extract_features(cluster))
-        poses.append(perception.estimate_pose(cluster, label=label, score=score))
-    (out / "segmentation.json").write_text(
-        perception.segmentation_to_json(plane, poses, [len(c) for c in clusters]))
-    for pose in poses:
-        print(f"{pose.label}: score {pose.score:.3f}, centroid "
-              f"{np.round(pose.centroid, 4).tolist()}")
+    svm = perception.SvmModel.from_json(args.svm) if args.command == "classify" else None
+    record, inliers, outliers, poses = perception.detect_objects(
+        perception.load_cloud(args.cloud), iterations=args.iterations,
+        threshold=args.threshold, seed=args.seed if args.seed is not None else 11,
+        epsilon=args.epsilon, min_points=args.min_points, svm=svm)
+    dump_json(record, out / "segmentation.json")
+    if svm is None:
+        print(f"plane inliers {inliers.shape[0]}, outliers {outliers.shape[0]}, "
+              f"{len(poses)} clusters -> {out / 'segmentation.json'}")
+    else:
+        for pose in poses:
+            print(f"{pose.label}: score {pose.score:.3f}, centroid "
+                  f"{np.round(pose.centroid, 4).tolist()}")
     return 0
 
 
@@ -288,7 +261,7 @@ _DISPATCH = {
     "encode": _cmd_encode,
     "kmp-predict": _cmd_kmp_predict,
     "segment": _cmd_segment,
-    "classify": _cmd_classify,
+    "classify": _cmd_segment,
     "benchmark-kernels": _cmd_benchmark,
     "simulate": _cmd_simulate,
     "generate": _cmd_generate,
@@ -298,15 +271,10 @@ _DISPATCH = {
 def cli_dispatch(argv) -> int:
     argv = list(argv)
     parser = _build_parser()
-    if not argv:
-        parser.print_usage(sys.stderr)
-        print("error: a subcommand is required", file=sys.stderr)
-        return 1
-    head = argv[0]
-    if head not in COMMANDS and not head.startswith("-"):
-        nearest = difflib.get_close_matches(head, COMMANDS, n=1)
+    if argv and argv[0] not in COMMANDS and not argv[0].startswith("-"):
+        nearest = difflib.get_close_matches(argv[0], COMMANDS, n=1)
         hint = f"; did you mean {nearest[0]!r}?" if nearest else ""
-        print(f"error: unknown subcommand {head!r}{hint}", file=sys.stderr)
+        print(f"error: unknown subcommand {argv[0]!r}{hint}", file=sys.stderr)
         return 1
     try:
         args = parser.parse_args(argv)

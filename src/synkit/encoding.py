@@ -77,6 +77,8 @@ class GmmModel(JsonRecord):
         priors = np.asarray(self.priors, dtype=float)
         means = np.asarray(self.means, dtype=float)
         covs = np.asarray(self.covariances, dtype=float)
+        ll_history = _frozen(self.ll_history)
+        _require_finite(priors=priors, means=means, covariances=covs, ll_history=ll_history)
         if priors.ndim != 1 or means.ndim != 2 or covs.ndim != 3:
             raise DimensionMismatchError("priors, means, covariances must be 1-, 2- and 3-D")
         n = priors.shape[0]
@@ -90,7 +92,7 @@ class GmmModel(JsonRecord):
         object.__setattr__(self, "priors", _frozen(priors))
         object.__setattr__(self, "means", _frozen(means))
         object.__setattr__(self, "covariances", _frozen(covs))
-        object.__setattr__(self, "ll_history", _frozen(self.ll_history))
+        object.__setattr__(self, "ll_history", ll_history)
 
     @property
     def n_components(self):
@@ -113,6 +115,7 @@ class ReferenceTrajectory(JsonRecord):
         times = np.asarray(self.times, dtype=float)
         means = np.asarray(self.means, dtype=float)
         covs = np.asarray(self.covariances, dtype=float)
+        _require_finite(times=times, means=means, covariances=covs)
         if means.ndim != 2 or times.ndim != 1 or means.shape[0] != times.shape[0]:
             raise DimensionMismatchError("means must be (T, S) aligned with times")
         s = means.shape[1]
@@ -211,6 +214,13 @@ def _posterior(x, priors, means, covs):
     top = log_joint.max(axis=1, keepdims=True)
     log_norm = top[:, 0] + np.log(np.exp(log_joint - top).sum(axis=1))
     return log_norm, np.exp(log_joint - log_norm[:, None])
+
+
+def _require_finite(**arrays):
+    """Raise InvalidInputError naming the first of the arrays holding NaN or Inf."""
+    for name, array in arrays.items():
+        if not np.isfinite(array).all():
+            raise InvalidInputError(f"{name} contains NaN or Inf")
 
 
 def _require_positive_definite(covs, error, what):

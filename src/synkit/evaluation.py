@@ -11,7 +11,7 @@ from .encoding import ReferenceTrajectory
 from .errors import InvalidInputError, LengthMismatchError, ZeroVarianceError
 from .kmp import apply_via_points, kmp_fit, kmp_predict
 
-__all__ = ["MetricReport", "pearson_r", "rmse", "benchmark_kernels"]
+__all__ = ["MetricReport", "pearson_r", "rmse", "component_scores", "benchmark_kernels"]
 
 
 def pearson_r(actual, predicted) -> float:
@@ -93,12 +93,11 @@ class MetricReport:
         return "\n".join(lines) + "\n"
 
 
-def _score(actual_means, predicted_means):
-    """Average per-component R and rMSE between two (T, S) mean arrays."""
-    s = actual_means.shape[1]
-    r_vals = [pearson_r(actual_means[:, j], predicted_means[:, j]) for j in range(s)]
-    e_vals = [rmse(actual_means[:, j], predicted_means[:, j]) for j in range(s)]
-    return float(np.mean(r_vals)), float(np.mean(e_vals))
+def component_scores(actual, predicted):
+    """Per-component R and rMSE lists between two (T, S) mean arrays."""
+    s = actual.shape[1]
+    return ([pearson_r(actual[:, j], predicted[:, j]) for j in range(s)],
+            [rmse(actual[:, j], predicted[:, j]) for j in range(s)])
 
 
 def benchmark_kernels(reference: ReferenceTrajectory, adaptations, kernel_specs,
@@ -137,9 +136,9 @@ def benchmark_kernels(reference: ReferenceTrajectory, adaptations, kernel_specs,
             adapted = apply_via_points(reference, vias) if vias else reference
             model = kmp_fit(adapted, spec, lam)
             means = kmp_predict(model, grid)
-            r, e = _score(actual.means, means)
-            r_scores.append(r)
-            e_scores.append(e)
+            r, e = component_scores(actual.means, means)
+            r_scores.append(np.mean(r))
+            e_scores.append(np.mean(e))
             if dump_dir is not None:
                 _dump_csv(dump_dir, spec.kind, idx, grid, actual.means, means)
         rows[spec.kind] = {"R": float(np.mean(r_scores)), "rmse": float(np.mean(e_scores))}

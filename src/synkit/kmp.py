@@ -292,9 +292,10 @@ def fuse_priorities(trajectories, priorities) -> ReferenceTrajectory:
     return ReferenceTrajectory(times=t, means=means, covariances=covs)
 
 
-def save_kmp_predictions(path, times, means, covs):
-    """CSV dump of predictions: t, mean components, diagonal variances."""
+def save_kmp_predictions(path, model: KmpModel, times):
+    """Predict on ``times`` and write the CSV: t, mean components, diagonal variances."""
+    means = kmp_predict(model, times)
+    variances = np.diagonal(kmp_predict_cov(model, times), axis1=1, axis2=2)
     s = means.shape[1]
     header = ["t"] + [f"mu{i + 1}" for i in range(s)] + [f"var{i + 1}" for i in range(s)]
-    variances = np.diagonal(covs, axis1=1, axis2=2)
     write_csv(path, header, np.column_stack([times, means, variances]))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import JsonRecord, dump_json
+from ._io import JsonRecord, text_lines
 from .errors import (
     COND_LIMIT,
     DegenerateCloudError,
@@ -37,6 +37,7 @@ __all__ = [
     "svm_train",
     "svm_classify",
     "estimate_pose",
+    "detect_objects",
     "pose_to_synergy",
 ]
 
@@ -106,19 +107,18 @@ class ObjectPose:
 def load_cloud(path) -> np.ndarray:
     """Read an ASCII cloud: one "x y z" triple per line, '#' comments."""
     points = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            cells = body.split()
-            if len(cells) != 3:
-                raise DimensionMismatchError(f"{path}:{lineno}: expected 3 coordinates")
-            try:
-                points.append([float(c) for c in cells])
-            except ValueError:
-                raise DimensionMismatchError(
-                    f"{path}:{lineno}: non-numeric coordinate in {body!r}") from None
+    for lineno, line in enumerate(text_lines(path), start=1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        cells = body.split()
+        if len(cells) != 3:
+            raise DimensionMismatchError(f"{path}:{lineno}: expected 3 coordinates")
+        try:
+            points.append([float(c) for c in cells])
+        except ValueError:
+            raise DimensionMismatchError(
+                f"{path}:{lineno}: non-numeric coordinate in {body!r}") from None
     cloud = np.asarray(points, dtype=float).reshape(-1, 3)
     if cloud.size and not np.isfinite(cloud).all():
         raise InvalidInputError(f"{path}: cloud contains NaN or Inf coordinates")
@@ -471,9 +471,26 @@ def pose_to_synergy(pose: ObjectPose, params: SynergyMappingParams, basis: Syner
                     desired_cov=confidence * np.eye(basis.synergy_dim))
 
 
-def segmentation_record(plane: PlaneModel, poses, cluster_sizes) -> dict:
-    """The documented segmentation payload: ``{"plane", "clusters"}``."""
-    return {
+def detect_objects(cloud, *, iterations, threshold, seed, epsilon, min_points, svm=None):
+    """The visual pipeline on one cloud: plane removal, clustering, poses.
+
+    Returns ``(record, inliers, outliers, poses)``, where ``record`` is the
+    documented segmentation payload ``{"plane", "clusters"}``. With an
+    ``svm`` every cluster is labelled and scored; without one the labels
+    stay empty and the scores zero.
+    """
+    plane, inliers, outliers = ransac_plane(cloud, iterations=iterations,
+                                            inlier_threshold=threshold, seed=seed)
+    clusters = euclidean_cluster(np.asarray(cloud, dtype=float)[outliers],
+                                 epsilon=epsilon, min_points=min_points)
+    poses = []
+    for cluster in clusters:
+        if svm is None:
+            poses.append(estimate_pose(cluster))
+        else:
+            label, score = svm_classify(svm, extract_features(cluster))
+            poses.append(estimate_pose(cluster, label=label, score=score))
+    record = {
         "plane": {"normal": plane.normal.tolist(), "offset": plane.offset},
         "clusters": [
             {
@@ -481,13 +498,9 @@ def segmentation_record(plane: PlaneModel, poses, cluster_sizes) -> dict:
                 "score": pose.score,
                 "centroid": pose.centroid.tolist(),
                 "extents": pose.extents.tolist(),
-                "size": int(size),
+                "size": len(cluster),
             }
-            for pose, size in zip(poses, cluster_sizes)
+            for pose, cluster in zip(poses, clusters)
         ],
     }
-
-
-def segmentation_to_json(plane: PlaneModel, poses, cluster_sizes) -> str:
-    """Serialize segmentation results as the documented JSON payload."""
-    return dump_json(segmentation_record(plane, poses, cluster_sizes))
+    return record, inliers, outliers, poses

@@ -19,11 +19,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import encoding, force, kmp, perception, synergy, synthetic
-from ._io import JsonRecord, write_csv
+from . import encoding, evaluation, force, kmp, perception, synergy, synthetic
+from ._io import JsonRecord, dump_json, write_csv
 from .errors import ConfigInvalidError, StageError, SynkitError
 
-__all__ = ["PipelineConfig", "TaskLog", "default_config", "run_task", "build_reference"]
+__all__ = ["PipelineConfig", "TaskLog", "default_config", "run_task", "build_reference",
+           "save_learning"]
 
 
 @dataclass
@@ -219,9 +220,8 @@ def build_reference(config: PipelineConfig):
             config.task, count=config.demo_count, noise=config.demo_noise,
             seed=config.seed,
         )
-    models_dir = Path(config.models_dir) if config.models_dir is not None else None
-    basis_file = models_dir / "basis.json" if models_dir is not None else None
-    if basis_file is not None and basis_file.exists():
+    basis_file = _saved_model(config, "basis.json")
+    if basis_file is not None:
         basis = synergy.SynergyBasis.from_json(basis_file)
     else:
         postures = np.vstack([angles for _, angles in demos])
@@ -235,6 +235,23 @@ def build_reference(config: PipelineConfig):
                              tol=config.gmm_tol)
     reference = encoding.generate_reference(model, grid)
     return demos, truth, basis, model, reference
+
+
+def save_learning(out, basis, model, reference):
+    """Write the learning-phase artifacts: basis, mixture and GMR reference."""
+    out = Path(out)
+    basis.to_json(out / "basis.json")
+    model.to_json(out / "gmm.json")
+    reference.to_json(out / "reference.json")
+    reference.to_csv(out / "reference.csv")
+
+
+def _saved_model(config, name):
+    """Path of the model file ``name`` under ``models_dir``, or None when absent."""
+    if config.models_dir is None:
+        return None
+    path = Path(config.models_dir) / name
+    return path if path.exists() else None
 
 
 def _contact_frames(n_contacts, radius):
@@ -402,35 +419,25 @@ def run_task(config: PipelineConfig) -> TaskLog:
         else:
             cloud, _scene_meta = synthetic.generate_synthetic_scene(
                 config.task, seed=config.ransac_seed)
-        plane, inliers, outliers = perception.ransac_plane(
-            cloud, iterations=config.ransac_iterations,
-            inlier_threshold=config.ransac_threshold, seed=config.ransac_seed)
-        objects_cloud = cloud[outliers]
-        clusters = perception.euclidean_cluster(
-            objects_cloud, epsilon=config.cluster_epsilon,
-            min_points=config.cluster_min_points)
-        svm_file = (Path(config.models_dir) / "svm.json"
-                    if config.models_dir is not None else None)
-        if svm_file is not None and svm_file.exists():
+        svm_file = _saved_model(config, "svm.json")
+        if svm_file is not None:
             svm = perception.SvmModel.from_json(svm_file)
         else:
             features, labels = synthetic.svm_training_fixture(config.task,
                                                               seed=config.svm_seed)
             svm = perception.svm_train(features, labels, c=config.svm_c,
                                        epochs=config.svm_epochs, seed=config.svm_seed)
-        poses = []
-        for cluster in clusters:
-            label, score = perception.svm_classify(svm, perception.extract_features(cluster))
-            poses.append(perception.estimate_pose(cluster, label=label, score=score))
-        sizes = [len(c) for c in clusters]
+        record, inliers, outliers, poses = perception.detect_objects(
+            cloud, iterations=config.ransac_iterations, threshold=config.ransac_threshold,
+            seed=config.ransac_seed, epsilon=config.cluster_epsilon,
+            min_points=config.cluster_min_points, svm=svm)
         log.add("perception", {
-            **perception.segmentation_record(plane, poses, sizes),
+            **record,
             "inlier_count": int(inliers.shape[0]),
             "outlier_count": int(outliers.shape[0]),
         })
         if out_dir is not None:
-            (out_dir / "segmentation.json").write_text(
-                perception.segmentation_to_json(plane, poses, sizes))
+            dump_json(record, out_dir / "segmentation.json")
             svm.to_json(out_dir / "svm.json")
 
     with _stage("adaptation"):
@@ -444,7 +451,10 @@ def run_task(config: PipelineConfig) -> TaskLog:
             compliance=np.eye(basis.joint_dim),
             motion_transfer=np.eye(basis.joint_dim),
         )
-        nominal_pose = _nominal_object_pose(config.task, target_label)
+        nominal_points = synthetic.object_points(scenario["objects"][target_label])
+        nominal_pose = perception.estimate_pose(
+            perception.Cluster(np.arange(nominal_points.shape[0]), nominal_points),
+            label=target_label)
         via_detected = perception.pose_to_synergy(
             target_pose, params, basis,
             t_star=scenario["grasp_time"], confidence=config.via_confidence)
@@ -472,9 +482,7 @@ def run_task(config: PipelineConfig) -> TaskLog:
         })
         if out_dir is not None:
             dense = np.linspace(0.0, 1.0, config.dense_points)
-            kmp.save_kmp_predictions(out_dir / "predictions.csv", dense,
-                                     kmp.kmp_predict(adapted, dense),
-                                     kmp.kmp_predict_cov(adapted, dense))
+            kmp.save_kmp_predictions(out_dir / "predictions.csv", adapted, dense)
 
     with _stage("reconstruction"):
         joints = np.vstack([synergy.reconstruct(basis, e) for e in means])
@@ -490,36 +498,18 @@ def run_task(config: PipelineConfig) -> TaskLog:
                       [(r["t"], r["measured"]) for r in force_log["records"]])
 
     with _stage("metrics"):
-        from .evaluation import pearson_r, rmse
-
-        baseline_means = kmp.kmp_predict(baseline, steps)
-        per_r = [pearson_r(baseline_means[:, j], means[:, j]) for j in range(means.shape[1])]
-        per_e = [rmse(baseline_means[:, j], means[:, j]) for j in range(means.shape[1])]
+        per_r, per_e = evaluation.component_scores(kmp.kmp_predict(baseline, steps), means)
         log.add("metrics", {
             "R": float(np.mean(per_r)),
             "rmse": float(np.mean(per_e)),
-            "per_component_R": [float(v) for v in per_r],
-            "per_component_rmse": [float(v) for v in per_e],
+            "per_component_R": per_r,
+            "per_component_rmse": per_e,
         })
 
     if out_dir is not None:
-        basis.to_json(out_dir / "basis.json")
-        gmm_model.to_json(out_dir / "gmm.json")
-        reference.to_json(out_dir / "reference.json")
-        reference.to_csv(out_dir / "reference.csv")
+        save_learning(out_dir, basis, gmm_model, reference)
         log.to_json(out_dir / "tasklog.json")
     return log
-
-
-def _nominal_object_pose(task, label):
-    """Pose of the ideal (noiseless) scenario object, for adaptation deltas."""
-    spec = synthetic.task_scenario(task)["objects"][label]
-    pts = synthetic.object_points(spec)
-    return perception.ObjectPose(
-        centroid=pts.mean(axis=0),
-        extents=pts.max(axis=0) - pts.min(axis=0),
-        label=label,
-    )
 
 
 def _task_via_points(config, scenario, basis, reference, pose_delta):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._io import JsonRecord
+from ._io import JsonRecord, text_lines
 from .errors import DimensionMismatchError, InvalidInputError, ZeroVarianceError
 
 __all__ = [
@@ -186,17 +186,16 @@ def load_postures_csv(path) -> np.ndarray:
     A single leading header row of non-numeric cells is tolerated and skipped.
     """
     rows = []
-    with open(path, newline="") as fh:
-        for record in csv.reader(fh):
-            cells = [c.strip() for c in record if c.strip()]
-            if not cells:
-                continue
-            try:
-                rows.append([float(c) for c in cells])
-            except ValueError:
-                if rows:
-                    raise DimensionMismatchError(f"non-numeric row in {path}")
-                continue  # header
+    for record in csv.reader(text_lines(path, newline="")):
+        cells = [c.strip() for c in record if c.strip()]
+        if not cells:
+            continue
+        try:
+            rows.append([float(c) for c in cells])
+        except ValueError:
+            if rows:
+                raise DimensionMismatchError(f"non-numeric row in {path}")
+            continue  # header
     if not rows:
         raise DimensionMismatchError(f"no numeric rows in {path}")
     widths = {len(r) for r in rows}

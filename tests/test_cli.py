@@ -29,6 +29,25 @@ class TestUsage:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("command,flag", [
+        (("fit-synergies", "--input", "postures.csv"), ("--config", "config.json")),
+        (("fit-synergies", "--input", "postures.csv"), ("--seed", "3")),
+        (("fit-synergies", "--input", "postures.csv"), ("--task", "egg")),
+        (("kmp-predict", "--reference", "reference.json"), ("--config", "config.json")),
+        (("kmp-predict", "--reference", "reference.json"), ("--seed", "3")),
+        (("kmp-predict", "--reference", "reference.json"), ("--task", "egg")),
+        (("segment", "--cloud", "scene.xyz"), ("--config", "config.json")),
+        (("segment", "--cloud", "scene.xyz"), ("--task", "ketchup")),
+        (("classify", "--cloud", "scene.xyz", "--svm", "svm.json"), ("--config", "config.json")),
+        (("classify", "--cloud", "scene.xyz", "--svm", "svm.json"), ("--task", "ketchup")),
+        (("generate", "scene"), ("--config", "config.json")),
+    ], ids=lambda argv: argv[0])
+    def test_flag_the_command_does_not_read_is_usage_error(self, command, flag, tmp_path,
+                                                           capsys):
+        code, _, err = run(capsys, *command, *flag, "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert err.startswith("error:") and flag[0] in err
+
     def test_print_config_emits_valid_template(self, tmp_path, capsys):
         code, out, _ = run(capsys, "--print-config", "--task", "ketchup")
         assert code == 0
@@ -58,6 +77,9 @@ class TestInvalidInput:
         ("kmp-predict", "--reference", "{reference}", "--points", "0"),
         ("fit-synergies", "--input", "{postures}", "--threshold", "1.5"),
         ("encode", "--noise", "-0.5"),
+        ("segment", "--cloud", "{binary}"),
+        ("fit-synergies", "--input", "{binary}"),
+        ("kmp-predict", "--reference", "{nan_reference}"),
     ])
     def test_bad_value_is_stage_failure(self, argv, tmp_path, capsys):
         plane = tmp_path / "plane.xyz"
@@ -71,7 +93,14 @@ class TestInvalidInput:
                                      ).to_json(reference)
         postures = tmp_path / "postures.csv"
         np.savetxt(postures, np.column_stack([grid, grid**2, np.cos(grid)]), delimiter=",")
-        argv = [a.format(plane=plane, nan=nan, reference=reference, postures=postures)
+        binary = tmp_path / "binary.dat"
+        binary.write_bytes(bytes(range(256)))
+        nan_reference = tmp_path / "nan_reference.json"
+        payload = json.loads(reference.read_text())
+        payload["means"][2][0] = float("nan")
+        nan_reference.write_text(json.dumps(payload))
+        argv = [a.format(plane=plane, nan=nan, reference=reference, postures=postures,
+                         binary=binary, nan_reference=nan_reference)
                 for a in argv]
         code, _, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
         assert code == 2
@@ -192,6 +221,24 @@ class TestPerceptionCommands:
         payload = json.loads((out / "segmentation.json").read_text())
         labels = sorted(c["label"] for c in payload["clusters"])
         assert labels == ["egg", "tray"]
+
+    def test_classify_agrees_with_simulate(self, scene_dir, tmp_path, capsys):
+        # the scene and SVM that `generate scene --seed 11` writes are the ones
+        # `simulate` builds from its default ransac_seed 11 and svm_seed 13
+        cls = tmp_path / "cls"
+        code, _, _ = run(capsys, "classify", "--cloud", str(scene_dir / "scene.xyz"),
+                         "--svm", str(scene_dir / "svm.json"), "--seed", "11",
+                         "--out", str(cls))
+        assert code == 0
+        sim = tmp_path / "sim"
+        code, _, _ = run(capsys, "simulate", "--task", "egg", "--out", str(sim))
+        assert code == 0
+        segmentation = (cls / "segmentation.json").read_bytes()
+        assert segmentation == (sim / "segmentation.json").read_bytes()
+        log = json.loads((sim / "tasklog.json").read_text())
+        record = next(s["data"] for s in log["stages"] if s["name"] == "perception")
+        del record["inlier_count"], record["outlier_count"]
+        assert json.loads(segmentation) == record
 
 
 class TestSimulateAndBenchmark:

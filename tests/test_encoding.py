@@ -272,3 +272,28 @@ class TestGenerateReference:
         ref.to_csv(tmp_path / "ref.csv")
         header = (tmp_path / "ref.csv").read_text().splitlines()[0]
         assert header.startswith("t,mu1")
+
+
+class TestNonFiniteRecords:
+    GMM = {"priors": np.array([0.5, 0.5]), "means": np.zeros((2, 2)),
+           "covariances": np.tile(np.eye(2), (2, 1, 1)), "ll_history": np.array([-3.0, -2.0])}
+    REFERENCE = {"times": np.linspace(0.0, 1.0, 3), "means": np.zeros((3, 2)),
+                 "covariances": np.tile(np.eye(2), (3, 1, 1))}
+
+    @staticmethod
+    def _spoiled(fields, name, value):
+        fields = {k: v.copy() for k, v in fields.items()}
+        fields[name].flat[-1] = value
+        return fields
+
+    @pytest.mark.parametrize("name", sorted(GMM))
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_gmm_model_names_the_non_finite_field(self, name, value):
+        with pytest.raises(InvalidInputError, match=f"^{name} contains NaN or Inf"):
+            encoding.GmmModel(**self._spoiled(self.GMM, name, value))
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE))
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_reference_names_the_non_finite_field(self, name, value):
+        with pytest.raises(InvalidInputError, match=f"^{name} contains NaN or Inf"):
+            encoding.ReferenceTrajectory(**self._spoiled(self.REFERENCE, name, value))
