@@ -59,8 +59,8 @@ class JsonRecord:
             raise cls.json_error(f"{path}: unknown keys {unknown}, missing keys {missing}")
         try:
             return cls(**payload)
-        except SynkitError:
-            raise
+        except SynkitError as exc:
+            raise type(exc)(f"{path}: {exc}") from exc
         except (TypeError, ValueError) as exc:  # values the constructor cannot coerce
             raise cls.json_error(f"{path}: {exc}") from exc
 

@@ -37,8 +37,9 @@ __all__ = [
 
 KERNEL_KINDS = ("exponential", "gaussian", "cauchy")
 
-# query times per solve in kmp_predict_cov, above the pipeline's 201 dense points
-_QUERY_BLOCK = 256  # bounds its memory at O(block * N * S^2)
+# query times per block in kmp_predict and kmp_predict_cov, above the
+# pipeline's 201 dense points; bounds their memory at O(block * N * S^2)
+_QUERY_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -171,9 +172,18 @@ def kmp_fit(reference: ReferenceTrajectory, spec: KernelSpec, lam: float = 1.0) 
 
 
 def kmp_predict(model: KmpModel, times) -> np.ndarray:
-    """Expected synergy coordinates: (S,) for one query time, (Q, S) for a grid."""
+    """Expected synergy coordinates: (S,) for one query time, (Q, S) for a grid.
+
+    Kernel rows are built for one block of query times at a time.
+    """
     t = np.asarray(times, dtype=float)
-    return kernel_eval(model.kernel, t[..., None], model.reference.times) @ model.mean_factor
+    flat = t.reshape(-1)
+    means = np.empty((flat.size, model.reference.synergy_dim))
+    for start in range(0, flat.size, _QUERY_BLOCK):
+        block = flat[start:start + _QUERY_BLOCK]
+        means[start:start + block.size] = (
+            kernel_eval(model.kernel, block[:, None], model.reference.times) @ model.mean_factor)
+    return means.reshape(t.shape + means.shape[1:])
 
 
 def kmp_predict_cov(model: KmpModel, times) -> np.ndarray:

@@ -7,6 +7,7 @@ centroid poses, and finally mapped into synergy-space via-point targets.
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,10 @@ __all__ = [
 
 # candidate pairs distance-tested per vectorized step; bounds clustering memory
 _PAIR_CHUNK = 8192
+# plane-to-point distances per vectorized RANSAC scoring step; bounds its memory
+_SCORE_BLOCK = 1 << 15
+# cloud rows formatted per write; bounds save_cloud's memory
+_SAVE_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -105,7 +110,27 @@ class ObjectPose:
 
 
 def load_cloud(path) -> np.ndarray:
-    """Read an ASCII cloud: one "x y z" triple per line, '#' comments."""
+    """Read an ASCII cloud: one "x y z" triple per line, '#' comments.
+
+    The file is parsed in bulk; any file the bulk parser rejects (or reads
+    with other than three columns) is parsed again line by line, which
+    names the offending ``path:lineno``.
+    """
+    try:
+        with open(path) as fh, warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # loadtxt warns on an empty file
+            cloud = np.loadtxt(fh, comments="#", ndmin=2)
+    except ValueError:  # also undecodable text
+        cloud = _parse_lines(path)
+    if cloud.shape[1] != 3:  # rows of another width, or an empty file read as (0, 1)
+        cloud = _parse_lines(path)
+    if cloud.size and not np.isfinite(cloud).all():
+        raise InvalidInputError(f"{path}: cloud contains NaN or Inf coordinates")
+    return cloud
+
+
+def _parse_lines(path) -> np.ndarray:
+    """The line-by-line cloud parser behind ``load_cloud``'s error messages."""
     points = []
     for lineno, line in enumerate(text_lines(path), start=1):
         body = line.split("#", 1)[0].strip()
@@ -119,17 +144,16 @@ def load_cloud(path) -> np.ndarray:
         except ValueError:
             raise DimensionMismatchError(
                 f"{path}:{lineno}: non-numeric coordinate in {body!r}") from None
-    cloud = np.asarray(points, dtype=float).reshape(-1, 3)
-    if cloud.size and not np.isfinite(cloud).all():
-        raise InvalidInputError(f"{path}: cloud contains NaN or Inf coordinates")
-    return cloud
+    return np.asarray(points, dtype=float).reshape(-1, 3)
 
 
 def save_cloud(path, points) -> None:
+    """Write one "x y z" line per point, each coordinate as ``repr(float)``."""
     points = np.asarray(points, dtype=float)
     with open(path, "w") as fh:
-        for p in points:
-            fh.write(f"{float(p[0])!r} {float(p[1])!r} {float(p[2])!r}\n")
+        for start in range(0, points.shape[0], _SAVE_ROWS):
+            rows = points[start:start + _SAVE_ROWS].tolist()
+            fh.write("".join([f"{x!r} {y!r} {z!r}\n" for x, y, z in rows]))
 
 
 def ransac_plane(cloud, iterations: int = 200, inlier_threshold: float = 0.005,
@@ -138,7 +162,8 @@ def ransac_plane(cloud, iterations: int = 200, inlier_threshold: float = 0.005,
 
     Returns ``(plane, inlier_indices, outlier_indices)`` for the sampled
     plane with the most inliers (points within the threshold distance).
-    Deterministic given the seed: one 3-sample draw per iteration.
+    Deterministic given the seed: one 3-sample draw per iteration. All
+    sampled planes are scored in blocks; ties go to the earliest sample.
     """
     if iterations < 1:
         raise InvalidInputError("iterations must be >= 1")
@@ -149,24 +174,31 @@ def ransac_plane(cloud, iterations: int = 200, inlier_threshold: float = 0.005,
         raise DegenerateCloudError("need at least 3 points of dimension 3")
     scale = max(float(np.max(np.abs(points))), 1.0)
     rng = np.random.default_rng(seed)
-    best_count = -1
-    best_plane = None
-    for _ in range(iterations):
-        idx = rng.choice(points.shape[0], size=3, replace=False)
-        p1, p2, p3 = points[idx]
-        cross = np.cross(p2 - p1, p3 - p1)
-        norm = np.linalg.norm(cross)
-        if norm <= 1e-12 * scale * scale:
-            continue  # collinear triple
-        normal = cross / norm
-        offset = -float(normal @ p1)
-        count = int(np.count_nonzero(np.abs(points @ normal + offset) <= inlier_threshold))
-        if count > best_count:
-            best_count = count
-            best_plane = (normal, offset)
-    if best_plane is None:
+    n = points.shape[0]
+    triples = points[np.array([rng.choice(n, size=3, replace=False)
+                               for _ in range(iterations)])]
+    p1 = triples[:, 0]
+    cross = np.cross(triples[:, 1] - p1, triples[:, 2] - p1)
+    norm = np.linalg.norm(cross, axis=1)
+    candidates = np.flatnonzero(~(norm <= 1e-12 * scale * scale))  # skip collinear triples
+    if candidates.size == 0:
         raise DegenerateCloudError("no non-collinear triple found")
-    normal, offset = best_plane
+    normals = cross[candidates] / norm[candidates, None]
+    offsets = -np.einsum("ij,ij->i", normals, p1[candidates])
+    counts = np.empty(candidates.size, dtype=np.int64)
+    rows = max(1, _SCORE_BLOCK // n)
+    for start in range(0, candidates.size, rows):
+        block = slice(start, start + rows)
+        distances = normals[block] @ points.T
+        distances += offsets[block, None]
+        np.abs(distances, out=distances)
+        counts[block] = np.count_nonzero(distances <= inlier_threshold, axis=1)
+    # the first candidate with the most inliers wins; its plane is rebuilt
+    # from its triple exactly as a lone candidate computes it
+    p1, p2, p3 = triples[candidates[np.argmax(counts)]]
+    cross = np.cross(p2 - p1, p3 - p1)
+    normal = cross / np.linalg.norm(cross)
+    offset = -float(normal @ p1)
     pivot = int(np.argmax(np.abs(normal)))
     if normal[pivot] < 0.0:
         normal, offset = -normal, -offset
@@ -229,7 +261,8 @@ def euclidean_cluster(cloud, epsilon: float, min_points: int = 1) -> list[Cluste
     surviving clusters come back ordered by descending size, ties broken by
     smallest member index. Points are sorted by grid cell (side epsilon);
     the candidate pairs within a cell and between neighbouring cells are
-    distance-tested in fixed-size vectorized chunks.
+    distance-tested in fixed-size vectorized chunks, except those between a
+    point and a neighbouring cell that is already wholly in its component.
     """
     if epsilon <= 0.0:
         raise InvalidInputError("epsilon must be positive")
@@ -242,6 +275,8 @@ def euclidean_cluster(cloud, epsilon: float, min_points: int = 1) -> list[Cluste
     codes, offsets = _cell_codes(points, epsilon)
     order = np.argsort(codes, kind="stable")
     codes = codes[order]
+    # the first sorted position of each cell, and the cell of each position
+    _, first, cell = np.unique(codes, return_index=True, return_inverse=True)
     parent = np.arange(n)
     eps2 = epsilon * epsilon
     for offset in [0, *offsets]:
@@ -249,8 +284,18 @@ def euclidean_cluster(cloud, epsilon: float, min_points: int = 1) -> list[Cluste
         # numbered consecutively over all i, candidate k of i is at k + shift[i]
         target = codes + offset
         hi = np.searchsorted(codes, target, side="right")
-        lo = (np.arange(1, n + 1) if offset == 0
-              else np.searchsorted(codes, target, side="left"))
+        if offset == 0:
+            lo = np.arange(1, n + 1)
+        else:
+            lo = np.searchsorted(codes, target, side="left")
+            # a point already joined to every point of its target cell gains
+            # nothing from testing them: drop its candidates
+            root = _roots(parent, order)
+            common = np.minimum.reduceat(root, first)
+            common[common != np.maximum.reduceat(root, first)] = -1
+            found = np.flatnonzero(lo < hi)
+            joined = found[common[cell[lo[found]]] == root[found]]
+            hi[joined] = lo[joined]
         ends = np.cumsum(hi - lo)
         shift = hi - ends
         total = int(ends[-1])

@@ -106,6 +106,19 @@ class TestInvalidInput:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_bad_record_error_names_the_file(self, tmp_path, capsys):
+        reference = tmp_path / "nan_reference.json"
+        encoding.ReferenceTrajectory(times=[0.0, 0.5, 1.0], means=np.zeros((3, 2)),
+                                     covariances=np.tile(np.eye(2), (3, 1, 1))
+                                     ).to_json(reference)
+        payload = json.loads(reference.read_text())
+        payload["means"][1][0] = float("nan")
+        reference.write_text(json.dumps(payload))
+        code, _, err = run(capsys, "kmp-predict", "--reference", str(reference),
+                           "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert err.startswith(f"error: {reference}: ") and "means" in err
+
     @pytest.mark.parametrize("field,value", [
         ("force_dt", "NaN"),
         ("force_gain", "NaN"),
@@ -267,6 +280,20 @@ class TestSimulateAndBenchmark:
         assert force["mu"] == 0.71
         assert force["band"] == [2.38, 4.26]
         assert round(force["final_grip"], 3) == 3.320
+
+    def test_task_flag_before_the_subcommand_holds(self, tmp_path, capsys):
+        code, stdout, _ = run(capsys, "--task", "ketchup", "simulate",
+                              "--out", str(tmp_path / "sim"))
+        assert code == 0
+        assert stdout.startswith("task ketchup:")
+        assert json.loads((tmp_path / "sim" / "tasklog.json").read_text())["task"] == "ketchup"
+        # without any --task, the config file's task stands
+        config_path = tmp_path / "ketchup.json"
+        pipeline.default_config("ketchup").to_json(config_path)
+        code, stdout, _ = run(capsys, "simulate", "--config", str(config_path),
+                              "--out", str(tmp_path / "cfg"))
+        assert code == 0
+        assert stdout.startswith("task ketchup:")
 
     def test_benchmark_writes_reports(self, tmp_path, capsys):
         out = tmp_path / "bench"

@@ -274,6 +274,14 @@ class TestFitPredict:
             assert np.abs(single_mean - mean).max() < 1e-12
             assert np.abs(single_cov - cov).max() < 1e-12
 
+    def test_mean_grid_spanning_several_blocks_matches_single_times(self, rng):
+        model = kmp.kmp_fit(random_spd_reference(rng), ALL_SPECS[1], lam=0.5)
+        grid = np.linspace(-0.2, 1.2, 2 * kmp._QUERY_BLOCK + 3)
+        means = kmp.kmp_predict(model, grid)
+        assert means.shape == (grid.size, 2)
+        for t, mean in zip(grid, means):
+            assert np.abs(kmp.kmp_predict(model, float(t)) - mean).max() < 1e-12
+
     def test_singular_cov_system_raises_on_every_prediction(self):
         # K + lambda Sigma = 1.5 + 0.5 * (-3.0) = 0 while K + lambda I = 2.0
         ref = make_reference([0.5], [[2.0]], [[[-3.0]]])

@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from synkit import perception, synergy
+from synkit import perception, synergy, synthetic
 from synkit.errors import (
     DegenerateCloudError,
     DimensionMismatchError,
@@ -38,6 +40,40 @@ def lstsq_plane(points):
     centered = points - points.mean(axis=0)
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
     return vt[-1]
+
+
+def oracle_ransac(cloud, iterations, threshold, seed):
+    """Per-sample RANSAC loop: ``(normal, offset, best_count)`` of the first
+    sampled plane with the most points within the threshold."""
+    rng = np.random.default_rng(seed)
+    scale = max(float(np.max(np.abs(cloud))), 1.0)
+    best, best_count = None, -1
+    for _ in range(iterations):
+        idx = rng.choice(cloud.shape[0], size=3, replace=False)
+        p1, p2, p3 = cloud[idx]
+        cross = np.cross(p2 - p1, p3 - p1)
+        norm = np.linalg.norm(cross)
+        if norm <= 1e-12 * scale * scale:
+            continue
+        normal = cross / norm
+        offset = -float(normal @ p1)
+        count = int(np.count_nonzero(np.abs(cloud @ normal + offset) <= threshold))
+        if count > best_count:
+            best, best_count = (normal, offset), count
+    normal, offset = best
+    if normal[int(np.argmax(np.abs(normal)))] < 0.0:
+        normal, offset = -normal, -offset
+    return normal, offset, best_count
+
+
+def dense_egg_objects(rng):
+    """The egg scene's objects sampled twice as finely, with sensor noise:
+    about 4k points, some 30 to a clustering cell of side 0.02."""
+    objects = synthetic.task_scenario("egg")["objects"]
+    egg = dict(objects["egg"], points=4 * objects["egg"]["points"])
+    tray = dict(objects["tray"], spacing=objects["tray"]["spacing"] / 2)
+    clean = np.vstack([synthetic.object_points(egg), synthetic.object_points(tray)])
+    return clean + 0.0008 * rng.standard_normal(clean.shape)
 
 
 class TestRansac:
@@ -91,21 +127,22 @@ class TestRansac:
         iterations, threshold, seed = 150, 0.005, 9
         _, inliers, _ = perception.ransac_plane(
             cloud, iterations=iterations, inlier_threshold=threshold, seed=seed)
-        mirror = np.random.default_rng(seed)
-        scale = max(float(np.max(np.abs(cloud))), 1.0)
-        best = -1
-        for _ in range(iterations):
-            idx = mirror.choice(cloud.shape[0], size=3, replace=False)
-            p1, p2, p3 = cloud[idx]
-            cross = np.cross(p2 - p1, p3 - p1)
-            norm = np.linalg.norm(cross)
-            if norm <= 1e-12 * scale * scale:
-                continue
-            normal = cross / norm
-            offset = -float(normal @ p1)
-            count = int(np.count_nonzero(np.abs(cloud @ normal + offset) <= threshold))
-            best = max(best, count)
-        assert inliers.size == best
+        assert inliers.size == oracle_ransac(cloud, iterations, threshold, seed)[2]
+
+    @pytest.mark.parametrize("iterations", [200, 300])
+    @pytest.mark.parametrize("seed", [0, 3, 11, 19])
+    def test_matches_per_sample_oracle_bit_for_bit(self, rng, seed, iterations):
+        table = np.column_stack([rng.uniform(-0.25, 0.25, (4000, 2)),
+                                 0.0008 * rng.standard_normal(4000)])
+        for cloud in (self.make_scene(rng), np.vstack([table, dense_egg_objects(rng)])):
+            plane, inliers, outliers = perception.ransac_plane(
+                cloud, iterations=iterations, inlier_threshold=0.005, seed=seed)
+            normal, offset, _ = oracle_ransac(cloud, iterations, 0.005, seed)
+            assert plane.normal.tobytes() == normal.tobytes()
+            assert plane.offset == offset
+            mask = np.abs(cloud @ normal + offset) <= 0.005
+            assert np.array_equal(inliers, np.flatnonzero(mask))
+            assert np.array_equal(outliers, np.flatnonzero(~mask))
 
     def test_collinear_cloud_rejected(self):
         t = np.linspace(0.0, 1.0, 50)
@@ -161,6 +198,15 @@ class TestClustering:
         # link is the last candidate pair
         clump = rng.uniform(0.0001, 0.0011, size=(200, 3))
         cases.append((np.vstack([clump, [[0.0095] * 3, [0.0096] * 3]]), 0.01))
+        # with epsilon 1: cell (0, 1, 0) holds points 0 and 3, two components;
+        # by the time it is tested against cell (1, 1, 0), point 1 there is
+        # joined to 0 (through 2), but 3 still needs its own test to join
+        cases.append((np.array([[0.9, 1.9, 0.7], [1.0, 1.3, 0.5],
+                                [0.6, 1.7, 1.2], [0.1, 1.1, 0.3]]), 1.0))
+        # and the converse: cell (1, 1, 0) holds points 0 and 2; point 3 in
+        # cell (1, 0, 0) is joined to 0 (through 1) but not yet to 2
+        cases.append((np.array([[1.5, 1.8, 0.9], [1.5, 0.9, 1.0],
+                                [1.0, 1.3, 0.1], [1.3, 0.6, 0.3]]), 1.0))
         for cloud, eps in cases:
             clusters = perception.euclidean_cluster(cloud, epsilon=eps, min_points=1)
             got = {frozenset(c.indices.tolist()) for c in clusters}
@@ -174,6 +220,15 @@ class TestClustering:
         assert cloud.shape[0] > 2000
         got = {frozenset(c.indices.tolist()) for c in clusters}
         assert got == oracle_components(cloud, eps)
+
+    def test_dense_scene_objects_match_oracle(self, rng):
+        # dense surfaces: most neighbouring cells are joined before their
+        # turn comes, so their distance tests are skipped
+        cloud = dense_egg_objects(rng)
+        clusters = perception.euclidean_cluster(cloud, epsilon=0.02, min_points=1)
+        got = {frozenset(c.indices.tolist()) for c in clusters}
+        assert got == oracle_components(cloud, 0.02)
+        assert len(clusters[0]) + len(clusters[1]) > 0.99 * cloud.shape[0]
 
     def test_clusters_disjoint_connected_and_separated(self, rng):
         cloud = rng.uniform(0.0, 0.3, size=(400, 3))
@@ -411,6 +466,38 @@ class TestCloudIo:
         path = tmp_path / "bad.xyz"
         path.write_text("0 0\n")
         with pytest.raises(DimensionMismatchError):
+            perception.load_cloud(path)
+
+    @pytest.mark.parametrize("text", [
+        "# header\n0.5 -1 2\n\n# between\n3 4 5  # trailing\n",
+        "\n\n1 2 3\n\n",
+        "1\t2\t3\n4\t 5\t6\n",
+        "+1.5 -2.5 +0\n",
+        "1_0 2 3\n",
+        "",
+        "# only a comment\n# and another\n",
+    ], ids=["comments", "blank-lines", "tabs", "plus-signs", "underscore", "empty",
+            "comment-only"])
+    def test_bulk_parse_matches_line_loop(self, tmp_path, text):
+        path = tmp_path / "cloud.xyz"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cloud = perception.load_cloud(path)
+        want = perception._parse_lines(path)
+        assert cloud.shape == want.shape and cloud.shape[1] == 3
+        assert cloud.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("content, error, message", [
+        (b"0 0 0\n# note\n1 2\n", DimensionMismatchError, "bad.xyz:3: expected 3 coordinates"),
+        (b"1\n2\n3\n", DimensionMismatchError, "bad.xyz:1: expected 3 coordinates"),
+        (b"0 0 0\n1 2 3 4\n", DimensionMismatchError, "bad.xyz:2: expected 3 coordinates"),
+        (bytes(range(256)), InvalidInputError, "bad.xyz: not a text file"),
+    ], ids=["short-row", "one-column", "long-row", "binary"])
+    def test_errors_name_the_file(self, tmp_path, content, error, message):
+        path = tmp_path / "bad.xyz"
+        path.write_bytes(content)
+        with pytest.raises(error, match=message):
             perception.load_cloud(path)
 
     def test_rejects_non_numeric_coordinate_naming_its_line(self, tmp_path):
