@@ -222,7 +222,7 @@ class TestClustering:
         assert got == oracle_components(cloud, eps)
 
     def test_dense_scene_objects_match_oracle(self, rng):
-        # dense surfaces: most neighbouring cells are joined before their
+        # dense surfaces: many neighbouring cells are joined before their
         # turn comes, so their distance tests are skipped
         cloud = dense_egg_objects(rng)
         clusters = perception.euclidean_cluster(cloud, epsilon=0.02, min_points=1)
