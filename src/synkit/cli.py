@@ -37,7 +37,7 @@ def _build_parser():
     parser = _Parser(prog="synkit", description=__doc__)
     parser.add_argument("--print-config", action="store_true",
                         help="print the full default config template and exit")
-    parser.add_argument("--task", default=None, choices=synthetic.TASKS,
+    parser.add_argument("--task", dest="top_task", default=None, choices=synthetic.TASKS,
                         help="task for --print-config and the subcommands that take one")
     sub = parser.add_subparsers(dest="command")
 
@@ -48,8 +48,7 @@ def _build_parser():
     seed_flags = _Parser(add_help=False, parents=[out_flags])
     seed_flags.add_argument("--seed", type=int, default=None, help="override the default seed")
     task_flags = _Parser(add_help=False, parents=[seed_flags])
-    # left unset when absent, so a --task before the subcommand still holds
-    task_flags.add_argument("--task", default=argparse.SUPPRESS, choices=synthetic.TASKS)
+    task_flags.add_argument("--task", default=None, choices=synthetic.TASKS)
     config_flags = _Parser(add_help=False, parents=[task_flags])
     config_flags.add_argument("--config", default=None, help="pipeline config JSON")
 
@@ -283,12 +282,17 @@ def cli_dispatch(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.print_config:
-        print(pipeline.default_config(task=args.task or "egg").to_json(), end="")
+        print(pipeline.default_config(task=args.top_task or "egg").to_json(), end="")
         return 0
     if args.command is None:
         parser.print_usage(sys.stderr)
         print("error: a subcommand is required", file=sys.stderr)
         return 1
+    # only the subcommands that take --task have a task attribute
+    if args.top_task is not None and not hasattr(args, "task"):
+        print(f"error: {args.command} does not take --task", file=sys.stderr)
+        return 1
+    args.task = getattr(args, "task", None) or args.top_task
     try:
         return _DISPATCH[args.command](args)
     except UsageError as exc:

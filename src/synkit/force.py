@@ -116,22 +116,24 @@ def contact_forces(model: GraspModel, omega, basis: SynergyBasis, delta_e) -> np
     return flat.reshape(model.n_contacts, 3)
 
 
-def friction_cone_check(force, mu: float) -> bool:
+def friction_cone_check(force, mu: float):
     """Per-contact stability: normal-to-tangential ratio must exceed mu.
 
-    ``force`` is a contact-frame 3-vector with z along the contact normal.
-    A positive normal with zero tangential is stable (infinite ratio); a
-    non-positive normal never is.
+    ``force`` holds contact-frame 3-vectors along its last axis, z along
+    the contact normal. Returns a bool array over the leading axes, or a
+    Python bool for a single 3-vector. A positive normal with zero
+    tangential is stable (infinite ratio); a non-positive normal never is.
     """
     if mu <= 0.0:
         raise InvalidInputError("friction coefficient must be positive")
-    fx, fy, fz = (float(v) for v in np.asarray(force, dtype=float).reshape(3))
-    if fz <= 0.0:
-        return False
-    tangential = float(np.hypot(fx, fy))
-    if tangential == 0.0:
-        return True
-    return bool(fz / tangential > mu)
+    f = np.asarray(force, dtype=float)
+    if f.shape[-1:] != (3,):
+        raise DimensionMismatchError("forces must be 3-vectors along the last axis")
+    fx, fy, fz = np.moveaxis(f, -1, 0)
+    tangential = np.hypot(fx, fy)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        stable = (fz > 0.0) & ((tangential == 0.0) | (fz / tangential > mu))
+    return bool(stable) if stable.ndim == 0 else stable
 
 
 def motor_currents(model: GraspModel, forces) -> np.ndarray:

@@ -153,6 +153,12 @@ class KmpModel:
         return self.reference.synergy_dim
 
 
+def _symmetric_cond(a) -> float:
+    """``np.linalg.cond`` of a symmetric matrix, from its eigenvalues instead of an SVD."""
+    w = np.abs(np.linalg.eigvalsh(a))
+    return np.inf if w.min() == 0.0 else float(w.max() / w.min())
+
+
 def kmp_fit(reference: ReferenceTrajectory, spec: KernelSpec, lam: float = 1.0) -> KmpModel:
     """Solve the mean regression system once for all output dimensions.
 
@@ -165,7 +171,7 @@ def kmp_fit(reference: ReferenceTrajectory, spec: KernelSpec, lam: float = 1.0) 
     if len(reference) == 0:
         raise DimensionMismatchError("reference trajectory is empty")
     a_mean = build_kernel_matrix(spec, reference.times) + lam * np.eye(len(reference))
-    if np.linalg.cond(a_mean) > COND_LIMIT:
+    if _symmetric_cond(a_mean) > COND_LIMIT:
         raise SingularSystemError("(K + lambda I) condition estimate exceeds 1e12")
     mean_factor = np.linalg.solve(a_mean, reference.means)
     return KmpModel(kernel=spec, lam=lam, reference=reference, mean_factor=mean_factor)
@@ -200,7 +206,7 @@ def kmp_predict_cov(model: KmpModel, times) -> np.ndarray:
     diagonal = np.arange(n)
     # the fresh kron result is contiguous, so this reshape is a writable view
     a_cov.reshape(n, s, n, s)[diagonal, :, diagonal, :] += model.lam * ref.covariances
-    if np.linalg.cond(a_cov) > COND_LIMIT:
+    if _symmetric_cond(a_cov) > COND_LIMIT:
         raise SingularSystemError("(K + lambda Sigma) condition estimate exceeds 1e12")
     flat = np.asarray(times, dtype=float).reshape(-1)
     quad = np.empty((flat.size, s, s))

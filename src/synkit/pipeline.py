@@ -21,7 +21,7 @@ import numpy as np
 
 from . import encoding, evaluation, force, kmp, perception, synergy, synthetic
 from ._io import JsonRecord, dump_json, write_csv
-from .errors import ConfigInvalidError, StageError, SynkitError
+from .errors import ConfigInvalidError, InvalidInputError, StageError, SynkitError
 
 __all__ = ["PipelineConfig", "TaskLog", "default_config", "run_task", "build_reference",
            "save_learning"]
@@ -315,8 +315,12 @@ def _run_force_loop(config: PipelineConfig, basis, grasp_model):
     The measured grip lags the commanded grip with time constant
     ``force_lag``; each step applies a synergy correction from the scalar
     target-minus-measured grip error and logs the per-contact friction-cone
-    flags.
+    flags. Corrections all lie along ``v = coupling_pinv @ normal_pattern``, so
+    the loop runs on the scalar ``d`` of ``delta_e = d v``; the realized
+    forces ``F_w + d F_v`` and their flags are formed for all steps at once.
     """
+    if config.force_gain <= 0.0:
+        raise InvalidInputError("gain must be positive")
     lo, hi = config.force_band()
     target_final = 0.5 * (lo + hi)
     mu = config.mu()
@@ -330,29 +334,32 @@ def _run_force_loop(config: PipelineConfig, basis, grasp_model):
     ramp_rate = (target_final - lo) / ramp_time
 
     coupling_pinv = np.linalg.pinv(grasp_model.stiffness @ basis.e_hat)
-    pattern = force.normal_pattern(grasp_model.n_contacts)
-    delta_e = coupling_pinv @ (lo * pattern)
+    v = coupling_pinv @ force.normal_pattern(grasp_model.n_contacts)
 
-    measured = lo
-    records = []
+    def realized(wrench, delta_e):
+        contacts = force.contact_forces(grasp_model, wrench, basis, delta_e)
+        return force.realized_forces(grasp_model, force.motor_currents(grasp_model, contacts))
+
+    f_w, f_v = realized(omega, np.zeros_like(v)), realized(np.zeros(6), v)
+    c_w, c_v = force.grip_force(f_w), force.grip_force(f_v)
+
+    d = measured = float(lo)
+    records, d_steps = [], []
     for k in range(steps):
         t = k * dt
         target_k = lo + min(t / ramp_time, 1.0) * (target_final - lo)
-        delta_e = delta_e + force.adapt_force(float(target_k - measured), coupling_pinv,
-                                              gain=config.force_gain)
-        contacts = force.contact_forces(grasp_model, omega, basis, delta_e)
-        currents = force.motor_currents(grasp_model, contacts)
-        realized = force.realized_forces(grasp_model, currents)
-        command = force.grip_force(realized)
-        records.append({
-            "t": t,
-            "target": float(target_k),
-            "measured": float(measured),
-            "command": float(command),
-            "stable": [force.friction_cone_check(f, mu) for f in realized],
-            "delta_e": [float(v) for v in delta_e],
-        })
+        d += config.force_gain * (target_k - measured)
+        command = c_w + c_v * d
+        records.append({"t": t, "target": float(target_k), "measured": measured,
+                        "command": command})
+        d_steps.append(d)
         measured = measured + (dt / config.force_lag) * (command - measured)
+
+    d_steps = np.array(d_steps)
+    stable = force.friction_cone_check(f_w + d_steps[:, None, None] * f_v, mu)
+    for record, flags, delta_e in zip(records, stable.tolist(),
+                                      (d_steps[:, None] * v).tolist()):
+        record.update(stable=flags, delta_e=delta_e)
     final_grip = float(measured)
     return {
         "mu": mu,
@@ -362,7 +369,7 @@ def _run_force_loop(config: PipelineConfig, basis, grasp_model):
         "records": records,
         "final_grip": final_grip,
         "settled": bool(lo <= final_grip <= hi),
-        "all_stable": bool(all(all(r["stable"]) for r in records)),
+        "all_stable": bool(stable.all()),
     }
 
 

@@ -7,6 +7,10 @@ from synkit import encoding, perception, pipeline
 from synkit.cli import cli_dispatch
 
 
+class TopLevel(tuple):
+    """Flags given before the subcommand, to the top-level parser."""
+
+
 def run(capsys, *argv):
     code = cli_dispatch(list(argv))
     captured = capsys.readouterr()
@@ -41,10 +45,16 @@ class TestUsage:
         (("classify", "--cloud", "scene.xyz", "--svm", "svm.json"), ("--config", "config.json")),
         (("classify", "--cloud", "scene.xyz", "--svm", "svm.json"), ("--task", "ketchup")),
         (("generate", "scene"), ("--config", "config.json")),
-    ], ids=lambda argv: argv[0])
+        (("fit-synergies", "--input", "postures.csv"), TopLevel(("--task", "ketchup"))),
+        (("kmp-predict", "--reference", "reference.json"), TopLevel(("--task", "ketchup"))),
+        (("segment", "--cloud", "scene.xyz"), TopLevel(("--task", "ketchup"))),
+        (("classify", "--cloud", "scene.xyz", "--svm", "svm.json"),
+         TopLevel(("--task", "ketchup"))),
+    ], ids=lambda argv: f"top-level{argv[0]}" if isinstance(argv, TopLevel) else argv[0])
     def test_flag_the_command_does_not_read_is_usage_error(self, command, flag, tmp_path,
                                                            capsys):
-        code, _, err = run(capsys, *command, *flag, "--out", str(tmp_path / "out"))
+        argv = (*flag, *command) if isinstance(flag, TopLevel) else (*command, *flag)
+        code, _, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
         assert code == 1
         assert err.startswith("error:") and flag[0] in err
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from synkit import force, synergy
-from synkit.errors import DimensionMismatchError, RankDeficientError
+from synkit.errors import DimensionMismatchError, InvalidInputError, RankDeficientError
 
 
 def make_basis(rng, j=6, s=2):
@@ -124,6 +124,37 @@ class TestFrictionCone:
     def test_nonpositive_normal_never_stable(self):
         assert force.friction_cone_check(np.array([0.0, 0.0, 0.0]), 0.5) is False
         assert force.friction_cone_check(np.array([0.0, 0.0, -1.0]), 0.5) is False
+
+    def test_stacked_forces_match_oracle_row_by_row(self, rng):
+        mu = 0.5
+        edges = np.array([
+            [0.3, -0.2, 0.0],   # zero normal
+            [0.0, 0.0, 0.0],    # zero normal and tangential
+            [0.0, 0.0, -2.0],   # negative normal
+            [0.0, 0.0, 1.5],    # zero tangential
+            [-0.0, 0.0, 1e-300],
+            [2.0, 0.0, 1.0],    # fz / |ft| == mu exactly: the test is strict
+            [0.0, -4.0, 2.0],
+            [2.0, 0.0, 1.0000000000000002],
+        ])
+        flat = np.vstack([rng.standard_normal((1000 - len(edges), 3))
+                          * rng.uniform(0.1, 10.0, size=(1000 - len(edges), 1)), edges])
+        want = [oracle_cone(*f, mu) for f in flat]
+        got = force.friction_cone_check(flat, mu)
+        assert got.dtype == bool and got.shape == (1000,)
+        assert got.tolist() == want
+        assert got[-8:].tolist() == [False, False, False, True, True, False, False, True]
+
+        stacked = flat.reshape(125, 8, 3)  # (steps, n_c, 3)
+        got = force.friction_cone_check(stacked, mu)
+        assert got.shape == (125, 8)
+        assert got.reshape(-1).tolist() == want
+
+    def test_stacked_forces_validated(self):
+        with pytest.raises(DimensionMismatchError):
+            force.friction_cone_check(np.ones((4, 2)), 0.5)
+        with pytest.raises(InvalidInputError):
+            force.friction_cone_check(np.ones((4, 3)), 0.0)
 
 
 class TestMotorCurrents:

@@ -388,3 +388,23 @@ class TestFusePriorities:
                              [[[1.0, 0.0], [0.0, 0.0]]])
         with pytest.raises(SingularCovarianceError):
             kmp.fuse_priorities([bad], [1.0])
+
+
+@pytest.mark.parametrize("kind", kmp.KERNEL_KINDS)
+@pytest.mark.parametrize("n", [25, 100, 200])
+def test_symmetric_cond_matches_numpy_cond(kind, n):
+    """Both regression systems: K + lambda I and K kron I_S + lambda Sigma."""
+    rng = np.random.default_rng(n)
+    times = np.sort(rng.uniform(0.0, 1.0, n))
+    s = 2
+    factors = rng.standard_normal((n, s, s))
+    sigma = np.zeros((n * s, n * s))
+    for i, f in enumerate(factors):
+        sigma[i * s:(i + 1) * s, i * s:(i + 1) * s] = f @ f.T + 0.1 * np.eye(s)
+    for l in (0.02, 0.2):
+        spec = kmp.KernelSpec(kind=kind, l=l, sigma2=1.0,
+                              alpha=1.0 if kind == "cauchy" else None)
+        for lam in (1e-6, 1e-3, 1.0):
+            for a in (kmp.build_kernel_matrix(spec, times) + lam * np.eye(n),
+                      kmp.build_kernel_matrix(spec, times, s) + lam * sigma):
+                assert kmp._symmetric_cond(a) == pytest.approx(np.linalg.cond(a), rel=1e-6)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from synkit import pipeline, synergy
+from synkit import force, pipeline, synergy
 from synkit.errors import ConfigInvalidError
 from synkit.pipeline import STAGE_ORDER
 
@@ -211,3 +211,84 @@ class TestGraspModelConstruction:
         from synkit.force import normal_pattern
         pattern = normal_pattern(3)
         assert float(q[:, 0] @ pattern) == pytest.approx(np.sqrt(3.0), abs=1e-9)
+
+
+def oracle_force_loop(config, basis, grasp_model):
+    """The grip-force loop step by step: each step adds its correction to
+    ``delta_e`` and rebuilds the contact forces, currents, realized forces,
+    grip and friction-cone flags from it."""
+    lo, hi = config.force_band()
+    target_final = 0.5 * (lo + hi)
+    mu = config.mu()
+    weight = config.scenario()["object_mass"] * 9.81
+    omega = np.array([0.0, 0.0, weight, 0.0, 0.0, 0.0])
+    dt = config.force_dt
+    ramp_time = 0.5 * config.force_steps * dt
+    coupling_pinv = np.linalg.pinv(grasp_model.stiffness @ basis.e_hat)
+    pattern = force.normal_pattern(grasp_model.n_contacts)
+    delta_e = coupling_pinv @ (lo * pattern)
+    measured = lo
+    records = []
+    for k in range(config.force_steps):
+        t = k * dt
+        target_k = lo + min(t / ramp_time, 1.0) * (target_final - lo)
+        delta_e = delta_e + force.adapt_force(float(target_k - measured), coupling_pinv,
+                                              gain=config.force_gain)
+        contacts = force.contact_forces(grasp_model, omega, basis, delta_e)
+        currents = force.motor_currents(grasp_model, contacts)
+        realized = force.realized_forces(grasp_model, currents)
+        command = force.grip_force(realized)
+        records.append({
+            "t": t,
+            "target": float(target_k),
+            "measured": float(measured),
+            "command": float(command),
+            "stable": [force.friction_cone_check(f, mu) for f in realized],
+            "delta_e": [float(v) for v in delta_e],
+        })
+        measured = measured + (dt / config.force_lag) * (command - measured)
+    final_grip = float(measured)
+    return {
+        "records": records,
+        "final_grip": final_grip,
+        "settled": bool(lo <= final_grip <= hi),
+        "all_stable": bool(all(all(r["stable"]) for r in records)),
+    }
+
+
+@pytest.fixture(scope="module")
+def task_bases(egg_learning):
+    ketchup = pipeline.build_reference(pipeline.default_config("ketchup"))[2]
+    return {"egg": egg_learning["basis"], "ketchup": ketchup}
+
+
+class TestForceLoop:
+    # mu 9.5 lies inside the contacts' ratio ranges over the ramp (egg
+    # about 9 to 17, ketchup 5 to 12), so flags differ between contacts and
+    # between steps
+    @pytest.mark.parametrize("mu", [None, 9.5])
+    @pytest.mark.parametrize("steps", [80, 640])
+    @pytest.mark.parametrize("task", ["egg", "ketchup"])
+    def test_matches_per_step_oracle(self, task, steps, mu, task_bases):
+        config = pipeline.default_config(task)
+        config.force_steps = steps
+        config.force_mu = mu
+        basis = task_bases[task]
+        model = pipeline.build_grasp_model(basis, contact_radius=0.025)
+        got = pipeline._run_force_loop(config, basis, model)
+        want = oracle_force_loop(config, basis, model)
+        assert len(got["records"]) == steps
+        assert [set(r) for r in got["records"]] == [set(r) for r in want["records"]]
+        for key in ("settled", "all_stable"):
+            assert got[key] == want[key]
+        flags = [r["stable"] for r in got["records"]]
+        assert flags == [r["stable"] for r in want["records"]]
+        if mu is not None:
+            assert 0.0 < np.mean(flags) < 1.0
+        for key in ("t", "target"):
+            assert [r[key] for r in got["records"]] == [r[key] for r in want["records"]]
+        for key in ("measured", "command", "delta_e"):
+            a = np.array([r[key] for r in got["records"]])
+            b = np.array([r[key] for r in want["records"]])
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), key
+        assert got["final_grip"] == pytest.approx(want["final_grip"], rel=1e-12, abs=0.0)
