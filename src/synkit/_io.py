@@ -78,9 +78,20 @@ def text_lines(path, **open_args):
         raise InvalidInputError(f"{path}: not a text file: {exc}") from None
 
 
+def format_rows(rows) -> list[str]:
+    """The CSV line of each row of a (records x columns) array, without its newline."""
+    return [",".join(map(repr, row)) for row in np.asarray(rows, dtype=float).tolist()]
+
+
 def write_csv(path, header, rows) -> None:
-    """Write the header cells, then each row of a (records x columns) array."""
+    """Write the header cells, then each row of a (records x columns) array.
+
+    ``rows`` may instead be a list of lines from ``format_rows``, so that
+    columns shared by several files are formatted once and joined to each.
+    """
+    preformatted = isinstance(rows, list) and rows and isinstance(rows[0], str)
+    lines = rows if preformatted else format_rows(rows)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in np.asarray(rows, dtype=float).tolist():
-            fh.write(",".join(map(repr, row)) + "\n")
+        for line in lines:
+            fh.write(line + "\n")

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._io import dump_json, write_csv
+from ._io import dump_json, format_rows, write_csv
 from .encoding import ReferenceTrajectory
 from .errors import InvalidInputError, LengthMismatchError, ZeroVarianceError
 from .kmp import apply_via_points, kmp_fit, kmp_predict
@@ -106,10 +106,13 @@ def benchmark_kernels(reference: ReferenceTrajectory, adaptations, kernel_specs,
                       dataset_id: str = "default", dump_dir=None) -> MetricReport:
     """Compare kernels on reproduction plus adaptation of a reference.
 
-    For each kernel: fit on the reference, apply every adaptation (a list of
-    via-point sets, one per object instance), predict the mean trajectory on
-    the evaluation grid, and score it against the actual trajectory with
-    per-component R and rMSE, averaged over components and adaptations.
+    Every adaptation (a list of via-points, one per object instance) is
+    applied to the reference once. For each kernel, fit on every adapted
+    reference, predict the mean trajectory on the evaluation grid, and score
+    it against the actual trajectory with per-component R and rMSE, averaged
+    over components and adaptations. Adapted references with the same times
+    share one fit: KMP's block kernel ``K kron I_S`` acts on every output
+    column alike, so their means are solved side by side in one system.
 
     ``grid``/``actual`` default to the reference's own times and means. When
     ``dump_dir`` is given, every predicted trajectory is written there as CSV.
@@ -117,30 +120,40 @@ def benchmark_kernels(reference: ReferenceTrajectory, adaptations, kernel_specs,
     specs = list(kernel_specs)
     if not specs or len(reference) == 0:
         raise LengthMismatchError("need a nonempty reference and at least one kernel")
-    if grid is None:
-        grid = np.asarray(reference.times)
-    else:
-        grid = np.asarray(grid, dtype=float)
+    grid = np.asarray(reference.times if grid is None else grid, dtype=float)
     if actual is None:
         actual = reference
     if actual.means.shape[0] != grid.shape[0]:
         raise LengthMismatchError("actual trajectory must live on the evaluation grid")
 
-    adaptations = [list(vias) for vias in adaptations]
-    scenarios = adaptations if adaptations else [[]]
+    scenarios = [list(vias) for vias in adaptations] or [[]]
+    adapted = [apply_via_points(reference, vias) if vias else reference for vias in scenarios]
+    groups = {}
+    for idx, ref in enumerate(adapted):
+        groups.setdefault(ref.times.tobytes(), []).append(idx)
+    systems = [(members, _side_by_side([adapted[i] for i in members]))
+               for members in groups.values()]
+    if dump_dir is not None:
+        s = actual.means.shape[1]
+        header = (["t"] + [f"actual{j + 1}" for j in range(s)]
+                  + [f"predicted{j + 1}" for j in range(s)])
+        shared = format_rows(np.column_stack([grid, actual.means]))
 
     rows = {}
     for spec in specs:
+        predicted = [None] * len(adapted)
+        for members, stacked in systems:
+            means = kmp_predict(kmp_fit(stacked, spec, lam), grid)
+            for idx, block in zip(members, np.hsplit(means, len(members))):
+                predicted[idx] = block
         r_scores, e_scores = [], []
-        for idx, vias in enumerate(scenarios):
-            adapted = apply_via_points(reference, vias) if vias else reference
-            model = kmp_fit(adapted, spec, lam)
-            means = kmp_predict(model, grid)
+        for idx, means in enumerate(predicted):
             r, e = component_scores(actual.means, means)
             r_scores.append(np.mean(r))
             e_scores.append(np.mean(e))
             if dump_dir is not None:
-                _dump_csv(dump_dir, spec.kind, idx, grid, actual.means, means)
+                write_csv(Path(dump_dir) / f"trajectory_{spec.kind}_adaptation{idx}.csv",
+                          header, [f"{a},{p}" for a, p in zip(shared, format_rows(means))])
         rows[spec.kind] = {"R": float(np.mean(r_scores)), "rmse": float(np.mean(e_scores))}
 
     return MetricReport(
@@ -152,12 +165,14 @@ def benchmark_kernels(reference: ReferenceTrajectory, adaptations, kernel_specs,
     )
 
 
-def _dump_csv(dump_dir, kind, idx, grid, actual_means, predicted_means):
-    s = actual_means.shape[1]
-    header = (
-        ["t"]
-        + [f"actual{j + 1}" for j in range(s)]
-        + [f"predicted{j + 1}" for j in range(s)]
-    )
-    write_csv(Path(dump_dir) / f"trajectory_{kind}_adaptation{idx}.csv", header,
-              np.column_stack([grid, actual_means, predicted_means]))
+def _side_by_side(references) -> ReferenceTrajectory:
+    """One reference on the given ones' shared times: their means side by side,
+    (N, k*S), and their covariances block-diagonal, (N, k*S, k*S)."""
+    k = len(references)
+    n, s = references[0].means.shape
+    covs = np.zeros((n, k, s, k, s))
+    diagonal = np.arange(k)
+    covs[:, diagonal, :, diagonal, :] = np.stack([ref.covariances for ref in references])
+    return ReferenceTrajectory(times=references[0].times,
+                               means=np.hstack([ref.means for ref in references]),
+                               covariances=covs.reshape(n, k * s, k * s))

@@ -60,14 +60,17 @@ class KernelSpec:
         if self.kind not in KERNEL_KINDS:
             raise InvalidInputError(
                 f"unknown kernel kind {self.kind!r}; choose from {KERNEL_KINDS}")
-        if self.l <= 0.0 or self.sigma2 <= 0.0:
-            raise InvalidInputError("kernel parameters l and sigma2 must be positive")
         if self.kind == "cauchy":
-            if self.alpha is None or self.alpha <= 0.0:
+            if self.alpha is None:
                 raise InvalidInputError("cauchy kernel requires alpha > 0")
         elif self.alpha is not None:
             raise InvalidInputError(
                 f"alpha is only meaningful for the cauchy kernel, not {self.kind!r}")
+        for name in ("l", "sigma2", "alpha"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value < np.inf:
+                raise InvalidInputError(
+                    f"kernel parameter {name} must be finite and positive, got {value!r}")
 
     def to_dict(self):
         d = {"kind": self.kind, "l": self.l, "sigma2": self.sigma2}
@@ -166,8 +169,8 @@ def kmp_fit(reference: ReferenceTrajectory, spec: KernelSpec, lam: float = 1.0) 
     1e12; its spectrum is that of the block system (K + lambda I) kron I_S.
     The system is solved by factorization, never explicit inversion.
     """
-    if lam <= 0.0:
-        raise InvalidInputError("lambda must be positive")
+    if not 0.0 < lam < np.inf:
+        raise InvalidInputError(f"lambda must be finite and positive, got {lam!r}")
     if len(reference) == 0:
         raise DimensionMismatchError("reference trajectory is empty")
     a_mean = build_kernel_matrix(spec, reference.times) + lam * np.eye(len(reference))
@@ -278,34 +281,29 @@ def fuse_priorities(trajectories, priorities) -> ReferenceTrajectory:
     trajectories = list(trajectories)
     if not trajectories:
         raise DimensionMismatchError("need at least one trajectory to fuse")
-    base = trajectories[0]
-    t = base.times
-    s = base.synergy_dim
+    t = trajectories[0].times
+    s = trajectories[0].synergy_dim
     weights = []
     for traj, w in zip(trajectories, priorities, strict=True):
-        if traj.synergy_dim != s or not np.allclose(traj.times, t, atol=1e-12):
+        if (traj.synergy_dim != s or traj.times.shape != t.shape
+                or not np.allclose(traj.times, t, atol=1e-12)):
             raise DimensionMismatchError("trajectories must share grid and dimension")
-        w = np.broadcast_to(np.asarray(w, dtype=float), t.shape).copy()
+        w = np.broadcast_to(np.asarray(w, dtype=float), t.shape)
         if np.any(w <= 0.0):
             raise InvalidInputError("priority weights must be positive")
         weights.append(w)
 
-    means = np.empty((t.shape[0], s))
-    covs = np.empty((t.shape[0], s, s))
-    for i in range(t.shape[0]):
-        precision = np.zeros((s, s))
-        moment = np.zeros(s)
-        for traj, w in zip(trajectories, weights):
-            cov = traj.covariances[i]
-            if np.linalg.cond(cov) > COND_LIMIT:
-                raise SingularCovarianceError(f"covariance at grid point {i} is singular")
-            prec = np.linalg.solve(cov, np.eye(s))
-            precision += w[i] * prec
-            moment += w[i] * (prec @ traj.means[i])
-        covs[i] = np.linalg.solve(precision, np.eye(s))
-        covs[i] = 0.5 * (covs[i] + covs[i].T)
-        means[i] = covs[i] @ moment
-    return ReferenceTrajectory(times=t, means=means, covariances=covs)
+    covs = np.stack([traj.covariances for traj in trajectories])  # (D, Q, S, S)
+    singular = np.flatnonzero((np.linalg.cond(covs) > COND_LIMIT).any(axis=0))
+    if singular.size:
+        raise SingularCovarianceError(f"covariance at grid point {singular[0]} is singular")
+    # w_d Sigma_d^-1 at every grid point, summed over d for the fused precision
+    weighted = np.stack(weights)[..., None, None] * np.linalg.inv(covs)
+    moment = np.einsum("dqij,dqj->qi", weighted, np.stack([traj.means for traj in trajectories]))
+    fused = np.linalg.inv(weighted.sum(axis=0))
+    fused = 0.5 * (fused + fused.transpose(0, 2, 1))
+    return ReferenceTrajectory(times=t, means=np.einsum("qij,qj->qi", fused, moment),
+                               covariances=fused)
 
 
 def save_kmp_predictions(path, model: KmpModel, times):

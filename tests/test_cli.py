@@ -90,6 +90,12 @@ class TestInvalidInput:
         ("segment", "--cloud", "{binary}"),
         ("fit-synergies", "--input", "{binary}"),
         ("kmp-predict", "--reference", "{nan_reference}"),
+        ("benchmark-kernels", "--length-scale", "nan"),
+        ("benchmark-kernels", "--length-scale", "inf"),
+        ("benchmark-kernels", "--lam", "nan"),
+        ("benchmark-kernels", "--lam", "inf"),
+        ("benchmark-kernels", "--alpha", "nan"),
+        ("kmp-predict", "--reference", "{reference}", "--lam", "nan"),
     ])
     def test_bad_value_is_stage_failure(self, argv, tmp_path, capsys):
         plane = tmp_path / "plane.xyz"

@@ -6,6 +6,7 @@ import pytest
 from synkit import evaluation, kmp
 from synkit.errors import LengthMismatchError, ZeroVarianceError
 from conftest import make_reference
+from test_kmp import oracle_predict_mean
 
 # hand-computed with the covariance / sigma-product formula:
 # a=(1,2,3), p=(2,4,7): sum(da*dp)=5, denominator sqrt(2)*sqrt(114/9)*3 = sqrt(228)
@@ -110,6 +111,65 @@ class TestBenchmark:
         text = report.to_text()
         assert "cauchy" in text and "rMSE" in text
         assert (tmp_path / "trajectory_cauchy_adaptation0.csv").exists()
+
+    @pytest.mark.parametrize("case", ["mixed", "none"])
+    def test_grouped_fits_match_separate_oracle_fits(self, reference, case, tmp_path,
+                                                      monkeypatch):
+        """Adaptations with the same via-point times share one fit per kernel."""
+        specs = [
+            kmp.KernelSpec(kind="exponential", l=0.1, sigma2=1.0),
+            kmp.KernelSpec(kind="gaussian", l=0.1, sigma2=1.0),
+            kmp.KernelSpec(kind="cauchy", l=0.1, sigma2=1.0, alpha=1.0),
+        ]
+        cov = 1e-6 * np.eye(2)
+        adaptations, fits_per_kernel = [], 1
+        if case == "mixed":
+            adaptations = [
+                [kmp.ViaPoint(0.5, np.array([0.3, 0.1]), cov),
+                 kmp.ViaPoint(1.0, np.array([0.2, 0.9]), cov)],
+                [kmp.ViaPoint(0.5, np.array([0.4, 0.0]), cov),
+                 kmp.ViaPoint(1.0, np.array([0.1, 1.1]), cov)],
+                # beyond the grid radius: appended, so its times differ
+                [kmp.ViaPoint(1.2, np.array([0.0, 1.4]), cov)],
+                # replaces the point at 0.5: same length, other times
+                [kmp.ViaPoint(0.52, np.array([0.3, 0.2]), cov),
+                 kmp.ViaPoint(1.0, np.array([0.2, 0.9]), cov)],
+            ]
+            fits_per_kernel = 3
+        grid = np.linspace(0.0, 1.2, 13)
+        actual = make_reference(grid, np.column_stack([np.sin(np.pi * grid), grid**2]))
+        fit_sizes = []
+        real_fit = evaluation.kmp_fit
+
+        def counting_fit(ref, spec, lam):
+            fit_sizes.append(len(ref))
+            return real_fit(ref, spec, lam)
+
+        monkeypatch.setattr(evaluation, "kmp_fit", counting_fit)
+        report = evaluation.benchmark_kernels(reference, adaptations, specs, lam=0.5,
+                                              grid=grid, actual=actual, dump_dir=tmp_path)
+        assert len(fit_sizes) == fits_per_kernel * len(specs)
+
+        shared_cells = set()
+        for spec in specs:
+            r_scores, e_scores = [], []
+            for idx, vias in enumerate(adaptations or [[]]):
+                adapted = kmp.apply_via_points(reference, vias)
+                want = np.array([oracle_predict_mean(adapted, spec, 0.5, t) for t in grid])
+                path = tmp_path / f"trajectory_{spec.kind}_adaptation{idx}.csv"
+                lines = path.read_text().splitlines()
+                dumped = np.array([[float(c) for c in line.split(",")] for line in lines[1:]])
+                assert dumped.shape == (grid.shape[0], 5)
+                assert np.array_equal(dumped[:, :3], np.column_stack([grid, actual.means]))
+                assert np.abs(dumped[:, 3:] - want).max() < 1e-8
+                shared_cells.add(tuple(",".join(line.split(",")[:3]) for line in lines))
+                r_scores.append(np.mean([oracle_pearson(actual.means[:, j], want[:, j])
+                                         for j in range(2)]))
+                e_scores.append(np.mean(np.sqrt(np.mean((actual.means - want) ** 2, axis=0))))
+            assert abs(report.rows[spec.kind]["R"] - np.mean(r_scores)) < 1e-8
+            assert abs(report.rows[spec.kind]["rmse"] - np.mean(e_scores)) < 1e-8
+        # t and actual cells are byte-identical in every dump of the call
+        assert len(shared_cells) == 1
 
     def test_r_range_validation(self):
         with pytest.raises(ValueError):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from synkit import kmp
-from synkit.errors import SingularCovarianceError, SingularSystemError
+from synkit.errors import InvalidInputError, SingularCovarianceError, SingularSystemError
 from conftest import make_reference
 
 
@@ -127,6 +127,19 @@ class TestKernelEval:
             kmp.KernelSpec(kind="triangular", l=0.1, sigma2=1.0)
         with pytest.raises(ValueError):
             kmp.KernelSpec(kind="gaussian", l=-0.1, sigma2=1.0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0, -0.1])
+    @pytest.mark.parametrize("name", ["l", "sigma2", "alpha"])
+    def test_spec_parameters_finite_and_positive(self, name, value):
+        params = {"l": 0.1, "sigma2": 1.0, "alpha": 1.0, name: value}
+        with pytest.raises(InvalidInputError, match=f"parameter {name} "):
+            kmp.KernelSpec(kind="cauchy", **params)
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, 0.0, -1.0])
+    def test_fit_lambda_finite_and_positive(self, lam):
+        ref = make_reference(np.linspace(0.0, 1.0, 5), np.zeros((5, 2)))
+        with pytest.raises(InvalidInputError, match="lambda"):
+            kmp.kmp_fit(ref, ALL_SPECS[1], lam)
 
 
 class TestKernelMatrix:
@@ -388,6 +401,16 @@ class TestFusePriorities:
                              [[[1.0, 0.0], [0.0, 0.0]]])
         with pytest.raises(SingularCovarianceError):
             kmp.fuse_priorities([bad], [1.0])
+
+    def test_singular_error_names_first_grid_point(self):
+        times = np.linspace(0.0, 1.0, 6)
+        late = np.tile(np.eye(2), (6, 1, 1))
+        late[4] = [[1.0, 0.0], [0.0, 0.0]]
+        early = np.tile(np.eye(2), (6, 1, 1))
+        early[2] = [[1.0, 1.0], [1.0, 1.0]]
+        refs = [make_reference(times, np.zeros((6, 2)), c) for c in (late, early)]
+        with pytest.raises(SingularCovarianceError, match="grid point 2 "):
+            kmp.fuse_priorities(refs, [1.0, 1.0])
 
 
 @pytest.mark.parametrize("kind", kmp.KERNEL_KINDS)
