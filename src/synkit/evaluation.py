@@ -8,7 +8,8 @@ import numpy as np
 
 from ._io import dump_json, format_rows, write_csv
 from .encoding import ReferenceTrajectory
-from .errors import InvalidInputError, LengthMismatchError, ZeroVarianceError
+from .errors import (DimensionMismatchError, InvalidInputError, LengthMismatchError,
+                     ZeroVarianceError)
 from .kmp import apply_via_points, kmp_fit, kmp_predict
 
 __all__ = ["MetricReport", "pearson_r", "rmse", "component_scores", "benchmark_kernels"]
@@ -125,6 +126,8 @@ def benchmark_kernels(reference: ReferenceTrajectory, adaptations, kernel_specs,
         actual = reference
     if actual.means.shape[0] != grid.shape[0]:
         raise LengthMismatchError("actual trajectory must live on the evaluation grid")
+    if actual.synergy_dim != reference.synergy_dim:
+        raise DimensionMismatchError("actual and reference trajectories differ in dimension")
 
     scenarios = [list(vias) for vias in adaptations] or [[]]
     adapted = [apply_via_points(reference, vias) if vias else reference for vias in scenarios]

@@ -289,8 +289,8 @@ def fuse_priorities(trajectories, priorities) -> ReferenceTrajectory:
                 or not np.allclose(traj.times, t, atol=1e-12)):
             raise DimensionMismatchError("trajectories must share grid and dimension")
         w = np.broadcast_to(np.asarray(w, dtype=float), t.shape)
-        if np.any(w <= 0.0):
-            raise InvalidInputError("priority weights must be positive")
+        if not np.all((w > 0.0) & (w < np.inf)):
+            raise InvalidInputError("priority weights must be finite and positive")
         weights.append(w)
 
     covs = np.stack([traj.covariances for traj in trajectories])  # (D, Q, S, S)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from synkit import evaluation, kmp
-from synkit.errors import LengthMismatchError, ZeroVarianceError
+from synkit.errors import DimensionMismatchError, LengthMismatchError, ZeroVarianceError
 from conftest import make_reference
 from test_kmp import oracle_predict_mean
 
@@ -170,6 +170,13 @@ class TestBenchmark:
             assert abs(report.rows[spec.kind]["rmse"] - np.mean(e_scores)) < 1e-8
         # t and actual cells are byte-identical in every dump of the call
         assert len(shared_cells) == 1
+
+    @pytest.mark.parametrize("s", [1, 3])
+    def test_actual_of_other_dimension_rejected(self, reference, s):
+        actual = make_reference(reference.times, np.ones((len(reference), s)))
+        spec = kmp.KernelSpec(kind="gaussian", l=0.1, sigma2=1.0)
+        with pytest.raises(DimensionMismatchError):
+            evaluation.benchmark_kernels(reference, [], [spec], actual=actual)
 
     def test_r_range_validation(self):
         with pytest.raises(ValueError):

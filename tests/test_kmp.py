@@ -402,6 +402,12 @@ class TestFusePriorities:
         with pytest.raises(SingularCovarianceError):
             kmp.fuse_priorities([bad], [1.0])
 
+    @pytest.mark.parametrize("weight", [np.nan, np.inf, 0.0, -1.0])
+    def test_weights_finite_and_positive(self, weight):
+        ref = make_reference(np.linspace(0.0, 1.0, 4), np.ones((4, 2)))
+        with pytest.raises(InvalidInputError, match="priority weights"):
+            kmp.fuse_priorities([ref, ref], [[1.0, weight, 1.0, 1.0], 1.0])
+
     def test_singular_error_names_first_grid_point(self):
         times = np.linspace(0.0, 1.0, 6)
         late = np.tile(np.eye(2), (6, 1, 1))
