@@ -7,6 +7,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import difflib
+import functools
 import sys
 from pathlib import Path
 
@@ -33,6 +34,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache  # parse_args leaves the parser unchanged, so one serves every call
 def _build_parser():
     parser = _Parser(prog="synkit", description=__doc__)
     parser.add_argument("--print-config", action="store_true",

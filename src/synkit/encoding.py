@@ -35,6 +35,7 @@ __all__ = [
 _COV_FLOOR = 1e-6
 # Slack for the per-iteration log-likelihood monotonicity check.
 _LL_SLACK = 1e-7
+_COLLAPSED = "collapsed below the regularization floor"
 
 
 @dataclass(frozen=True)
@@ -64,8 +65,10 @@ class GmmModel(JsonRecord):
     """Gaussian mixture over the joint (time, synergy) space.
 
     One-dimensional input (time) in the leading coordinate, S output
-    coordinates after it. ``ll_history`` records the log-likelihood at each
-    EM iteration (non-decreasing up to the covariance-floor perturbation).
+    coordinates after it. ``ll_history`` holds one entry per accepted EM
+    iterate: the floor-matched objective, the log-likelihood with each
+    component's density times exp(-0.5 * floor * tr(inv(cov))), which every
+    floored M-step maximizes exactly, so the entries do not decrease.
     """
 
     priors: np.ndarray
@@ -186,20 +189,38 @@ def interpolate_coefficients(demos, basis: SynergyBasis, grid) -> list[SynergyTr
     return out
 
 
-def _log_gauss(x, means, covs):
-    """Log density of every N(means[k], covs[k]) at every row of x, shape (M, C).
+def _factor(covs, floor=0.0):
+    """Inverse Cholesky factors (C, d, d) and log-normalizers (C,) of a covariance stack.
 
-    Multiplying by the inverse d x d Cholesky factors is far cheaper than
-    solving against the M right-hand sides.
+    One stacked Cholesky; a covariance that does not factor raises
+    DegenerateComponentError. The log-normalizer is half the log-determinant
+    plus ``0.5 * floor * tr(inv(cov))``: with that term the component is
+    N(x | mean, cov) * exp(-0.5 * tr(inv(cov) @ floor * I)), the density
+    whose exact M-step is the floored covariance, so every EM step is monotone.
     """
-    d = x.shape[1]
-    chol = np.linalg.cholesky(covs)
-    sol = np.linalg.inv(chol) @ _centered(x, means)
+    try:
+        chol = np.linalg.cholesky(covs)
+    except np.linalg.LinAlgError:
+        _require_positive_definite(covs, DegenerateComponentError, _COLLAPSED)
+        raise DegenerateComponentError(f"a covariance {_COLLAPSED}") from None
+    inv_chol = np.linalg.inv(chol)
     log_det = np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
+    return inv_chol, log_det + 0.5 * floor * np.sum(inv_chol**2, axis=(1, 2))
+
+
+def _log_gauss(x, means, factor):
+    """Log density of every component at every row of x, shape (M, C).
+
+    ``factor`` is ``_factor`` of the covariances. Multiplying by the inverse
+    d x d Cholesky factors is far cheaper than solving against the M
+    right-hand sides.
+    """
+    inv_chol, log_det = factor
+    sol = inv_chol @ _centered(x, means)
     return (
         -0.5 * np.sum(sol**2, axis=1)
         - log_det[:, None]
-        - 0.5 * d * np.log(2.0 * np.pi)
+        - 0.5 * x.shape[1] * np.log(2.0 * np.pi)
     ).T
 
 
@@ -208,9 +229,9 @@ def _centered(x, means):
     return np.ascontiguousarray(x.T) - means[:, :, None]  # a strided x.T is 3x slower
 
 
-def _posterior(x, priors, means, covs):
+def _posterior(x, priors, means, factor):
     """Per-row log evidence (M,) and normalized responsibilities (M, C)."""
-    log_joint = np.log(priors) + _log_gauss(x, means, covs)
+    log_joint = np.log(priors) + _log_gauss(x, means, factor)
     top = log_joint.max(axis=1, keepdims=True)
     log_norm = top[:, 0] + np.log(np.exp(log_joint - top).sum(axis=1))
     return log_norm, np.exp(log_joint - log_norm[:, None])
@@ -234,17 +255,20 @@ def _weighted_moments(x, weights, mass, floor):
     """Means (C, d) and floored covariances (C, d, d) of x under (M, C) weights."""
     means = (weights.T @ x) / mass[:, None]
     diff = _centered(x, means)
-    covs = (diff * weights.T[:, None, :]) @ np.swapaxes(diff, 1, 2) / mass[:, None, None] + floor
+    covs = (diff * weights.T[:, None, :]) @ np.swapaxes(diff, 1, 2) / mass[:, None, None]
+    covs += floor * np.eye(x.shape[1])
     return means, 0.5 * (covs + np.swapaxes(covs, 1, 2))
+
+
+def _sq_dists(x, centers):
+    """Squared distances (M, K) from every row of x to every center."""
+    return np.sum((x[:, None, :] - centers[None, :, :]) ** 2, axis=2)
 
 
 def _kmeanspp_centers(x, n, rng):
     centers = [x[rng.integers(x.shape[0])]]
     for _ in range(1, n):
-        d2 = np.min(
-            np.sum((x[:, None, :] - np.asarray(centers)[None, :, :]) ** 2, axis=2),
-            axis=1,
-        )
+        d2 = np.min(_sq_dists(x, np.asarray(centers)), axis=1)
         total = d2.sum()
         if total <= 0.0:
             centers.append(x[rng.integers(x.shape[0])])
@@ -254,31 +278,79 @@ def _kmeanspp_centers(x, n, rng):
 
 
 def _lloyd(x, centers, iters=10):
+    k, d = centers.shape
     for _ in range(iters):
-        labels = np.argmin(
-            np.sum((x[:, None, :] - centers[None, :, :]) ** 2, axis=2), axis=1
-        )
-        for k in range(centers.shape[0]):
-            mask = labels == k
-            if not mask.any():
-                # reseed an empty cluster on the point farthest from its center
-                far = np.argmax(
-                    np.min(np.sum((x[:, None, :] - centers[None, :, :]) ** 2, axis=2), axis=1)
-                )
-                centers[k] = x[far]
-            else:
-                centers[k] = x[mask].mean(axis=0)
-    return np.argmin(np.sum((x[:, None, :] - centers[None, :, :]) ** 2, axis=2), axis=1)
+        labels = np.argmin(_sq_dists(x, centers), axis=1)
+        counts = np.bincount(labels, minlength=k)
+        sums = np.bincount((labels[:, None] * d + np.arange(d)).ravel(), weights=x.ravel(),
+                           minlength=k * d).reshape(k, d)
+        filled = counts > 0
+        centers[filled] = sums[filled] / counts[filled, None]
+        for j in np.flatnonzero(~filled):
+            # reseed an empty cluster on the point farthest from every center
+            centers[j] = x[np.argmax(np.min(_sq_dists(x, centers), axis=1))]
+    return np.argmin(_sq_dists(x, centers), axis=1)
+
+
+def _m_step(x, resp, floor):
+    """EM update from (M, C) responsibilities: (priors, means, covs) and its factor."""
+    m = x.shape[0]
+    mass = resp.sum(axis=0)
+    if np.any(mass < 1e-12 * m):
+        raise DegenerateComponentError("a component lost all responsibility mass")
+    priors = mass / m
+    means, covs = _weighted_moments(x, resp, mass, floor)
+    return (priors / priors.sum(), means, covs), _factor(covs, floor)
+
+
+def _e_step(x, theta, factor):
+    """Floor-matched objective and (M, C) responsibilities of the mixture theta."""
+    log_norm, resp = _posterior(x, theta[0], theta[1], factor)
+    return float(log_norm.sum()), resp
+
+
+def _squarem_step(x, theta0, theta1, theta2, floor, stepmax):
+    """One EM step from the SQUAREM extrapolation of theta0 -> theta1 -> theta2.
+
+    The step length -alpha = |r| / |v| is clipped to [1, stepmax]; length 1
+    extrapolates to theta2 itself.
+
+    Returns (theta3, its objective, its responsibilities), or None when
+    the extrapolated priors are not all positive or a covariance of the
+    extrapolated point or of theta3 does not factor.
+    """
+    r = [b - a for a, b in zip(theta0, theta1)]
+    v = [c - 2.0 * b + a for a, b, c in zip(theta0, theta1, theta2)]
+    r_norm = np.sqrt(sum(np.sum(p**2) for p in r))
+    v_norm = np.sqrt(sum(np.sum(p**2) for p in v))
+    alpha = -min(max(r_norm / v_norm, 1.0), stepmax) if v_norm > 0.0 else -1.0
+    priors, means, covs = (a - 2.0 * alpha * dr + alpha**2 * dv
+                           for a, dr, dv in zip(theta0, r, v))
+    if not np.all(priors > 0.0):
+        return None
+    point = (priors / priors.sum(), means, 0.5 * (covs + np.swapaxes(covs, 1, 2)))
+    try:
+        _, resp = _e_step(x, point, _factor(point[2], floor))
+        theta3, factor = _m_step(x, resp, floor)
+    except DegenerateComponentError:
+        return None
+    return (theta3, *_e_step(x, theta3, factor))
 
 
 def fit_gmm(trajectories, n_components: int = 5, seed: int = 0,
             max_iter: int = 200, tol: float = 1e-6) -> GmmModel:
-    """Fit a Gaussian mixture to joint (t, e) samples by EM.
+    """Fit a Gaussian mixture to joint (t, e) samples by EM, accelerated by SQUAREM.
 
     Initialization is k-means++ seeding (plus a few Lloyd refinements) with
     the supplied seed; every M-step adds a trace-scaled identity floor to the
-    covariances. Raises DegenerateComponentError when a component keeps
-    collapsing despite the floor.
+    covariances. The objective is the log-likelihood under the floor-matched
+    densities of ``_factor``. Every two EM steps are extrapolated
+    (Varadhan & Roland, Scand. J. Statist. 35, 2008) and stabilized by one
+    more EM step, which is kept only if it does not lower the objective.
+    ``max_iter`` bounds the M-steps; the fit stops once an accepted iterate
+    gains less than ``tol`` and returns one EM step past it. Raises
+    DegenerateComponentError when a component keeps collapsing despite the
+    floor.
     """
     if n_components < 1:
         raise InvalidInputError("n_components must be >= 1")
@@ -292,8 +364,7 @@ def fit_gmm(trajectories, n_components: int = 5, seed: int = 0,
     if m < n_components * (d + 1):
         raise InvalidInputError(f"too few samples ({m}) for {n_components} components in {d}-D")
 
-    spread = np.var(x, axis=0).mean()
-    floor = _COV_FLOOR * max(spread, 1e-12) * np.eye(d)
+    floor = _COV_FLOOR * max(np.var(x, axis=0).mean(), 1e-12)
 
     rng = np.random.default_rng(seed)
     labels = _lloyd(x, _kmeanspp_centers(x, n_components, rng))
@@ -302,32 +373,36 @@ def fit_gmm(trajectories, n_components: int = 5, seed: int = 0,
     hard[:, counts == 0] = 1.0  # an empty cluster starts from all the data
     means, covs = _weighted_moments(x, hard, hard.sum(axis=0), floor)
     priors = np.maximum(counts, 1.0) / m
-    priors /= priors.sum()
+    theta = (priors / priors.sum(), means, covs)
 
-    ll_history = []
-    prev_ll = -np.inf
-    for _ in range(max_iter):
-        # E-step
-        log_norm, resp = _posterior(x, priors, means, covs)
-        ll = float(log_norm.sum())
+    ll, resp = _e_step(x, theta, _factor(covs, floor))
+    ll_history = [ll]
+    cycle = [theta]  # EM iterates since the last accepted point
+    steps = 0
+    stepmax = 1.0  # x4 after an accepted extrapolation, /4 (down to 1) after a rejected one
+    while True:
+        theta, factor = _m_step(x, resp, floor)
+        steps += 1
+        if steps >= max_iter or (len(ll_history) > 1 and ll_history[-1] - ll_history[-2] < tol):
+            break
+        ll, resp = _e_step(x, theta, factor)
+        prev_ll = ll_history[-1]
         if ll < prev_ll - _LL_SLACK * (1.0 + abs(prev_ll)):
             raise DegenerateComponentError("EM log-likelihood decreased")
         ll_history.append(ll)
+        cycle.append(theta)
+        if len(cycle) == 3 and steps + 1 < max_iter:  # leave an M-step for the final update
+            step = _squarem_step(x, *cycle, floor, stepmax)
+            steps += 1
+            if step is not None and step[1] >= ll:
+                theta, ll, resp = step
+                ll_history.append(ll)
+                stepmax *= 4.0
+            else:
+                stepmax = max(stepmax / 4.0, 1.0)
+            cycle = [theta]
 
-        # M-step
-        mass = resp.sum(axis=0)
-        if np.any(mass < 1e-12 * m):
-            raise DegenerateComponentError("a component lost all responsibility mass")
-        priors = mass / m
-        priors = priors / priors.sum()
-        means, covs = _weighted_moments(x, resp, mass, floor)
-        _require_positive_definite(covs, DegenerateComponentError,
-                                   "collapsed below the regularization floor")
-        if ll - prev_ll < tol and np.isfinite(prev_ll):
-            break
-        prev_ll = ll
-
-    return GmmModel(priors=priors, means=means, covariances=covs,
+    return GmmModel(priors=theta[0], means=theta[1], covariances=theta[2],
                     ll_history=np.asarray(ll_history))
 
 
@@ -359,7 +434,7 @@ def gmr_responsibilities(model: GmmModel, t) -> np.ndarray:
     """Normalized component responsibilities: (C,) for one time, (Q, C) for a grid."""
     t = np.asarray(t, dtype=float)
     _, h = _posterior(t.reshape(-1, 1), model.priors, model.means[:, :1],
-                      model.covariances[:, :1, :1])
+                      _factor(model.covariances[:, :1, :1]))
     return h.reshape(t.shape + (model.n_components,))
 
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from synkit import encoding, perception, pipeline
+from synkit import cli, encoding, perception, pipeline
 from synkit.cli import cli_dispatch
 
 
@@ -57,6 +57,22 @@ class TestUsage:
         code, _, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
         assert code == 1
         assert err.startswith("error:") and flag[0] in err
+
+    def test_parser_is_built_once_and_parses_like_a_fresh_one(self, capsys):
+        hits = cli._build_parser.cache_info().hits
+        assert run(capsys, "--print-config", "--task", "ketchup")[0] == 0
+        assert run(capsys, "generate", "bogus", "--count", "3")[0] == 1
+        assert cli._build_parser.cache_info().hits >= hits + 1
+        parser = cli._build_parser()
+        for argv in (
+            ["simulate", "--task", "ketchup", "--seed", "3", "--out", "a"],
+            ["--task", "egg", "kmp-predict", "--reference", "r.json", "--kernel", "cauchy"],
+            ["segment", "--cloud", "c.xyz", "--epsilon", "0.05"],
+            ["simulate", "--out", "b"],
+            ["--print-config"],
+        ):
+            fresh = cli._build_parser.__wrapped__()
+            assert vars(parser.parse_args(argv)) == vars(fresh.parse_args(argv)), argv
 
     def test_print_config_emits_valid_template(self, tmp_path, capsys):
         code, out, _ = run(capsys, "--print-config", "--task", "ketchup")
@@ -282,6 +298,12 @@ class TestSimulateAndBenchmark:
         assert (out / "tasklog.json").exists()
         log = json.loads((out / "tasklog.json").read_text())
         assert [s["name"] for s in log["stages"]] == list(pipeline.STAGE_ORDER)
+
+    def test_simulate_egg_seed_436_fits(self, tmp_path, capsys):
+        # a floored M-step lowered the plain log-likelihood past the EM slack here
+        code, _, err = run(capsys, "simulate", "--task", "egg", "--seed", "436",
+                           "--out", str(tmp_path / "sim"))
+        assert code == 0, err
 
     def test_task_flag_resolves_force_defaults_of_that_task(self, tmp_path, capsys):
         code, template, _ = run(capsys, "--print-config", "--task", "egg")

@@ -1,8 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from synkit import encoding, synergy
-from synkit.errors import EmptyDemoError, InvalidInputError, NonMonotonicTimeError, SynkitError
+from synkit import encoding, pipeline, synergy
+from synkit.errors import (
+    DegenerateComponentError,
+    EmptyDemoError,
+    InvalidInputError,
+    NonMonotonicTimeError,
+    SynkitError,
+)
 
 
 @pytest.fixture()
@@ -80,11 +88,51 @@ class TestLogGauss:
                 covs = a @ np.swapaxes(a, 1, 2) + 0.2 * np.eye(d)
                 means = rng.standard_normal((n, d))
                 x = rng.standard_normal((40, d))
-                got = encoding._log_gauss(x, means, covs)
+                got = encoding._log_gauss(x, means, encoding._factor(covs))
                 assert got.shape == (40, n)
                 for k in range(n):
                     want = oracle_log_gauss(x, means[k], covs[k])
                     assert np.abs(got[:, k] - want).max() < 1e-10
+
+
+class TestFactor:
+    def test_floor_adds_half_the_floored_trace_of_the_inverse(self, rng):
+        a = rng.standard_normal((3, 4, 4))
+        covs = a @ np.swapaxes(a, 1, 2) + 0.1 * np.eye(4)
+        inv_chol, log_det = encoding._factor(covs)
+        _, floored = encoding._factor(covs, floor=0.3)
+        for k in range(3):
+            inv = np.linalg.inv(covs[k])
+            assert np.abs(inv_chol[k].T @ inv_chol[k] - inv).max() < 1e-10
+            assert log_det[k] == pytest.approx(0.5 * np.linalg.slogdet(covs[k])[1], abs=1e-12)
+            assert floored[k] - log_det[k] == pytest.approx(0.15 * np.trace(inv), rel=1e-12)
+
+    def test_indefinite_covariance_names_its_component(self):
+        covs = np.stack([np.eye(2), np.diag([1.0, -1e-3]), np.eye(2)])
+        with pytest.raises(DegenerateComponentError, match="component 1 covariance collapsed"):
+            encoding._factor(covs)
+
+
+class TestLloyd:
+    def test_matches_per_cluster_means(self, rng):
+        x = rng.standard_normal((120, 3))
+        start = x[rng.choice(120, size=4, replace=False)].copy()
+        want = start.copy()
+        for _ in range(10):
+            labels = np.argmin(((x[:, None, :] - want[None]) ** 2).sum(axis=2), axis=1)
+            want = np.stack([x[labels == k].mean(axis=0) for k in range(4)])
+        got = start.copy()
+        got_labels = encoding._lloyd(x, got)
+        assert np.abs(got - want).max() < 1e-12
+        assert np.array_equal(got_labels,
+                              np.argmin(((x[:, None, :] - want[None]) ** 2).sum(axis=2), axis=1))
+
+    def test_empty_cluster_reseeds_on_the_farthest_point(self, rng):
+        x = np.vstack([rng.normal(0.0, 0.01, size=(30, 2)), [[5.0, 5.0]]])
+        centers = np.array([[0.0, 0.0], [0.01, 0.0], [100.0, 100.0]])
+        labels = encoding._lloyd(x, centers)
+        assert np.array_equal(centers[2], x[-1])
+        assert labels[-1] == 2 and np.all(labels[:-1] != 2)
 
 
 def _single_gaussian_trajectories(rng, n=400):
@@ -123,7 +171,8 @@ class TestFitGmm:
             axis=1,
         )
         joint = np.exp(np.log(model.priors)
-                       + encoding._log_gauss(x, model.means, model.covariances))
+                       + encoding._log_gauss(x, model.means,
+                                             encoding._factor(model.covariances)))
         resp = joint / joint.sum(axis=1, keepdims=True)
         agree = 0
         for k in range(2):
@@ -150,9 +199,9 @@ class TestFitGmm:
         calls = []
         log_gauss = encoding._log_gauss
 
-        def falling(x, means, covs):
+        def falling(x, means, factor):
             calls.append(None)  # each E-step scores lower than the last
-            return log_gauss(x, means, covs) - 10.0 * len(calls)
+            return log_gauss(x, means, factor) - 10.0 * len(calls)
 
         monkeypatch.setattr(encoding, "_log_gauss", falling)
         with pytest.raises(SynkitError, match="log-likelihood decreased"):
@@ -162,6 +211,46 @@ class TestFitGmm:
         trajs, *_ = _single_gaussian_trajectories(rng, n=150)
         with pytest.raises(InvalidInputError, match="max_iter"):
             encoding.fit_gmm(trajs, n_components=2, seed=2, max_iter=0)
+
+
+class TestEmOnTaskData:
+    """EM on the default task configs run with ``--seed``: converged and monotone."""
+
+    @pytest.fixture()
+    def m_steps(self, monkeypatch):
+        calls = []
+        m_step = encoding._m_step
+
+        def counted(*args):
+            calls.append(None)
+            return m_step(*args)
+
+        monkeypatch.setattr(encoding, "_m_step", counted)
+        return calls
+
+    @staticmethod
+    def check_fit(task, seed, m_steps):
+        config = dataclasses.replace(pipeline.default_config(task), seed=seed, gmm_seed=seed)
+        m_steps.clear()
+        ll = pipeline.build_reference(config)[3].ll_history
+        assert len(m_steps) < config.gmm_max_iter, (task, seed)
+        assert ll[-1] - ll[-2] < config.gmm_tol, (task, seed)
+        assert np.all(np.diff(ll) >= -encoding._LL_SLACK * (1.0 + np.abs(ll[:-1]))), (task, seed)
+
+    @pytest.mark.parametrize("task", ["egg", "ketchup"])
+    def test_seeds_converge_below_the_cap(self, task, m_steps):
+        for seed in range(20):
+            self.check_fit(task, seed, m_steps)
+
+    @pytest.mark.parametrize("seed", [147, 1261])
+    def test_ketchup_seeds_fit(self, seed, m_steps):
+        self.check_fit("ketchup", seed, m_steps)
+
+    def test_max_iter_bounds_the_m_steps(self, m_steps):
+        config = dataclasses.replace(pipeline.default_config("ketchup"), gmm_max_iter=7)
+        ll = pipeline.build_reference(config)[3].ll_history
+        assert len(m_steps) == 7
+        assert 1 < ll.shape[0] <= 7
 
 
 class TestGmr:

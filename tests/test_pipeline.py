@@ -112,13 +112,12 @@ class TestRunTask:
                 assert np.abs(synergy.reconstruct(basis, e) - q).max() < 1e-9
 
     def test_em_convergence_recorded(self, egg_log, ketchup_log):
-        egg = egg_log.stage("encoding")
-        assert egg["converged"] and egg["em_iterations"] == 119
-        assert egg["final_ll_delta"] == pytest.approx(6.0e-7, rel=1e-2)
-        # ketchup EM hits gmm_max_iter with its last step above gmm_tol = 1e-6
-        ketchup = ketchup_log.stage("encoding")
-        assert not ketchup["converged"] and ketchup["em_iterations"] == 200
-        assert ketchup["final_ll_delta"] == pytest.approx(9.35e-6, rel=1e-3)
+        # both default tasks reach gmm_tol = 1e-6 well inside gmm_max_iter = 200
+        for log in (egg_log, ketchup_log):
+            encoding_stage = log.stage("encoding")
+            assert encoding_stage["converged"], log.task
+            assert encoding_stage["final_ll_delta"] < 1e-6
+            assert 2 <= encoding_stage["em_iterations"] < 200
 
     def test_em_single_iteration_not_converged(self):
         config = pipeline.default_config("egg")
