@@ -162,8 +162,10 @@ def ransac_plane(cloud, iterations: int = 200, inlier_threshold: float = 0.005,
 
     Returns ``(plane, inlier_indices, outlier_indices)`` for the sampled
     plane with the most inliers (points within the threshold distance).
-    Deterministic given the seed: one 3-sample draw per iteration. All
-    sampled planes are scored in blocks; ties go to the earliest sample.
+    Deterministic given the seed: the triples of all iterations come from
+    one ``integers`` draw, and a triple that repeats an index is skipped
+    with the collinear ones. All sampled planes are scored in blocks; ties
+    go to the earliest sample.
     """
     if iterations < 1:
         raise InvalidInputError("iterations must be >= 1")
@@ -175,8 +177,7 @@ def ransac_plane(cloud, iterations: int = 200, inlier_threshold: float = 0.005,
     scale = max(float(np.max(np.abs(points))), 1.0)
     rng = np.random.default_rng(seed)
     n = points.shape[0]
-    triples = points[np.array([rng.choice(n, size=3, replace=False)
-                               for _ in range(iterations)])]
+    triples = points[rng.integers(n, size=(iterations, 3))]
     p1 = triples[:, 0]
     cross = np.cross(triples[:, 1] - p1, triples[:, 2] - p1)
     norm = np.linalg.norm(cross, axis=1)

@@ -44,12 +44,12 @@ def lstsq_plane(points):
 
 def oracle_ransac(cloud, iterations, threshold, seed):
     """Per-sample RANSAC loop: ``(normal, offset, best_count)`` of the first
-    sampled plane with the most points within the threshold."""
+    sampled plane with the most points within the threshold. The triples
+    are drawn as ``ransac_plane`` draws them, all in one call."""
     rng = np.random.default_rng(seed)
     scale = max(float(np.max(np.abs(cloud))), 1.0)
     best, best_count = None, -1
-    for _ in range(iterations):
-        idx = rng.choice(cloud.shape[0], size=3, replace=False)
+    for idx in rng.integers(cloud.shape[0], size=(iterations, 3)):
         p1, p2, p3 = cloud[idx]
         cross = np.cross(p2 - p1, p3 - p1)
         norm = np.linalg.norm(cross)
@@ -143,6 +143,17 @@ class TestRansac:
             mask = np.abs(cloud @ normal + offset) <= 0.005
             assert np.array_equal(inliers, np.flatnonzero(mask))
             assert np.array_equal(outliers, np.flatnonzero(~mask))
+
+    def test_triples_with_a_repeated_index_are_skipped(self):
+        # from three points most drawn triples repeat an index; those give a
+        # zero cross product and never become a candidate plane
+        cloud = np.array([[0.0, 0.0, 0.1], [1.0, 0.0, 0.2], [0.0, 1.0, 0.3]])
+        draws = np.random.default_rng(5).integers(3, size=(30, 3))
+        assert 0 < sum(len(set(t)) == 3 for t in draws.tolist()) < 30
+        plane, inliers, outliers = perception.ransac_plane(
+            cloud, iterations=30, inlier_threshold=1e-9, seed=5)
+        assert np.array_equal(inliers, [0, 1, 2]) and outliers.size == 0
+        assert np.allclose(plane.distances(cloud), 0.0, atol=1e-12)
 
     def test_collinear_cloud_rejected(self):
         t = np.linspace(0.0, 1.0, 50)
