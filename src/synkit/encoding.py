@@ -181,7 +181,7 @@ def interpolate_coefficients(demos, basis: SynergyBasis, grid) -> list[SynergyTr
         if angles.shape != (times.shape[0], basis.joint_dim):
             raise DimensionMismatchError("demo angles must be (M, J)")
         tn = normalize_times(times)
-        coeffs = np.stack([project(basis, q) for q in angles])
+        coeffs = project(basis, angles)
         resampled = np.column_stack(
             [np.interp(grid, tn, coeffs[:, j]) for j in range(coeffs.shape[1])]
         )

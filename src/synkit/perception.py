@@ -321,19 +321,32 @@ def extract_features(cluster: Cluster) -> np.ndarray:
     """7-vector of cluster geometry: extents, covariance spectrum, size.
 
     Bounding-box extents (3), sample-covariance eigenvalues sorted
-    descending (3), and the point count (1).
+    descending (3, zero for a one-point cluster), and the point count (1).
     """
     pts = cluster.points
     if pts.shape[0] == 0:
         raise DimensionMismatchError("cannot featurize an empty cluster")
-    extents = pts.max(axis=0) - pts.min(axis=0)
-    if pts.shape[0] > 1:
-        centered = pts - pts.mean(axis=0)
-        cov = centered.T @ centered / (pts.shape[0] - 1)
-        eigvals = np.sort(np.linalg.eigvalsh(cov))[::-1]
-    else:
-        eigvals = np.zeros(3)
-    return np.concatenate([extents, eigvals, [float(pts.shape[0])]])
+    return _segment_features(pts, np.array([pts.shape[0]]))[0]
+
+
+def _segment_features(points, counts):
+    """``extract_features`` of consecutive nonempty segments of a cloud, one row each.
+
+    Segment s is the next ``counts[s]`` points. The extents are segment
+    reductions and the eigenvalues come from one stacked ``eigvalsh``. Each
+    segment's mean and ``c.T @ c`` are formed on its own, as for a lone
+    cluster: a flat object's smallest eigenvalue moves by up to 1e-12
+    relative when its covariance moves by one ulp.
+    """
+    starts = np.cumsum(counts) - counts
+    extents = np.maximum.reduceat(points, starts) - np.minimum.reduceat(points, starts)
+    cov = np.empty((counts.size, 3, 3))
+    for s, segment in enumerate(np.split(points, starts[1:])):
+        centered = segment - segment.sum(axis=0) / segment.shape[0]
+        cov[s] = centered.T @ centered
+    cov /= np.maximum(counts - 1, 1)[:, None, None]
+    eigvals = np.linalg.eigvalsh(cov)[:, ::-1]
+    return np.column_stack([extents, eigvals, counts])
 
 
 @dataclass(frozen=True)
@@ -367,8 +380,9 @@ class SvmModel(JsonRecord):
 
 
 def _svm_objective(w, b, x, y, c):
+    """Primal hinge objective, and the margins ``y (x w + b)`` behind it."""
     margins = y * (x @ w + b)
-    return 0.5 * float(w @ w) + c * float(np.mean(np.maximum(0.0, 1.0 - margins)))
+    return 0.5 * float(w @ w) + c * float(np.mean(np.maximum(0.0, 1.0 - margins))), margins
 
 
 def svm_train(features, labels, c: float = 10.0, epochs: int = 200, seed: int = 0) -> SvmModel:
@@ -399,11 +413,11 @@ def svm_train(features, labels, c: float = 10.0, epochs: int = 200, seed: int = 
     rng = np.random.default_rng(seed)
     w = 1e-6 * rng.standard_normal(x.shape[1])
     b = 0.0
-    obj = _svm_objective(w, b, xs, y, c)
+    obj, margins = _svm_objective(w, b, xs, y, c)
     history = [obj]
     step = 1.0
     for _ in range(epochs):
-        margins = y * (xs @ w + b)
+        # the margins of the current (w, b), from the step that accepted it
         violating = margins < 1.0
         grad_w = w - c * (y[violating] @ xs[violating]) / x.shape[0]
         grad_b = -c * float(np.sum(y[violating])) / x.shape[0]
@@ -412,9 +426,9 @@ def svm_train(features, labels, c: float = 10.0, epochs: int = 200, seed: int = 
         while trial > 1e-14:
             w_new = w - trial * grad_w
             b_new = b - trial * grad_b
-            obj_new = _svm_objective(w_new, b_new, xs, y, c)
+            obj_new, margins_new = _svm_objective(w_new, b_new, xs, y, c)
             if obj_new < obj:
-                w, b, obj = w_new, b_new, obj_new
+                w, b, obj, margins = w_new, b_new, obj_new, margins_new
                 step = trial * 1.5
                 accepted = True
                 break
@@ -427,19 +441,20 @@ def svm_train(features, labels, c: float = 10.0, epochs: int = 200, seed: int = 
                     feature_scale=scale, objective_history=np.asarray(history))
 
 
-def svm_decision(model: SvmModel, feature) -> float:
-    feature = np.asarray(feature, dtype=float)
-    if feature.shape != model.weights.shape:
+def svm_decision(model: SvmModel, features):
+    """Decision value of a feature vector (D,), or of each row of a stack (..., D)."""
+    features = np.asarray(features, dtype=float)
+    if features.shape[-1:] != model.weights.shape:
         raise DimensionMismatchError(
-            f"feature length {feature.shape} != model dim {model.weights.shape}"
+            f"feature shape {features.shape} does not end in model dim {model.weights.shape}"
         )
-    xs = (feature - model.feature_mean) / model.feature_scale
-    return float(model.weights @ xs + model.bias)
+    xs = (features - model.feature_mean) / model.feature_scale
+    return xs @ model.weights + model.bias
 
 
 def svm_classify(model: SvmModel, feature):
     """Label a feature vector; returns ``(label, signed_score)``."""
-    score = svm_decision(model, feature)
+    score = float(svm_decision(model, feature))
     label = model.classes[1] if score >= 0.0 else model.classes[0]
     return label, score
 

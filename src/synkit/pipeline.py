@@ -429,11 +429,16 @@ def run_task(config: PipelineConfig) -> TaskLog:
         svm_file = _saved_model(config, "svm.json")
         if svm_file is not None:
             svm = perception.SvmModel.from_json(svm_file)
+            train_accuracy = None
         else:
             features, labels = synthetic.svm_training_fixture(config.task,
                                                               seed=config.svm_seed)
             svm = perception.svm_train(features, labels, c=config.svm_c,
                                        epochs=config.svm_epochs, seed=config.svm_seed)
+            # ties go to the positive class, as in svm_classify
+            positive = np.asarray(labels) == svm.classes[1]
+            train_accuracy = float(np.mean(
+                (perception.svm_decision(svm, features) >= 0.0) == positive))
         record, inliers, outliers, poses = perception.detect_objects(
             cloud, iterations=config.ransac_iterations, threshold=config.ransac_threshold,
             seed=config.ransac_seed, epsilon=config.cluster_epsilon,
@@ -442,6 +447,9 @@ def run_task(config: PipelineConfig) -> TaskLog:
             **record,
             "inlier_count": int(inliers.shape[0]),
             "outlier_count": int(outliers.shape[0]),
+            "svm_epochs": int(svm.objective_history.shape[0]) - 1,
+            "svm_objective": float(svm.objective_history[-1]),
+            "svm_train_accuracy": train_accuracy,
         })
         if out_dir is not None:
             dump_json(record, out_dir / "segmentation.json")
@@ -492,7 +500,7 @@ def run_task(config: PipelineConfig) -> TaskLog:
             kmp.save_kmp_predictions(out_dir / "predictions.csv", adapted, dense)
 
     with _stage("reconstruction"):
-        joints = np.vstack([synergy.reconstruct(basis, e) for e in means])
+        joints = synergy.reconstruct(basis, means)
         log.add("reconstruction", {"joint_angles": joints.tolist()})
 
     with _stage("force"):

@@ -158,26 +158,28 @@ def fit_synergy_basis(configs: ConfigurationMatrix, variance_threshold: float = 
 
 
 def project(basis: SynergyBasis, posture) -> np.ndarray:
-    """Map a posture into synergy coordinates: ``e = E^T (posture - theta0)``.
+    """Map postures (..., J) into synergy coordinates (..., S): ``e = E^T (q - theta0)``.
 
-    With orthonormal columns the pseudo-inverse of the basis is its transpose.
+    With orthonormal columns the pseudo-inverse of the basis is its
+    transpose. A stack is one matrix-vector product per posture, the same
+    product a single posture gets, so the bytes do not depend on stacking.
     """
     posture = np.asarray(posture, dtype=float)
-    if posture.shape != (basis.joint_dim,):
+    if posture.shape[-1:] != (basis.joint_dim,):
         raise DimensionMismatchError(
-            f"posture length {posture.shape} != joint dim {basis.joint_dim}"
+            f"posture shape {posture.shape} does not end in joint dim {basis.joint_dim}"
         )
-    return basis.e_hat.T @ (posture - basis.theta0)
+    return np.matmul(basis.e_hat.T, (posture - basis.theta0)[..., None])[..., 0]
 
 
 def reconstruct(basis: SynergyBasis, e) -> np.ndarray:
-    """Map synergy coordinates back to joint space: ``E e + theta0``."""
+    """Map synergy coordinates (..., S) back to joint space (..., J): ``E e + theta0``."""
     e = np.asarray(e, dtype=float)
-    if e.shape != (basis.synergy_dim,):
+    if e.shape[-1:] != (basis.synergy_dim,):
         raise DimensionMismatchError(
-            f"coordinate length {e.shape} != synergy dim {basis.synergy_dim}"
+            f"coordinate shape {e.shape} does not end in synergy dim {basis.synergy_dim}"
         )
-    return basis.e_hat @ e + basis.theta0
+    return np.matmul(basis.e_hat, e[..., None])[..., 0] + basis.theta0
 
 
 def load_postures_csv(path) -> np.ndarray:

@@ -184,81 +184,166 @@ def generate_synthetic_demos(task: str, count: int = 8, noise: float = 0.004,
     return demos, truth
 
 
-def _fibonacci_ellipsoid(axes, center, n):
-    golden = np.pi * (3.0 - np.sqrt(5.0))
-    i = np.arange(n)
-    z = 1.0 - 2.0 * (i + 0.5) / n
-    r = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
-    phi = golden * i
-    unit = np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
-    return unit * np.asarray(axes)[None, :] + np.asarray(center)[None, :]
+def _segments(sizes):
+    """Segment and within-segment index of every element of ragged segments."""
+    segment = np.repeat(np.arange(sizes.size), sizes)
+    return segment, np.arange(segment.size) - (np.cumsum(sizes) - sizes)[segment]
 
 
-def _grid_rect(u_lo, u_hi, v_lo, v_hi, spacing):
-    nu = max(int(round((u_hi - u_lo) / spacing)) + 1, 2)
-    nv = max(int(round((v_hi - v_lo) / spacing)) + 1, 2)
-    u, v = np.meshgrid(np.linspace(u_lo, u_hi, nu), np.linspace(v_lo, v_hi, nv))
-    return u.ravel(), v.ravel()
+def _linspace_at(k, n, lo, hi):
+    """Sample ``k`` of ``np.linspace(lo, hi, n)``, elementwise, with numpy's bytes.
+
+    numpy's formula: ``k * ((hi - lo) / (n - 1)) + lo``, and the last of two
+    or more samples is exactly ``hi``.
+    """
+    return np.where((k > 0) & (k == n - 1), hi, k * ((hi - lo) / np.maximum(n - 1, 1)) + lo)
 
 
-def _tray_points(size, center_xy, spacing, z0):
-    sx, sy, sz = size
-    cx, cy = center_xy
-    pts = []
-    u, v = _grid_rect(-sx / 2, sx / 2, -sy / 2, sy / 2, spacing)
-    pts.append(np.column_stack([cx + u, cy + v, np.full(u.shape, z0)]))
-    u, w = _grid_rect(-sx / 2, sx / 2, 0.0, sz, spacing)
-    for sign in (-1.0, 1.0):
-        pts.append(np.column_stack([cx + u, np.full(u.shape, cy + sign * sy / 2), z0 + w]))
-    v, w = _grid_rect(-sy / 2, sy / 2, 0.0, sz, spacing)
-    for sign in (-1.0, 1.0):
-        pts.append(np.column_stack([np.full(v.shape, cx + sign * sx / 2), cy + v, z0 + w]))
-    return np.vstack(pts)
+def _grid_size(lo, hi, spacing):
+    """Samples along a grid axis from ``lo`` to ``hi`` at about ``spacing``."""
+    return np.maximum(np.rint((hi - lo) / spacing).astype(int) + 1, 2)
 
 
-def _cylinder_points(radius, height, center_xy, z0, counts):
-    n_theta, n_z = counts
-    theta = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
-    z = np.linspace(0.0, height, n_z)
-    tt, zz = np.meshgrid(theta, z)
-    side = np.column_stack([
-        center_xy[0] + radius * np.cos(tt.ravel()),
-        center_xy[1] + radius * np.sin(tt.ravel()),
-        z0 + zz.ravel(),
-    ])
-    cap = _disc_points(radius, center_xy, z0 + height, spacing=2.0 * np.pi * radius / n_theta)
-    return np.vstack([side, cap])
+def _disc_rings(radius, spacing):
+    """Ring, radius and sample count of sampled discs, disc by disc.
+
+    Disc i has ``max(round(radius[i] / spacing[i]), 1)`` rings evenly spaced
+    out to its rim after a one-sample ring of radius 0 at its centre; a ring
+    of radius r has ``max(round(2 pi r / spacing), 6)`` samples. Returns
+    ``(disc, r, size)``, one entry per ring.
+    """
+    n_rings = np.maximum(np.rint(radius / spacing).astype(int), 1)
+    disc, k = _segments(n_rings + 1)
+    r = radius[disc] * k / n_rings[disc]
+    size = np.maximum(np.rint(2.0 * np.pi * r / spacing[disc]).astype(int), 6)
+    return disc, r, np.where(k == 0, 1, size)
 
 
-def _disc_points(radius, center_xy, z, spacing):
-    rings = [np.array([[center_xy[0], center_xy[1], z]])]
-    n_rings = max(int(round(radius / spacing)), 1)
-    for k in range(1, n_rings + 1):
-        r = radius * k / n_rings
-        n = max(int(round(2.0 * np.pi * r / spacing)), 6)
-        theta = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-        rings.append(np.column_stack([
-            center_xy[0] + r * np.cos(theta),
-            center_xy[1] + r * np.sin(theta),
-            np.full(n, z),
-        ]))
-    return np.vstack(rings)
+def _ring_points(center_xy, r, size, z):
+    """Points of stacked horizontal rings, one ring after another.
+
+    Ring s holds ``size[s]`` points of radius ``r[s]`` at height ``z[s]``,
+    at the angles ``np.linspace(0, 2 pi, size[s], endpoint=False)``.
+    """
+    ring, m = _segments(size)
+    theta = m * (2.0 * np.pi / size[ring])
+    r = r[ring]
+    return np.column_stack([center_xy[0] + r * np.cos(theta),
+                            center_xy[1] + r * np.sin(theta), z[ring]])
+
+
+def _instances(spec, jitters):
+    """Every size-jittered instance of one object, as one ragged cloud.
+
+    Instance i is the object with each dimension scaled by ``jitters[i]``;
+    ``object_points`` is the one-instance case ``jitters=[1.0]``. Returns
+    ``(points, counts)``: the instances' points one after another, and the
+    point count of each.
+
+    - ellipsoid: a Fibonacci sphere of ``points`` samples, scaled to the axes;
+    - tray: the floor and the four walls of an open box, each a grid at about
+      ``spacing`` (floor x fastest, walls along z slowest);
+    - disc: concentric rings at about ``spacing`` (see ``_disc_rings``);
+    - cylinder: ``points = (n_theta, n_z)`` side rings from the bottom up,
+      then a disc cap with the side's angular spacing.
+    """
+    jitters = np.asarray(jitters, dtype=float)
+    k = jitters.size
+    kind, center_xy, z0 = spec["kind"], spec["center_xy"], OBJECT_CLEARANCE
+    if kind == "ellipsoid":
+        n = spec["points"]
+        i = np.arange(n)
+        z = 1.0 - 2.0 * (i + 0.5) / n
+        r = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
+        phi = np.pi * (3.0 - np.sqrt(5.0)) * i
+        unit = np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
+        axes = np.multiply.outer(jitters, spec["axes"])
+        center = np.column_stack([np.full(k, center_xy[0]), np.full(k, center_xy[1]),
+                                  z0 + axes[:, 2]])
+        points = unit * axes[:, None, :] + center[:, None, :]
+        return points.reshape(-1, 3), np.full(k, n)
+    if kind == "tray":
+        sx, sy, sz = np.multiply.outer(spec["size"], jitters)
+        lo = np.column_stack([-sx / 2, -sy / 2, np.zeros(k)])
+        hi = np.column_stack([sx / 2, sy / 2, sz])
+        n = _grid_size(lo, hi, spec["spacing"])
+        # each instance's linspace along x, y and z, padded to the longest
+        # one; entries past an instance's own length are masked out below
+        index = [np.arange(m) for m in n.max(axis=0)]
+        axes = [_linspace_at(i, n[:, a, None], lo[:, a, None], hi[:, a, None])
+                for a, i in enumerate(index)]
+        valid = [i < n[:, a, None] for a, i in enumerate(index)]
+        # the floor, then the walls at low and high y and at low and high x:
+        # a grid on a fast and a slow axis, pinned to one end of the third
+        faces = ((0, 1, 2, lo), (0, 2, 1, lo), (0, 2, 1, hi), (1, 2, 0, lo), (1, 2, 0, hi))
+        shapes = [(index[slow].size, index[fast].size) for fast, slow, _, _ in faces]
+        ends = np.cumsum([rows * cols for rows, cols in shapes])
+        coords = np.empty((3, k, ends[-1]))
+        mask = np.empty((k, ends[-1]), dtype=bool)
+        for (fast, slow, pinned, end), shape, stop in zip(faces, shapes, ends):
+            block = slice(stop - shape[0] * shape[1], stop)
+            face = coords[:, :, block].reshape(3, k, *shape)
+            face[fast] = axes[fast][:, None, :]
+            face[slow] = axes[slow][:, :, None]
+            face[pinned] = end[:, pinned, None, None]
+            mask[:, block] = (valid[slow][:, :, None] & valid[fast][:, None, :]).reshape(k, -1)
+        origin = (center_xy[0], center_xy[1], z0)
+        return np.column_stack([c[mask] + o for c, o in zip(coords, origin)]), mask.sum(axis=1)
+    if kind == "disc":
+        radius = spec["radius"] * jitters
+        disc, r, size = _disc_rings(radius, np.full(k, spec["spacing"]))
+        z = np.full(r.size, z0)
+    elif kind == "cylinder":
+        n_theta, n_z = spec["points"]
+        radius, height = spec["radius"] * jitters, spec["height"] * jitters
+        cap, cap_r, cap_size = _disc_rings(radius, 2.0 * np.pi * radius / n_theta)
+        # each cylinder's side rings, then its cap's rings
+        disc = np.concatenate([np.repeat(np.arange(k), n_z), cap])
+        order = np.argsort(disc, kind="stable")
+        level = np.tile(np.arange(n_z), k)
+        r = np.concatenate([np.repeat(radius, n_z), cap_r])[order]
+        size = np.concatenate([np.full(k * n_z, n_theta), cap_size])[order]
+        z = np.concatenate([z0 + _linspace_at(level, n_z, 0.0, np.repeat(height, n_z)),
+                            (z0 + height)[cap]])[order]
+        disc = disc[order]
+    else:
+        raise UnknownTaskError(f"unknown object kind {kind!r}")
+    return _ring_points(center_xy, r, size, z), np.bincount(disc, weights=size,
+                                                            minlength=k).astype(int)
+
+
+def _instance_size(spec, jitter):
+    """Point count of ``_instances(spec, [jitter])`` in closed form, without building it.
+
+    The same roundings as ``_grid_size`` and ``_disc_rings``, on Python floats.
+    """
+    kind = spec["kind"]
+    if kind == "ellipsoid":
+        return spec["points"]
+    if kind == "tray":
+        sx, sy, sz = (s * jitter for s in spec["size"])
+        nx, ny, nz = (max(round((hi - lo) / spec["spacing"]) + 1, 2)
+                      for lo, hi in ((-sx / 2, sx / 2), (-sy / 2, sy / 2), (0.0, sz)))
+        return nx * ny + 2 * nz * (nx + ny)
+    if kind == "disc":
+        return _disc_size(spec["radius"] * jitter, spec["spacing"])
+    if kind == "cylinder":
+        n_theta, n_z = spec["points"]
+        radius = spec["radius"] * jitter
+        return n_theta * n_z + _disc_size(radius, 2.0 * np.pi * radius / n_theta)
+    raise UnknownTaskError(f"unknown object kind {kind!r}")
+
+
+def _disc_size(radius, spacing):
+    """Point count of one disc of ``_disc_rings``, on Python floats."""
+    n_rings = max(round(radius / spacing), 1)
+    return 1 + sum(max(round(2.0 * np.pi * (radius * k / n_rings) / spacing), 6)
+                   for k in range(1, n_rings + 1))
 
 
 def object_points(spec):
-    z0 = OBJECT_CLEARANCE
-    if spec["kind"] == "ellipsoid":
-        axes = spec["axes"]
-        center = (*spec["center_xy"], z0 + axes[2])
-        return _fibonacci_ellipsoid(axes, center, spec["points"])
-    if spec["kind"] == "tray":
-        return _tray_points(spec["size"], spec["center_xy"], spec["spacing"], z0)
-    if spec["kind"] == "cylinder":
-        return _cylinder_points(spec["radius"], spec["height"], spec["center_xy"], z0,
-                                spec["points"])
-    if spec["kind"] == "disc":
-        return _disc_points(spec["radius"], spec["center_xy"], z0, spec["spacing"])
-    raise UnknownTaskError(f"unknown object kind {spec['kind']!r}")
+    """The surface samples of one object spec (see ``_instances``)."""
+    return _instances(spec, [1.0])[0]
 
 
 def generate_synthetic_scene(task: str, seed: int = 11, noise: float = 0.0008):
@@ -274,9 +359,9 @@ def generate_synthetic_scene(task: str, seed: int = 11, noise: float = 0.0008):
     """
     sc = task_scenario(task)
     rng = np.random.default_rng(seed)
-    xs, ys = _grid_rect(-TABLE_SIDE / 2, TABLE_SIDE / 2, -TABLE_SIDE / 2, TABLE_SIDE / 2,
-                        TABLE_SIDE / (TABLE_GRID - 1))
-    table = np.column_stack([xs, ys, np.zeros(xs.shape)])
+    axis = np.linspace(-TABLE_SIDE / 2, TABLE_SIDE / 2, TABLE_GRID)
+    xs, ys = np.meshgrid(axis, axis)
+    table = np.column_stack([xs.ravel(), ys.ravel(), np.zeros(xs.size)])
     parts = [table]
     annotations = []
     start = table.shape[0]
@@ -307,31 +392,26 @@ def svm_training_fixture(task: str, seed: int = 13, instances_per_class: int = 2
     """Labeled feature vectors from size-jittered object instances.
 
     Each instance is a standalone sampled object with its dimensions scaled
-    by up to +-10 percent; features follow the cluster featurization
-    (extents, covariance spectrum, point count).
+    by up to +-10 percent, plus Gaussian sensor noise; features follow the
+    cluster featurization (extents, covariance spectrum, point count). The
+    draws go instance by instance, one uniform (the jitter) and then one
+    normal block of the instance's size; the instances of a class are then
+    built at once, and all of them featurized in one segmented call.
     """
-    from .perception import Cluster, extract_features
+    from .perception import _segment_features
 
     sc = task_scenario(task)
     rng = np.random.default_rng(seed)
-    features, labels = [], []
+    clouds, counts, noise, labels = [], [], [], []
     for label in sorted(sc["objects"]):
-        spec = dict(sc["objects"][label])
+        spec = sc["objects"][label]
+        jitters = []
         for _ in range(instances_per_class):
-            jitter = 1.0 + 0.1 * rng.uniform(-1.0, 1.0)
-            jittered = dict(spec)
-            if spec["kind"] == "ellipsoid":
-                jittered["axes"] = tuple(a * jitter for a in spec["axes"])
-            elif spec["kind"] == "tray":
-                jittered["size"] = tuple(s * jitter for s in spec["size"])
-            elif spec["kind"] == "cylinder":
-                jittered["radius"] = spec["radius"] * jitter
-                jittered["height"] = spec["height"] * jitter
-            elif spec["kind"] == "disc":
-                jittered["radius"] = spec["radius"] * jitter
-            pts = object_points(jittered)
-            pts = pts + 0.0008 * rng.standard_normal(pts.shape)
-            cluster = Cluster(indices=np.arange(pts.shape[0]), cloud=pts)
-            features.append(extract_features(cluster))
-            labels.append(label)
-    return np.vstack(features), labels
+            jitters.append(1.0 + 0.1 * rng.uniform(-1.0, 1.0))
+            noise.append(rng.standard_normal((_instance_size(spec, jitters[-1]), 3)))
+        points, sizes = _instances(spec, jitters)
+        clouds.append(points)
+        counts.append(sizes)
+        labels += [label] * instances_per_class
+    cloud = np.vstack(clouds) + 0.0008 * np.vstack(noise)
+    return _segment_features(cloud, np.concatenate(counts)), labels

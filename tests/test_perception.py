@@ -295,6 +295,32 @@ class TestFeaturesAndPose:
         assert np.array_equal(perception.extract_features(cluster),
                               perception.extract_features(cluster))
 
+    def test_one_point_and_empty_clusters(self):
+        pts = np.array([[0.1, -0.2, 0.3]])
+        feats = perception.extract_features(perception.Cluster(indices=[0], cloud=pts))
+        assert np.array_equal(feats, [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0])
+        with pytest.raises(DimensionMismatchError):
+            perception.extract_features(perception.Cluster(indices=[], cloud=pts))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_segment_features_match_per_cluster_features(self, seed):
+        # ragged segments of anisotropic blobs, with a one-point segment
+        rng = np.random.default_rng(seed)
+        counts = np.concatenate([rng.integers(2, 400, 7), [1], rng.integers(2, 50, 4)])
+        points = np.vstack([rng.normal(rng.uniform(-1, 1, 3), rng.uniform(0.001, 0.1, 3),
+                                       (n, 3)) for n in counts])
+        features = perception._segment_features(points, counts)
+        for row, segment in zip(features, np.split(points, np.cumsum(counts)[:-1])):
+            expected = [*(segment.max(axis=0) - segment.min(axis=0)), 0.0, 0.0, 0.0,
+                        float(segment.shape[0])]
+            if segment.shape[0] > 1:
+                centered = segment - segment.mean(axis=0)
+                cov = centered.T @ centered / (segment.shape[0] - 1)
+                expected[3:6] = np.sort(np.linalg.eigvalsh(cov))[::-1]
+            assert np.all(np.abs(row - expected) <= 1e-12 * np.abs(expected))
+            cluster = perception.Cluster(indices=np.arange(segment.shape[0]), cloud=segment)
+            assert np.array_equal(row, perception.extract_features(cluster))
+
     def test_pose_two_points(self):
         pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
         cluster = perception.Cluster(indices=np.array([0, 1]), cloud=pts)
@@ -325,6 +351,48 @@ class TestFeaturesAndPose:
         p0 = perception.estimate_pose(cluster)
         p1 = perception.estimate_pose(shifted)
         assert np.abs(p1.centroid - (p0.centroid + v)).max() < 1e-12
+
+
+def oracle_svm_train(features, labels, c, epochs, seed):
+    """The SVM training loop with the margins recomputed every epoch."""
+    x = np.asarray(features, dtype=float)
+    classes = tuple(sorted(set(labels), key=str))
+    y = np.where(np.asarray([lab == classes[1] for lab in labels]), 1.0, -1.0)
+    mean = x.mean(axis=0)
+    scale = x.std(axis=0)
+    scale = np.where(scale > 1e-12, scale, 1.0)
+    xs = (x - mean) / scale
+
+    def objective(w, b):
+        margins = y * (xs @ w + b)
+        return 0.5 * float(w @ w) + c * float(np.mean(np.maximum(0.0, 1.0 - margins)))
+
+    w = 1e-6 * np.random.default_rng(seed).standard_normal(x.shape[1])
+    b = 0.0
+    obj = objective(w, b)
+    history = [obj]
+    step = 1.0
+    for _ in range(epochs):
+        margins = y * (xs @ w + b)
+        violating = margins < 1.0
+        grad_w = w - c * (y[violating] @ xs[violating]) / x.shape[0]
+        grad_b = -c * float(np.sum(y[violating])) / x.shape[0]
+        accepted = False
+        trial = step
+        while trial > 1e-14:
+            w_new = w - trial * grad_w
+            b_new = b - trial * grad_b
+            obj_new = objective(w_new, b_new)
+            if obj_new < obj:
+                w, b, obj = w_new, b_new, obj_new
+                step = trial * 1.5
+                accepted = True
+                break
+            trial *= 0.5
+        history.append(obj)
+        if not accepted:
+            break
+    return w, b, np.asarray(history)
 
 
 class TestSvm:
@@ -362,6 +430,27 @@ class TestSvm:
         model = perception.svm_train(x, y, c=5.0, epochs=300, seed=2)
         assert np.all(np.isfinite(model.objective_history))
         assert np.all(np.diff(model.objective_history) <= 1e-12)
+
+    @pytest.mark.parametrize("task", synthetic.TASKS)
+    def test_bit_identical_to_per_epoch_margin_oracle(self, rng, task):
+        features, labels = synthetic.svm_training_fixture(task, seed=3)
+        cases = [(features, labels, 10.0, 200, 13), (*self.separable(rng, margin=0.1), 5.0, 300, 2)]
+        for x, y, c, epochs, seed in cases:
+            model = perception.svm_train(x, y, c=c, epochs=epochs, seed=seed)
+            w, b, history = oracle_svm_train(x, y, c, epochs, seed)
+            assert model.objective_history.tobytes() == history.tobytes()
+            assert model.weights.tobytes() == w.tobytes()
+            assert model.bias == b
+
+    def test_stacked_decision_matches_classify(self, rng):
+        x, y = self.separable(rng)
+        model = perception.svm_train(x, y, seed=4)
+        scores = perception.svm_decision(model, x)
+        assert scores.shape == (x.shape[0],)
+        for feature, score in zip(x, scores):
+            assert abs(score - perception.svm_classify(model, feature)[1]) < 1e-12
+        with pytest.raises(DimensionMismatchError):
+            perception.svm_decision(model, np.zeros((3, 5)))
 
     def test_single_class_rejected(self, rng):
         x = rng.standard_normal((10, 2))

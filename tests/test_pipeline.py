@@ -147,6 +147,16 @@ class TestRunTask:
             assert len(cluster["centroid"]) == 3
             assert len(cluster["extents"]) == 3
 
+    def test_perception_svm_diagnostics(self, tmp_path):
+        config = pipeline.default_config("ketchup")
+        config.out_dir = str(tmp_path / "run")
+        stage = pipeline.run_task(config).stage("perception")
+        svm = json.loads((tmp_path / "run" / "svm.json").read_text())
+        assert stage["svm_epochs"] == len(svm["objective_history"]) - 1
+        assert 1 <= stage["svm_epochs"] <= config.svm_epochs
+        assert stage["svm_objective"] == svm["objective_history"][-1]
+        assert stage["svm_train_accuracy"] == 1.0  # the fixture's classes separate
+
     def test_artifacts_written(self, tmp_path):
         config = pipeline.default_config("egg")
         config.out_dir = str(tmp_path / "run")
@@ -193,6 +203,8 @@ class TestFileIngestion:
         assert force_stage["settled"] and force_stage["all_stable"]
         labels = sorted(c["label"] for c in log.stage("perception")["clusters"])
         assert labels == ["egg", "tray"]
+        # a reused svm.json has no training set to score
+        assert log.stage("perception")["svm_train_accuracy"] is None
 
     def test_demo_dir_without_files_rejected(self, tmp_path):
         with pytest.raises(ConfigInvalidError):

@@ -118,11 +118,27 @@ class TestProjectReconstruct:
         again = synergy.reconstruct(basis, synergy.project(basis, posture))
         assert np.abs(again - posture).max() < 1e-9
 
+    def test_stacks_match_one_at_a_time_bit_for_bit(self, basis, rng):
+        postures = rng.standard_normal((4, 10, basis.joint_dim))
+        coords = synergy.project(basis, postures)
+        assert coords.shape == (4, 10, basis.synergy_dim)
+        joints = synergy.reconstruct(basis, coords)
+        assert joints.shape == postures.shape
+        for q, e, back in zip(postures.reshape(-1, basis.joint_dim),
+                              coords.reshape(-1, basis.synergy_dim),
+                              joints.reshape(-1, basis.joint_dim)):
+            assert synergy.project(basis, q).tobytes() == e.tobytes()
+            assert synergy.reconstruct(basis, e).tobytes() == back.tobytes()
+
     def test_dimension_mismatch(self, basis):
         with pytest.raises(DimensionMismatchError):
             synergy.project(basis, np.zeros(basis.joint_dim + 1))
         with pytest.raises(DimensionMismatchError):
+            synergy.project(basis, np.zeros((3, basis.joint_dim + 1)))
+        with pytest.raises(DimensionMismatchError):
             synergy.reconstruct(basis, np.zeros(basis.synergy_dim + 1))
+        with pytest.raises(DimensionMismatchError):
+            synergy.reconstruct(basis, np.zeros((3, basis.synergy_dim + 1)))
 
 
 class TestPersistence:
