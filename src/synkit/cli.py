@@ -17,18 +17,6 @@ from . import encoding, evaluation, kmp, perception, pipeline, synergy, syntheti
 from ._io import dump_json, write_csv
 from .errors import InvalidInputError, SynkitError, UsageError
 
-COMMANDS = (
-    "fit-synergies",
-    "encode",
-    "kmp-predict",
-    "segment",
-    "classify",
-    "benchmark-kernels",
-    "simulate",
-    "generate",
-)
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
@@ -203,12 +191,9 @@ def _cmd_benchmark(args):
     out = _out_dir(args)
     config = _load_config(args)
     reference, dense, actual, adaptations = benchmark_dataset(config)
-    specs = [
-        kmp.KernelSpec(kind="exponential", l=args.length_scale, sigma2=config.kernel_sigma2),
-        kmp.KernelSpec(kind="gaussian", l=args.length_scale, sigma2=config.kernel_sigma2),
-        kmp.KernelSpec(kind="cauchy", l=args.length_scale, sigma2=config.kernel_sigma2,
-                       alpha=args.alpha),
-    ]
+    specs = [kmp.KernelSpec(kind=kind, l=args.length_scale, sigma2=config.kernel_sigma2,
+                            alpha=args.alpha if kind == "cauchy" else None)
+             for kind in kmp.KERNEL_KINDS]
     report = evaluation.benchmark_kernels(
         reference, adaptations, specs, lam=args.lam, seed=config.seed,
         grid=dense, actual=actual, dataset_id=f"{config.task}-synthetic",
@@ -273,8 +258,8 @@ _DISPATCH = {
 def cli_dispatch(argv) -> int:
     argv = list(argv)
     parser = _build_parser()
-    if argv and argv[0] not in COMMANDS and not argv[0].startswith("-"):
-        nearest = difflib.get_close_matches(argv[0], COMMANDS, n=1)
+    if argv and argv[0] not in _DISPATCH and not argv[0].startswith("-"):
+        nearest = difflib.get_close_matches(argv[0], list(_DISPATCH), n=1)
         hint = f"; did you mean {nearest[0]!r}?" if nearest else ""
         print(f"error: unknown subcommand {argv[0]!r}{hint}", file=sys.stderr)
         return 1

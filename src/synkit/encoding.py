@@ -149,15 +149,6 @@ class ReferenceTrajectory(JsonRecord):
         write_csv(path, header, np.column_stack([self.times, self.means, flat_covs]))
 
 
-def normalize_times(times) -> np.ndarray:
-    """Rescale raw timestamps onto [0, 1]."""
-    times = np.asarray(times, dtype=float)
-    span = times[-1] - times[0]
-    if span <= 0.0:
-        raise NonMonotonicTimeError("demo duration must be positive")
-    return (times - times[0]) / span
-
-
 def interpolate_coefficients(demos, basis: SynergyBasis, grid) -> list[SynergyTrajectory]:
     """Project demos into synergy space and resample on a common grid.
 
@@ -180,7 +171,7 @@ def interpolate_coefficients(demos, basis: SynergyBasis, grid) -> list[SynergyTr
             raise NonMonotonicTimeError("demo times must strictly increase")
         if angles.shape != (times.shape[0], basis.joint_dim):
             raise DimensionMismatchError("demo angles must be (M, J)")
-        tn = normalize_times(times)
+        tn = (times - times[0]) / (times[-1] - times[0])
         coeffs = project(basis, angles)
         resampled = np.column_stack(
             [np.interp(grid, tn, coeffs[:, j]) for j in range(coeffs.shape[1])]

@@ -223,24 +223,18 @@ def kmp_predict_cov(model: KmpModel, times) -> np.ndarray:
     return (0.5 * (cov + cov.transpose(0, 2, 1))).reshape(np.shape(times) + (s, s))
 
 
-def default_via_radius(reference: ReferenceTrajectory) -> float:
-    """Half the reference grid spacing (0 for a single-point reference)."""
-    if len(reference) < 2:
-        return 0.0
-    return 0.5 * float(np.median(np.diff(reference.times)))
-
-
 def insert_via_point(reference: ReferenceTrajectory, via: ViaPoint,
                      radius: float | None = None) -> ReferenceTrajectory:
     """Write a via-point into the reference trajectory.
 
-    An existing point within ``radius`` of the via time is replaced;
+    An existing point within ``radius`` (by default half the median grid
+    spacing, 0 for a one-point reference) of the via time is replaced;
     otherwise the via-point is appended and the sequence re-sorted.
     """
     if via.desired_e.shape[0] != reference.synergy_dim:
         raise DimensionMismatchError("via-point dimension does not match reference")
     if radius is None:
-        radius = default_via_radius(reference)
+        radius = 0.5 * float(np.median(np.diff(reference.times))) if len(reference) > 1 else 0.0
     times = np.array(reference.times)
     means = np.array(reference.means)
     covs = np.array(reference.covariances)

@@ -42,8 +42,10 @@ __all__ = [
     "pose_to_synergy",
 ]
 
-# candidate pairs distance-tested per vectorized step; bounds clustering memory
-_PAIR_CHUNK = 8192
+# point pairs distance-tested per vectorized step; bounds clustering memory
+_PAIR_CHUNK = 4096
+# cells whose neighbours are looked up per vectorized step; bounds clustering memory
+_CELL_BLOCK = 4096
 # plane-to-point distances per vectorized RANSAC scoring step; bounds its memory
 _SCORE_BLOCK = 1 << 15
 # cloud rows formatted per write; bounds save_cloud's memory
@@ -164,8 +166,9 @@ def ransac_plane(cloud, iterations: int = 200, inlier_threshold: float = 0.005,
     plane with the most inliers (points within the threshold distance).
     Deterministic given the seed: the triples of all iterations come from
     one ``integers`` draw, and a triple that repeats an index is skipped
-    with the collinear ones. All sampled planes are scored in blocks; ties
-    go to the earliest sample.
+    with the collinear ones. Only when no drawn triple spans a plane are as
+    many triples of distinct indices drawn from the same generator. All
+    sampled planes are scored in blocks; ties go to the earliest sample.
     """
     if iterations < 1:
         raise InvalidInputError("iterations must be >= 1")
@@ -177,12 +180,18 @@ def ransac_plane(cloud, iterations: int = 200, inlier_threshold: float = 0.005,
     scale = max(float(np.max(np.abs(points))), 1.0)
     rng = np.random.default_rng(seed)
     n = points.shape[0]
-    triples = points[rng.integers(n, size=(iterations, 3))]
-    p1 = triples[:, 0]
-    cross = np.cross(triples[:, 1] - p1, triples[:, 2] - p1)
-    norm = np.linalg.norm(cross, axis=1)
-    candidates = np.flatnonzero(~(norm <= 1e-12 * scale * scale))  # skip collinear triples
-    if candidates.size == 0:
+    draw = rng.integers(n, size=(iterations, 3))
+    for _ in range(2):
+        triples = points[draw]
+        p1 = triples[:, 0]
+        cross = np.cross(triples[:, 1] - p1, triples[:, 2] - p1)
+        norm = np.linalg.norm(cross, axis=1)
+        candidates = np.flatnonzero(~(norm <= 1e-12 * scale * scale))  # skip collinear triples
+        if candidates.size:
+            break
+        # no drawn triple spans a plane: as many again of distinct indices
+        draw = np.array([rng.choice(n, 3, replace=False) for _ in range(iterations)])
+    else:
         raise DegenerateCloudError("no non-collinear triple found")
     normals = cross[candidates] / norm[candidates, None]
     offsets = -np.einsum("ij,ij->i", normals, p1[candidates])
@@ -210,25 +219,25 @@ def ransac_plane(cloud, iterations: int = 200, inlier_threshold: float = 0.005,
     return plane, inliers, outliers
 
 
-def _cell_codes(points, epsilon):
-    """Integer code of each point's grid cell (side epsilon), plus the code
-    offsets of the 13 neighbour cells that follow a cell in code order."""
-    cells = np.floor(points / epsilon)
+def _cell_codes(points, side):
+    """Integer code of each point's grid cell (side ``side``), plus the code
+    ranges ``k + low[r]`` to ``k + high[r]``, one per row ``r``, that hold the
+    62 cells within two steps along each axis that follow the cell coded k."""
+    cells = np.floor(points / side)
     codes = np.zeros(points.shape[0], dtype=np.int64)
     widths = []
     for axis in range(3):
         values, inverse = np.unique(cells[:, axis], return_inverse=True)
-        # adjacent cells stay one rank apart and all others two, so a width
-        # stays below 2n + 2 however far apart the points lie
-        rank = np.concatenate([[0], np.cumsum(np.where(np.diff(values) == 1.0, 1, 2))])
-        # a spare rank at each end: a neighbour past either end aliases no cell
-        widths.append(int(rank[-1]) + 2)
+        # cells up to two apart keep their distance and all others are three
+        # apart, so a width stays below 3n + 3 however far apart the points lie
+        rank = np.concatenate([[0], np.cumsum(np.minimum(np.diff(values), 3))]).astype(np.int64)
+        # two spare ranks past the end: a neighbour past either end aliases no cell
+        widths.append(int(rank[-1]) + 3)
         codes = codes * widths[-1] + rank[inverse]
     _, wy, wz = widths
-    offsets = [(dx * wy + dy) * wz + dz
-               for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)
-               if (dx, dy, dz) > (0, 0, 0)]
-    return codes, offsets
+    rows = np.array([(dx * wy + dy) * wz for dx in (0, 1, 2) for dy in (-2, -1, 0, 1, 2)
+                     if (dx, dy) > (0, 0)])
+    return codes, np.concatenate([[1], rows - 2]), np.concatenate([[2], rows + 2])
 
 
 def _roots(parent, nodes):
@@ -260,10 +269,12 @@ def euclidean_cluster(cloud, epsilon: float, min_points: int = 1) -> list[Cluste
 
     Components with fewer than ``min_points`` members are discarded; the
     surviving clusters come back ordered by descending size, ties broken by
-    smallest member index. Points are sorted by grid cell (side epsilon);
-    the candidate pairs within a cell and between neighbouring cells are
-    distance-tested in fixed-size vectorized chunks, except those between a
-    point and a neighbouring cell that is already wholly in its component.
+    smallest member index. Union-find runs over sub-cells of side just under
+    epsilon / sqrt(3), whose points are joined without a distance test. A
+    pair of sub-cells up to two steps apart is skipped or joined when the
+    bounding boxes of their points put every point pair beyond or within
+    epsilon, rounded as the test is; the other pairs, nearest first, are
+    distance-tested in fixed-size vectorized chunks until they are joined.
     """
     if epsilon <= 0.0:
         raise InvalidInputError("epsilon must be positive")
@@ -273,46 +284,65 @@ def euclidean_cluster(cloud, epsilon: float, min_points: int = 1) -> list[Cluste
     n = points.shape[0]
     if n == 0:
         return []
-    codes, offsets = _cell_codes(points, epsilon)
+    extent = float(np.ptp(points, axis=0).max())
+    if extent > 1e13 * epsilon:
+        raise InvalidInputError("epsilon is too small for the extent of the cloud")
+    # floor() may put a point a few ulps of the extent past its cell; the
+    # shrink keeps a sub-cell's diagonal within epsilon, rounding included
+    side = epsilon / np.sqrt(3.0) * (1.0 - 1e-9 - 2e-15 * extent / epsilon)
+    codes, low, high = _cell_codes(points - points.min(axis=0), side)
     order = np.argsort(codes, kind="stable")
-    codes = codes[order]
-    # the first sorted position of each cell, and the cell of each position
-    _, first, cell = np.unique(codes, return_index=True, return_inverse=True)
-    parent = np.arange(n)
+    xyz = points.T.take(order, axis=1)
+    cells, first, counts = np.unique(codes[order], return_index=True, return_counts=True)
+    lo, hi = np.minimum.reduceat(xyz, first, axis=1), np.maximum.reduceat(xyz, first, axis=1)
+    parent = np.arange(cells.size)
     eps2 = epsilon * epsilon
-    for offset in [0, *offsets]:
-        # the candidates of sorted point i sit at sorted positions lo[i] .. hi[i];
-        # numbered consecutively over all i, candidate k of i is at k + shift[i]
-        target = codes + offset
-        hi = np.searchsorted(codes, target, side="right")
-        if offset == 0:
-            lo = np.arange(1, n + 1)
-        else:
-            lo = np.searchsorted(codes, target, side="left")
-            # a point already joined to every point of its target cell gains
-            # nothing from testing them: drop its candidates
-            root = _roots(parent, order)
-            common = np.minimum.reduceat(root, first)
-            common[common != np.maximum.reduceat(root, first)] = -1
-            found = np.flatnonzero(lo < hi)
-            joined = found[common[cell[lo[found]]] == root[found]]
-            hi[joined] = lo[joined]
-        ends = np.cumsum(hi - lo)
-        shift = hi - ends
-        total = int(ends[-1])
-        for start in range(0, total, _PAIR_CHUNK):
-            pair = np.arange(start, min(start + _PAIR_CHUNK, total))
-            row = np.searchsorted(ends, pair, side="right")
-            a = order[row]
-            b = order[pair + shift[row]]
-            near = np.sum((points[a] - points[b]) ** 2, axis=1) <= eps2
-            _link(parent, a[near], b[near])
-    labels = _roots(parent, np.arange(n))
-    sizes = np.bincount(labels, minlength=n)
+    for block in range(0, cells.size, _CELL_BLOCK):
+        # each cell a of the block against its neighbouring cells b
+        own = cells[block:block + _CELL_BLOCK]
+        start = np.searchsorted(cells, (low[:, None] + own).ravel(), side="left")
+        found = np.searchsorted(cells, (high[:, None] + own).ravel(), side="right") - start
+        a = np.repeat(np.tile(np.arange(block, block + own.size), low.size), found)
+        b = np.arange(a.size) - np.repeat(np.cumsum(found) - found - start, found)
+        # the smallest and largest squared distances between the boxes of a and
+        # b, summed over the axes in the order the distance test sums them
+        gap2 = span2 = 0.0
+        for axis in range(3):
+            ab, ba = lo[axis, a] - hi[axis, b], lo[axis, b] - hi[axis, a]
+            gap2 = gap2 + np.maximum(np.maximum(ab, ba), 0.0) ** 2
+            span2 = span2 + np.minimum(ab, ba) ** 2
+        _link(parent, a[span2 <= eps2], b[span2 <= eps2])
+        test = np.flatnonzero((gap2 <= eps2) & (span2 > eps2))
+        test = test[np.argsort(span2[test], kind="stable")]  # nearest first
+        a, b = a[test], b[test]
+        while a.size:
+            split = _roots(parent, a) != _roots(parent, b)
+            a, b = a[split], b[split]
+            if not a.size:
+                break
+            # the point pairs of the leading cell pairs: one chunk, or one cell
+            # pair; numbered consecutively, pair k is of cell pair pair[k]
+            sizes = counts[a] * counts[b]
+            ends = np.cumsum(sizes)
+            take = max(1, int(np.searchsorted(ends, _PAIR_CHUNK, side="right")))
+            total = int(ends[take - 1])
+            for chunk in range(0, total, _PAIR_CHUNK):
+                k = np.arange(chunk, min(chunk + _PAIR_CHUNK, total))
+                pair = np.searchsorted(ends, k, side="right")
+                row, col = np.divmod(k - (ends - sizes)[pair], counts[b[pair]])
+                i, j = first[a[pair]] + row, first[b[pair]] + col
+                near = np.sum((xyz.take(i, axis=1) - xyz.take(j, axis=1)) ** 2, axis=0) <= eps2
+                joined = np.flatnonzero(np.bincount(pair[near], minlength=1))
+                _link(parent, a[joined], b[joined])
+            a, b = a[take:], b[take:]
+    labels = np.empty(n, dtype=np.int64)  # the root cell of each point's component
+    labels[order] = np.repeat(_roots(parent, np.arange(cells.size)), counts)
+    sizes = np.bincount(labels)
     members = np.argsort(labels, kind="stable")
     starts = np.cumsum(sizes) - sizes
     kept = np.flatnonzero(sizes >= min_points)
-    kept = kept[np.argsort(-sizes[kept], kind="stable")]
+    # descending size, then smallest member index: each component's first member
+    kept = kept[np.lexsort((members[starts[kept]], -sizes[kept]))]
     return [Cluster(indices=members[starts[r]:starts[r] + sizes[r]], cloud=points)
             for r in kept]
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import encoding, evaluation, force, kmp, perception, synergy, synthetic
 from ._io import JsonRecord, dump_json, write_csv
-from .errors import ConfigInvalidError, InvalidInputError, StageError, SynkitError
+from .errors import ConfigInvalidError, StageError, SynkitError
 
 __all__ = ["PipelineConfig", "TaskLog", "default_config", "run_task", "build_reference",
            "save_learning"]
@@ -319,8 +319,6 @@ def _run_force_loop(config: PipelineConfig, basis, grasp_model):
     the loop runs on the scalar ``d`` of ``delta_e = d v``; the realized
     forces ``F_w + d F_v`` and their flags are formed for all steps at once.
     """
-    if config.force_gain <= 0.0:
-        raise InvalidInputError("gain must be positive")
     lo, hi = config.force_band()
     target_final = 0.5 * (lo + hi)
     mu = config.mu()

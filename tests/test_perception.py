@@ -160,6 +160,19 @@ class TestRansac:
         line = np.column_stack([t, 2.0 * t, -t])
         with pytest.raises(DegenerateCloudError):
             perception.ransac_plane(line, iterations=50, seed=1)
+        for seed in range(10):
+            with pytest.raises(DegenerateCloudError):
+                perception.ransac_plane(line[:3], iterations=1, seed=seed)
+
+    def test_few_point_cloud_draws_distinct_triples_when_none_is_valid(self):
+        # one triple from three points repeats an index for 71 of these seeds;
+        # then a triple of distinct indices is drawn, which spans the plane
+        cloud = np.array([[0.0, 0.0, 0.1], [1.0, 0.0, 0.2], [0.0, 1.0, 0.3]])
+        for seed in range(100):
+            plane, inliers, outliers = perception.ransac_plane(
+                cloud, iterations=1, inlier_threshold=1e-9, seed=seed)
+            assert np.array_equal(inliers, [0, 1, 2]) and outliers.size == 0
+            assert np.allclose(plane.distances(cloud), 0.0, atol=1e-12)
 
     @pytest.mark.parametrize("kwargs, name", [
         ({"iterations": 0}, "iterations"),
@@ -245,17 +258,71 @@ class TestClustering:
         cloud = rng.uniform(0.0, 0.3, size=(400, 3))
         eps = 0.04
         clusters = perception.euclidean_cluster(cloud, epsilon=eps, min_points=3)
+        assert len(clusters) > 1
         seen = set()
         for c in clusters:
             ids = set(c.indices.tolist())
             assert not (ids & seen)
             seen |= ids
-            # chain connectivity within the cluster
-            assert frozenset(c.indices.tolist()) in oracle_components(c.points, eps) or len(c) == len(
-                oracle_components(c.points, eps).pop())
+            # the cluster's own points form one component
+            assert oracle_components(c.points, eps) == {frozenset(range(len(c)))}
+        # no point of one cluster within epsilon of a point of another
+        for k, c in enumerate(clusters):
+            for other in clusters[k + 1:]:
+                gaps = np.linalg.norm(c.points[:, None, :] - other.points[None, :, :], axis=2)
+                assert gaps.min() > eps
         # ordering: descending size, then smallest member index
-        sizes = [len(c) for c in clusters]
-        assert sizes == sorted(sizes, reverse=True)
+        keys = [(-len(c), int(c.indices.min())) for c in clusters]
+        assert keys == sorted(keys)
+        assert len(set(len(c) for c in clusters)) < len(clusters)  # some sizes tie
+
+    def test_sub_cell_boundaries_match_oracle(self, rng):
+        side = 1.0 / np.sqrt(3.0)  # the sub-cell side for epsilon 1, up to its shrink
+        cases = []
+        # points on sub-cell faces: a lattice of step epsilon / sqrt(3), thinned,
+        # whose diagonal neighbours lie epsilon apart up to rounding
+        lattice = np.stack(np.meshgrid(*[np.arange(6)] * 3, indexing="ij"), -1).reshape(-1, 3)
+        cases.append(side * lattice[rng.random(lattice.shape[0]) < 0.4])
+        # pairs exactly epsilon apart in exact binary coordinates, next to pairs
+        # one ulp over it: the first are joined, the second are not; the last
+        # two sub-cells hold two points each, and only one pair is within epsilon
+        cases.append(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0],
+                               [1.0, 1.0, 1.0], [4.0, 0.0, 0.0], [np.nextafter(5.0, 6.0), 0.0, 0.0],
+                               [0.25, 4.0, 0.5], [0.25, 4.0, 1.5], [0.25, 5.0, 1.5],
+                               [0.25, np.nextafter(6.0, 7.0), 1.5], [0.0, 0.0, 3.0],
+                               [0.0, 0.25, 3.0], [1.0, 0.0, 3.0], [1.0, 0.5, 3.0]]))
+        # a point at the far corner of a sub-cell and one just inside the sub-cell
+        # two further along one, two or three axes: closer than epsilon along one
+        # or two, just farther along three (the grid starts at the origin point,
+        # whose diagonal neighbour lies just over epsilon from it)
+        near, far = side * (1.0 - 1e-6), 2.0 * side * (1.0 + 1e-7)
+        pairs = [[0.0, 0.0, 0.0], [side * (1.0 + 1e-6)] * 3]
+        for k, step in enumerate([(1, 0, 0), (1, 1, 0), (1, 1, 1), (0, 1, 1), (0, 0, 1)]):
+            corner = np.array([8.0 * (k + 1) * side + near, near, near])
+            pairs += [corner, corner + np.multiply(step, far - near)]
+        cases.append(np.array(pairs))
+        # random pairs just under and just over epsilon apart, in all directions
+        start = rng.uniform(0.0, 3.0, size=(150, 3))
+        toward = rng.standard_normal((150, 3))
+        toward /= np.linalg.norm(toward, axis=1, keepdims=True)
+        length = np.where(np.arange(150) % 2 == 0, 1.0 - 1e-7, 1.0 + 1e-7)
+        cases.append(np.vstack([start, start + length[:, None] * toward]))
+        # a cloud 1000 m from the origin, whose coordinates resolve only 1e-13 m
+        cases.append(1000.0 + rng.uniform(0.0, 4.0, size=(400, 3)))
+        for cloud in cases:
+            clusters = perception.euclidean_cluster(cloud, epsilon=1.0, min_points=1)
+            got = {frozenset(c.indices.tolist()) for c in clusters}
+            assert got == oracle_components(cloud, 1.0)
+        # the x2-density dense egg objects, shifted 1000 m
+        cloud = 1000.0 + dense_egg_objects(rng)
+        clusters = perception.euclidean_cluster(cloud, epsilon=0.02, min_points=1)
+        got = {frozenset(c.indices.tolist()) for c in clusters}
+        assert got == oracle_components(cloud, 0.02)
+
+    def test_epsilon_below_the_cloud_resolution_rejected(self):
+        cloud = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        with pytest.raises(InvalidInputError, match="epsilon"):
+            perception.euclidean_cluster(cloud, epsilon=1e-14)
 
     def test_discarded_points_belong_to_small_components(self, rng):
         cloud = np.vstack([
