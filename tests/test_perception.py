@@ -279,10 +279,10 @@ class TestClustering:
     def test_sub_cell_boundaries_match_oracle(self, rng):
         side = 1.0 / np.sqrt(3.0)  # the sub-cell side for epsilon 1, up to its shrink
         cases = []
-        # points on sub-cell faces: a lattice of step epsilon / sqrt(3), thinned,
-        # whose diagonal neighbours lie epsilon apart up to rounding
+        # points just inside sub-cell faces: a thinned lattice of step just under
+        # epsilon / sqrt(3), whose diagonal neighbours lie just within epsilon
         lattice = np.stack(np.meshgrid(*[np.arange(6)] * 3, indexing="ij"), -1).reshape(-1, 3)
-        cases.append(side * lattice[rng.random(lattice.shape[0]) < 0.4])
+        cases.append(side * (1.0 - 1e-7) * lattice[rng.random(lattice.shape[0]) < 0.4])
         # pairs exactly epsilon apart in exact binary coordinates, next to pairs
         # one ulp over it: the first are joined, the second are not; the last
         # two sub-cells hold two points each, and only one pair is within epsilon
