@@ -1,14 +1,18 @@
 """The one JSON and CSV format shared by every synkit artifact.
 
-JSON is sorted-key, two-space-indented text with a trailing newline. CSV is
-one header line, then one row per record with every cell written as
-``repr(float(cell))``, so a float reads back exactly. Text inputs (clouds,
-postures) are read line by line through ``text_lines``.
+JSON is sorted-key, two-space-indented text with a trailing newline: one
+writer gives exactly the bytes of the stdlib's ``json.dumps(payload,
+sort_keys=True, indent=2)``, but formats all of an artifact's scalars in one
+call to the stdlib's C encoder. CSV is one header line, then one row per
+record with every cell written as ``repr(float(cell))``, so a float reads
+back exactly. Text inputs (clouds, postures) are read line by line through
+``text_lines``.
 """
 from __future__ import annotations
 
 import dataclasses
 import json
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -16,12 +20,87 @@ import numpy as np
 from .errors import InvalidInputError, SynkitError
 
 
+# With indent None this is the C encoder; no scalar it encodes holds a raw "\n".
+_ENCODE = json.JSONEncoder(separators=("\n", ": ")).encode
+_KEY = json.encoder.encode_basestring_ascii
+_LEAF = "%s"  # a scalar's place: the static text is a %-format, so keys double "%"
+_NESTED = (dict, list, tuple)
+
+
 def dump_json(payload, path=None) -> str:
-    """Canonical JSON text of ``payload``, also written to ``path`` when given."""
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """Canonical JSON text of ``payload``, also written to ``path`` when given.
+
+    The text is ``json.dumps(payload, sort_keys=True, indent=2) + "\\n"``.
+    Keys must be ``str``; a value the stdlib cannot encode raises TypeError.
+    """
+    parts, leaves = [], []
+    _walk(payload, "\n", parts, leaves)
+    parts.append("\n")
+    tokens = tuple(_ENCODE(leaves)[1:-1].split("\n")) if leaves else ()
+    text = "".join(parts) % tokens
     if path is not None:
         Path(path).write_text(text)
     return text
+
+
+def _walk(value, nl, parts, leaves):
+    """Append the text of ``value`` to ``parts``, with a _LEAF for each scalar,
+    and the scalars to ``leaves``; ``nl`` starts the line of its closing bracket.
+    """
+    if not isinstance(value, _NESTED):
+        parts.append(_LEAF)
+        leaves.append(value)
+        return
+    inner = nl + "  "
+    if not value:
+        parts.append("{}" if isinstance(value, dict) else "[]")
+    elif isinstance(value, dict):
+        sep = "{" + inner
+        for key in sorted(value):
+            parts.append(sep + _KEY(key).replace("%", "%%") + ": ")
+            _walk(value[key], inner, parts, leaves)
+            sep = "," + inner
+        parts.append(nl + "}")
+    elif (columns := _columns(value)) is not None:
+        item = []
+        _walk(value[0], inner, item, [])
+        item = "".join(item)
+        parts.append("[" + inner + item + ("," + inner + item) * (len(value) - 1) + nl + "]")
+        leaves.extend(chain.from_iterable(zip(*columns)))
+    else:
+        sep = "[" + inner
+        for item in value:
+            parts.append(sep)
+            _walk(item, inner, parts, leaves)
+            sep = "," + inner
+        parts.append(nl + "]")
+
+
+def _columns(items):
+    """The leaf columns of a list whose items all have one shape, else None.
+
+    Items have one shape when they are all scalars, all lists of one length
+    whose elements all have one shape, or all dicts with one key set whose
+    values under each key have one shape. Such items share their static
+    text. Column j holds every item's j-th leaf.
+    """
+    types = set(map(type, items))
+    if not any(issubclass(t, _NESTED) for t in types):
+        return [items]
+    if (all(issubclass(t, (list, tuple)) for t in types)
+            and len(lengths := set(map(len, items))) == 1):
+        step = lengths.pop()
+        columns = _columns(list(chain.from_iterable(items)))
+        return None if columns is None else [c[j::step] for j in range(step) for c in columns]
+    if not (all(issubclass(t, dict) for t in types)
+            and all(map(items[0].keys().__eq__, map(dict.keys, items)))):
+        return None
+    columns = []
+    for key in sorted(items[0]):
+        if (key_columns := _columns([item[key] for item in items])) is None:
+            return None
+        columns += key_columns
+    return columns
 
 
 class JsonRecord:

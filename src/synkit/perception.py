@@ -267,9 +267,11 @@ def _link(parent, a, b):
 def euclidean_cluster(cloud, epsilon: float, min_points: int = 1) -> list[Cluster]:
     """Group points into connected components of the <= epsilon graph.
 
-    Components with fewer than ``min_points`` members are discarded; the
-    surviving clusters come back ordered by descending size, ties broken by
-    smallest member index. Union-find runs over sub-cells of side just under
+    Two points are linked when their squared coordinate differences, summed
+    x + y + z in double precision, are <= ``epsilon**2``. Components with
+    fewer than ``min_points`` members are discarded; the surviving clusters
+    come back ordered by descending size, ties broken by smallest member
+    index. Union-find runs over sub-cells of side just under
     epsilon / sqrt(3), whose points are joined without a distance test. A
     pair of sub-cells up to two steps apart is skipped or joined when the
     bounding boxes of their points put every point pair beyond or within

@@ -10,7 +10,6 @@ randomness flows through seeds carried by the configuration.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import typing
 from contextlib import contextmanager
@@ -85,11 +84,8 @@ class PipelineConfig(JsonRecord):
         None; every number must be positive unless ``_MINIMUM`` gives its
         least allowed value.
         """
-        hints = typing.get_type_hints(type(self))
-        for f in dataclasses.fields(self):
-            name, value = f.name, getattr(self, f.name)
-            kinds = typing.get_args(hints[name]) or (hints[name],)
-            kind = kinds[0]
+        for name, kinds in _KINDS.items():
+            value, kind = getattr(self, name), kinds[0]
             if value is None and type(None) in kinds:
                 continue
             accepted = (int, float) if kind is float else kind
@@ -136,6 +132,9 @@ class PipelineConfig(JsonRecord):
         return self.force_mu if self.force_mu is not None else self.scenario()["mu"]
 
 
+# Each field's accepted types, first the one it is written as; None last.
+_KINDS = {name: typing.get_args(hint) or (hint,)
+          for name, hint in typing.get_type_hints(PipelineConfig).items()}
 # Least allowed values of the numeric fields that may be zero or must exceed
 # one; every other number must be positive.
 _MINIMUM = {"seed": 0, "gmm_seed": 0, "ransac_seed": 0, "svm_seed": 0,
@@ -383,7 +382,7 @@ def run_task(config: PipelineConfig) -> TaskLog:
     out_dir = Path(config.out_dir) if config.out_dir is not None else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-    log = TaskLog(task=config.task, config=json.loads(config.to_json()))
+    log = TaskLog(task=config.task, config=dataclasses.asdict(config))
 
     with _stage("synergy"):
         demos, truth, basis, gmm_model, reference = build_reference(config)

@@ -14,7 +14,11 @@ from synkit.errors import (
 
 
 def oracle_components(points, epsilon):
-    """Brute-force connected components of the <= epsilon graph (BFS)."""
+    """Brute-force connected components of the <= epsilon graph (BFS).
+
+    Two points are linked when their squared coordinate differences, summed
+    x + y + z, are <= epsilon**2, the predicate ``euclidean_cluster`` states.
+    """
     n = points.shape[0]
     seen = [False] * n
     comps = []
@@ -27,8 +31,9 @@ def oracle_components(points, epsilon):
         while queue:
             i = queue.pop()
             comp.append(i)
-            d = np.linalg.norm(points - points[i], axis=1)
-            for j in np.flatnonzero((d <= epsilon) & ~np.asarray(seen)):
+            diff2 = (points - points[i]) ** 2
+            d2 = diff2[:, 0] + diff2[:, 1] + diff2[:, 2]
+            for j in np.flatnonzero((d2 <= epsilon ** 2) & ~np.asarray(seen)):
                 seen[j] = True
                 queue.append(int(j))
         comps.append(frozenset(comp))
@@ -301,6 +306,11 @@ class TestClustering:
             corner = np.array([8.0 * (k + 1) * side + near, near, near])
             pairs += [corner, corner + np.multiply(step, far - near)]
         cases.append(np.array(pairs))
+        # (x, x, x) with x = 1/sqrt(3) as a double: its squared length sums to one
+        # ulp over epsilon**2 although its norm rounds to exactly epsilon
+        x = 1.0 / np.sqrt(3.0)
+        assert x * x + x * x + x * x > 1.0 and np.linalg.norm([x, x, x]) == 1.0
+        cases.append(np.array([[0.0, 0.0, 0.0], [x, x, x]]))
         # random pairs just under and just over epsilon apart, in all directions
         start = rng.uniform(0.0, 3.0, size=(150, 3))
         toward = rng.standard_normal((150, 3))
