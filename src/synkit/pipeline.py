@@ -132,7 +132,8 @@ class PipelineConfig(JsonRecord):
         return self.force_mu if self.force_mu is not None else self.scenario()["mu"]
 
 
-# Each field's accepted types, first the one it is written as; None last.
+# Each field's types from its annotation, its own type first: float | None
+# gives (float, NoneType). Computed once; validate runs on every request.
 _KINDS = {name: typing.get_args(hint) or (hint,)
           for name, hint in typing.get_type_hints(PipelineConfig).items()}
 # Least allowed values of the numeric fields that may be zero or must exceed
