@@ -94,7 +94,8 @@ def _build_parser():
 
 def _load_config(args, **overrides):
     """The --config file (or the task default) with the flags applied, validated once."""
-    config = (pipeline.PipelineConfig.from_json(args.config) if args.config is not None
+    path = getattr(args, "config", None)  # generate takes no --config
+    config = (pipeline.PipelineConfig.from_json(path) if path is not None
               else pipeline.default_config())
     if args.task is not None:
         overrides["task"] = args.task
@@ -215,9 +216,9 @@ def _cmd_simulate(args):
 
 
 def _cmd_generate(args):
+    config = _load_config(args, demo_count=args.count, demo_noise=args.noise)
     out = _out_dir(args)
-    task = args.task or "egg"
-    seed = args.seed if args.seed is not None else 7
+    task, seed = config.task, config.seed
     if args.what == "demos":
         demos, truth = synthetic.generate_synthetic_demos(
             task, count=args.count, noise=args.noise, seed=seed)

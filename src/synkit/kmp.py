@@ -103,7 +103,9 @@ def build_kernel_matrix(spec: KernelSpec, times, dim: int = 1) -> np.ndarray:
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise DimensionMismatchError("times must be a nonempty 1-D array")
-    k = kernel_eval(spec, times[:, None], times[None, :])
+    # an l**2 that underflows to 0 gives 0/0 here, which _require_conditioned reports
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = kernel_eval(spec, times[:, None], times[None, :])
     return np.kron(k, np.eye(dim))
 
 
@@ -162,11 +164,30 @@ def _symmetric_cond(a) -> float:
     return np.inf if w.min() == 0.0 else float(w.max() / w.min())
 
 
+def _require_conditioned(a, floor, spec: KernelSpec, system: str):
+    """SingularSystemError if cond(a) > 1e12, InvalidInputError if ``a`` is not finite.
+
+    ``a`` is a PSD kernel matrix plus a term whose least eigenvalue is at least
+    ``floor``, so cond(a) <= ||a||_inf / floor. A bound within COND_LIMIT / 4
+    (the margin covers eigvalsh's backward error) clears ``a`` unfactored;
+    otherwise its eigenvalues decide.
+    """
+    if not np.isfinite(a).all():
+        raise InvalidInputError(
+            f"{spec.kind} kernel matrix is not finite at length scale l={spec.l!r}")
+    if np.abs(a).sum(axis=1).max() <= floor * (COND_LIMIT / 4):
+        return
+    if _symmetric_cond(a) > COND_LIMIT:
+        raise SingularSystemError(f"{system} condition estimate exceeds 1e12")
+
+
 def kmp_fit(reference: ReferenceTrajectory, spec: KernelSpec, lam: float = 1.0) -> KmpModel:
     """Solve the mean regression system once for all output dimensions.
 
     Raises SingularSystemError when (K + lambda I) is conditioned beyond
     1e12; its spectrum is that of the block system (K + lambda I) kron I_S.
+    K is PSD, so cond <= ||K + lambda I||_inf / lambda; when that bound is at
+    most 2.5e11 no eigendecomposition runs, else the eigenvalues decide.
     The system is solved by factorization, never explicit inversion.
     """
     if not 0.0 < lam < np.inf:
@@ -174,8 +195,7 @@ def kmp_fit(reference: ReferenceTrajectory, spec: KernelSpec, lam: float = 1.0) 
     if len(reference) == 0:
         raise DimensionMismatchError("reference trajectory is empty")
     a_mean = build_kernel_matrix(spec, reference.times) + lam * np.eye(len(reference))
-    if _symmetric_cond(a_mean) > COND_LIMIT:
-        raise SingularSystemError("(K + lambda I) condition estimate exceeds 1e12")
+    _require_conditioned(a_mean, lam, spec, "(K + lambda I)")
     mean_factor = np.linalg.solve(a_mean, reference.means)
     return KmpModel(kernel=spec, lam=lam, reference=reference, mean_factor=mean_factor)
 
@@ -201,7 +221,10 @@ def kmp_predict_cov(model: KmpModel, times) -> np.ndarray:
     Solves (K kron I_S + lambda Sigma), with Sigma the block diagonal of
     reference covariances, against the stacked kernel rows of each block of
     query times. Raises SingularSystemError when that system is conditioned
-    beyond 1e12.
+    beyond 1e12: its least eigenvalue is at least lambda times the least
+    eigenvalue of the reference covariances, which bounds the condition
+    number by the system's row sums; only when that bound exceeds 2.5e11
+    does the exact eigenvalue test run.
     """
     ref = model.reference
     n, s = len(ref), ref.synergy_dim
@@ -209,8 +232,8 @@ def kmp_predict_cov(model: KmpModel, times) -> np.ndarray:
     diagonal = np.arange(n)
     # the fresh kron result is contiguous, so this reshape is a writable view
     a_cov.reshape(n, s, n, s)[diagonal, :, diagonal, :] += model.lam * ref.covariances
-    if _symmetric_cond(a_cov) > COND_LIMIT:
-        raise SingularSystemError("(K + lambda Sigma) condition estimate exceeds 1e12")
+    _require_conditioned(a_cov, model.lam * np.linalg.eigvalsh(ref.covariances).min(),
+                         model.kernel, "(K + lambda Sigma)")
     flat = np.asarray(times, dtype=float).reshape(-1)
     quad = np.empty((flat.size, s, s))
     for start in range(0, flat.size, _QUERY_BLOCK):

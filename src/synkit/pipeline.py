@@ -107,6 +107,11 @@ class PipelineConfig(JsonRecord):
         band = (self.force_target_low, self.force_target_high)
         if None not in band and band[0] >= band[1]:
             raise ConfigInvalidError("force target band must satisfy low < high")
+        a = self.force_dt / self.force_lag  # Jury's test on the force loop's 2x2 recurrence
+        if not (0.0 < a < 2.0 and self.force_gain * a < 2.0 * (2.0 - a)):
+            raise ConfigInvalidError(
+                "force loop is unstable: need 0 < a = force_dt / force_lag < 2 and "
+                f"force_gain * a < 2 (2 - a), got a = {a!r}, force_gain = {self.force_gain!r}")
         for path_name in ("demos_path", "scene_path", "models_dir"):
             path = getattr(self, path_name)
             if path is not None and not Path(path).exists():

@@ -174,6 +174,44 @@ class TestInvalidInput:
         assert err.startswith("error:") and field in err
 
 
+# Hostile input that once escaped as a traceback, as a silent exit 0 or as
+# a numpy message: each row is argv ({config} is a file holding the JSON in
+# the row's second field), then the text the one error line must name.
+CONTRACT_CASES = [
+    (("benchmark-kernels", "--length-scale", "1e-300"), None, "l=1e-300"),
+    (("kmp-predict", "--reference", "{reference}", "--length-scale", "1e-300"), None,
+     "l=1e-300"),
+    (("simulate", "--config", "{config}"), {"kernel_l": 1e-300}, "l=1e-300"),
+    (("simulate", "--config", "{config}"), {"force_gain": 100}, "force_gain"),
+    (("simulate", "--config", "{config}"), {"force_gain": 1e6}, "force_gain"),
+    (("simulate", "--config", "{config}"), {"force_lag": 1e-300}, "force_lag"),
+    (("simulate", "--config", "{config}"), {"force_dt": 1e300}, "force_dt"),
+    (("generate", "demos", "--seed", "-1"), None, "seed"),
+    (("generate", "scene", "--seed", "-1"), None, "seed"),
+    (("generate", "demos", "--noise", "nan"), None, "demo_noise"),
+    (("generate", "demos", "--noise", "-1"), None, "demo_noise"),
+    (("generate", "demos", "--count", "1"), None, "demo_count"),
+    (("encode", "--noise", "-1"), None, "demo_noise"),
+]
+
+
+@pytest.mark.filterwarnings("error")  # a numpy warning would print beside the line
+@pytest.mark.parametrize("argv,config,named", CONTRACT_CASES,
+                         ids=[f"{' '.join(a)}-{c}" for a, c, _ in CONTRACT_CASES])
+def test_hostile_input_exits_2_with_one_error_line(argv, config, named, tmp_path, capsys):
+    reference = tmp_path / "reference.json"
+    grid = np.linspace(0.0, 1.0, 5)
+    encoding.ReferenceTrajectory(times=grid, means=np.zeros((5, 2)),
+                                 covariances=np.tile(np.eye(2), (5, 1, 1))).to_json(reference)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    argv = [a.format(reference=reference, config=config_path) for a in argv]
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert err.startswith("error:") and named in err and err.count("\n") == 1
+    assert "Traceback" not in out + err
+
+
 class TestGenerate:
     def test_demos_artifacts(self, tmp_path, capsys):
         out = tmp_path / "demos"

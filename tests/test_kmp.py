@@ -437,3 +437,74 @@ def test_symmetric_cond_matches_numpy_cond(kind, n):
             for a in (kmp.build_kernel_matrix(spec, times) + lam * np.eye(n),
                       kmp.build_kernel_matrix(spec, times, s) + lam * sigma):
                 assert kmp._symmetric_cond(a) == pytest.approx(np.linalg.cond(a), rel=1e-6)
+
+
+@pytest.mark.parametrize("n", [2, 25, 26, 100, 200])
+def test_row_sum_bound_never_skips_an_ill_conditioned_system(n, monkeypatch):
+    """Seeded sweep over kinds, l, lambda and sigma2, half with repeated times.
+
+    Whenever ``_require_conditioned`` returns without the eigenvalue test,
+    the dense test would also have passed; where it runs, it decides.
+    Both systems: K + lambda I and K kron I_S + lambda Sigma.
+    """
+    dense_cond = kmp._symmetric_cond
+    dense_calls = []
+    monkeypatch.setattr(kmp, "_symmetric_cond",
+                        lambda a: dense_calls.append(a) or dense_cond(a))
+    rng = np.random.default_rng(n)
+    s = 2
+    skipped = raised = 0
+    for kind in kmp.KERNEL_KINDS:
+        for trial in range(8):
+            l, lam, sigma2 = 10.0 ** rng.uniform([-3.0, -14.0, -2.0], [np.log10(3.0), 1.0, 2.0])
+            spec = kmp.KernelSpec(kind=kind, l=l, sigma2=sigma2,
+                                  alpha=1.0 if kind == "cauchy" else None)
+            times = np.sort(rng.uniform(0.0, 1.0, n))
+            if trial % 2:
+                times = np.sort(np.repeat(times[: (n + 1) // 2], 2)[:n])
+            factors = rng.standard_normal((n, s, s))
+            covs = factors @ factors.transpose(0, 2, 1) + 10.0 ** rng.uniform(-6, 0) * np.eye(s)
+            sigma = np.zeros((n * s, n * s))
+            for i, c in enumerate(covs):
+                sigma[i * s:(i + 1) * s, i * s:(i + 1) * s] = c
+            for a, floor in (
+                    (kmp.build_kernel_matrix(spec, times) + lam * np.eye(n), lam),
+                    (kmp.build_kernel_matrix(spec, times, s) + lam * sigma,
+                     lam * np.linalg.eigvalsh(covs).min())):
+                singular = dense_cond(a) > kmp.COND_LIMIT
+                calls = len(dense_calls)
+                try:
+                    kmp._require_conditioned(a, floor, spec, "system")
+                except SingularSystemError:
+                    assert singular
+                    raised += 1
+                else:
+                    assert not singular
+                skipped += len(dense_calls) == calls
+                assert not (singular and len(dense_calls) == calls)
+    assert skipped and raised  # the sweep reaches both sides of the bound
+
+
+def test_fit_on_a_well_conditioned_reference_runs_no_eigendecomposition(monkeypatch):
+    n = 200
+    rng = np.random.default_rng(5)
+    ref = make_reference(np.linspace(0.0, 1.0, n), rng.standard_normal((n, 2)))
+    real_eigvalsh = np.linalg.eigvalsh
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda *args, **kwargs: calls.append(1) or real_eigvalsh(*args, **kwargs))
+    for spec in ALL_SPECS:
+        model = kmp.kmp_fit(ref, spec, lam=1.0)
+        expected = np.linalg.solve(kmp.build_kernel_matrix(spec, ref.times) + np.eye(n),
+                                   ref.means)
+        assert np.array_equal(model.mean_factor, expected)
+    assert calls == []
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "cauchy"])
+def test_underflowing_length_scale_is_invalid_input(kind):
+    ref = make_reference(np.linspace(0.0, 1.0, 5), np.zeros((5, 2)))
+    spec = kmp.KernelSpec(kind=kind, l=1e-300, sigma2=1.0,
+                          alpha=1.0 if kind == "cauchy" else None)
+    with pytest.raises(InvalidInputError, match=rf"{kind} kernel.*l=1e-300"):
+        kmp.kmp_fit(ref, spec, lam=1.0)

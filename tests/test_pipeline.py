@@ -40,6 +40,22 @@ class TestConfig:
         with pytest.raises(ConfigInvalidError):
             config.validate()
 
+    def test_force_loop_rule_is_the_recurrence_spectral_radius_below_one(self):
+        # the loop in (d, measured), with the grasp model's unit grip gain
+        rng = np.random.default_rng(3)
+        verdicts = set()
+        for gain, dt, lag in 10.0 ** rng.uniform([-2, -3, -3], [2, 0, 0], (300, 3)):
+            a = dt / lag
+            radius = np.abs(np.linalg.eigvals([[1.0, -gain], [a, 1.0 - a - gain * a]])).max()
+            config = pipeline.PipelineConfig(force_gain=gain, force_dt=dt, force_lag=lag)
+            if radius < 1.0 - 1e-9:
+                config.validate()
+            elif radius > 1.0 + 1e-9:
+                with pytest.raises(ConfigInvalidError, match="force_gain"):
+                    config.validate()
+            verdicts.add(radius < 1.0)
+        assert verdicts == {True, False}
+
     def test_missing_paths_rejected(self):
         config = pipeline.default_config("egg")
         config.demos_path = "/nonexistent/demos.csv"
