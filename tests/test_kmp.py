@@ -450,7 +450,7 @@ def test_row_sum_bound_never_skips_an_ill_conditioned_system(n, monkeypatch):
     dense_cond = kmp._symmetric_cond
     dense_calls = []
     monkeypatch.setattr(kmp, "_symmetric_cond",
-                        lambda a: dense_calls.append(a) or dense_cond(a))
+                        lambda a: dense_calls.append(1) or dense_cond(a))
     rng = np.random.default_rng(n)
     s = 2
     skipped = raised = 0
