@@ -171,6 +171,7 @@ def _cmd_segment(args):
 def benchmark_dataset(config: pipeline.PipelineConfig):
     """Reference, dense actual, and three object-instance adaptations."""
     _, _, basis, model, reference = pipeline.build_reference(config)
+    config.check_basis(basis)
     dense = np.linspace(0.0, 1.0, config.dense_points)
     actual = encoding.generate_reference(model, dense)
     scenario = config.scenario()

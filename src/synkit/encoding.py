@@ -412,21 +412,15 @@ def gmr_condition(model: GmmModel, t):
     # (Q, C, S): every component's conditional mean at every time
     cond_means = model.means[:, 1:] + (t.reshape(q, 1, 1) - model.means[:, :1]) * gain
     cond_covs = model.covariances[:, 1:, 1:] - gain[:, :, None] * model.covariances[:, None, 0, 1:]
-    h = gmr_responsibilities(model, t).reshape(q, n)
+    # (Q, C): responsibilities of every time under the marginal time densities
+    _, h = _posterior(t.reshape(q, 1), model.priors, model.means[:, :1],
+                      _factor(model.covariances[:, :1, :1]))
     mean = (h[:, None, :] @ cond_means)[:, 0, :]
     dm = cond_means - mean[:, None, :]
     cov = (h @ cond_covs.reshape(n, s * s)).reshape(q, s, s)
     cov += np.swapaxes(dm * h[:, :, None], 1, 2) @ dm
     cov = 0.5 * (cov + np.swapaxes(cov, 1, 2))
     return mean.reshape(t.shape + (s,)), cov.reshape(t.shape + (s, s))
-
-
-def gmr_responsibilities(model: GmmModel, t) -> np.ndarray:
-    """Normalized component responsibilities: (C,) for one time, (Q, C) for a grid."""
-    t = np.asarray(t, dtype=float)
-    _, h = _posterior(t.reshape(-1, 1), model.priors, model.means[:, :1],
-                      _factor(model.covariances[:, :1, :1]))
-    return h.reshape(t.shape + (model.n_components,))
 
 
 def generate_reference(model: GmmModel, grid) -> ReferenceTrajectory:

@@ -116,7 +116,8 @@ def benchmark_kernels(reference: ReferenceTrajectory, adaptations, kernel_specs,
     column alike, so their means are solved side by side in one system.
 
     ``grid``/``actual`` default to the reference's own times and means. When
-    ``dump_dir`` is given, every predicted trajectory is written there as CSV.
+    ``dump_dir`` is given, every predicted trajectory is written there as CSV,
+    once every kernel has been fitted, so a failed fit writes none.
     """
     specs = list(kernel_specs)
     if not specs or len(reference) == 0:
@@ -136,13 +137,8 @@ def benchmark_kernels(reference: ReferenceTrajectory, adaptations, kernel_specs,
         groups.setdefault(ref.times.tobytes(), []).append(idx)
     systems = [(members, _side_by_side([adapted[i] for i in members]))
                for members in groups.values()]
-    if dump_dir is not None:
-        s = actual.means.shape[1]
-        header = (["t"] + [f"actual{j + 1}" for j in range(s)]
-                  + [f"predicted{j + 1}" for j in range(s)])
-        shared = format_rows(np.column_stack([grid, actual.means]))
 
-    rows = {}
+    rows, trajectories = {}, {}
     for spec in specs:
         predicted = [None] * len(adapted)
         for members, stacked in systems:
@@ -154,11 +150,17 @@ def benchmark_kernels(reference: ReferenceTrajectory, adaptations, kernel_specs,
             r, e = component_scores(actual.means, means)
             r_scores.append(np.mean(r))
             e_scores.append(np.mean(e))
-            if dump_dir is not None:
-                write_csv(Path(dump_dir) / f"trajectory_{spec.kind}_adaptation{idx}.csv",
-                          header, [f"{a},{p}" for a, p in zip(shared, format_rows(means))])
+            trajectories[f"trajectory_{spec.kind}_adaptation{idx}.csv"] = means
         rows[spec.kind] = {"R": float(np.mean(r_scores)), "rmse": float(np.mean(e_scores))}
 
+    if dump_dir is not None:
+        s = actual.means.shape[1]
+        header = (["t"] + [f"actual{j + 1}" for j in range(s)]
+                  + [f"predicted{j + 1}" for j in range(s)])
+        shared = format_rows(np.column_stack([grid, actual.means]))
+        for name, means in trajectories.items():
+            write_csv(Path(dump_dir) / name, header,
+                      [f"{a},{p}" for a, p in zip(shared, format_rows(means))])
     return MetricReport(
         rows=rows,
         kernel_specs={spec.kind: spec.to_dict() for spec in specs},

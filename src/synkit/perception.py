@@ -50,6 +50,8 @@ _CELL_BLOCK = 4096
 _SCORE_BLOCK = 1 << 15
 # cloud rows formatted per write; bounds save_cloud's memory
 _SAVE_ROWS = 4096
+# most RANSAC samples per fit; all their triples are held at once, ~0.2 GB at the bound
+RANSAC_MAX_ITERATIONS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -170,8 +172,8 @@ def ransac_plane(cloud, iterations: int = 200, inlier_threshold: float = 0.005,
     many triples of distinct indices drawn from the same generator. All
     sampled planes are scored in blocks; ties go to the earliest sample.
     """
-    if iterations < 1:
-        raise InvalidInputError("iterations must be >= 1")
+    if not 1 <= iterations <= RANSAC_MAX_ITERATIONS:
+        raise InvalidInputError(f"iterations must lie in [1, {RANSAC_MAX_ITERATIONS}]")
     if not inlier_threshold > 0.0:
         raise InvalidInputError("inlier_threshold must be positive")
     points = np.asarray(cloud, dtype=float)
@@ -534,24 +536,19 @@ class SynergyMappingParams:
         return self.compliance.shape[0]
 
 
-def pose_vector(pose: ObjectPose) -> np.ndarray:
-    """The 6-vector (centroid, extents) fed to the synergy mapping."""
-    return np.concatenate([pose.centroid, pose.extents])
-
-
 def pose_to_synergy(pose: ObjectPose, params: SynergyMappingParams, basis: SynergyBasis,
                     t_star: float = 1.0, confidence: float = 1e-6) -> ViaPoint:
     """Map an object pose into a synergy-space via-point.
 
-    The pose 6-vector is carried into joint space by the pseudo-inverse of
-    the motion transfer matrix, passed through the joint compliance, and
-    projected onto the synergy basis; the result is packaged as a via-point
-    at ``t_star`` with isotropic covariance ``confidence * I``.
+    The pose 6-vector (centroid, extents) is carried into joint space by the
+    pseudo-inverse of the motion transfer matrix, passed through the joint
+    compliance, and projected onto the synergy basis; the result is packaged
+    as a via-point at ``t_star`` with isotropic covariance ``confidence * I``.
     """
     j = basis.joint_dim
     if params.joint_dim != j:
         raise DimensionMismatchError("mapping matrices do not match the basis joint dim")
-    op = pose_vector(pose)
+    op = np.concatenate([pose.centroid, pose.extents])
     if j < op.shape[0]:
         raise DimensionMismatchError(f"cannot embed a 6-D pose into {j} joints")
     op_embedded = np.zeros(j)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import encoding, evaluation, force, kmp, perception, synergy, synthetic
 from ._io import JsonRecord, dump_json, write_csv
-from .errors import ConfigInvalidError, StageError, SynkitError
+from .errors import ConfigInvalidError, DimensionMismatchError, StageError, SynkitError
 
 __all__ = ["PipelineConfig", "TaskLog", "default_config", "run_task", "build_reference",
            "save_learning"]
@@ -104,6 +104,10 @@ class PipelineConfig(JsonRecord):
                 raise ConfigInvalidError(f"{name} must be positive, got {value!r}")
         if self.synergy_threshold > 1.0:
             raise ConfigInvalidError("synergy_threshold must lie in (0, 1]")
+        most = perception.RANSAC_MAX_ITERATIONS
+        if self.ransac_iterations > most:
+            raise ConfigInvalidError(
+                f"ransac_iterations must be <= {most}, got {self.ransac_iterations!r}")
         band = (self.force_target_low, self.force_target_high)
         if None not in band and band[0] >= band[1]:
             raise ConfigInvalidError("force target band must satisfy low < high")
@@ -135,6 +139,14 @@ class PipelineConfig(JsonRecord):
 
     def mu(self) -> float:
         return self.force_mu if self.force_mu is not None else self.scenario()["mu"]
+
+    def check_basis(self, basis):
+        """Raise unless the basis keeps as many synergies as the task's waypoints have."""
+        steered = self.scenario()["grasp_e"].size
+        if basis.synergy_dim != steered:
+            raise DimensionMismatchError(
+                f"the basis has synergy dimension {basis.synergy_dim} but the {self.task} "
+                f"waypoints have dimension {steered}; adjust synergy_threshold or the demos")
 
 
 # Each field's types from its annotation, its own type first: float | None
@@ -259,29 +271,6 @@ def _saved_model(config, name):
     return path if path.exists() else None
 
 
-def _contact_frames(n_contacts, radius):
-    """Contact points and frames around a horizontal circle, z inward."""
-    frames = []
-    for i in range(n_contacts):
-        theta = 2.0 * np.pi * i / n_contacts
-        outward = np.array([np.cos(theta), np.sin(theta), 0.0])
-        p = radius * outward
-        n = -outward
-        t1 = np.cross([0.0, 0.0, 1.0], n)
-        t1 /= np.linalg.norm(t1)
-        t2 = np.cross(n, t1)
-        frames.append((p, np.column_stack([t1, t2, n])))
-    return frames
-
-
-def _skew(v):
-    return np.array([
-        [0.0, -v[2], v[1]],
-        [v[2], 0.0, -v[0]],
-        [-v[1], v[0], 0.0],
-    ])
-
-
 def build_grasp_model(basis, contact_radius: float, n_contacts: int = 3,
                       closing_stiffness: float = 40.0,
                       motor_gain: float = 0.5) -> force.GraspModel:
@@ -292,10 +281,20 @@ def build_grasp_model(basis, contact_radius: float, n_contacts: int = 3,
     column basis whose first column is the shared normal direction, so the
     grip magnitude survives the force-current round trip exactly.
     """
-    frames = _contact_frames(n_contacts, contact_radius)
-    top = np.hstack([rot for _, rot in frames])
-    bottom = np.hstack([_skew(p) @ rot for p, rot in frames])
-    grasp_matrix = np.vstack([top, bottom])
+    # contacts evenly around a horizontal circle, each frame (t1, t2, n) with
+    # n inward; a contact at p adds rot on top and skew(p) @ rot below
+    top, bottom = [], []
+    for i in range(n_contacts):
+        theta = 2.0 * np.pi * i / n_contacts
+        outward = np.array([np.cos(theta), np.sin(theta), 0.0])
+        px, py, pz = contact_radius * outward
+        n = -outward
+        t1 = np.cross([0.0, 0.0, 1.0], n)
+        t1 /= np.linalg.norm(t1)
+        rot = np.column_stack([t1, np.cross(n, t1), n])
+        top.append(rot)
+        bottom.append(np.array([[0.0, -pz, py], [pz, 0.0, -px], [-py, px, 0.0]]) @ rot)
+    grasp_matrix = np.vstack([np.hstack(top), np.hstack(bottom)])
 
     pattern = force.normal_pattern(n_contacts)
     stiffness = closing_stiffness * np.outer(pattern, basis.e_hat[:, 0])
@@ -320,9 +319,10 @@ def _run_force_loop(config: PipelineConfig, basis, grasp_model):
     The measured grip lags the commanded grip with time constant
     ``force_lag``; each step applies a synergy correction from the scalar
     target-minus-measured grip error and logs the per-contact friction-cone
-    flags. Corrections all lie along ``v = coupling_pinv @ normal_pattern``, so
-    the loop runs on the scalar ``d`` of ``delta_e = d v``; the realized
-    forces ``F_w + d F_v`` and their flags are formed for all steps at once.
+    flags. ``force.adapt_force`` is linear in the error, so every correction
+    lies along its unit-error, unit-gain direction ``v``, and the loop runs on
+    the scalar ``d`` of ``delta_e = d v``; the realized forces ``F_w + d F_v``
+    and their flags are formed for all steps at once.
     """
     lo, hi = config.force_band()
     target_final = 0.5 * (lo + hi)
@@ -337,7 +337,7 @@ def _run_force_loop(config: PipelineConfig, basis, grasp_model):
     ramp_rate = (target_final - lo) / ramp_time
 
     coupling_pinv = np.linalg.pinv(grasp_model.stiffness @ basis.e_hat)
-    v = coupling_pinv @ force.normal_pattern(grasp_model.n_contacts)
+    v = force.adapt_force(1.0, coupling_pinv, gain=1.0)
 
     def realized(wrench, delta_e):
         contacts = force.contact_forces(grasp_model, wrench, basis, delta_e)
@@ -379,19 +379,17 @@ def _run_force_loop(config: PipelineConfig, basis, grasp_model):
 def run_task(config: PipelineConfig) -> TaskLog:
     """Execute the full pipeline for one task and write its artifacts.
 
-    Stage errors are re-raised as StageError carrying the stage name. The
-    log (and every artifact, when ``out_dir`` is set) is reproducible from
-    the configuration alone.
+    Stage errors are re-raised as StageError carrying the stage name, and a
+    failed run writes no artifact. The log (and every artifact, when
+    ``out_dir`` is set) is reproducible from the configuration alone.
     """
     config.validate()
     scenario = config.scenario()
-    out_dir = Path(config.out_dir) if config.out_dir is not None else None
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
     log = TaskLog(task=config.task, config=dataclasses.asdict(config))
 
     with _stage("synergy"):
         demos, truth, basis, gmm_model, reference = build_reference(config)
+        config.check_basis(basis)
         log.add("synergy", {
             "joint_dim": basis.joint_dim,
             "retained": basis.synergy_dim,
@@ -454,9 +452,6 @@ def run_task(config: PipelineConfig) -> TaskLog:
             "svm_objective": float(svm.objective_history[-1]),
             "svm_train_accuracy": train_accuracy,
         })
-        if out_dir is not None:
-            dump_json(record, out_dir / "segmentation.json")
-            svm.to_json(out_dir / "svm.json")
 
     with _stage("adaptation"):
         target_label = scenario["target_label"]
@@ -484,8 +479,7 @@ def run_task(config: PipelineConfig) -> TaskLog:
         via_points = _task_via_points(config, scenario, basis, reference, pose_delta)
         adapted_reference = kmp.apply_via_points(reference, via_points)
         adapted = kmp.kmp_fit(adapted_reference, spec, config.lam)
-        # executed steps follow the adapted reference grid; the dense
-        # prediction is dumped for plotting only
+        # executed steps follow the adapted reference grid
         steps = np.asarray(adapted_reference.times)
         means = kmp.kmp_predict(adapted, steps)
         log.add("adaptation", {
@@ -498,9 +492,6 @@ def run_task(config: PipelineConfig) -> TaskLog:
             "times": steps.tolist(),
             "means": means.tolist(),
         })
-        if out_dir is not None:
-            dense = np.linspace(0.0, 1.0, config.dense_points)
-            kmp.save_kmp_predictions(out_dir / "predictions.csv", adapted, dense)
 
     with _stage("reconstruction"):
         joints = synergy.reconstruct(basis, means)
@@ -511,9 +502,6 @@ def run_task(config: PipelineConfig) -> TaskLog:
         grasp_model = build_grasp_model(basis, contact_radius)
         force_log = _run_force_loop(config, basis, grasp_model)
         log.add("force", force_log)
-        if out_dir is not None:
-            write_csv(out_dir / "grip_force.csv", ["t", "force"],
-                      [(r["t"], r["measured"]) for r in force_log["records"]])
 
     with _stage("metrics"):
         per_r, per_e = evaluation.component_scores(kmp.kmp_predict(baseline, steps), means)
@@ -524,7 +512,17 @@ def run_task(config: PipelineConfig) -> TaskLog:
             "per_component_rmse": per_e,
         })
 
-    if out_dir is not None:
+    if config.out_dir is not None:
+        out_dir = Path(config.out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        # the dense prediction, for plotting only, goes first: its covariance check can fail
+        with _stage("adaptation"):
+            dense = np.linspace(0.0, 1.0, config.dense_points)
+            kmp.save_kmp_predictions(out_dir / "predictions.csv", adapted, dense)
+        dump_json(record, out_dir / "segmentation.json")
+        svm.to_json(out_dir / "svm.json")
+        write_csv(out_dir / "grip_force.csv", ["t", "force"],
+                  [(r["t"], r["measured"]) for r in force_log["records"]])
         save_learning(out_dir, basis, gmm_model, reference)
         log.to_json(out_dir / "tasklog.json")
     return log

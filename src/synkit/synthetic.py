@@ -199,11 +199,6 @@ def _linspace_at(k, n, lo, hi):
     return np.where((k > 0) & (k == n - 1), hi, k * ((hi - lo) / np.maximum(n - 1, 1)) + lo)
 
 
-def _grid_size(lo, hi, spacing):
-    """Samples along a grid axis from ``lo`` to ``hi`` at about ``spacing``."""
-    return np.maximum(np.rint((hi - lo) / spacing).astype(int) + 1, 2)
-
-
 def _disc_rings(radius, spacing):
     """Ring, radius and sample count of sampled discs, disc by disc.
 
@@ -217,19 +212,6 @@ def _disc_rings(radius, spacing):
     r = radius[disc] * k / n_rings[disc]
     size = np.maximum(np.rint(2.0 * np.pi * r / spacing[disc]).astype(int), 6)
     return disc, r, np.where(k == 0, 1, size)
-
-
-def _ring_points(center_xy, r, size, z):
-    """Points of stacked horizontal rings, one ring after another.
-
-    Ring s holds ``size[s]`` points of radius ``r[s]`` at height ``z[s]``,
-    at the angles ``np.linspace(0, 2 pi, size[s], endpoint=False)``.
-    """
-    ring, m = _segments(size)
-    theta = m * (2.0 * np.pi / size[ring])
-    r = r[ring]
-    return np.column_stack([center_xy[0] + r * np.cos(theta),
-                            center_xy[1] + r * np.sin(theta), z[ring]])
 
 
 def _instances(spec, jitters):
@@ -266,7 +248,8 @@ def _instances(spec, jitters):
         sx, sy, sz = np.multiply.outer(spec["size"], jitters)
         lo = np.column_stack([-sx / 2, -sy / 2, np.zeros(k)])
         hi = np.column_stack([sx / 2, sy / 2, sz])
-        n = _grid_size(lo, hi, spec["spacing"])
+        # samples along each axis at about the spacing, at least two
+        n = np.maximum(np.rint((hi - lo) / spec["spacing"]).astype(int) + 1, 2)
         # each instance's linspace along x, y and z, padded to the longest
         # one; entries past an instance's own length are masked out below
         index = [np.arange(m) for m in n.max(axis=0)]
@@ -308,37 +291,13 @@ def _instances(spec, jitters):
         disc = disc[order]
     else:
         raise UnknownTaskError(f"unknown object kind {kind!r}")
-    return _ring_points(center_xy, r, size, z), np.bincount(disc, weights=size,
-                                                            minlength=k).astype(int)
-
-
-def _instance_size(spec, jitter):
-    """Point count of ``_instances(spec, [jitter])`` in closed form, without building it.
-
-    The same roundings as ``_grid_size`` and ``_disc_rings``, on Python floats.
-    """
-    kind = spec["kind"]
-    if kind == "ellipsoid":
-        return spec["points"]
-    if kind == "tray":
-        sx, sy, sz = (s * jitter for s in spec["size"])
-        nx, ny, nz = (max(round((hi - lo) / spec["spacing"]) + 1, 2)
-                      for lo, hi in ((-sx / 2, sx / 2), (-sy / 2, sy / 2), (0.0, sz)))
-        return nx * ny + 2 * nz * (nx + ny)
-    if kind == "disc":
-        return _disc_size(spec["radius"] * jitter, spec["spacing"])
-    if kind == "cylinder":
-        n_theta, n_z = spec["points"]
-        radius = spec["radius"] * jitter
-        return n_theta * n_z + _disc_size(radius, 2.0 * np.pi * radius / n_theta)
-    raise UnknownTaskError(f"unknown object kind {kind!r}")
-
-
-def _disc_size(radius, spacing):
-    """Point count of one disc of ``_disc_rings``, on Python floats."""
-    n_rings = max(round(radius / spacing), 1)
-    return 1 + sum(max(round(2.0 * np.pi * (radius * k / n_rings) / spacing), 6)
-                   for k in range(1, n_rings + 1))
+    # ring s holds size[s] points of radius r[s] at height z[s], at the angles
+    # np.linspace(0, 2 pi, size[s], endpoint=False)
+    ring, m = _segments(size)
+    theta = m * (2.0 * np.pi / size[ring])
+    points = np.column_stack([center_xy[0] + r[ring] * np.cos(theta),
+                              center_xy[1] + r[ring] * np.sin(theta), z[ring]])
+    return points, np.bincount(disc, weights=size, minlength=k).astype(int)
 
 
 def object_points(spec):
@@ -393,25 +352,20 @@ def svm_training_fixture(task: str, seed: int = 13, instances_per_class: int = 2
 
     Each instance is a standalone sampled object with its dimensions scaled
     by up to +-10 percent, plus Gaussian sensor noise; features follow the
-    cluster featurization (extents, covariance spectrum, point count). The
-    draws go instance by instance, one uniform (the jitter) and then one
-    normal block of the instance's size; the instances of a class are then
-    built at once, and all of them featurized in one segmented call.
+    cluster featurization (extents, covariance spectrum, point count). One
+    uniform draw gives every jitter, class by class; the instances of each
+    class are built at once, one normal draw gives the noise of all points,
+    and every instance is featurized in one segmented call.
     """
     from .perception import _segment_features
 
     sc = task_scenario(task)
     rng = np.random.default_rng(seed)
-    clouds, counts, noise, labels = [], [], [], []
-    for label in sorted(sc["objects"]):
-        spec = sc["objects"][label]
-        jitters = []
-        for _ in range(instances_per_class):
-            jitters.append(1.0 + 0.1 * rng.uniform(-1.0, 1.0))
-            noise.append(rng.standard_normal((_instance_size(spec, jitters[-1]), 3)))
-        points, sizes = _instances(spec, jitters)
-        clouds.append(points)
-        counts.append(sizes)
-        labels += [label] * instances_per_class
-    cloud = np.vstack(clouds) + 0.0008 * np.vstack(noise)
-    return _segment_features(cloud, np.concatenate(counts)), labels
+    labels = sorted(sc["objects"])
+    jitters = 1.0 + 0.1 * rng.uniform(-1.0, 1.0, (len(labels), instances_per_class))
+    clouds, counts = zip(*(_instances(sc["objects"][label], j)
+                           for label, j in zip(labels, jitters)))
+    cloud = np.vstack(clouds)
+    cloud += 0.0008 * rng.standard_normal(cloud.shape)
+    return (_segment_features(cloud, np.concatenate(counts)),
+            [label for label in labels for _ in range(instances_per_class)])

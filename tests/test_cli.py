@@ -176,7 +176,8 @@ class TestInvalidInput:
 
 # Hostile input that once escaped as a traceback, as a silent exit 0 or as
 # a numpy message: each row is argv ({config} is a file holding the JSON in
-# the row's second field), then the text the one error line must name.
+# the row's second field, {cloud} a small plane cloud), then the text the one
+# error line must name. A failing command leaves no file under --out.
 CONTRACT_CASES = [
     (("benchmark-kernels", "--length-scale", "1e-300"), None, "l=1e-300"),
     (("kmp-predict", "--reference", "{reference}", "--length-scale", "1e-300"), None,
@@ -192,6 +193,14 @@ CONTRACT_CASES = [
     (("generate", "demos", "--noise", "-1"), None, "demo_noise"),
     (("generate", "demos", "--count", "1"), None, "demo_count"),
     (("encode", "--noise", "-1"), None, "demo_noise"),
+    # sizes the machine would refuse to allocate, rejected before any draw
+    (("segment", "--cloud", "{cloud}", "--iterations", "100000000000"), None, "iterations"),
+    (("simulate", "--config", "{config}"), {"ransac_iterations": 10**11}, "ransac_iterations"),
+    # a basis that keeps other than the task waypoints' two synergies
+    (("simulate", "--config", "{config}"), {"demo_noise": 1e6},
+     "synergy dimension 5 but the egg waypoints have dimension 2"),
+    (("simulate", "--config", "{config}"), {"synergy_threshold": 1e-9},
+     "synergy dimension 1 but the egg waypoints have dimension 2"),
 ]
 
 
@@ -205,11 +214,14 @@ def test_hostile_input_exits_2_with_one_error_line(argv, config, named, tmp_path
                                  covariances=np.tile(np.eye(2), (5, 1, 1))).to_json(reference)
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config))
-    argv = [a.format(reference=reference, config=config_path) for a in argv]
+    cloud = tmp_path / "cloud.xyz"
+    perception.save_cloud(cloud, [[x, y, 0.0] for x in grid for y in grid])
+    argv = [a.format(reference=reference, config=config_path, cloud=cloud) for a in argv]
     code, out, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
     assert code == 2
     assert err.startswith("error:") and named in err and err.count("\n") == 1
     assert "Traceback" not in out + err
+    assert [p for p in (tmp_path / "out").rglob("*") if p.is_file()] == []
 
 
 class TestGenerate:

@@ -289,11 +289,19 @@ class TestGmr:
         assert np.abs(m1 - m2).max() < 1e-12
 
     def test_responsibilities_sum_to_one(self, rng):
+        # without time coupling and with one shared output mean, every component
+        # conditions to that mean, so the blend returns it only when the
+        # responsibilities sum to one, out in the time tail too
         trajs, *_ = _single_gaussian_trajectories(rng, n=200)
-        model = encoding.fit_gmm(trajs, n_components=3, seed=5)
+        fitted = encoding.fit_gmm(trajs, n_components=3, seed=5)
+        means, covs = fitted.means.copy(), fitted.covariances.copy()
+        means[:, 1:] = [0.7, -1.3]
+        covs[:, 0, 1:] = covs[:, 1:, 0] = 0.0
+        model = encoding.GmmModel(priors=fitted.priors, means=means, covariances=covs,
+                                  ll_history=fitted.ll_history)
         for t in (-1.0, 0.0, 0.5, 2.0, 100.0):
-            h = encoding.gmr_responsibilities(model, t)
-            assert float(h.sum()) == pytest.approx(1.0, abs=1e-9)
+            mean, _ = encoding.gmr_condition(model, t)
+            assert mean.tolist() == pytest.approx([0.7, -1.3], abs=1e-9)
 
     def test_conditional_cov_symmetric_psd_random_models(self, rng):
         for _ in range(30):

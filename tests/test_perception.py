@@ -181,6 +181,7 @@ class TestRansac:
 
     @pytest.mark.parametrize("kwargs, name", [
         ({"iterations": 0}, "iterations"),
+        ({"iterations": perception.RANSAC_MAX_ITERATIONS + 1}, "iterations"),
         ({"inlier_threshold": 0.0}, "inlier_threshold"),
         ({"inlier_threshold": -1.0}, "inlier_threshold"),
         ({"inlier_threshold": float("nan")}, "inlier_threshold"),
@@ -590,7 +591,7 @@ class TestPoseToSynergy:
         pose = perception.ObjectPose(centroid=np.array([0.1, 0.2, 0.3]),
                                      extents=np.array([0.04, 0.05, 0.06]))
         via = perception.pose_to_synergy(pose, params, basis)
-        want = basis.e_hat.T @ perception.pose_vector(pose)
+        want = basis.e_hat.T @ np.concatenate([pose.centroid, pose.extents])
         assert np.abs(via.desired_e - want).max() < 1e-12
 
     def test_linearity(self, basis, rng):

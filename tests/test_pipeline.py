@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from synkit import force, pipeline, synergy
-from synkit.errors import ConfigInvalidError
+from synkit.errors import ConfigInvalidError, StageError, SynkitError
 from synkit.pipeline import STAGE_ORDER
 
 
@@ -33,6 +33,7 @@ class TestConfig:
         ("lam", -1.0),
         ("force_gain", 0.0),
         ("cluster_epsilon", -0.1),
+        ("ransac_iterations", 10**6 + 1),
     ])
     def test_invalid_values_rejected(self, field, value):
         config = pipeline.default_config("egg")
@@ -172,6 +173,18 @@ class TestRunTask:
         assert 1 <= stage["svm_epochs"] <= config.svm_epochs
         assert stage["svm_objective"] == svm["objective_history"][-1]
         assert stage["svm_train_accuracy"] == 1.0  # the fixture's classes separate
+
+    def test_failed_run_writes_no_artifacts(self, tmp_path, monkeypatch):
+        # the last stage fails, after every artifact's content exists
+        def failing(*args):
+            raise SynkitError("scoring failed")
+
+        monkeypatch.setattr(pipeline.evaluation, "component_scores", failing)
+        config = pipeline.default_config("egg")
+        config.out_dir = str(tmp_path / "run")
+        with pytest.raises(StageError, match="metrics"):
+            pipeline.run_task(config)
+        assert not (tmp_path / "run").exists()
 
     def test_artifacts_written(self, tmp_path):
         config = pipeline.default_config("egg")

@@ -4,9 +4,9 @@ import pytest
 from synkit import perception, synergy, synthetic
 from synkit.errors import UnknownTaskError
 
-# The per-instance object geometry and SVM fixture as they were before the
-# bulk builder, kept as oracles: one np.linspace / np.meshgrid call per grid
-# and ring, one object per call.
+# The per-instance object geometry and SVM featurization as they were before
+# the bulk builder, kept as oracles: one np.linspace / np.meshgrid call per
+# grid and ring, one object per call.
 
 
 def oracle_ellipsoid(axes, center, n):
@@ -90,21 +90,25 @@ def oracle_jittered(spec, jitter):
 
 
 def oracle_fixture(task, seed=13, instances_per_class=24):
+    """One uniform block of jitters, class by class, then one normal block of
+    noise for all points; every instance is built and featurized on its own."""
     sc = synthetic.task_scenario(task)
     rng = np.random.default_rng(seed)
-    features, labels = [], []
-    for label in sorted(sc["objects"]):
-        for _ in range(instances_per_class):
-            jitter = 1.0 + 0.1 * rng.uniform(-1.0, 1.0)
-            pts = oracle_object_points(oracle_jittered(sc["objects"][label], jitter))
-            pts = pts + 0.0008 * rng.standard_normal(pts.shape)
-            centered = pts - pts.mean(axis=0)
-            cov = centered.T @ centered / (pts.shape[0] - 1)
-            features.append(np.concatenate([pts.max(axis=0) - pts.min(axis=0),
-                                            np.sort(np.linalg.eigvalsh(cov))[::-1],
-                                            [float(pts.shape[0])]]))
-            labels.append(label)
-    return np.vstack(features), labels
+    labels = sorted(sc["objects"])
+    jitters = 1.0 + 0.1 * rng.uniform(-1.0, 1.0, (len(labels), instances_per_class))
+    instances = [oracle_object_points(oracle_jittered(sc["objects"][label], float(jitter)))
+                 for label, row in zip(labels, jitters) for jitter in row]
+    sizes = [pts.shape[0] for pts in instances]
+    noise = rng.standard_normal((sum(sizes), 3))
+    features = []
+    for pts, chunk in zip(instances, np.split(noise, np.cumsum(sizes)[:-1])):
+        pts = pts + 0.0008 * chunk
+        centered = pts - pts.mean(axis=0)
+        cov = centered.T @ centered / (pts.shape[0] - 1)
+        features.append(np.concatenate([pts.max(axis=0) - pts.min(axis=0),
+                                        np.sort(np.linalg.eigvalsh(cov))[::-1],
+                                        [float(pts.shape[0])]]))
+    return np.vstack(features), [label for label in labels for _ in range(instances_per_class)]
 
 
 def denser(spec, density):
@@ -218,15 +222,12 @@ class TestObjectGeometry:
         points, counts = synthetic._instances(spec, jitters)
         expected = [oracle_object_points(oracle_jittered(spec, float(j))) for j in jitters]
         assert counts.tolist() == [e.shape[0] for e in expected]
-        assert counts.tolist() == [synthetic._instance_size(spec, float(j)) for j in jitters]
         assert points.tobytes() == np.vstack(expected).tobytes()
 
     def test_unknown_kind(self):
         spec = {"kind": "torus", "center_xy": (0.0, 0.0)}
         with pytest.raises(UnknownTaskError):
             synthetic.object_points(spec)
-        with pytest.raises(UnknownTaskError):
-            synthetic._instance_size(spec, 1.0)
 
 
 class TestFixture:
