@@ -6,7 +6,8 @@ sort_keys=True, indent=2)``, but formats all of an artifact's scalars in one
 call to the stdlib's C encoder. CSV is one header line, then one row per
 record with every cell written as ``repr(float(cell))``, so a float reads
 back exactly. Text inputs (clouds, postures) are read line by line through
-``text_lines``.
+``text_lines``. Every model record stores its arrays through ``freeze``, as
+read-only, finite float64 copies.
 """
 from __future__ import annotations
 
@@ -142,6 +143,24 @@ class JsonRecord:
             raise type(exc)(f"{path}: {exc}") from exc
         except (TypeError, ValueError) as exc:  # values the constructor cannot coerce
             raise cls.json_error(f"{path}: {exc}") from exc
+
+
+def freeze(record, *names):
+    """Store each named field of a frozen dataclass as a read-only float64 copy.
+
+    Returns the stored arrays in the order named. A field holding NaN or Inf
+    raises InvalidInputError naming it; one numpy cannot read as a float
+    array raises its ValueError or TypeError.
+    """
+    arrays = []
+    for name in names:
+        array = np.array(getattr(record, name), dtype=float)
+        if not np.isfinite(array).all():
+            raise InvalidInputError(f"{name} contains NaN or Inf")
+        array.setflags(write=False)
+        object.__setattr__(record, name, array)
+        arrays.append(array)
+    return arrays
 
 
 def _plain(value):

@@ -106,16 +106,17 @@ def _load_config(args, **overrides):
 
 
 def _out_dir(args) -> Path:
+    """The --out directory, made only once the command has its results to write."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
 def _cmd_fit_synergies(args):
-    out = _out_dir(args)
     postures = synergy.load_postures_csv(args.input)
     configs = synergy.ConfigurationMatrix.from_postures(postures)
     basis = synergy.fit_synergy_basis(configs, args.threshold)
+    out = _out_dir(args)
     basis.to_json(out / "basis.json")
     print(f"retained {basis.synergy_dim} synergies "
           f"(fractions {np.round(basis.variance_fractions, 4).tolist()}) -> {out / 'basis.json'}")
@@ -123,10 +124,10 @@ def _cmd_fit_synergies(args):
 
 
 def _cmd_encode(args):
-    out = _out_dir(args)
     config = _load_config(args, demo_count=args.count, demo_noise=args.noise,
                           gmm_components=args.components, reference_points=args.grid_points)
     _, _, basis, model, reference = pipeline.build_reference(config)
+    out = _out_dir(args)
     pipeline.save_learning(out, basis, model, reference)
     print(f"encoded {config.demo_count} demos into {len(reference)} reference points "
           f"-> {out / 'reference.json'}")
@@ -136,7 +137,7 @@ def _cmd_encode(args):
 def _cmd_kmp_predict(args):
     if args.points < 1:
         raise InvalidInputError("--points must be at least 1")
-    out = _out_dir(args)
+    out = Path(args.out)  # save_kmp_predictions makes it once the prediction passes
     reference = encoding.ReferenceTrajectory.from_json(args.reference)
     alpha = args.alpha if args.kernel == "cauchy" else None
     spec = kmp.KernelSpec(kind=args.kernel, l=args.length_scale,
@@ -151,12 +152,12 @@ def _cmd_kmp_predict(args):
 
 def _cmd_segment(args):
     """``segment``, and ``classify`` with its SVM: one detection path."""
-    out = _out_dir(args)
     svm = perception.SvmModel.from_json(args.svm) if args.command == "classify" else None
     record, inliers, outliers, poses = perception.detect_objects(
         perception.load_cloud(args.cloud), iterations=args.iterations,
         threshold=args.threshold, seed=args.seed if args.seed is not None else 11,
         epsilon=args.epsilon, min_points=args.min_points, svm=svm)
+    out = _out_dir(args)
     dump_json(record, out / "segmentation.json")
     if svm is None:
         print(f"plane inliers {inliers.shape[0]}, outliers {outliers.shape[0]}, "
@@ -190,7 +191,7 @@ def benchmark_dataset(config: pipeline.PipelineConfig):
 
 
 def _cmd_benchmark(args):
-    out = _out_dir(args)
+    out = Path(args.out)  # benchmark_kernels makes it once every kernel is fitted
     config = _load_config(args)
     reference, dense, actual, adaptations = benchmark_dataset(config)
     specs = [kmp.KernelSpec(kind=kind, l=args.length_scale, sigma2=config.kernel_sigma2,

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import JsonRecord, write_csv
+from ._io import JsonRecord, freeze, write_csv
 from .errors import (
     DegenerateComponentError,
     DimensionMismatchError,
@@ -19,7 +19,7 @@ from .errors import (
     InvalidInputError,
     NonMonotonicTimeError,
 )
-from .synergy import SynergyBasis, _frozen, project
+from .synergy import SynergyBasis, project
 
 __all__ = [
     "SynergyTrajectory",
@@ -46,14 +46,11 @@ class SynergyTrajectory:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        coeffs = np.asarray(self.coeffs, dtype=float)
+        times, coeffs = freeze(self, "times", "coeffs")
         if coeffs.ndim != 2 or times.ndim != 1 or coeffs.shape[0] != times.shape[0]:
             raise DimensionMismatchError("coeffs must be (T, S) aligned with times")
         if times.shape[0] > 1 and not np.all(np.diff(times) > 0.0):
             raise NonMonotonicTimeError("trajectory times must strictly increase")
-        object.__setattr__(self, "times", _frozen(times))
-        object.__setattr__(self, "coeffs", _frozen(coeffs))
 
     @property
     def synergy_dim(self):
@@ -77,11 +74,7 @@ class GmmModel(JsonRecord):
     ll_history: np.ndarray
 
     def __post_init__(self):
-        priors = np.asarray(self.priors, dtype=float)
-        means = np.asarray(self.means, dtype=float)
-        covs = np.asarray(self.covariances, dtype=float)
-        ll_history = _frozen(self.ll_history)
-        _require_finite(priors=priors, means=means, covariances=covs, ll_history=ll_history)
+        priors, means, covs, _ = freeze(self, "priors", "means", "covariances", "ll_history")
         if priors.ndim != 1 or means.ndim != 2 or covs.ndim != 3:
             raise DimensionMismatchError("priors, means, covariances must be 1-, 2- and 3-D")
         n = priors.shape[0]
@@ -92,10 +85,6 @@ class GmmModel(JsonRecord):
         if np.any(priors <= 0.0) or abs(priors.sum() - 1.0) > 1e-9:
             raise InvalidInputError("priors must be positive and sum to 1")
         _require_positive_definite(covs, InvalidInputError, "not positive definite")
-        object.__setattr__(self, "priors", _frozen(priors))
-        object.__setattr__(self, "means", _frozen(means))
-        object.__setattr__(self, "covariances", _frozen(covs))
-        object.__setattr__(self, "ll_history", ll_history)
 
     @property
     def n_components(self):
@@ -115,10 +104,7 @@ class ReferenceTrajectory(JsonRecord):
     covariances: np.ndarray
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        means = np.asarray(self.means, dtype=float)
-        covs = np.asarray(self.covariances, dtype=float)
-        _require_finite(times=times, means=means, covariances=covs)
+        times, means, covs = freeze(self, "times", "means", "covariances")
         if means.ndim != 2 or times.ndim != 1 or means.shape[0] != times.shape[0]:
             raise DimensionMismatchError("means must be (T, S) aligned with times")
         s = means.shape[1]
@@ -126,9 +112,6 @@ class ReferenceTrajectory(JsonRecord):
             raise DimensionMismatchError("covariances must be (T, S, S)")
         if times.shape[0] > 1 and not np.all(np.diff(times) > 0.0):
             raise NonMonotonicTimeError("reference times must strictly increase")
-        object.__setattr__(self, "times", _frozen(times))
-        object.__setattr__(self, "means", _frozen(means))
-        object.__setattr__(self, "covariances", _frozen(covs))
 
     def __len__(self):
         return self.times.shape[0]
@@ -226,13 +209,6 @@ def _posterior(x, priors, means, factor):
     top = log_joint.max(axis=1, keepdims=True)
     log_norm = top[:, 0] + np.log(np.exp(log_joint - top).sum(axis=1))
     return log_norm, np.exp(log_joint - log_norm[:, None])
-
-
-def _require_finite(**arrays):
-    """Raise InvalidInputError naming the first of the arrays holding NaN or Inf."""
-    for name, array in arrays.items():
-        if not np.isfinite(array).all():
-            raise InvalidInputError(f"{name} contains NaN or Inf")
 
 
 def _require_positive_definite(covs, error, what):

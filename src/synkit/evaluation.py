@@ -117,7 +117,8 @@ def benchmark_kernels(reference: ReferenceTrajectory, adaptations, kernel_specs,
 
     ``grid``/``actual`` default to the reference's own times and means. When
     ``dump_dir`` is given, every predicted trajectory is written there as CSV,
-    once every kernel has been fitted, so a failed fit writes none.
+    once every kernel has been fitted, so a failed fit writes none and leaves
+    ``dump_dir`` unmade.
     """
     specs = list(kernel_specs)
     if not specs or len(reference) == 0:
@@ -154,6 +155,7 @@ def benchmark_kernels(reference: ReferenceTrajectory, adaptations, kernel_specs,
         rows[spec.kind] = {"R": float(np.mean(r_scores)), "rmse": float(np.mean(e_scores))}
 
     if dump_dir is not None:
+        Path(dump_dir).mkdir(parents=True, exist_ok=True)
         s = actual.means.shape[1]
         header = (["t"] + [f"actual{j + 1}" for j in range(s)]
                   + [f"predicted{j + 1}" for j in range(s)])

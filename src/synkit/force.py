@@ -13,6 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ._io import freeze
 from .errors import COND_LIMIT, DimensionMismatchError, InvalidInputError, RankDeficientError
 from .synergy import SynergyBasis
 
@@ -44,10 +45,8 @@ class GraspModel:
     motor_constant: np.ndarray
 
     def __post_init__(self):
-        g = np.asarray(self.grasp_matrix, dtype=float)
-        xi = np.asarray(self.stiffness, dtype=float)
-        jh = np.asarray(self.hand_jacobian, dtype=float)
-        km = np.asarray(self.motor_constant, dtype=float)
+        g, xi, jh, km = freeze(self, "grasp_matrix", "stiffness", "hand_jacobian",
+                               "motor_constant")
         if g.ndim != 2 or g.shape[0] != 6 or g.shape[1] % 3 != 0:
             raise DimensionMismatchError("grasp matrix must be 6 x 3*n_c")
         if xi.shape[0] != g.shape[1]:
@@ -56,14 +55,6 @@ class GraspModel:
             raise DimensionMismatchError("hand Jacobian rows must match contact dimension")
         if km.shape != (jh.shape[1], jh.shape[1]):
             raise DimensionMismatchError("motor constant must be square over the joints")
-        for name, m in (("grasp_matrix", g), ("stiffness", xi),
-                        ("hand_jacobian", jh), ("motor_constant", km)):
-            if not np.isfinite(m).all():
-                raise InvalidInputError(f"{name} contains non-finite entries")
-        object.__setattr__(self, "grasp_matrix", g.copy())
-        object.__setattr__(self, "stiffness", xi.copy())
-        object.__setattr__(self, "hand_jacobian", jh.copy())
-        object.__setattr__(self, "motor_constant", km.copy())
 
     @property
     def n_contacts(self):

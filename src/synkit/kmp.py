@@ -9,10 +9,11 @@ an identity block structure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from ._io import write_csv
+from ._io import freeze, write_csv
 from .encoding import ReferenceTrajectory
 from .errors import (
     COND_LIMIT,
@@ -122,16 +123,13 @@ class ViaPoint:
     desired_cov: np.ndarray
 
     def __post_init__(self):
-        e = np.asarray(self.desired_e, dtype=float)
-        cov = np.asarray(self.desired_cov, dtype=float)
+        e, cov = freeze(self, "desired_e", "desired_cov")
         if e.ndim != 1 or cov.shape != (e.shape[0], e.shape[0]):
             raise DimensionMismatchError("desired_cov must be S x S matching desired_e")
         if not np.allclose(cov, cov.T, atol=1e-12):
             raise InvalidInputError("desired_cov must be symmetric")
         if np.linalg.eigvalsh(cov).min() <= 0.0:
             raise InvalidInputError("desired_cov must be positive definite")
-        object.__setattr__(self, "desired_e", e.copy())
-        object.__setattr__(self, "desired_cov", cov.copy())
 
 
 @dataclass(frozen=True)
@@ -325,9 +323,13 @@ def fuse_priorities(trajectories, priorities) -> ReferenceTrajectory:
 
 
 def save_kmp_predictions(path, model: KmpModel, times):
-    """Predict on ``times`` and write the CSV: t, mean components, diagonal variances."""
+    """Predict on ``times`` and write the CSV: t, mean components, diagonal variances.
+
+    The directory of ``path`` is made once the prediction has passed its checks.
+    """
     means = kmp_predict(model, times)
     variances = np.diagonal(kmp_predict_cov(model, times), axis1=1, axis2=2)
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     s = means.shape[1]
     header = ["t"] + [f"mu{i + 1}" for i in range(s)] + [f"var{i + 1}" for i in range(s)]
     write_csv(path, header, np.column_stack([times, means, variances]))

@@ -7,12 +7,13 @@ centroid poses, and finally mapped into synergy-space via-point targets.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import JsonRecord, text_lines
+from ._io import JsonRecord, freeze, text_lines
 from .errors import (
     COND_LIMIT,
     DegenerateCloudError,
@@ -62,12 +63,11 @@ class PlaneModel:
     offset: float
 
     def __post_init__(self):
-        normal = np.asarray(self.normal, dtype=float)
+        (normal,) = freeze(self, "normal")
         if normal.shape != (3,):
             raise DimensionMismatchError("plane normal must be a 3-vector")
         if abs(np.linalg.norm(normal) - 1.0) > 1e-9:
             raise InvalidInputError("plane normal must be unit length")
-        object.__setattr__(self, "normal", normal.copy())
 
     def distances(self, points) -> np.ndarray:
         points = np.asarray(points, dtype=float)
@@ -103,14 +103,11 @@ class ObjectPose:
     score: float = 0.0
 
     def __post_init__(self):
-        centroid = np.asarray(self.centroid, dtype=float)
-        extents = np.asarray(self.extents, dtype=float)
+        centroid, extents = freeze(self, "centroid", "extents")
         if centroid.shape != (3,) or extents.shape != (3,):
             raise DimensionMismatchError("centroid and extents must be 3-vectors")
         if np.any(extents < 0.0):
             raise InvalidInputError("extents must be nonnegative")
-        object.__setattr__(self, "centroid", centroid.copy())
-        object.__setattr__(self, "extents", extents.copy())
 
 
 def load_cloud(path) -> np.ndarray:
@@ -395,20 +392,21 @@ class SvmModel(JsonRecord):
 
     weights: np.ndarray
     bias: float
-    classes: tuple
+    classes: list
     feature_mean: np.ndarray
     feature_scale: np.ndarray
     objective_history: np.ndarray
 
     def __post_init__(self):
-        for name in ("weights", "feature_mean", "feature_scale", "objective_history"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        object.__setattr__(self, "bias", float(self.bias))
-        object.__setattr__(self, "classes", tuple(self.classes))
-        shape = self.weights.shape
-        if len(shape) != 1 or {self.feature_mean.shape, self.feature_scale.shape} != {shape}:
+        weights, mean, scale, _ = freeze(self, "weights", "feature_mean", "feature_scale",
+                                         "objective_history")
+        if not math.isfinite(self.bias):
+            raise InvalidInputError(f"bias must be finite, got {self.bias!r}")
+        if len(weights.shape) != 1 or {mean.shape, scale.shape} != {weights.shape}:
             raise DimensionMismatchError(
                 "weights, feature_mean and feature_scale must be equal-length vectors")
+        if np.any(scale <= 0.0):
+            raise InvalidInputError("feature_scale must be positive")
         if len(self.classes) != 2:
             raise DimensionMismatchError(f"need exactly 2 classes, got {len(self.classes)}")
 
@@ -434,7 +432,7 @@ def svm_train(features, labels, c: float = 10.0, epochs: int = 200, seed: int = 
     labels = list(labels)
     if len(labels) != x.shape[0]:
         raise DimensionMismatchError("one label per feature row")
-    classes = tuple(sorted(set(labels), key=str))
+    classes = sorted(set(labels), key=str)
     if len(classes) != 2:
         raise SingleClassError(f"need exactly 2 classes, got {len(classes)}")
     y = np.where(np.asarray([lab == classes[1] for lab in labels]), 1.0, -1.0)
@@ -519,17 +517,12 @@ class SynergyMappingParams:
     motion_transfer: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.compliance, dtype=float)
-        a = np.asarray(self.motion_transfer, dtype=float)
+        c, a = freeze(self, "compliance", "motion_transfer")
         for name, m in (("compliance", c), ("motion_transfer", a)):
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise DimensionMismatchError(f"{name} matrix must be square")
-            if not np.isfinite(m).all():
-                raise InvalidInputError(f"{name} matrix contains non-finite entries")
         if c.shape != a.shape:
             raise DimensionMismatchError("compliance and motion_transfer must agree on size")
-        object.__setattr__(self, "compliance", c.copy())
-        object.__setattr__(self, "motion_transfer", a.copy())
 
     @property
     def joint_dim(self):

@@ -271,9 +271,14 @@ def _saved_model(config, name):
     return path if path.exists() else None
 
 
-def build_grasp_model(basis, contact_radius: float, n_contacts: int = 3,
-                      closing_stiffness: float = 40.0,
-                      motor_gain: float = 0.5) -> force.GraspModel:
+# The tripod grasp: its contact count, the closing stiffness of the first
+# synergy onto the contact normals, and the motor constant's diagonal.
+GRASP_CONTACTS = 3
+CLOSING_STIFFNESS = 40.0
+MOTOR_GAIN = 0.5
+
+
+def build_grasp_model(basis, contact_radius: float) -> force.GraspModel:
     """Tripod grasp mechanics around a detected object.
 
     Closing is driven by the first synergy direction through a rank-one
@@ -284,8 +289,8 @@ def build_grasp_model(basis, contact_radius: float, n_contacts: int = 3,
     # contacts evenly around a horizontal circle, each frame (t1, t2, n) with
     # n inward; a contact at p adds rot on top and skew(p) @ rot below
     top, bottom = [], []
-    for i in range(n_contacts):
-        theta = 2.0 * np.pi * i / n_contacts
+    for i in range(GRASP_CONTACTS):
+        theta = 2.0 * np.pi * i / GRASP_CONTACTS
         outward = np.array([np.cos(theta), np.sin(theta), 0.0])
         px, py, pz = contact_radius * outward
         n = -outward
@@ -296,19 +301,17 @@ def build_grasp_model(basis, contact_radius: float, n_contacts: int = 3,
         bottom.append(np.array([[0.0, -pz, py], [pz, 0.0, -px], [-py, px, 0.0]]) @ rot)
     grasp_matrix = np.vstack([np.hstack(top), np.hstack(bottom)])
 
-    pattern = force.normal_pattern(n_contacts)
-    stiffness = closing_stiffness * np.outer(pattern, basis.e_hat[:, 0])
+    pattern = force.normal_pattern(GRASP_CONTACTS)
+    stiffness = CLOSING_STIFFNESS * np.outer(pattern, basis.e_hat[:, 0])
 
     j = basis.joint_dim
-    seed_cols = np.column_stack(
-        [pattern]
-        + [np.cos((k + 1) * np.arange(1, 3 * n_contacts + 1, dtype=float)) for k in range(j - 1)]
-    )
+    rows = np.arange(1, 3 * GRASP_CONTACTS + 1, dtype=float)
+    seed_cols = np.column_stack([pattern] + [np.cos((k + 1) * rows) for k in range(j - 1)])
     q, _ = np.linalg.qr(seed_cols)
     if q[:, 0] @ pattern < 0.0:
         q = -q
     hand_jacobian = q
-    motor_constant = motor_gain * np.eye(j)
+    motor_constant = MOTOR_GAIN * np.eye(j)
     return force.GraspModel(grasp_matrix=grasp_matrix, stiffness=stiffness,
                             hand_jacobian=hand_jacobian, motor_constant=motor_constant)
 
@@ -476,7 +479,15 @@ def run_task(config: PipelineConfig) -> TaskLog:
             t_star=scenario["grasp_time"], confidence=config.via_confidence)
         pose_delta = via_detected.desired_e - via_nominal.desired_e
 
-        via_points = _task_via_points(config, scenario, basis, reference, pose_delta)
+        # the grasp via-point shifted by the pose delta, then the manipulation
+        # phase steered along the task curve at every reference step from its start
+        cov = config.via_confidence * np.eye(basis.synergy_dim)
+        t0 = scenario["manip_start_time"]
+        steering = sorted({float(t) for t in reference.times if t >= t0 - 1e-12} | {t0, 1.0})
+        via_points = [kmp.ViaPoint(t_star=scenario["grasp_time"],
+                                   desired_e=scenario["grasp_e"] + pose_delta, desired_cov=cov)]
+        via_points += [kmp.ViaPoint(t_star=t, desired_e=e, desired_cov=cov) for t, e in
+                       zip(steering, synthetic.coefficient_curves(config.task, steering))]
         adapted_reference = kmp.apply_via_points(reference, via_points)
         adapted = kmp.kmp_fit(adapted_reference, spec, config.lam)
         # executed steps follow the adapted reference grid
@@ -514,8 +525,8 @@ def run_task(config: PipelineConfig) -> TaskLog:
 
     if config.out_dir is not None:
         out_dir = Path(config.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        # the dense prediction, for plotting only, goes first: its covariance check can fail
+        # the dense prediction, for plotting only, goes first: its covariance
+        # check can fail, and save_kmp_predictions makes out_dir only once it passes
         with _stage("adaptation"):
             dense = np.linspace(0.0, 1.0, config.dense_points)
             kmp.save_kmp_predictions(out_dir / "predictions.csv", adapted, dense)
@@ -526,30 +537,3 @@ def run_task(config: PipelineConfig) -> TaskLog:
         save_learning(out_dir, basis, gmm_model, reference)
         log.to_json(out_dir / "tasklog.json")
     return log
-
-
-def _task_via_points(config, scenario, basis, reference, pose_delta):
-    """Grasp via-point plus the manipulation steering sequence.
-
-    The grasp descriptor is the configured grasp coordinate shifted by the
-    detected-minus-nominal pose delta; the manipulation phase is steered
-    through via-points at every reference step, following the configured
-    traversal from the manipulation start to the end coordinates.
-    """
-    s = basis.synergy_dim
-    cov = config.via_confidence * np.eye(s)
-    vias = [kmp.ViaPoint(
-        t_star=scenario["grasp_time"],
-        desired_e=scenario["grasp_e"] + pose_delta,
-        desired_cov=cov,
-    )]
-    t0 = scenario["manip_start_time"]
-    span = 1.0 - t0
-    steering = sorted(
-        {float(t) for t in reference.times if t >= t0 - 1e-12} | {float(t0), 1.0})
-    for t in steering:
-        u = synthetic.smoothstep(np.clip((t - t0) / span, 0.0, 1.0))
-        desired = scenario["manip_start_e"] + u * (
-            scenario["manip_end_e"] - scenario["manip_start_e"])
-        vias.append(kmp.ViaPoint(t_star=t, desired_e=desired, desired_cov=cov))
-    return vias

@@ -8,11 +8,11 @@ coordinates and to reconstruct postures from them.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import JsonRecord, text_lines
+from ._io import JsonRecord, freeze, text_lines
 from .errors import DimensionMismatchError, InvalidInputError, ZeroVarianceError
 
 __all__ = [
@@ -25,12 +25,6 @@ __all__ = [
 ]
 
 _ORTHO_TOL = 1e-9
-
-
-def _frozen(a):
-    out = np.array(a, dtype=float)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -46,10 +40,11 @@ class ConfigurationMatrix:
 
     def __post_init__(self):
         try:
-            rows = np.asarray(self.rows, dtype=float)
+            rows, theta0 = freeze(self, "rows", "theta0")
+        except InvalidInputError:
+            raise
         except (ValueError, TypeError) as exc:
             raise DimensionMismatchError(f"ragged or non-numeric rows: {exc}") from exc
-        theta0 = np.asarray(self.theta0, dtype=float)
         if rows.ndim != 2:
             raise DimensionMismatchError("configuration rows must form a 2-D array")
         if rows.shape[0] < 2:
@@ -58,10 +53,6 @@ class ConfigurationMatrix:
             raise DimensionMismatchError(
                 f"theta0 length {theta0.shape} does not match joint dim {rows.shape[1]}"
             )
-        if not (np.isfinite(rows).all() and np.isfinite(theta0).all()):
-            raise DimensionMismatchError("non-finite entries in configuration matrix")
-        object.__setattr__(self, "rows", _frozen(rows))
-        object.__setattr__(self, "theta0", _frozen(theta0))
 
     @property
     def joint_dim(self):
@@ -89,11 +80,10 @@ class SynergyBasis(JsonRecord):
 
     e_hat: np.ndarray
     theta0: np.ndarray
-    variance_fractions: np.ndarray = field(default=None)
+    variance_fractions: np.ndarray
 
     def __post_init__(self):
-        e_hat = np.asarray(self.e_hat, dtype=float)
-        theta0 = np.asarray(self.theta0, dtype=float)
+        e_hat, theta0, fractions = freeze(self, "e_hat", "theta0", "variance_fractions")
         if e_hat.ndim != 2:
             raise DimensionMismatchError("e_hat must be a J x S matrix")
         if theta0.shape != (e_hat.shape[0],):
@@ -101,15 +91,8 @@ class SynergyBasis(JsonRecord):
         gram = e_hat.T @ e_hat
         if not np.allclose(gram, np.eye(e_hat.shape[1]), atol=1e-8):
             raise InvalidInputError("synergy columns must be orthonormal")
-        fractions = self.variance_fractions
-        if fractions is None:
-            fractions = np.full(e_hat.shape[1], np.nan)
-        fractions = np.asarray(fractions, dtype=float)
         if fractions.shape != (e_hat.shape[1],):
             raise DimensionMismatchError("one variance fraction per synergy column")
-        object.__setattr__(self, "e_hat", _frozen(e_hat))
-        object.__setattr__(self, "theta0", _frozen(theta0))
-        object.__setattr__(self, "variance_fractions", _frozen(fractions))
 
     @property
     def joint_dim(self):

@@ -77,6 +77,7 @@ _SCENARIOS = {
 TABLE_SIDE = 0.5
 TABLE_GRID = 40
 OBJECT_CLEARANCE = 0.012  # objects hover above the table so plane inliers stay clean
+SAMPLES_PER_DEMO = 40
 
 
 def task_scenario(task: str) -> dict:
@@ -123,13 +124,9 @@ def coefficient_curves(task: str, times) -> np.ndarray:
         np.zeros(2), sc["preshape_e"], sc["preshape_e"],
         sc["grasp_e"], sc["manip_start_e"], sc["manip_end_e"],
     ])
-    out = np.empty((times.shape[0], 2))
-    for i, t in enumerate(times):
-        seg = min(int(np.searchsorted(knots, t, side="right")) - 1, len(knots) - 2)
-        seg = max(seg, 0)
-        u = (t - knots[seg]) / (knots[seg + 1] - knots[seg])
-        out[i] = values[seg] + (values[seg + 1] - values[seg]) * smoothstep(np.clip(u, 0.0, 1.0))
-    return out
+    seg = np.clip(np.searchsorted(knots, times, side="right") - 1, 0, len(knots) - 2)
+    u = np.clip((times - knots[seg]) / (knots[seg + 1] - knots[seg]), 0.0, 1.0)
+    return values[seg] + (values[seg + 1] - values[seg]) * smoothstep(u)[:, None]
 
 
 def _style_offsets(count, scales):
@@ -145,8 +142,7 @@ def _style_offsets(count, scales):
     return np.column_stack([scales[0] * u1, scales[1] * u2])
 
 
-def generate_synthetic_demos(task: str, count: int = 8, noise: float = 0.004,
-                             seed: int = 7, samples_per_demo: int = 40):
+def generate_synthetic_demos(task: str, count: int = 8, noise: float = 0.004, seed: int = 7):
     """Joint-space demonstrations for a task, plus the generating truth.
 
     Each demo is a ``(times, angles)`` pair with its own duration; angles
@@ -160,7 +156,7 @@ def generate_synthetic_demos(task: str, count: int = 8, noise: float = 0.004,
     d1, d2 = _hand_directions()
     rng = np.random.default_rng(seed)
     demos = []
-    grid = np.linspace(0.0, 1.0, samples_per_demo)
+    grid = np.linspace(0.0, 1.0, SAMPLES_PER_DEMO)
     coeffs = coefficient_curves(task, grid)
     offsets = _style_offsets(count, sc["style_scales"])
     directions = np.vstack([d1, d2])

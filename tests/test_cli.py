@@ -176,8 +176,10 @@ class TestInvalidInput:
 
 # Hostile input that once escaped as a traceback, as a silent exit 0 or as
 # a numpy message: each row is argv ({config} is a file holding the JSON in
-# the row's second field, {cloud} a small plane cloud), then the text the one
-# error line must name. A failing command leaves no file under --out.
+# the row's second field, {cloud} a small plane cloud, {nan_svm} and
+# {flat_svm} classifiers with a NaN weight and a zero feature scale, {models}
+# a models_dir whose basis has a NaN theta0), then the text the one error
+# line must name. A failing command does not make --out.
 CONTRACT_CASES = [
     (("benchmark-kernels", "--length-scale", "1e-300"), None, "l=1e-300"),
     (("kmp-predict", "--reference", "{reference}", "--length-scale", "1e-300"), None,
@@ -201,6 +203,10 @@ CONTRACT_CASES = [
      "synergy dimension 5 but the egg waypoints have dimension 2"),
     (("simulate", "--config", "{config}"), {"synergy_threshold": 1e-9},
      "synergy dimension 1 but the egg waypoints have dimension 2"),
+    # non-finite or zero-scale model records
+    (("classify", "--cloud", "{cloud}", "--svm", "{nan_svm}"), None, "weights"),
+    (("classify", "--cloud", "{cloud}", "--svm", "{flat_svm}"), None, "feature_scale"),
+    (("simulate", "--config", "{config}"), {"models_dir": "{models}"}, "theta0"),
 ]
 
 
@@ -212,16 +218,26 @@ def test_hostile_input_exits_2_with_one_error_line(argv, config, named, tmp_path
     grid = np.linspace(0.0, 1.0, 5)
     encoding.ReferenceTrajectory(times=grid, means=np.zeros((5, 2)),
                                  covariances=np.tile(np.eye(2), (5, 1, 1))).to_json(reference)
-    config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps(config))
     cloud = tmp_path / "cloud.xyz"
     perception.save_cloud(cloud, [[x, y, 0.0] for x in grid for y in grid])
-    argv = [a.format(reference=reference, config=config_path, cloud=cloud) for a in argv]
+    svm = {"weights": [1.0, 0.5], "bias": 0.0, "classes": ["a", "b"],
+           "feature_mean": [0.0, 0.0], "feature_scale": [1.0, 1.0], "objective_history": [1.0]}
+    files = {"reference": reference, "cloud": cloud, "nan_svm": tmp_path / "nan_svm.json",
+             "flat_svm": tmp_path / "flat_svm.json", "models": tmp_path / "models",
+             "config": tmp_path / "config.json"}
+    files["nan_svm"].write_text(json.dumps({**svm, "weights": [1.0, float("nan")]}))
+    files["flat_svm"].write_text(json.dumps({**svm, "feature_scale": [1.0, 0.0]}))
+    files["models"].mkdir()
+    (files["models"] / "basis.json").write_text(json.dumps({
+        "e_hat": np.eye(6)[:, :2].tolist(), "theta0": [float("nan")] + [0.0] * 5,
+        "variance_fractions": [0.6, 0.4]}))
+    files["config"].write_text(json.dumps(config).replace("{models}", str(files["models"])))
+    argv = [a.format(**files) for a in argv]
     code, out, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
     assert code == 2
     assert err.startswith("error:") and named in err and err.count("\n") == 1
     assert "Traceback" not in out + err
-    assert [p for p in (tmp_path / "out").rglob("*") if p.is_file()] == []
+    assert not (tmp_path / "out").exists()
 
 
 class TestGenerate:

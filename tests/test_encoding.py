@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from synkit import encoding, pipeline, synergy
+from synkit import encoding, force, kmp, perception, pipeline, synergy
 from synkit.errors import (
     DegenerateComponentError,
     EmptyDemoError,
@@ -376,12 +376,54 @@ class TestNonFiniteRecords:
            "covariances": np.tile(np.eye(2), (2, 1, 1)), "ll_history": np.array([-3.0, -2.0])}
     REFERENCE = {"times": np.linspace(0.0, 1.0, 3), "means": np.zeros((3, 2)),
                  "covariances": np.tile(np.eye(2), (3, 1, 1))}
+    SVM = {"weights": np.ones(2), "bias": 0.0, "classes": ["a", "b"],
+           "feature_mean": np.zeros(2), "feature_scale": np.ones(2),
+           "objective_history": np.array([1.0])}
+    # valid fields of every model record; its ndarray fields are the stored arrays
+    RECORDS = {
+        encoding.SynergyTrajectory: {"times": np.linspace(0.0, 1.0, 3),
+                                     "coeffs": np.zeros((3, 2))},
+        encoding.GmmModel: GMM,
+        encoding.ReferenceTrajectory: REFERENCE,
+        synergy.ConfigurationMatrix: {"rows": np.eye(3), "theta0": np.zeros(3)},
+        synergy.SynergyBasis: {"e_hat": np.eye(3)[:, :2], "theta0": np.zeros(3),
+                               "variance_fractions": np.array([0.6, 0.4])},
+        kmp.ViaPoint: {"t_star": 0.5, "desired_e": np.zeros(2), "desired_cov": np.eye(2)},
+        perception.PlaneModel: {"normal": np.array([0.0, 0.0, 1.0]), "offset": 0.0},
+        perception.ObjectPose: {"centroid": np.zeros(3), "extents": np.ones(3)},
+        perception.SvmModel: SVM,
+        perception.SynergyMappingParams: {"compliance": np.eye(6), "motion_transfer": np.eye(6)},
+        force.GraspModel: {"grasp_matrix": np.ones((6, 9)), "stiffness": np.ones((9, 6)),
+                           "hand_jacobian": np.ones((9, 6)), "motor_constant": np.eye(6)},
+    }
+    ARRAY_FIELDS = [(cls, name) for cls, fields in RECORDS.items()
+                    for name, value in fields.items() if isinstance(value, np.ndarray)]
 
     @staticmethod
-    def _spoiled(fields, name, value):
-        fields = {k: v.copy() for k, v in fields.items()}
-        fields[name].flat[-1] = value
+    def _spoiled(fields, name=None, value=None):
+        """A copy of the fields, with the last entry of array ``name`` set to ``value``."""
+        fields = {k: v.copy() if isinstance(v, np.ndarray) else v for k, v in fields.items()}
+        if name is not None:
+            fields[name].flat[-1] = value
         return fields
+
+    @pytest.mark.parametrize("cls,name", ARRAY_FIELDS,
+                             ids=[f"{cls.__name__}.{name}" for cls, name in ARRAY_FIELDS])
+    def test_every_record_stores_a_read_only_finite_copy(self, cls, name):
+        given = self._spoiled(self.RECORDS[cls])
+        stored = getattr(cls(**given), name)
+        assert stored.dtype == np.float64 and not stored.flags.writeable
+        assert not np.shares_memory(stored, given[name])
+        with pytest.raises(InvalidInputError, match=f"^{name} contains NaN or Inf"):
+            cls(**self._spoiled(self.RECORDS[cls], name, np.nan))
+
+    @pytest.mark.parametrize("name,value", [
+        ("bias", np.nan), ("bias", -np.inf),
+        ("feature_scale", np.array([1.0, 0.0])), ("feature_scale", np.array([-1.0, 1.0])),
+    ])
+    def test_svm_rejects_non_finite_bias_and_non_positive_scale(self, name, value):
+        with pytest.raises(InvalidInputError, match=f"^{name} must be"):
+            perception.SvmModel(**{**self.SVM, name: value})
 
     @pytest.mark.parametrize("name", sorted(GMM))
     @pytest.mark.parametrize("value", [np.nan, np.inf])
