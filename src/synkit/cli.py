@@ -240,7 +240,7 @@ def _cmd_generate(args):
         perception.save_cloud(out / "scene.xyz", cloud)
         dump_json(meta, out / "scene_truth.json")
         features, labels = synthetic.svm_training_fixture(task, seed=seed + 2)
-        svm = perception.svm_train(features, labels, seed=seed + 2)
+        svm = perception.svm_train(features, labels)
         svm.to_json(out / "svm.json")
         print(f"wrote scene with {cloud.shape[0]} points -> {out}")
     return 0

@@ -110,6 +110,8 @@ class ReferenceTrajectory(JsonRecord):
         s = means.shape[1]
         if covs.shape != (times.shape[0], s, s):
             raise DimensionMismatchError("covariances must be (T, S, S)")
+        if np.any(np.linalg.eigvalsh(covs) < 0.0):
+            raise InvalidInputError("covariances must be positive semidefinite")
         if times.shape[0] > 1 and not np.all(np.diff(times) > 0.0):
             raise NonMonotonicTimeError("reference times must strictly increase")
 

@@ -126,7 +126,7 @@ class ViaPoint:
         e, cov = freeze(self, "desired_e", "desired_cov")
         if e.ndim != 1 or cov.shape != (e.shape[0], e.shape[0]):
             raise DimensionMismatchError("desired_cov must be S x S matching desired_e")
-        if not np.allclose(cov, cov.T, atol=1e-12):
+        if not np.all(np.abs(cov - cov.T) <= 1e-12 + 1e-5 * np.abs(cov.T)):  # np.allclose's test
             raise InvalidInputError("desired_cov must be symmetric")
         if np.linalg.eigvalsh(cov).min() <= 0.0:
             raise InvalidInputError("desired_cov must be positive definite")

@@ -437,8 +437,7 @@ def run_task(config: PipelineConfig) -> TaskLog:
         else:
             features, labels = synthetic.svm_training_fixture(config.task,
                                                               seed=config.svm_seed)
-            svm = perception.svm_train(features, labels, c=config.svm_c,
-                                       epochs=config.svm_epochs, seed=config.svm_seed)
+            svm = perception.svm_train(features, labels, c=config.svm_c, epochs=config.svm_epochs)
             # ties go to the positive class, as in svm_classify
             positive = np.asarray(labels) == svm.classes[1]
             train_accuracy = float(np.mean(

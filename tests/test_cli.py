@@ -176,10 +176,11 @@ class TestInvalidInput:
 
 # Hostile input that once escaped as a traceback, as a silent exit 0 or as
 # a numpy message: each row is argv ({config} is a file holding the JSON in
-# the row's second field, {cloud} a small plane cloud, {nan_svm} and
-# {flat_svm} classifiers with a NaN weight and a zero feature scale, {models}
-# a models_dir whose basis has a NaN theta0), then the text the one error
-# line must name. A failing command does not make --out.
+# the row's second field, {cloud} a small plane cloud, {nan_svm}, {flat_svm}
+# and {same_svm} classifiers with a NaN weight, a zero feature scale and two
+# equal classes, {models} a models_dir whose basis has a NaN theta0,
+# {neg_reference} a reference whose covariances are -1e-3 I), then the text
+# the one error line must name. A failing command does not make --out.
 CONTRACT_CASES = [
     (("benchmark-kernels", "--length-scale", "1e-300"), None, "l=1e-300"),
     (("kmp-predict", "--reference", "{reference}", "--length-scale", "1e-300"), None,
@@ -206,6 +207,8 @@ CONTRACT_CASES = [
     # non-finite or zero-scale model records
     (("classify", "--cloud", "{cloud}", "--svm", "{nan_svm}"), None, "weights"),
     (("classify", "--cloud", "{cloud}", "--svm", "{flat_svm}"), None, "feature_scale"),
+    (("classify", "--cloud", "{cloud}", "--svm", "{same_svm}"), None, "classes"),
+    (("kmp-predict", "--reference", "{neg_reference}", "--lam", "1e-6"), None, "covariances"),
     (("simulate", "--config", "{config}"), {"models_dir": "{models}"}, "theta0"),
 ]
 
@@ -223,10 +226,15 @@ def test_hostile_input_exits_2_with_one_error_line(argv, config, named, tmp_path
     svm = {"weights": [1.0, 0.5], "bias": 0.0, "classes": ["a", "b"],
            "feature_mean": [0.0, 0.0], "feature_scale": [1.0, 1.0], "objective_history": [1.0]}
     files = {"reference": reference, "cloud": cloud, "nan_svm": tmp_path / "nan_svm.json",
-             "flat_svm": tmp_path / "flat_svm.json", "models": tmp_path / "models",
+             "flat_svm": tmp_path / "flat_svm.json", "same_svm": tmp_path / "same_svm.json",
+             "neg_reference": tmp_path / "neg_reference.json", "models": tmp_path / "models",
              "config": tmp_path / "config.json"}
     files["nan_svm"].write_text(json.dumps({**svm, "weights": [1.0, float("nan")]}))
     files["flat_svm"].write_text(json.dumps({**svm, "feature_scale": [1.0, 0.0]}))
+    files["same_svm"].write_text(json.dumps({**svm, "classes": ["egg", "egg"]}))
+    files["neg_reference"].write_text(json.dumps({
+        "times": grid.tolist(), "means": [[0.0, 0.0]] * 5,
+        "covariances": [[[-1e-3, 0.0], [0.0, -1e-3]]] * 5}))
     files["models"].mkdir()
     (files["models"] / "basis.json").write_text(json.dumps({
         "e_hat": np.eye(6)[:, :2].tolist(), "theta0": [float("nan")] + [0.0] * 5,

@@ -420,8 +420,9 @@ class TestNonFiniteRecords:
     @pytest.mark.parametrize("name,value", [
         ("bias", np.nan), ("bias", -np.inf),
         ("feature_scale", np.array([1.0, 0.0])), ("feature_scale", np.array([-1.0, 1.0])),
+        ("classes", ["a", "a"]),
     ])
-    def test_svm_rejects_non_finite_bias_and_non_positive_scale(self, name, value):
+    def test_svm_rejects_non_finite_bias_non_positive_scale_and_equal_classes(self, name, value):
         with pytest.raises(InvalidInputError, match=f"^{name} must be"):
             perception.SvmModel(**{**self.SVM, name: value})
 

@@ -296,8 +296,9 @@ class TestFitPredict:
             assert np.abs(kmp.kmp_predict(model, float(t)) - mean).max() < 1e-12
 
     def test_singular_cov_system_raises_on_every_prediction(self):
-        # K + lambda Sigma = 1.5 + 0.5 * (-3.0) = 0 while K + lambda I = 2.0
-        ref = make_reference([0.5], [[2.0]], [[[-3.0]]])
+        # two times 1e-15 apart give K = 1.5 * ones(2, 2), so with Sigma = 0
+        # K + lambda Sigma is singular while K + lambda I has condition 7
+        ref = make_reference([0.5, 0.5 + 1e-15], [[2.0], [2.0]], np.zeros((2, 1, 1)))
         spec = kmp.KernelSpec(kind="gaussian", l=0.1, sigma2=1.5)
         model = kmp.kmp_fit(ref, spec, lam=0.5)
         for _ in range(2):
@@ -334,6 +335,23 @@ class TestViaPoints:
         out = kmp.insert_via_point(reference, via, radius=0.001)
         assert len(out) == len(reference) + 1
         assert np.all(np.diff(out.times) > 0.0)
+
+    @pytest.mark.parametrize("off", [0.0, 0.5, -3.0])
+    def test_symmetry_check_is_allclose(self, off):
+        # near-symmetric covariances on both sides of allclose's bound
+        # 1e-12 + 1e-5 |a.T|, accepted exactly when np.allclose accepts them
+        bound = 1e-12 + 1e-5 * abs(off)
+        verdicts = set()
+        for skew in bound * np.linspace(0.99, 1.01, 41):
+            cov = np.array([[10.0, off], [off + skew, 10.0]])
+            symmetric = np.allclose(cov, cov.T, atol=1e-12)
+            verdicts.add(symmetric)
+            if symmetric:
+                kmp.ViaPoint(t_star=0.5, desired_e=np.zeros(2), desired_cov=cov)
+            else:
+                with pytest.raises(InvalidInputError, match="symmetric"):
+                    kmp.ViaPoint(t_star=0.5, desired_e=np.zeros(2), desired_cov=cov)
+        assert verdicts == {True, False}
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
     def test_via_attainment_all_kernels(self, reference, spec):

@@ -510,15 +510,25 @@ class TestSvm:
         assert np.all(np.diff(model.objective_history) <= 1e-12)
 
     @pytest.mark.parametrize("task", synthetic.TASKS)
-    def test_bit_identical_to_per_epoch_margin_oracle(self, rng, task):
+    def test_objective_at_most_subgradient_oracle(self, rng, task):
         features, labels = synthetic.svm_training_fixture(task, seed=3)
         cases = [(features, labels, 10.0, 200, 13), (*self.separable(rng, margin=0.1), 5.0, 300, 2)]
         for x, y, c, epochs, seed in cases:
             model = perception.svm_train(x, y, c=c, epochs=epochs, seed=seed)
-            w, b, history = oracle_svm_train(x, y, c, epochs, seed)
-            assert model.objective_history.tobytes() == history.tobytes()
-            assert model.weights.tobytes() == w.tobytes()
-            assert model.bias == b
+            _, _, history = oracle_svm_train(x, y, c, epochs, seed)
+            objective = model.objective_history[-1]
+            assert objective <= history[-1] + 1e-12 * (1.0 + abs(objective))
+            assert len(model.objective_history) - 1 < epochs  # the duality gap closed
+
+    def test_known_optimum_with_two_support_vectors(self):
+        # standardized, the points sit at +-1/sqrt(5) and +-3/sqrt(5); the inner
+        # pair sets the hard margin, w = sqrt(5), b = 0, objective 2.5, and c is
+        # large enough that no slack pays
+        model = perception.svm_train([[3.0], [1.0], [-1.0], [-3.0]], ["b", "b", "a", "a"],
+                                     c=100.0)
+        assert abs(model.objective_history[-1] - 2.5) < 1e-9
+        assert abs(model.weights[0] - np.sqrt(5.0)) < 1e-9
+        assert abs(model.bias) < 1e-9
 
     def test_stacked_decision_matches_classify(self, rng):
         x, y = self.separable(rng)
@@ -535,16 +545,13 @@ class TestSvm:
         with pytest.raises(SingleClassError):
             perception.svm_train(x, ["same"] * 10)
 
-    def test_boundary_tie_goes_to_positive_class(self, rng):
-        x, y = self.separable(rng)
-        model = perception.svm_train(x, y, seed=0)
-        # construct a feature exactly on the decision boundary
-        w = model.weights / model.feature_scale
-        b = model.bias - float(model.weights @ (model.feature_mean / model.feature_scale))
-        feature = -b / (w @ w) * w
-        label, score = perception.svm_classify(model, feature)
-        assert abs(score) < 1e-9
-        assert label == model.classes[1]
+    def test_boundary_tie_goes_to_positive_class(self):
+        model = perception.SvmModel(weights=np.array([1.0, -2.0]), bias=0.5,
+                                    classes=["down", "up"], feature_mean=np.array([1.0, 1.0]),
+                                    feature_scale=np.array([2.0, 4.0]),
+                                    objective_history=np.array([0.0]))
+        # standardized to (1.5, 1.0): the decision value is exactly 0
+        assert perception.svm_classify(model, np.array([4.0, 5.0])) == ("up", 0.0)
 
     def test_classify_is_pure(self, rng):
         x, y = self.separable(rng)

@@ -170,7 +170,7 @@ class TestRunTask:
         stage = pipeline.run_task(config).stage("perception")
         svm = json.loads((tmp_path / "run" / "svm.json").read_text())
         assert stage["svm_epochs"] == len(svm["objective_history"]) - 1
-        assert 1 <= stage["svm_epochs"] <= config.svm_epochs
+        assert 1 <= stage["svm_epochs"] < config.svm_epochs  # converged before the cap
         assert stage["svm_objective"] == svm["objective_history"][-1]
         assert stage["svm_train_accuracy"] == 1.0  # the fixture's classes separate
 
