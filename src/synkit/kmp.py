@@ -33,6 +33,7 @@ __all__ = [
     "kmp_predict",
     "kmp_predict_cov",
     "insert_via_point",
+    "apply_via_points",
     "fuse_priorities",
 ]
 
@@ -151,10 +152,6 @@ class KmpModel:
     def n_reference(self):
         return len(self.reference)
 
-    @property
-    def synergy_dim(self):
-        return self.reference.synergy_dim
-
 
 def _symmetric_cond(a) -> float:
     """``np.linalg.cond`` of a symmetric matrix, from its eigenvalues instead of an SVD."""
@@ -253,35 +250,34 @@ def insert_via_point(reference: ReferenceTrajectory, via: ViaPoint,
     spacing, 0 for a one-point reference) of the via time is replaced;
     otherwise the via-point is appended and the sequence re-sorted.
     """
-    if via.desired_e.shape[0] != reference.synergy_dim:
-        raise DimensionMismatchError("via-point dimension does not match reference")
-    if radius is None:
-        radius = 0.5 * float(np.median(np.diff(reference.times))) if len(reference) > 1 else 0.0
-    times = np.array(reference.times)
-    means = np.array(reference.means)
-    covs = np.array(reference.covariances)
-    gaps = np.abs(times - via.t_star)
-    nearest = int(np.argmin(gaps))
-    if gaps[nearest] <= radius:
-        times[nearest] = via.t_star
-        means[nearest] = via.desired_e
-        covs[nearest] = via.desired_cov
-    else:
-        times = np.append(times, via.t_star)
-        means = np.vstack([means, via.desired_e[None, :]])
-        covs = np.concatenate([covs, via.desired_cov[None, :, :]], axis=0)
-    order = np.argsort(times, kind="stable")
-    return ReferenceTrajectory(times=times[order], means=means[order],
-                               covariances=covs[order])
+    return apply_via_points(reference, [via], radius)
 
 
 def apply_via_points(reference: ReferenceTrajectory, via_points,
                      radius: float | None = None) -> ReferenceTrajectory:
-    """Insert several via-points in sequence."""
-    out = reference
+    """Insert via-points in sequence, as insert_via_point does, and build the result once."""
+    times = np.array(reference.times)
+    means = np.array(reference.means)
+    covs = np.array(reference.covariances)
     for via in via_points:
-        out = insert_via_point(out, via, radius=radius)
-    return out
+        if via.desired_e.shape[0] != means.shape[1]:
+            raise DimensionMismatchError("via-point dimension does not match reference")
+        r = radius
+        if r is None:
+            r = 0.5 * float(np.median(np.diff(times))) if times.shape[0] > 1 else 0.0
+        gaps = np.abs(times - via.t_star)
+        nearest = int(np.argmin(gaps)) if gaps.size else None
+        if nearest is not None and gaps[nearest] <= r:
+            times[nearest] = via.t_star
+            means[nearest] = via.desired_e
+            covs[nearest] = via.desired_cov
+        else:
+            times = np.append(times, via.t_star)
+            means = np.vstack([means, via.desired_e[None, :]])
+            covs = np.concatenate([covs, via.desired_cov[None, :, :]], axis=0)
+        order = np.argsort(times, kind="stable")
+        times, means, covs = times[order], means[order], covs[order]
+    return ReferenceTrajectory(times=times, means=means, covariances=covs)
 
 
 def fuse_priorities(trajectories, priorities) -> ReferenceTrajectory:

@@ -15,13 +15,12 @@ import numpy as np
 
 from ._io import JsonRecord, freeze, text_lines
 from .errors import (
-    COND_LIMIT,
     DegenerateCloudError,
     DimensionMismatchError,
     InvalidInputError,
-    RankDeficientError,
     SingleClassError,
 )
+from .force import _stable_pinv
 from .kmp import ViaPoint
 from .synergy import SynergyBasis
 
@@ -555,10 +554,8 @@ def pose_to_synergy(pose: ObjectPose, params: SynergyMappingParams, basis: Syner
         raise DimensionMismatchError(f"cannot embed a 6-D pose into {j} joints")
     op_embedded = np.zeros(j)
     op_embedded[: op.shape[0]] = op
-    if np.linalg.cond(params.motion_transfer) > COND_LIMIT:
-        raise RankDeficientError("motion transfer matrix pseudo-inverse is unstable")
-    joint_displacement = np.linalg.pinv(params.motion_transfer) @ op_embedded
-    e_o = basis.e_hat.T @ (params.compliance @ joint_displacement)
+    transfer_pinv = _stable_pinv(params.motion_transfer, "motion transfer matrix")
+    e_o = basis.e_hat.T @ (params.compliance @ (transfer_pinv @ op_embedded))
     return ViaPoint(t_star=t_star, desired_e=e_o,
                     desired_cov=confidence * np.eye(basis.synergy_dim))
 

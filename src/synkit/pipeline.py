@@ -175,9 +175,6 @@ class TaskLog(JsonRecord):
     def add(self, name: str, data: dict):
         self.stages.append({"name": name, "data": data})
 
-    def stage_names(self):
-        return [s["name"] for s in self.stages]
-
     def stage(self, name: str) -> dict:
         for s in self.stages:
             if s["name"] == name:
@@ -228,29 +225,34 @@ def load_demo_dir(path):
 
 
 def build_reference(config: PipelineConfig):
-    """Learning-phase artifacts: demos, fitted basis, GMM, GMR reference."""
-    if config.demos_path is not None:
-        demos = load_demo_dir(config.demos_path)
-        truth = None
-    else:
-        demos, truth = synthetic.generate_synthetic_demos(
-            config.task, count=config.demo_count, noise=config.demo_noise,
-            seed=config.seed,
-        )
-    basis_file = _saved_model(config, "basis.json")
-    if basis_file is not None:
-        basis = synergy.SynergyBasis.from_json(basis_file)
-    else:
-        postures = np.vstack([angles for _, angles in demos])
-        configs = synergy.ConfigurationMatrix.from_postures(
-            postures, theta0=synthetic.nominal_posture())
-        basis = synergy.fit_synergy_basis(configs, config.synergy_threshold)
-    grid = np.linspace(0.0, 1.0, config.reference_points)
-    trajectories = encoding.interpolate_coefficients(demos, basis, grid)
-    model = encoding.fit_gmm(trajectories, n_components=config.gmm_components,
-                             seed=config.gmm_seed, max_iter=config.gmm_max_iter,
-                             tol=config.gmm_tol)
-    reference = encoding.generate_reference(model, grid)
+    """Learning-phase artifacts: demos, fitted basis, GMM, GMR reference.
+
+    A failure is a StageError naming the synergy or the encoding stage.
+    """
+    with _stage("synergy"):
+        if config.demos_path is not None:
+            demos = load_demo_dir(config.demos_path)
+            truth = None
+        else:
+            demos, truth = synthetic.generate_synthetic_demos(
+                config.task, count=config.demo_count, noise=config.demo_noise,
+                seed=config.seed,
+            )
+        basis_file = _saved_model(config, "basis.json")
+        if basis_file is not None:
+            basis = synergy.SynergyBasis.from_json(basis_file)
+        else:
+            postures = np.vstack([angles for _, angles in demos])
+            configs = synergy.ConfigurationMatrix.from_postures(
+                postures, theta0=synthetic.nominal_posture())
+            basis = synergy.fit_synergy_basis(configs, config.synergy_threshold)
+    with _stage("encoding"):
+        grid = np.linspace(0.0, 1.0, config.reference_points)
+        trajectories = encoding.interpolate_coefficients(demos, basis, grid)
+        model = encoding.fit_gmm(trajectories, n_components=config.gmm_components,
+                                 seed=config.gmm_seed, max_iter=config.gmm_max_iter,
+                                 tol=config.gmm_tol)
+        reference = encoding.generate_reference(model, grid)
     return demos, truth, basis, model, reference
 
 

@@ -210,6 +210,8 @@ CONTRACT_CASES = [
     (("classify", "--cloud", "{cloud}", "--svm", "{same_svm}"), None, "classes"),
     (("kmp-predict", "--reference", "{neg_reference}", "--lam", "1e-6"), None, "covariances"),
     (("simulate", "--config", "{config}"), {"models_dir": "{models}"}, "theta0"),
+    # more mixture components than samples fails in EM, which is the encoding stage
+    (("simulate", "--config", "{config}"), {"gmm_components": 100}, "stage 'encoding'"),
 ]
 
 

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 
-from synkit import kmp
-from synkit.errors import InvalidInputError, SingularCovarianceError, SingularSystemError
+from synkit import encoding, kmp
+from synkit.errors import (
+    DimensionMismatchError,
+    InvalidInputError,
+    SingularCovarianceError,
+    SingularSystemError,
+)
 from conftest import make_reference
 
 
@@ -69,6 +74,34 @@ def random_spd_reference(rng, n=10, s=2):
         a = rng.standard_normal((s, s))
         covs[i] = a @ a.T + 0.1 * np.eye(s)
     return make_reference(times, means, covs)
+
+
+def oracle_apply_via_points(reference, via_points, radius=None):
+    """The per-insert loop: a checked ReferenceTrajectory is built after every via-point."""
+    out = reference
+    for via in via_points:
+        if via.desired_e.shape[0] != out.synergy_dim:
+            raise DimensionMismatchError("via-point dimension does not match reference")
+        r = radius
+        if r is None:
+            r = 0.5 * float(np.median(np.diff(out.times))) if len(out) > 1 else 0.0
+        times = np.array(out.times)
+        means = np.array(out.means)
+        covs = np.array(out.covariances)
+        gaps = np.abs(times - via.t_star)
+        nearest = int(np.argmin(gaps))
+        if gaps[nearest] <= r:
+            times[nearest] = via.t_star
+            means[nearest] = via.desired_e
+            covs[nearest] = via.desired_cov
+        else:
+            times = np.append(times, via.t_star)
+            means = np.vstack([means, via.desired_e[None, :]])
+            covs = np.concatenate([covs, via.desired_cov[None, :, :]], axis=0)
+        order = np.argsort(times, kind="stable")
+        out = encoding.ReferenceTrajectory(times=times[order], means=means[order],
+                                           covariances=covs[order])
+    return out
 
 
 ALL_SPECS = [
@@ -335,6 +368,69 @@ class TestViaPoints:
         out = kmp.insert_via_point(reference, via, radius=0.001)
         assert len(out) == len(reference) + 1
         assert np.all(np.diff(out.times) > 0.0)
+
+    # via times as a function of the reference's grid; the grid of
+    # random_spd_reference spans [0, 1] and its half median spacing exceeds 1e-4
+    VIA_PLANS = {
+        "replace": (lambda t: [t[2] + 1e-5, t[5] - 1e-5, t[0]], None),
+        "append": (lambda t: [1.5, -0.5, 2.5], None),
+        "replace-appended": (lambda t: [1.5, t[3], 1.5 + 1e-5], None),
+        # the radius follows the grown grid: once 2..5 are in, the median
+        # spacing is 1, so 5.4 replaces 5 where the first grid's radius would not
+        "growing-grid": (lambda t: [2.0, 3.0, 4.0, 5.0, 5.4], None),
+        # the same before the grid, which only a grid sorted after each insert sees
+        "growing-grid-before": (lambda t: [-1.0, -2.0, -3.0, -4.0, -4.4], None),
+        "explicit-radius": (lambda t: [t[1] + 5e-4, t[4] + 2e-3, t[4] + 2.5e-3], 1e-3),
+    }
+
+    @staticmethod
+    def random_via(rng, t, s=2):
+        a = rng.standard_normal((s, s))
+        return kmp.ViaPoint(t_star=t, desired_e=rng.standard_normal(s),
+                            desired_cov=a @ a.T + 1e-3 * np.eye(s))
+
+    @pytest.mark.parametrize("plan", list(VIA_PLANS))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bit_equal_to_per_insert_oracle(self, plan, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        times_of, radius = self.VIA_PLANS[plan]
+        n = 3 if plan.startswith("growing-grid") else 10
+        reference = random_spd_reference(rng, n=n)
+        vias = [self.random_via(rng, t) for t in times_of(reference.times)]
+        want = oracle_apply_via_points(reference, vias, radius)
+
+        built = []
+        check = encoding.ReferenceTrajectory.__post_init__
+
+        def counted(record):
+            built.append(record)
+            check(record)
+
+        monkeypatch.setattr(encoding.ReferenceTrajectory, "__post_init__", counted)
+        got = kmp.apply_via_points(reference, vias, radius)
+        assert len(built) == 1 and built[0] is got  # built and checked once
+        for name in ("times", "means", "covariances"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        if plan.startswith("growing-grid"):
+            assert len(got) == n + 4 and vias[-1].t_star in got.times
+
+    def test_wrong_dimension_mid_list_raises_as_oracle(self, rng):
+        reference = random_spd_reference(rng)
+        vias = [self.random_via(rng, 0.3), self.random_via(rng, 0.6, s=3),
+                self.random_via(rng, 0.9)]
+        with pytest.raises(DimensionMismatchError) as want:
+            oracle_apply_via_points(reference, vias)
+        with pytest.raises(DimensionMismatchError) as got:
+            kmp.apply_via_points(reference, vias)
+        assert str(got.value) == str(want.value)
+
+    def test_via_point_into_empty_reference_is_appended(self, rng):
+        empty = make_reference(np.zeros(0), np.zeros((0, 2)), np.zeros((0, 2, 2)))
+        via = self.random_via(rng, 0.4)
+        out = kmp.insert_via_point(empty, via)
+        assert out.times.tolist() == [0.4]
+        assert np.array_equal(out.means, via.desired_e[None, :])
+        assert np.array_equal(out.covariances, via.desired_cov[None, :, :])
 
     @pytest.mark.parametrize("off", [0.0, 0.5, -3.0])
     def test_symmetry_check_is_allclose(self, off):

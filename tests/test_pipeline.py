@@ -71,8 +71,8 @@ class TestConfig:
 
 class TestRunTask:
     def test_stage_order_matches_contract(self, egg_log, ketchup_log):
-        assert tuple(egg_log.stage_names()) == STAGE_ORDER
-        assert tuple(ketchup_log.stage_names()) == STAGE_ORDER
+        for log in (egg_log, ketchup_log):
+            assert tuple(s["name"] for s in log.stages) == STAGE_ORDER
 
     def test_egg_force_band_and_stability(self, egg_log):
         stage = egg_log.stage("force")
@@ -142,6 +142,14 @@ class TestRunTask:
         stage = pipeline.run_task(config).stage("encoding")
         assert stage["em_iterations"] == 1
         assert stage["final_ll_delta"] is None and stage["converged"] is False
+
+    def test_em_failure_names_the_encoding_stage(self):
+        # build_reference runs inside run_task's synergy block; EM is still encoding
+        config = pipeline.default_config("egg")
+        config.gmm_components = 100
+        with pytest.raises(StageError, match="too few samples") as info:
+            pipeline.run_task(config)
+        assert info.value.stage == "encoding"
 
     def test_interrupt_passes_through_stages(self, monkeypatch):
         def interrupted(*args, **kwargs):
