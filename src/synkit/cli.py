@@ -135,8 +135,9 @@ def _cmd_encode(args):
 
 
 def _cmd_kmp_predict(args):
-    if args.points < 1:
-        raise InvalidInputError("--points must be at least 1")
+    if not 1 <= args.points <= pipeline.MAX_DENSE_POINTS:
+        raise InvalidInputError(
+            f"--points must lie in [1, {pipeline.MAX_DENSE_POINTS}], got {args.points}")
     out = Path(args.out)  # save_kmp_predictions makes it once the prediction passes
     reference = encoding.ReferenceTrajectory.from_json(args.reference)
     alpha = args.alpha if args.kernel == "cauchy" else None

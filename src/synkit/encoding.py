@@ -180,37 +180,33 @@ def _factor(covs, floor=0.0):
         _require_positive_definite(covs, DegenerateComponentError, _COLLAPSED)
         raise DegenerateComponentError(f"a covariance {_COLLAPSED}") from None
     inv_chol = np.linalg.inv(chol)
-    log_det = np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
-    return inv_chol, log_det + 0.5 * floor * np.sum(inv_chol**2, axis=(1, 2))
+    log_det = np.add.reduce(np.log(chol.diagonal(axis1=1, axis2=2)), axis=1)
+    return inv_chol, log_det + 0.5 * floor * np.add.reduce(inv_chol * inv_chol, axis=(1, 2))
 
 
-def _log_gauss(x, means, factor):
-    """Log density of every component at every row of x, shape (M, C).
+def _log_gauss(xt, means, factor, const):
+    """Log density of every component at every column of xt (d, M), laid out (C, M).
 
-    ``factor`` is ``_factor`` of the covariances. Multiplying by the inverse
-    d x d Cholesky factors is far cheaper than solving against the M
-    right-hand sides.
+    ``factor`` is ``_factor`` of the covariances and ``const`` is
+    ``0.5 * d * log(2 pi)``. Multiplying by the inverse d x d Cholesky
+    factors is far cheaper than solving against the M right-hand sides.
     """
     inv_chol, log_det = factor
-    sol = inv_chol @ _centered(x, means)
-    return (
-        -0.5 * np.sum(sol**2, axis=1)
-        - log_det[:, None]
-        - 0.5 * x.shape[1] * np.log(2.0 * np.pi)
-    ).T
+    sol = inv_chol @ (xt - means[:, :, None])
+    return -0.5 * np.add.reduce(sol * sol, axis=1) - log_det[:, None] - const
 
 
-def _centered(x, means):
-    """Differences of the rows of x from every mean, laid out (C, d, M)."""
-    return np.ascontiguousarray(x.T) - means[:, :, None]  # a strided x.T is 3x slower
+def _e_step(xt, priors, means, factor, const):
+    """Summed log evidence of the columns of xt (d, M) and (C, M) responsibilities.
 
-
-def _posterior(x, priors, means, factor):
-    """Per-row log evidence (M,) and normalized responsibilities (M, C)."""
-    log_joint = np.log(priors) + _log_gauss(x, means, factor)
-    top = log_joint.max(axis=1, keepdims=True)
-    log_norm = top[:, 0] + np.log(np.exp(log_joint - top).sum(axis=1))
-    return log_norm, np.exp(log_joint - log_norm[:, None])
+    With the floored ``factor`` of ``_factor`` the sum is the floor-matched
+    objective that EM maximizes.
+    """
+    log_joint = _log_gauss(xt, means, factor, const) + np.log(priors)[:, None]
+    top = np.maximum.reduce(log_joint, axis=0)
+    log_norm = top + np.log(np.add.reduce(np.exp(log_joint - top), axis=0))
+    log_joint -= log_norm
+    return float(np.add.reduce(log_norm)), np.exp(log_joint, out=log_joint)
 
 
 def _require_positive_definite(covs, error, what):
@@ -220,25 +216,35 @@ def _require_positive_definite(covs, error, what):
         raise error(f"component {bad[0]} covariance {what}")
 
 
-def _weighted_moments(x, weights, mass, floor):
-    """Means (C, d) and floored covariances (C, d, d) of x under (M, C) weights."""
-    means = (weights.T @ x) / mass[:, None]
-    diff = _centered(x, means)
-    covs = (diff * weights.T[:, None, :]) @ np.swapaxes(diff, 1, 2) / mass[:, None, None]
-    covs += floor * np.eye(x.shape[1])
-    return means, 0.5 * (covs + np.swapaxes(covs, 1, 2))
+def _weighted_moments(x, xt, weights, mass, floor_eye):
+    """Means (C, d) and floored covariances (C, d, d) under (C, M) weights.
+
+    x is the (M, d) data and xt its contiguous (d, M) transpose; the
+    covariances are re-symmetrized, since the stacked product is not
+    bitwise symmetric.
+    """
+    means = weights @ x
+    means /= mass[:, None]
+    diff = xt - means[:, :, None]
+    covs = (diff * weights[:, None, :]) @ diff.transpose(0, 2, 1)
+    covs /= mass[:, None, None]
+    covs += floor_eye
+    covs += covs.transpose(0, 2, 1)  # numpy buffers the overlapping operand
+    covs *= 0.5
+    return means, covs
 
 
 def _sq_dists(x, centers):
     """Squared distances (M, K) from every row of x to every center."""
-    return np.sum((x[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+    diff = x[:, None, :] - centers
+    return np.add.reduce(diff * diff, axis=2)
 
 
 def _kmeanspp_centers(x, n, rng):
     centers = [x[rng.integers(x.shape[0])]]
     for _ in range(1, n):
-        d2 = np.min(_sq_dists(x, np.asarray(centers)), axis=1)
-        total = d2.sum()
+        d2 = np.minimum.reduce(_sq_dists(x, np.asarray(centers)), axis=1)
+        total = np.add.reduce(d2)
         if total <= 0.0:
             centers.append(x[rng.integers(x.shape[0])])
             continue
@@ -247,63 +253,71 @@ def _kmeanspp_centers(x, n, rng):
 
 
 def _lloyd(x, centers, iters=10):
+    """Labels of x after up to ``iters`` Lloyd updates of ``centers``, made in place.
+
+    Stops early once the labels repeat those of an update that reseeded no
+    empty cluster: from there on the centers repeat bit for bit.
+    """
     k, d = centers.shape
+    settled = None  # labels of the last update, when it reseeded no cluster
     for _ in range(iters):
-        labels = np.argmin(_sq_dists(x, centers), axis=1)
+        labels = _sq_dists(x, centers).argmin(axis=1)
+        if settled is not None and np.array_equal(labels, settled):
+            return labels
         counts = np.bincount(labels, minlength=k)
         sums = np.bincount((labels[:, None] * d + np.arange(d)).ravel(), weights=x.ravel(),
                            minlength=k * d).reshape(k, d)
         filled = counts > 0
         centers[filled] = sums[filled] / counts[filled, None]
-        for j in np.flatnonzero(~filled):
+        empty = np.flatnonzero(~filled)
+        for j in empty:
             # reseed an empty cluster on the point farthest from every center
-            centers[j] = x[np.argmax(np.min(_sq_dists(x, centers), axis=1))]
-    return np.argmin(_sq_dists(x, centers), axis=1)
+            centers[j] = x[np.minimum.reduce(_sq_dists(x, centers), axis=1).argmax()]
+        settled = None if empty.size else labels
+    return _sq_dists(x, centers).argmin(axis=1)
 
 
-def _m_step(x, resp, floor):
-    """EM update from (M, C) responsibilities: (priors, means, covs) and its factor."""
+def _m_step(x, xt, resp, floor, floor_eye):
+    """EM update from (C, M) responsibilities: (priors, means, covs) and its factor."""
     m = x.shape[0]
-    mass = resp.sum(axis=0)
-    if np.any(mass < 1e-12 * m):
+    mass = np.add.reduce(resp, axis=1)
+    if np.minimum.reduce(mass) < 1e-12 * m:
         raise DegenerateComponentError("a component lost all responsibility mass")
     priors = mass / m
-    means, covs = _weighted_moments(x, resp, mass, floor)
-    return (priors / priors.sum(), means, covs), _factor(covs, floor)
+    means, covs = _weighted_moments(x, xt, resp, mass, floor_eye)
+    return (priors / np.add.reduce(priors), means, covs), _factor(covs, floor)
 
 
-def _e_step(x, theta, factor):
-    """Floor-matched objective and (M, C) responsibilities of the mixture theta."""
-    log_norm, resp = _posterior(x, theta[0], theta[1], factor)
-    return float(log_norm.sum()), resp
-
-
-def _squarem_step(x, theta0, theta1, theta2, floor, stepmax):
+def _squarem_step(data, theta0, theta1, theta2, stepmax):
     """One EM step from the SQUAREM extrapolation of theta0 -> theta1 -> theta2.
 
-    The step length -alpha = |r| / |v| is clipped to [1, stepmax]; length 1
+    ``data`` is ``(x, xt, floor, floor_eye, const)`` of the fit. The step
+    length -alpha = |r| / |v| is clipped to [1, stepmax]; length 1
     extrapolates to theta2 itself.
 
     Returns (theta3, its objective, its responsibilities), or None when
     the extrapolated priors are not all positive or a covariance of the
     extrapolated point or of theta3 does not factor.
     """
+    x, xt, floor, floor_eye, const = data
     r = [b - a for a, b in zip(theta0, theta1)]
     v = [c - 2.0 * b + a for a, b, c in zip(theta0, theta1, theta2)]
-    r_norm = np.sqrt(sum(np.sum(p**2) for p in r))
-    v_norm = np.sqrt(sum(np.sum(p**2) for p in v))
+    r_norm = np.sqrt(sum([np.add.reduce(p * p, axis=None) for p in r]))
+    v_norm = np.sqrt(sum([np.add.reduce(p * p, axis=None) for p in v]))
     alpha = -min(max(r_norm / v_norm, 1.0), stepmax) if v_norm > 0.0 else -1.0
-    priors, means, covs = (a - 2.0 * alpha * dr + alpha**2 * dv
-                           for a, dr, dv in zip(theta0, r, v))
-    if not np.all(priors > 0.0):
+    priors, means, covs = [a - 2.0 * alpha * dr + alpha**2 * dv
+                           for a, dr, dv in zip(theta0, r, v)]
+    if not np.logical_and.reduce(priors > 0.0):
         return None
-    point = (priors / priors.sum(), means, 0.5 * (covs + np.swapaxes(covs, 1, 2)))
+    covs += covs.transpose(0, 2, 1)
+    covs *= 0.5
     try:
-        _, resp = _e_step(x, point, _factor(point[2], floor))
-        theta3, factor = _m_step(x, resp, floor)
+        _, resp = _e_step(xt, priors / np.add.reduce(priors), means,
+                          _factor(covs, floor), const)
+        theta3, factor = _m_step(x, xt, resp, floor, floor_eye)
     except DegenerateComponentError:
         return None
-    return (theta3, *_e_step(x, theta3, factor))
+    return (theta3, *_e_step(xt, theta3[0], theta3[1], factor, const))
 
 
 def fit_gmm(trajectories, n_components: int = 5, seed: int = 0,
@@ -334,34 +348,39 @@ def fit_gmm(trajectories, n_components: int = 5, seed: int = 0,
         raise InvalidInputError(f"too few samples ({m}) for {n_components} components in {d}-D")
 
     floor = _COV_FLOOR * max(np.var(x, axis=0).mean(), 1e-12)
+    xt = np.ascontiguousarray(x.T)  # a strided x.T is 3x slower in every product
+    floor_eye = floor * np.eye(d)
+    const = 0.5 * d * np.log(2.0 * np.pi)
 
     rng = np.random.default_rng(seed)
     labels = _lloyd(x, _kmeanspp_centers(x, n_components, rng))
-    hard = (labels[:, None] == np.arange(n_components)).astype(float)
-    counts = hard.sum(axis=0)
-    hard[:, counts == 0] = 1.0  # an empty cluster starts from all the data
-    means, covs = _weighted_moments(x, hard, hard.sum(axis=0), floor)
+    # (C, M) hard weights as a transposed (M, C) array: BLAS rounds the first
+    # product differently for a C-ordered copy, which moves gmm.json's bits
+    hard = (labels[:, None] == np.arange(n_components)).astype(float).T
+    counts = np.add.reduce(hard, axis=1)
+    hard[counts == 0] = 1.0  # an empty cluster starts from all the data
+    means, covs = _weighted_moments(x, xt, hard, np.add.reduce(hard, axis=1), floor_eye)
     priors = np.maximum(counts, 1.0) / m
-    theta = (priors / priors.sum(), means, covs)
+    theta = (priors / np.add.reduce(priors), means, covs)
 
-    ll, resp = _e_step(x, theta, _factor(covs, floor))
+    ll, resp = _e_step(xt, theta[0], means, _factor(covs, floor), const)
     ll_history = [ll]
     cycle = [theta]  # EM iterates since the last accepted point
     steps = 0
     stepmax = 1.0  # x4 after an accepted extrapolation, /4 (down to 1) after a rejected one
     while True:
-        theta, factor = _m_step(x, resp, floor)
+        theta, factor = _m_step(x, xt, resp, floor, floor_eye)
         steps += 1
         if steps >= max_iter or (len(ll_history) > 1 and ll_history[-1] - ll_history[-2] < tol):
             break
-        ll, resp = _e_step(x, theta, factor)
+        ll, resp = _e_step(xt, theta[0], theta[1], factor, const)
         prev_ll = ll_history[-1]
         if ll < prev_ll - _LL_SLACK * (1.0 + abs(prev_ll)):
             raise DegenerateComponentError("EM log-likelihood decreased")
         ll_history.append(ll)
         cycle.append(theta)
         if len(cycle) == 3 and steps + 1 < max_iter:  # leave an M-step for the final update
-            step = _squarem_step(x, *cycle, floor, stepmax)
+            step = _squarem_step((x, xt, floor, floor_eye, const), *cycle, stepmax)
             steps += 1
             if step is not None and step[1] >= ll:
                 theta, ll, resp = step
@@ -391,13 +410,14 @@ def gmr_condition(model: GmmModel, t):
     cond_means = model.means[:, 1:] + (t.reshape(q, 1, 1) - model.means[:, :1]) * gain
     cond_covs = model.covariances[:, 1:, 1:] - gain[:, :, None] * model.covariances[:, None, 0, 1:]
     # (Q, C): responsibilities of every time under the marginal time densities
-    _, h = _posterior(t.reshape(q, 1), model.priors, model.means[:, :1],
-                      _factor(model.covariances[:, :1, :1]))
+    h = _e_step(t.reshape(1, q), model.priors, model.means[:, :1],
+                _factor(model.covariances[:, :1, :1]), 0.5 * np.log(2.0 * np.pi))[1].T
     mean = (h[:, None, :] @ cond_means)[:, 0, :]
     dm = cond_means - mean[:, None, :]
     cov = (h @ cond_covs.reshape(n, s * s)).reshape(q, s, s)
-    cov += np.swapaxes(dm * h[:, :, None], 1, 2) @ dm
-    cov = 0.5 * (cov + np.swapaxes(cov, 1, 2))
+    cov += (dm * h[:, :, None]).transpose(0, 2, 1) @ dm
+    cov += cov.transpose(0, 2, 1)
+    cov *= 0.5
     return mean.reshape(t.shape + (s,)), cov.reshape(t.shape + (s, s))
 
 

@@ -79,13 +79,15 @@ class GraspModel:
 def _stable_pinv(matrix, name):
     """``pinv(matrix)``, or RankDeficientError when its condition exceeds COND_LIMIT.
 
-    A raised error is not cached, so every later use of a rank-deficient
-    model raises again.
+    One SVD serves the condition test and the pseudo-inverse, built as
+    ``np.linalg.pinv`` builds it: no singular value passing the test falls
+    below pinv's cutoff, so the result is bit-equal. A raised error is not
+    cached, so every later use of a rank-deficient model raises again.
     """
-    sv = np.linalg.svd(matrix, compute_uv=False)
+    u, sv, vt = np.linalg.svd(matrix, full_matrices=False)
     if sv[-1] <= 0.0 or sv[0] / sv[-1] > COND_LIMIT:
         raise RankDeficientError(f"{name} pseudo-inverse is unstable (condition > 1e12)")
-    return np.linalg.pinv(matrix)
+    return vt.T @ (np.divide(1.0, sv)[:, None] * u.T)
 
 
 def contact_forces(model: GraspModel, omega, basis: SynergyBasis, delta_e) -> np.ndarray:

@@ -82,7 +82,7 @@ class PipelineConfig(JsonRecord):
 
         Ints must be ints (not bools), floats finite, ``| None`` fields may be
         None; every number must be positive unless ``_MINIMUM`` gives its
-        least allowed value.
+        least allowed value, and at most its ``_MAXIMUM`` where it has one.
         """
         for name, kinds in _KINDS.items():
             value, kind = getattr(self, name), kinds[0]
@@ -102,6 +102,8 @@ class PipelineConfig(JsonRecord):
                     raise ConfigInvalidError(f"{name} must be >= {_MINIMUM[name]}, got {value!r}")
             elif value <= 0:
                 raise ConfigInvalidError(f"{name} must be positive, got {value!r}")
+            if name in _MAXIMUM and value > _MAXIMUM[name]:
+                raise ConfigInvalidError(f"{name} must be <= {_MAXIMUM[name]}, got {value!r}")
         if self.synergy_threshold > 1.0:
             raise ConfigInvalidError("synergy_threshold must lie in (0, 1]")
         most = perception.RANSAC_MAX_ITERATIONS
@@ -157,6 +159,17 @@ _KINDS = {name: typing.get_args(hint) or (hint,)
 # one; every other number must be positive.
 _MINIMUM = {"seed": 0, "gmm_seed": 0, "ransac_seed": 0, "svm_seed": 0,
             "demo_noise": 0.0, "demo_count": 2}
+# Largest grids, so that the largest allowed run allocates under about 1 GiB.
+# A dense point costs about 1.25 KiB: (S, S) covariance temporaries and its
+# CSV row, measured as +61 MiB of peak RSS for 50,000 kmp-predict points at
+# the hand's largest synergy dimension S = 6; 500,000 points take 610 MiB.
+MAX_DENSE_POINTS = 500_000
+# The KMP covariance system is (2N)^2 float64, 32 N^2 bytes, with S = 2 in
+# every run that fits KMP on the reference; at most four such arrays are live
+# at once (kernel, Kronecker product, solve copy, eigvalsh), 128 N^2 bytes,
+# which is 512 MB at 2,000 points.
+MAX_REFERENCE_POINTS = 2_000
+_MAXIMUM = {"dense_points": MAX_DENSE_POINTS, "reference_points": MAX_REFERENCE_POINTS}
 _CHOICES = {"task": synthetic.TASKS, "kernel_kind": kmp.KERNEL_KINDS}
 
 

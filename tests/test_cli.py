@@ -199,6 +199,12 @@ CONTRACT_CASES = [
     # sizes the machine would refuse to allocate, rejected before any draw
     (("segment", "--cloud", "{cloud}", "--iterations", "100000000000"), None, "iterations"),
     (("simulate", "--config", "{config}"), {"ransac_iterations": 10**11}, "ransac_iterations"),
+    (("kmp-predict", "--reference", "{reference}", "--points", "1000000000000000"), None,
+     "--points"),
+    (("benchmark-kernels", "--config", "{config}"), {"dense_points": 10**15}, "dense_points"),
+    (("simulate", "--config", "{config}"), {"dense_points": 10**15}, "dense_points"),
+    (("simulate", "--config", "{config}"), {"reference_points": 10**15}, "reference_points"),
+    (("encode", "--grid-points", "1000000000000000"), None, "reference_points"),
     # a basis that keeps other than the task waypoints' two synergies
     (("simulate", "--config", "{config}"), {"demo_noise": 1e6},
      "synergy dimension 5 but the egg waypoints have dimension 2"),

@@ -71,6 +71,9 @@ class TestInterpolate:
                                               np.array([0.5]))
 
 
+LOG_2PI = np.log(2.0 * np.pi)
+
+
 def oracle_log_gauss(x, mean, cov):
     """Log density of one Gaussian at rows of x, from slogdet and an explicit inverse."""
     d = x.shape[1]
@@ -88,11 +91,12 @@ class TestLogGauss:
                 covs = a @ np.swapaxes(a, 1, 2) + 0.2 * np.eye(d)
                 means = rng.standard_normal((n, d))
                 x = rng.standard_normal((40, d))
-                got = encoding._log_gauss(x, means, encoding._factor(covs))
-                assert got.shape == (40, n)
+                got = encoding._log_gauss(np.ascontiguousarray(x.T), means,
+                                          encoding._factor(covs), 0.5 * d * LOG_2PI)
+                assert got.shape == (n, 40)
                 for k in range(n):
                     want = oracle_log_gauss(x, means[k], covs[k])
-                    assert np.abs(got[:, k] - want).max() < 1e-10
+                    assert np.abs(got[k] - want).max() < 1e-10
 
 
 class TestFactor:
@@ -113,7 +117,141 @@ class TestFactor:
             encoding._factor(covs)
 
 
+# The EM step and Lloyd loop as written before they were fused: the fused
+# code must reproduce them bit for bit.
+def oracle_factor(covs, floor):
+    chol = np.linalg.cholesky(covs)
+    inv_chol = np.linalg.inv(chol)
+    log_det = np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
+    return inv_chol, log_det + 0.5 * floor * np.sum(inv_chol**2, axis=(1, 2))
+
+
+def oracle_centered(x, means):
+    return np.ascontiguousarray(x.T) - means[:, :, None]
+
+
+def oracle_log_gauss_stack(x, means, factor):
+    inv_chol, log_det = factor
+    sol = inv_chol @ oracle_centered(x, means)
+    return (
+        -0.5 * np.sum(sol**2, axis=1)
+        - log_det[:, None]
+        - 0.5 * x.shape[1] * np.log(2.0 * np.pi)
+    ).T
+
+
+def oracle_posterior(x, priors, means, factor):
+    log_joint = np.log(priors) + oracle_log_gauss_stack(x, means, factor)
+    top = log_joint.max(axis=1, keepdims=True)
+    log_norm = top[:, 0] + np.log(np.exp(log_joint - top).sum(axis=1))
+    return log_norm, np.exp(log_joint - log_norm[:, None])
+
+
+def oracle_e_step(x, theta, factor):
+    log_norm, resp = oracle_posterior(x, theta[0], theta[1], factor)
+    return float(log_norm.sum()), resp
+
+
+def oracle_weighted_moments(x, weights, mass, floor):
+    means = (weights.T @ x) / mass[:, None]
+    diff = oracle_centered(x, means)
+    covs = (diff * weights.T[:, None, :]) @ np.swapaxes(diff, 1, 2) / mass[:, None, None]
+    covs += floor * np.eye(x.shape[1])
+    return means, 0.5 * (covs + np.swapaxes(covs, 1, 2))
+
+
+def oracle_m_step(x, resp, floor):
+    m = x.shape[0]
+    mass = resp.sum(axis=0)
+    priors = mass / m
+    means, covs = oracle_weighted_moments(x, resp, mass, floor)
+    return (priors / priors.sum(), means, covs), oracle_factor(covs, floor)
+
+
+def oracle_sq_dists(x, centers):
+    return np.sum((x[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+
+
+def oracle_lloyd(x, centers, iters=10):
+    k, d = centers.shape
+    for _ in range(iters):
+        labels = np.argmin(oracle_sq_dists(x, centers), axis=1)
+        counts = np.bincount(labels, minlength=k)
+        sums = np.bincount((labels[:, None] * d + np.arange(d)).ravel(), weights=x.ravel(),
+                           minlength=k * d).reshape(k, d)
+        filled = counts > 0
+        centers[filled] = sums[filled] / counts[filled, None]
+        for j in np.flatnonzero(~filled):
+            centers[j] = x[np.argmax(np.min(oracle_sq_dists(x, centers), axis=1))]
+    return np.argmin(oracle_sq_dists(x, centers), axis=1)
+
+
+class TestFusedStepIsBitForBit:
+    def test_e_and_m_step_match_the_unfused_oracle(self, rng):
+        for d in (1, 2, 3, 4):
+            for n in range(1, 6):
+                x = rng.standard_normal((30 * n, d)) * rng.uniform(0.5, 2.0, size=d)
+                xt = np.ascontiguousarray(x.T)
+                floor = 1e-6 * np.var(x, axis=0).mean()
+                const = 0.5 * d * LOG_2PI
+                a = rng.standard_normal((n, d, d))
+                covs = a @ np.swapaxes(a, 1, 2) + 0.05 * np.eye(d)
+                priors, means = rng.dirichlet(np.ones(n)), rng.standard_normal((n, d))
+                want_ll, want_resp = oracle_e_step(x, (priors, means, covs),
+                                                   oracle_factor(covs, floor))
+                got_ll, got_resp = encoding._e_step(xt, priors, means,
+                                                    encoding._factor(covs, floor), const)
+                assert got_ll == want_ll, (d, n)
+                assert np.array_equal(got_resp.T, want_resp), (d, n)
+                want_theta, want_factor = oracle_m_step(x, want_resp, floor)
+                got_theta, got_factor = encoding._m_step(x, xt, got_resp, floor,
+                                                         floor * np.eye(d))
+                for got, want in zip((*got_theta, *got_factor), (*want_theta, *want_factor)):
+                    assert np.array_equal(got, want), (d, n)
+
+
 class TestLloyd:
+    @pytest.fixture()
+    def sq_dists_calls(self, monkeypatch):
+        calls = []
+        sq_dists = encoding._sq_dists
+
+        def counted(*args):
+            calls.append(None)
+            return sq_dists(*args)
+
+        monkeypatch.setattr(encoding, "_sq_dists", counted)
+        return calls
+
+    def test_early_exit_matches_ten_full_iterations(self, rng, sq_dists_calls):
+        early = 0
+        for trial in range(30):
+            k, d = 1 + trial % 5, 1 + trial % 4
+            x = rng.standard_normal((80, d)) + rng.integers(0, 3, size=(80, 1))
+            start = x[rng.choice(80, size=k, replace=False)].copy()
+            want = start.copy()
+            want_labels = oracle_lloyd(x, want)
+            got = start.copy()
+            sq_dists_calls.clear()
+            got_labels = encoding._lloyd(x, got)
+            assert np.array_equal(got_labels, want_labels), trial
+            assert np.array_equal(got, want), trial
+            early += len(sq_dists_calls) < 11
+        assert early > 0  # the exit fired, so the comparison covered it
+
+    def test_no_early_exit_after_a_reseed(self, sq_dists_calls):
+        # every point sits on a center and cluster 2 stays empty: each update
+        # reseeds it and the labels repeat, which must not end the loop
+        x = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
+        start = np.array([[0.0, 0.0], [1.0, 1.0], [5.0, 5.0]])
+        want = start.copy()
+        want_labels = oracle_lloyd(x, want)
+        got = start.copy()
+        got_labels = encoding._lloyd(x, got)
+        assert len(sq_dists_calls) == 21  # 10 label passes, 10 reseeds, the final labels
+        assert np.array_equal(got_labels, want_labels)
+        assert np.array_equal(got, want)
+
     def test_matches_per_cluster_means(self, rng):
         x = rng.standard_normal((120, 3))
         start = x[rng.choice(120, size=4, replace=False)].copy()
@@ -171,8 +309,8 @@ class TestFitGmm:
             axis=1,
         )
         joint = np.exp(np.log(model.priors)
-                       + encoding._log_gauss(x, model.means,
-                                             encoding._factor(model.covariances)))
+                       + encoding._log_gauss(x.T, model.means,
+                                             encoding._factor(model.covariances), LOG_2PI).T)
         resp = joint / joint.sum(axis=1, keepdims=True)
         agree = 0
         for k in range(2):
@@ -199,9 +337,9 @@ class TestFitGmm:
         calls = []
         log_gauss = encoding._log_gauss
 
-        def falling(x, means, factor):
+        def falling(*args):
             calls.append(None)  # each E-step scores lower than the last
-            return log_gauss(x, means, factor) - 10.0 * len(calls)
+            return log_gauss(*args) - 10.0 * len(calls)
 
         monkeypatch.setattr(encoding, "_log_gauss", falling)
         with pytest.raises(SynkitError, match="log-likelihood decreased"):

@@ -78,6 +78,20 @@ class TestContactForces:
                 force.contact_forces(model, np.ones(6), basis, np.zeros(2))
 
 
+class TestStablePinv:
+    @pytest.mark.parametrize("shape", [(6, 6), (6, 12), (6, 9), (9, 6)])
+    def test_bit_equal_to_numpy_pinv(self, rng, shape):
+        for _ in range(20):
+            for matrix in (rng.standard_normal(shape), rng.standard_normal(shape[::-1]).T):
+                assert np.array_equal(force._stable_pinv(matrix, "m"), np.linalg.pinv(matrix))
+
+    def test_rank_deficient_names_the_matrix(self):
+        matrix = np.zeros((6, 6))
+        matrix[:, 0] = 1.0
+        with pytest.raises(RankDeficientError, match="grasp matrix pseudo-inverse"):
+            force._stable_pinv(matrix, "grasp matrix")
+
+
 def oracle_cone(fx, fy, fz, mu):
     """Direct transcription of the stability inequality."""
     tangential = np.sqrt(fx * fx + fy * fy)
@@ -204,6 +218,7 @@ class TestMotorCurrents:
             raise AssertionError("pseudo-inverse recomputed")
 
         monkeypatch.setattr(np.linalg, "pinv", no_pinv)
+        monkeypatch.setattr(np.linalg, "svd", no_pinv)
         assert np.array_equal(force.contact_forces(model, np.ones(6), basis, np.ones(2)),
                               contacts)
         assert np.array_equal(force.motor_currents(model, contacts), currents)

@@ -34,12 +34,21 @@ class TestConfig:
         ("force_gain", 0.0),
         ("cluster_epsilon", -0.1),
         ("ransac_iterations", 10**6 + 1),
+        ("dense_points", pipeline.MAX_DENSE_POINTS + 1),
+        ("reference_points", pipeline.MAX_REFERENCE_POINTS + 1),
     ])
     def test_invalid_values_rejected(self, field, value):
         config = pipeline.default_config("egg")
         setattr(config, field, value)
         with pytest.raises(ConfigInvalidError):
             config.validate()
+
+    @pytest.mark.parametrize("field,value", [("dense_points", pipeline.MAX_DENSE_POINTS),
+                                             ("reference_points", pipeline.MAX_REFERENCE_POINTS)])
+    def test_largest_grid_is_valid(self, field, value):
+        config = pipeline.default_config("egg")
+        setattr(config, field, value)
+        config.validate()
 
     def test_force_loop_rule_is_the_recurrence_spectral_radius_below_one(self):
         # the loop in (d, measured), with the grasp model's unit grip gain
