@@ -97,7 +97,8 @@ class GmmModel(JsonRecord):
 
 @dataclass(frozen=True)
 class ReferenceTrajectory(JsonRecord):
-    """Per-time mean and covariance of the synergy coefficients."""
+    """Per-time mean and covariance of the synergy coefficients, plus ``spectrum``,
+    the (T, S) ascending eigenvalues of the covariances, read-only and not a field."""
 
     times: np.ndarray
     means: np.ndarray
@@ -110,8 +111,11 @@ class ReferenceTrajectory(JsonRecord):
         s = means.shape[1]
         if covs.shape != (times.shape[0], s, s):
             raise DimensionMismatchError("covariances must be (T, S, S)")
-        if np.any(np.linalg.eigvalsh(covs) < 0.0):
+        spectrum = _spectrum(covs, "covariances")
+        if np.any(spectrum < 0.0):
             raise InvalidInputError("covariances must be positive semidefinite")
+        spectrum.setflags(write=False)
+        object.__setattr__(self, "spectrum", spectrum)
         if times.shape[0] > 1 and not np.all(np.diff(times) > 0.0):
             raise NonMonotonicTimeError("reference times must strictly increase")
 
@@ -209,9 +213,17 @@ def _e_step(xt, priors, means, factor, const):
     return float(np.add.reduce(log_norm)), np.exp(log_joint, out=log_joint)
 
 
+def _spectrum(covs, name):
+    """Ascending eigenvalues of a (..., d, d) stack that passes np.allclose's symmetry test."""
+    mirror = covs.swapaxes(-1, -2)
+    if not np.all(np.abs(covs - mirror) <= 1e-12 + 1e-5 * np.abs(mirror)):
+        raise InvalidInputError(f"{name} must be symmetric")
+    return np.linalg.eigvalsh(covs)
+
+
 def _require_positive_definite(covs, error, what):
     """Raise ``error`` naming the first covariance of a (C, d, d) stack that is not PD."""
-    bad = np.flatnonzero(np.linalg.eigvalsh(covs).min(axis=1) <= 0.0)
+    bad = np.flatnonzero(_spectrum(covs, "covariances").min(axis=1) <= 0.0)
     if bad.size:
         raise error(f"component {bad[0]} covariance {what}")
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from ._io import freeze, write_csv
-from .encoding import ReferenceTrajectory
+from .encoding import ReferenceTrajectory, _spectrum
 from .errors import (
     COND_LIMIT,
     DimensionMismatchError,
@@ -127,9 +127,7 @@ class ViaPoint:
         e, cov = freeze(self, "desired_e", "desired_cov")
         if e.ndim != 1 or cov.shape != (e.shape[0], e.shape[0]):
             raise DimensionMismatchError("desired_cov must be S x S matching desired_e")
-        if not np.all(np.abs(cov - cov.T) <= 1e-12 + 1e-5 * np.abs(cov.T)):  # np.allclose's test
-            raise InvalidInputError("desired_cov must be symmetric")
-        if np.linalg.eigvalsh(cov).min() <= 0.0:
+        if _spectrum(cov, "desired_cov").min() <= 0.0:
             raise InvalidInputError("desired_cov must be positive definite")
 
 
@@ -228,8 +226,7 @@ def kmp_predict_cov(model: KmpModel, times) -> np.ndarray:
     diagonal = np.arange(n)
     # the fresh kron result is contiguous, so this reshape is a writable view
     a_cov.reshape(n, s, n, s)[diagonal, :, diagonal, :] += model.lam * ref.covariances
-    _require_conditioned(a_cov, model.lam * np.linalg.eigvalsh(ref.covariances).min(),
-                         model.kernel, "(K + lambda Sigma)")
+    _require_conditioned(a_cov, model.lam * ref.spectrum.min(), model.kernel, "(K + lambda Sigma)")
     flat = np.asarray(times, dtype=float).reshape(-1)
     quad = np.empty((flat.size, s, s))
     for start in range(0, flat.size, _QUERY_BLOCK):
@@ -306,7 +303,8 @@ def fuse_priorities(trajectories, priorities) -> ReferenceTrajectory:
         weights.append(w)
 
     covs = np.stack([traj.covariances for traj in trajectories])  # (D, Q, S, S)
-    singular = np.flatnonzero((np.linalg.cond(covs) > COND_LIMIT).any(axis=0))
+    spectra = np.stack([traj.spectrum for traj in trajectories])  # (D, Q, S), ascending
+    singular = np.flatnonzero((~(spectra[..., -1] < COND_LIMIT * spectra[..., 0])).any(axis=0))
     if singular.size:
         raise SingularCovarianceError(f"covariance at grid point {singular[0]} is singular")
     # w_d Sigma_d^-1 at every grid point, summed over d for the fused precision

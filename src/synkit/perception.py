@@ -3,7 +3,7 @@
 A scene cloud is split into a dominant plane (background) and object
 candidates by RANSAC, candidates are grouped by Euclidean clustering,
 classified with a linear SVM on simple geometric features, reduced to
-centroid poses, and finally mapped into synergy-space via-point targets.
+centroid poses, and finally mapped into synergy coordinates.
 """
 from __future__ import annotations
 
@@ -21,7 +21,6 @@ from .errors import (
     SingleClassError,
 )
 from .force import _stable_pinv
-from .kmp import ViaPoint
 from .synergy import SynergyBasis
 
 __all__ = [
@@ -537,14 +536,13 @@ class SynergyMappingParams:
         return self.compliance.shape[0]
 
 
-def pose_to_synergy(pose: ObjectPose, params: SynergyMappingParams, basis: SynergyBasis,
-                    t_star: float = 1.0, confidence: float = 1e-6) -> ViaPoint:
-    """Map an object pose into a synergy-space via-point.
+def pose_to_synergy(pose: ObjectPose, params: SynergyMappingParams,
+                    basis: SynergyBasis) -> np.ndarray:
+    """Map an object pose to its (S,) synergy coordinates.
 
     The pose 6-vector (centroid, extents) is carried into joint space by the
     pseudo-inverse of the motion transfer matrix, passed through the joint
-    compliance, and projected onto the synergy basis; the result is packaged
-    as a via-point at ``t_star`` with isotropic covariance ``confidence * I``.
+    compliance, and projected onto the synergy basis.
     """
     j = basis.joint_dim
     if params.joint_dim != j:
@@ -555,9 +553,7 @@ def pose_to_synergy(pose: ObjectPose, params: SynergyMappingParams, basis: Syner
     op_embedded = np.zeros(j)
     op_embedded[: op.shape[0]] = op
     transfer_pinv = _stable_pinv(params.motion_transfer, "motion transfer matrix")
-    e_o = basis.e_hat.T @ (params.compliance @ (transfer_pinv @ op_embedded))
-    return ViaPoint(t_star=t_star, desired_e=e_o,
-                    desired_cov=confidence * np.eye(basis.synergy_dim))
+    return basis.e_hat.T @ (params.compliance @ (transfer_pinv @ op_embedded))
 
 
 def detect_objects(cloud, *, iterations, threshold, seed, epsilon, min_points, svm=None):

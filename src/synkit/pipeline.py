@@ -106,10 +106,6 @@ class PipelineConfig(JsonRecord):
                 raise ConfigInvalidError(f"{name} must be <= {_MAXIMUM[name]}, got {value!r}")
         if self.synergy_threshold > 1.0:
             raise ConfigInvalidError("synergy_threshold must lie in (0, 1]")
-        most = perception.RANSAC_MAX_ITERATIONS
-        if self.ransac_iterations > most:
-            raise ConfigInvalidError(
-                f"ransac_iterations must be <= {most}, got {self.ransac_iterations!r}")
         band = (self.force_target_low, self.force_target_high)
         if None not in band and band[0] >= band[1]:
             raise ConfigInvalidError("force target band must satisfy low < high")
@@ -159,7 +155,7 @@ _KINDS = {name: typing.get_args(hint) or (hint,)
 # one; every other number must be positive.
 _MINIMUM = {"seed": 0, "gmm_seed": 0, "ransac_seed": 0, "svm_seed": 0,
             "demo_noise": 0.0, "demo_count": 2}
-# Largest grids, so that the largest allowed run allocates under about 1 GiB.
+# Largest sizes, so that the largest allowed run allocates under about 1 GiB.
 # A dense point costs about 1.25 KiB: (S, S) covariance temporaries and its
 # CSV row, measured as +61 MiB of peak RSS for 50,000 kmp-predict points at
 # the hand's largest synergy dimension S = 6; 500,000 points take 610 MiB.
@@ -169,7 +165,20 @@ MAX_DENSE_POINTS = 500_000
 # at once (kernel, Kronecker product, solve copy, eigvalsh), 128 N^2 bytes,
 # which is 512 MB at 2,000 points.
 MAX_REFERENCE_POINTS = 2_000
-_MAXIMUM = {"dense_points": MAX_DENSE_POINTS, "reference_points": MAX_REFERENCE_POINTS}
+# A force step costs about 2.8 KiB (its record dict, its friction flags and
+# its tasklog.json text) and 25 us, measured as +86 MiB of peak RSS and +0.8 s
+# for simulate at 64,000 steps against 32,000; 250,000 steps take 670 MiB
+# and about 6 s, and write a 92 MB tasklog.json.
+MAX_FORCE_STEPS = 250_000
+# A demonstration costs about 1.1 MiB at the largest reference grid, 2,000
+# points: its interpolated trajectory and its EM samples, whose (C, d)
+# temporaries are live at once. Measured as +45 MiB of peak RSS and +2.6 s
+# for encode --grid-points 2000 at 80 demos against 40; 500 demos take
+# 560 MiB and about a minute of EM.
+MAX_DEMO_COUNT = 500
+_MAXIMUM = {"dense_points": MAX_DENSE_POINTS, "reference_points": MAX_REFERENCE_POINTS,
+            "ransac_iterations": perception.RANSAC_MAX_ITERATIONS,
+            "force_steps": MAX_FORCE_STEPS, "demo_count": MAX_DEMO_COUNT}
 _CHOICES = {"task": synthetic.TASKS, "kernel_kind": kmp.KERNEL_KINDS}
 
 
@@ -485,13 +494,8 @@ def run_task(config: PipelineConfig) -> TaskLog:
         nominal_pose = perception.estimate_pose(
             perception.Cluster(np.arange(nominal_points.shape[0]), nominal_points),
             label=target_label)
-        via_detected = perception.pose_to_synergy(
-            target_pose, params, basis,
-            t_star=scenario["grasp_time"], confidence=config.via_confidence)
-        via_nominal = perception.pose_to_synergy(
-            nominal_pose, params, basis,
-            t_star=scenario["grasp_time"], confidence=config.via_confidence)
-        pose_delta = via_detected.desired_e - via_nominal.desired_e
+        pose_delta = (perception.pose_to_synergy(target_pose, params, basis)
+                      - perception.pose_to_synergy(nominal_pose, params, basis))
 
         # the grasp via-point shifted by the pose delta, then the manipulation
         # phase steered along the task curve at every reference step from its start

@@ -24,8 +24,6 @@ __all__ = [
     "load_postures_csv",
 ]
 
-_ORTHO_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class ConfigurationMatrix:

@@ -179,7 +179,9 @@ class TestInvalidInput:
 # the row's second field, {cloud} a small plane cloud, {nan_svm}, {flat_svm}
 # and {same_svm} classifiers with a NaN weight, a zero feature scale and two
 # equal classes, {models} a models_dir whose basis has a NaN theta0,
-# {neg_reference} a reference whose covariances are -1e-3 I), then the text
+# {neg_reference} a reference whose covariances are -1e-3 I, {asym_reference}
+# one whose covariances differ from their transpose in the upper triangle
+# only, which eigvalsh does not read), then the text
 # the one error line must name. A failing command does not make --out.
 CONTRACT_CASES = [
     (("benchmark-kernels", "--length-scale", "1e-300"), None, "l=1e-300"),
@@ -205,6 +207,8 @@ CONTRACT_CASES = [
     (("simulate", "--config", "{config}"), {"dense_points": 10**15}, "dense_points"),
     (("simulate", "--config", "{config}"), {"reference_points": 10**15}, "reference_points"),
     (("encode", "--grid-points", "1000000000000000"), None, "reference_points"),
+    (("simulate", "--config", "{config}"), {"force_steps": 10**15}, "force_steps"),
+    (("generate", "demos", "--count", "1000000000000000"), None, "demo_count"),
     # a basis that keeps other than the task waypoints' two synergies
     (("simulate", "--config", "{config}"), {"demo_noise": 1e6},
      "synergy dimension 5 but the egg waypoints have dimension 2"),
@@ -215,6 +219,7 @@ CONTRACT_CASES = [
     (("classify", "--cloud", "{cloud}", "--svm", "{flat_svm}"), None, "feature_scale"),
     (("classify", "--cloud", "{cloud}", "--svm", "{same_svm}"), None, "classes"),
     (("kmp-predict", "--reference", "{neg_reference}", "--lam", "1e-6"), None, "covariances"),
+    (("kmp-predict", "--reference", "{asym_reference}", "--lam", "1e-6"), None, "covariances"),
     (("simulate", "--config", "{config}"), {"models_dir": "{models}"}, "theta0"),
     # more mixture components than samples fails in EM, which is the encoding stage
     (("simulate", "--config", "{config}"), {"gmm_components": 100}, "stage 'encoding'"),
@@ -235,7 +240,8 @@ def test_hostile_input_exits_2_with_one_error_line(argv, config, named, tmp_path
            "feature_mean": [0.0, 0.0], "feature_scale": [1.0, 1.0], "objective_history": [1.0]}
     files = {"reference": reference, "cloud": cloud, "nan_svm": tmp_path / "nan_svm.json",
              "flat_svm": tmp_path / "flat_svm.json", "same_svm": tmp_path / "same_svm.json",
-             "neg_reference": tmp_path / "neg_reference.json", "models": tmp_path / "models",
+             "neg_reference": tmp_path / "neg_reference.json",
+             "asym_reference": tmp_path / "asym_reference.json", "models": tmp_path / "models",
              "config": tmp_path / "config.json"}
     files["nan_svm"].write_text(json.dumps({**svm, "weights": [1.0, float("nan")]}))
     files["flat_svm"].write_text(json.dumps({**svm, "feature_scale": [1.0, 0.0]}))
@@ -243,6 +249,9 @@ def test_hostile_input_exits_2_with_one_error_line(argv, config, named, tmp_path
     files["neg_reference"].write_text(json.dumps({
         "times": grid.tolist(), "means": [[0.0, 0.0]] * 5,
         "covariances": [[[-1e-3, 0.0], [0.0, -1e-3]]] * 5}))
+    files["asym_reference"].write_text(json.dumps({
+        "times": grid.tolist(), "means": [[0.0, 0.0]] * 5,
+        "covariances": [[[1e-2, 5.0], [0.0, 1e-2]]] * 5}))
     files["models"].mkdir()
     (files["models"] / "basis.json").write_text(json.dumps({
         "e_hat": np.eye(6)[:, :2].tolist(), "theta0": [float("nan")] + [0.0] * 5,

@@ -575,3 +575,35 @@ class TestNonFiniteRecords:
     def test_reference_names_the_non_finite_field(self, name, value):
         with pytest.raises(InvalidInputError, match=f"^{name} contains NaN or Inf"):
             encoding.ReferenceTrajectory(**self._spoiled(self.REFERENCE, name, value))
+
+
+class TestCovarianceRule:
+    """Every covariance record tests symmetry before ``eigvalsh``, which reads one triangle."""
+
+    # its lower triangle, all eigvalsh reads, is the identity's
+    UPPER_ONLY = np.array([[1.0, 5.0], [0.0, 1.0]])
+    CASES = [
+        (encoding.GmmModel, {**TestNonFiniteRecords.GMM,
+                             "covariances": np.stack([np.eye(2), UPPER_ONLY])}, "covariances"),
+        (encoding.ReferenceTrajectory, {**TestNonFiniteRecords.REFERENCE,
+                                        "covariances": np.stack([np.eye(2), np.eye(2),
+                                                                 UPPER_ONLY])}, "covariances"),
+        (kmp.ViaPoint, {"t_star": 0.5, "desired_e": np.zeros(2), "desired_cov": UPPER_ONLY},
+         "desired_cov"),
+    ]
+
+    @pytest.mark.parametrize("cls,fields,name", CASES, ids=[c[0].__name__ for c in CASES])
+    def test_an_asymmetry_eigvalsh_cannot_see_is_rejected(self, cls, fields, name):
+        assert np.array_equal(np.linalg.eigvalsh(self.UPPER_ONLY), [1.0, 1.0])
+        with pytest.raises(InvalidInputError, match=f"^{name} must be symmetric$"):
+            cls(**fields)
+
+    def test_reference_keeps_its_spectrum_outside_its_fields(self, rng):
+        factors = rng.standard_normal((4, 3, 3))
+        covs = factors @ factors.transpose(0, 2, 1) + 0.1 * np.eye(3)
+        ref = encoding.ReferenceTrajectory(times=np.linspace(0.0, 1.0, 4),
+                                           means=np.zeros((4, 3)), covariances=covs)
+        assert np.array_equal(ref.spectrum, np.linalg.eigvalsh(ref.covariances))
+        assert not ref.spectrum.flags.writeable
+        assert "spectrum" not in ref.to_json() and "spectrum" not in repr(ref)
+        assert "spectrum" not in {f.name for f in dataclasses.fields(ref)}

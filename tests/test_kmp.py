@@ -614,6 +614,23 @@ def test_fit_on_a_well_conditioned_reference_runs_no_eigendecomposition(monkeypa
     assert calls == []
 
 
+def test_covariances_are_decomposed_once_per_reference(monkeypatch):
+    """One eigvalsh per reference; kmp_predict_cov and fuse_priorities reuse its spectrum."""
+    real_eigvalsh = np.linalg.eigvalsh
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda *args, **kwargs: calls.append(1) or real_eigvalsh(*args, **kwargs))
+    monkeypatch.setattr(np.linalg, "cond", None)  # fuse_priorities runs no SVD
+    ref = random_spd_reference(np.random.default_rng(3), n=25)
+    assert len(calls) == 1
+    for spec in ALL_SPECS:
+        # lambda 1 and covariances above 0.1 I: the row-sum bound clears the system
+        kmp.kmp_predict_cov(kmp.kmp_fit(ref, spec, lam=1.0), np.linspace(0.0, 1.0, 7))
+    assert len(calls) == 1
+    kmp.fuse_priorities([ref, ref], [1.0, 2.0])
+    assert len(calls) == 2  # the fused reference's own check
+
+
 @pytest.mark.parametrize("kind", ["gaussian", "cauchy"])
 def test_underflowing_length_scale_is_invalid_input(kind):
     ref = make_reference(np.linspace(0.0, 1.0, 5), np.zeros((5, 2)))

@@ -591,15 +591,15 @@ class TestPoseToSynergy:
 
     def test_zero_pose_maps_to_zero(self, basis, params):
         pose = perception.ObjectPose(centroid=np.zeros(3), extents=np.zeros(3))
-        via = perception.pose_to_synergy(pose, params, basis)
-        assert np.abs(via.desired_e).max() == 0.0
+        e = perception.pose_to_synergy(pose, params, basis)
+        assert np.abs(e).max() == 0.0
 
     def test_identity_matrices_reduce_to_projection(self, basis, params):
         pose = perception.ObjectPose(centroid=np.array([0.1, 0.2, 0.3]),
                                      extents=np.array([0.04, 0.05, 0.06]))
-        via = perception.pose_to_synergy(pose, params, basis)
+        e = perception.pose_to_synergy(pose, params, basis)
         want = basis.e_hat.T @ np.concatenate([pose.centroid, pose.extents])
-        assert np.abs(via.desired_e - want).max() < 1e-12
+        assert np.abs(e - want).max() < 1e-12
 
     def test_linearity(self, basis, rng):
         c = rng.standard_normal((6, 6))
@@ -607,18 +607,18 @@ class TestPoseToSynergy:
         params = perception.SynergyMappingParams(compliance=c, motion_transfer=a)
         p1 = perception.ObjectPose(centroid=rng.standard_normal(3),
                                    extents=np.abs(rng.standard_normal(3)))
-        e1 = perception.pose_to_synergy(p1, params, basis).desired_e
+        e1 = perception.pose_to_synergy(p1, params, basis)
         doubled = perception.ObjectPose(centroid=2.0 * p1.centroid,
                                         extents=2.0 * p1.extents)
-        e2 = perception.pose_to_synergy(doubled, params, basis).desired_e
+        e2 = perception.pose_to_synergy(doubled, params, basis)
         assert np.abs(e2 - 2.0 * e1).max() < 1e-12
         # additivity over the pose vector through a second pose
         p3 = perception.ObjectPose(centroid=rng.standard_normal(3),
                                    extents=np.abs(rng.standard_normal(3)))
-        e3 = perception.pose_to_synergy(p3, params, basis).desired_e
+        e3 = perception.pose_to_synergy(p3, params, basis)
         summed = perception.ObjectPose(centroid=p1.centroid + p3.centroid,
                                        extents=p1.extents + p3.extents)
-        e13 = perception.pose_to_synergy(summed, params, basis).desired_e
+        e13 = perception.pose_to_synergy(summed, params, basis)
         assert np.abs(e13 - (e1 + e3)).max() < 1e-12
 
     def test_rank_deficient_transfer_rejected(self, basis):
