@@ -190,6 +190,4 @@ def write_csv(path, header, rows) -> None:
     preformatted = isinstance(rows, list) and rows and isinstance(rows[0], str)
     lines = rows if preformatted else format_rows(rows)
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for line in lines:
-            fh.write(line + "\n")
+        fh.write("\n".join([",".join(header), *lines, ""]))

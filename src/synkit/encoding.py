@@ -38,7 +38,7 @@ _LL_SLACK = 1e-7
 _COLLAPSED = "collapsed below the regularization floor"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SynergyTrajectory:
     """Synergy coefficients sampled on a strictly increasing time grid."""
 
@@ -57,7 +57,7 @@ class SynergyTrajectory:
         return self.coeffs.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GmmModel(JsonRecord):
     """Gaussian mixture over the joint (time, synergy) space.
 
@@ -95,7 +95,7 @@ class GmmModel(JsonRecord):
         return self.means.shape[1] - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReferenceTrajectory(JsonRecord):
     """Per-time mean and covariance of the synergy coefficients, plus ``spectrum``,
     the (T, S) ascending eigenvalues of the covariances, read-only and not a field."""

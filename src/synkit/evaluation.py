@@ -95,10 +95,27 @@ class MetricReport:
 
 
 def component_scores(actual, predicted):
-    """Per-component R and rMSE lists between two (T, S) mean arrays."""
-    s = actual.shape[1]
-    return ([pearson_r(actual[:, j], predicted[:, j]) for j in range(s)],
-            [rmse(actual[:, j], predicted[:, j]) for j in range(s)])
+    """Per-component R and rMSE, each (K, S), of a (K, T, S) stack of predicted
+    mean arrays against one (T, S) actual mean array.
+
+    Entry (k, j) is ``pearson_r`` and ``rmse`` of column j of ``actual`` and
+    ``predicted[k]``, bit for bit: every sum runs along a contiguous row of
+    T values, as it does for one column, and the arithmetic is the same.
+    """
+    a = np.asarray(actual, dtype=float)
+    p = np.asarray(predicted, dtype=float)
+    if a.ndim != 2 or p.ndim != 3 or p.shape[1:] != a.shape:
+        raise LengthMismatchError(f"shape mismatch: {a.shape} vs {p.shape[1:]} per prediction")
+    if a.shape[0] < 2:
+        raise LengthMismatchError("need at least 2 points for a correlation")
+    a = np.ascontiguousarray(a.T)  # (S, T)
+    p = np.ascontiguousarray(p.transpose(0, 2, 1))  # (K, S, T)
+    da = a - a.mean(axis=-1, keepdims=True)
+    dp = p - p.mean(axis=-1, keepdims=True)
+    denom = np.sqrt(np.sum(da**2, axis=-1)) * np.sqrt(np.sum(dp**2, axis=-1))
+    if (denom == 0.0).any():
+        raise ZeroVarianceError("constant sequence has no correlation")
+    return np.sum(da * dp, axis=-1) / denom, np.sqrt(np.mean((a - p) ** 2, axis=-1))
 
 
 def benchmark_kernels(reference: ReferenceTrajectory, adaptations, kernel_specs,
@@ -139,24 +156,21 @@ def benchmark_kernels(reference: ReferenceTrajectory, adaptations, kernel_specs,
     systems = [(members, _side_by_side([adapted[i] for i in members]))
                for members in groups.values()]
 
+    q, s = grid.shape[0], reference.synergy_dim
     rows, trajectories = {}, {}
     for spec in specs:
-        predicted = [None] * len(adapted)
+        predicted = np.empty((len(adapted), q, s))
         for members, stacked in systems:
             means = kmp_predict(kmp_fit(stacked, spec, lam), grid)
-            for idx, block in zip(members, np.hsplit(means, len(members))):
-                predicted[idx] = block
-        r_scores, e_scores = [], []
+            predicted[members] = means.reshape(q, len(members), s).transpose(1, 0, 2)
+        r, e = component_scores(actual.means, predicted)
+        rows[spec.kind] = {"R": float(np.mean(np.mean(r, axis=1))),
+                           "rmse": float(np.mean(np.mean(e, axis=1)))}
         for idx, means in enumerate(predicted):
-            r, e = component_scores(actual.means, means)
-            r_scores.append(np.mean(r))
-            e_scores.append(np.mean(e))
             trajectories[f"trajectory_{spec.kind}_adaptation{idx}.csv"] = means
-        rows[spec.kind] = {"R": float(np.mean(r_scores)), "rmse": float(np.mean(e_scores))}
 
     if dump_dir is not None:
         Path(dump_dir).mkdir(parents=True, exist_ok=True)
-        s = actual.means.shape[1]
         header = (["t"] + [f"actual{j + 1}" for j in range(s)]
                   + [f"predicted{j + 1}" for j in range(s)])
         shared = format_rows(np.column_stack([grid, actual.means]))

@@ -27,7 +27,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GraspModel:
     """Linear grasp mechanics for n_c point contacts.
 

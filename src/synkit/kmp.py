@@ -87,20 +87,35 @@ def kernel_eval(spec: KernelSpec, t1, t2):
     exponential: sigma2 * exp(-|dt| / l)
     gaussian:    sigma2 * exp(-|dt|^2 / (2 l^2))
     cauchy:      sigma2 * (1 + |dt|^2 / (2 alpha l^2))^(-alpha)
+
+    The lag array is made once and every later step writes into it. A lag
+    so large that a step overflows gives the kernel's exact limit there, 0.
     """
-    dt = np.abs(np.asarray(t1, dtype=float) - np.asarray(t2, dtype=float))
-    if spec.kind == "exponential":
-        return spec.sigma2 * np.exp(-dt / spec.l)
-    if spec.kind == "gaussian":
-        return spec.sigma2 * np.exp(-(dt**2) / (2.0 * spec.l**2))
-    return spec.sigma2 * (1.0 + dt**2 / (2.0 * spec.alpha * spec.l**2)) ** (-spec.alpha)
+    with np.errstate(over="ignore"):
+        lag = np.subtract(t1, t2, dtype=float)
+        k = np.atleast_1d(lag)  # a scalar lag gets a one-element buffer
+        np.abs(k, out=k)
+        if spec.kind == "cauchy":
+            np.square(k, out=k)
+            k /= 2.0 * spec.alpha * spec.l**2
+            k += 1.0
+            k **= -spec.alpha
+        else:
+            if spec.kind == "gaussian":
+                np.square(k, out=k)
+            np.negative(k, out=k)
+            k /= spec.l if spec.kind == "exponential" else 2.0 * spec.l**2
+            np.exp(k, out=k)
+        k *= spec.sigma2
+    return k if lag.ndim else k[0]
 
 
 def build_kernel_matrix(spec: KernelSpec, times, dim: int = 1) -> np.ndarray:
     """Assemble the (N*dim) x (N*dim) block kernel matrix.
 
     Block (i, j) is ``k(t_i, t_j) * I_dim``: one shared scalar kernel acting
-    identically on every output dimension.
+    identically on every output dimension. For ``dim == 1`` the fresh N x N
+    kernel array itself is returned, so a caller may write into it.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
@@ -108,10 +123,10 @@ def build_kernel_matrix(spec: KernelSpec, times, dim: int = 1) -> np.ndarray:
     # an l**2 that underflows to 0 gives 0/0 here, which _require_conditioned reports
     with np.errstate(divide="ignore", invalid="ignore"):
         k = kernel_eval(spec, times[:, None], times[None, :])
-    return np.kron(k, np.eye(dim))
+    return k if dim == 1 else np.kron(k, np.eye(dim))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ViaPoint:
     """Desired (time, value, confidence) constraint for adaptation.
 
@@ -131,7 +146,7 @@ class ViaPoint:
             raise InvalidInputError("desired_cov must be positive definite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KmpModel:
     """Fitted kernel regression over a reference trajectory.
 
@@ -188,7 +203,9 @@ def kmp_fit(reference: ReferenceTrajectory, spec: KernelSpec, lam: float = 1.0) 
         raise InvalidInputError(f"lambda must be finite and positive, got {lam!r}")
     if len(reference) == 0:
         raise DimensionMismatchError("reference trajectory is empty")
-    a_mean = build_kernel_matrix(spec, reference.times) + lam * np.eye(len(reference))
+    a_mean = build_kernel_matrix(spec, reference.times)
+    # kernel values are >= +0, so adding lambda on the diagonal alone is K + lambda I
+    a_mean.reshape(-1)[::len(reference) + 1] += lam
     _require_conditioned(a_mean, lam, spec, "(K + lambda I)")
     mean_factor = np.linalg.solve(a_mean, reference.means)
     return KmpModel(kernel=spec, lam=lam, reference=reference, mean_factor=mean_factor)
@@ -224,7 +241,7 @@ def kmp_predict_cov(model: KmpModel, times) -> np.ndarray:
     n, s = len(ref), ref.synergy_dim
     a_cov = build_kernel_matrix(model.kernel, ref.times, s)
     diagonal = np.arange(n)
-    # the fresh kron result is contiguous, so this reshape is a writable view
+    # the fresh result is contiguous, so this reshape is a writable view
     a_cov.reshape(n, s, n, s)[diagonal, :, diagonal, :] += model.lam * ref.covariances
     _require_conditioned(a_cov, model.lam * ref.spectrum.min(), model.kernel, "(K + lambda Sigma)")
     flat = np.asarray(times, dtype=float).reshape(-1)

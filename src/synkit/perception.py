@@ -53,7 +53,7 @@ _SAVE_ROWS = 4096
 RANSAC_MAX_ITERATIONS = 1_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlaneModel:
     """Plane a x + b y + c z + d = 0 with unit normal (a, b, c)."""
 
@@ -72,7 +72,7 @@ class PlaneModel:
         return np.abs(points @ self.normal + self.offset)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Cluster:
     """Indices of one connected object candidate within a source cloud."""
 
@@ -91,7 +91,7 @@ class Cluster:
         return self.indices.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObjectPose:
     """Centroid pose of a detected object: position, box extents, label."""
 
@@ -378,7 +378,7 @@ def _segment_features(points, counts):
     return np.column_stack([extents, eigvals, counts])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SvmModel(JsonRecord):
     """Linear soft-margin classifier with internal feature standardization.
 
@@ -511,7 +511,7 @@ def estimate_pose(cluster: Cluster, label: str = "", score: float = 0.0) -> Obje
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SynergyMappingParams:
     """Matrices mapping a Cartesian pose into synergy coordinates.
 

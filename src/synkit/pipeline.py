@@ -155,7 +155,8 @@ _KINDS = {name: typing.get_args(hint) or (hint,)
 # one; every other number must be positive.
 _MINIMUM = {"seed": 0, "gmm_seed": 0, "ransac_seed": 0, "svm_seed": 0,
             "demo_noise": 0.0, "demo_count": 2}
-# Largest sizes, so that the largest allowed run allocates under about 1 GiB.
+# Largest sizes, so that the largest allowed run at the default 5 mixture
+# components allocates under about 1 GiB.
 # A dense point costs about 1.25 KiB: (S, S) covariance temporaries and its
 # CSV row, measured as +61 MiB of peak RSS for 50,000 kmp-predict points at
 # the hand's largest synergy dimension S = 6; 500,000 points take 610 MiB.
@@ -176,9 +177,18 @@ MAX_FORCE_STEPS = 250_000
 # for encode --grid-points 2000 at 80 demos against 40; 500 demos take
 # 560 MiB and about a minute of EM.
 MAX_DEMO_COUNT = 500
+# A mixture component costs about 90-120 bytes per EM sample: k-means++
+# seeding, Lloyd and every E-step hold (M, C, d) or (C, d, M) float64
+# temporaries, with d = 3 for the tasks' two synergies. Measured as +267 MiB
+# of peak RSS for encode --count 40 --grid-points 2000 (80,000 samples) at 40
+# components against 10, and 918 MiB peak and 4 minutes at 100 components on
+# 100,000 samples (50 demos). The cost is components times samples, so at
+# the largest sample count, 1,000,000, this bound alone allows about 9 GiB.
+MAX_GMM_COMPONENTS = 100
 _MAXIMUM = {"dense_points": MAX_DENSE_POINTS, "reference_points": MAX_REFERENCE_POINTS,
             "ransac_iterations": perception.RANSAC_MAX_ITERATIONS,
-            "force_steps": MAX_FORCE_STEPS, "demo_count": MAX_DEMO_COUNT}
+            "force_steps": MAX_FORCE_STEPS, "demo_count": MAX_DEMO_COUNT,
+            "gmm_components": MAX_GMM_COMPONENTS}
 _CHOICES = {"task": synthetic.TASKS, "kernel_kind": kmp.KERNEL_KINDS}
 
 
@@ -533,7 +543,8 @@ def run_task(config: PipelineConfig) -> TaskLog:
         log.add("force", force_log)
 
     with _stage("metrics"):
-        per_r, per_e = evaluation.component_scores(kmp.kmp_predict(baseline, steps), means)
+        r, e = evaluation.component_scores(kmp.kmp_predict(baseline, steps), means[None])
+        per_r, per_e = r[0].tolist(), e[0].tolist()
         log.add("metrics", {
             "R": float(np.mean(per_r)),
             "rmse": float(np.mean(per_e)),

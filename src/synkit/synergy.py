@@ -25,7 +25,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConfigurationMatrix:
     """Mean-centered demonstration postures, one per row.
 
@@ -68,7 +68,7 @@ class ConfigurationMatrix:
         return cls(rows=postures - theta0[None, :], theta0=theta0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SynergyBasis(JsonRecord):
     """Orthonormal synergy directions plus the nominal posture they are about.
 

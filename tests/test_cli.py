@@ -223,6 +223,9 @@ CONTRACT_CASES = [
     (("simulate", "--config", "{config}"), {"models_dir": "{models}"}, "theta0"),
     # more mixture components than samples fails in EM, which is the encoding stage
     (("simulate", "--config", "{config}"), {"gmm_components": 100}, "stage 'encoding'"),
+    # EM holds temporaries of components x samples, so the count is bounded
+    (("simulate", "--config", "{config}"), {"gmm_components": 10**15}, "gmm_components"),
+    (("encode", "--components", "1000000000000000"), None, "gmm_components"),
 ]
 
 
@@ -263,6 +266,21 @@ def test_hostile_input_exits_2_with_one_error_line(argv, config, named, tmp_path
     assert err.startswith("error:") and named in err and err.count("\n") == 1
     assert "Traceback" not in out + err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("error")  # a numpy warning would print to stderr
+@pytest.mark.parametrize("kernel", ["exponential", "gaussian", "cauchy"])
+def test_extreme_reference_times_predict_without_a_warning(kernel, tmp_path, capsys):
+    # lags near 1e160 square past the largest double; the kernel's limit there is 0
+    reference = tmp_path / "reference.json"
+    grid = np.linspace(0.0, 1.0, 5)
+    encoding.ReferenceTrajectory(times=grid * 1e160, means=np.column_stack([grid, -grid]),
+                                 covariances=np.tile(np.eye(2), (5, 1, 1))).to_json(reference)
+    code, out, err = run(capsys, "kmp-predict", "--reference", str(reference),
+                         "--kernel", kernel, "--out", str(tmp_path / "out"))
+    assert code == 0 and err == ""
+    predictions = np.loadtxt(tmp_path / "out" / "predictions.csv", delimiter=",", skiprows=1)
+    assert np.isfinite(predictions).all()
 
 
 class TestGenerate:

@@ -74,6 +74,36 @@ class TestRmse:
             evaluation.rmse([1.0], [1.0, 2.0])
 
 
+class TestBatchedScoresAreBitForBit:
+    """component_scores against per-column pearson_r and rmse, compared exactly."""
+
+    @pytest.mark.parametrize("k,t,s", [(1, 2, 1), (3, 7, 2), (9, 201, 2), (4, 1000, 3),
+                                       (2, 2001, 6)])
+    def test_random_stacks(self, k, t, s, rng):
+        actual = rng.standard_normal((t, s)) * rng.uniform(0.1, 10.0, s) + rng.uniform(-5, 5, s)
+        predicted = actual + 0.3 * rng.standard_normal((k, t, s))
+        r, e = evaluation.component_scores(actual, predicted)
+        want_r = [[evaluation.pearson_r(actual[:, j], predicted[i, :, j]) for j in range(s)]
+                  for i in range(k)]
+        want_e = [[evaluation.rmse(actual[:, j], predicted[i, :, j]) for j in range(s)]
+                  for i in range(k)]
+        assert r.shape == e.shape == (k, s)
+        assert np.array_equal(r, want_r) and np.array_equal(e, want_e)
+
+    def test_constant_column_rejected(self, rng):
+        predicted = rng.standard_normal((3, 10, 2))
+        predicted[1, :, 0] = 4.0
+        with pytest.raises(ZeroVarianceError):
+            evaluation.component_scores(rng.standard_normal((10, 2)), predicted)
+
+    @pytest.mark.parametrize("actual_shape,predicted_shape", [
+        ((10, 2), (3, 9, 2)), ((10, 2), (3, 10, 3)), ((10, 2), (10, 2)), ((1, 2), (3, 1, 2))])
+    def test_shape_mismatch_rejected(self, actual_shape, predicted_shape, rng):
+        with pytest.raises(LengthMismatchError):
+            evaluation.component_scores(rng.standard_normal(actual_shape),
+                                        rng.standard_normal(predicted_shape))
+
+
 class TestBenchmark:
     @pytest.fixture()
     def reference(self):

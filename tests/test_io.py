@@ -1,4 +1,5 @@
-"""The JSON writer gives exactly the stdlib's sorted-key, indent=2 bytes."""
+"""The JSON writer gives exactly the stdlib's sorted-key, indent=2 bytes; the CSV
+writer's lines; the model records' identity equality."""
 import dataclasses
 import json
 import math
@@ -6,8 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from synkit import pipeline
-from synkit._io import dump_json
+from synkit import encoding, force, kmp, perception, pipeline, synergy
+from synkit._io import dump_json, format_rows, write_csv
 
 TRIALS = 400
 MAX_DEPTH = 5
@@ -142,3 +143,47 @@ def test_every_json_artifact_of_a_long_simulate_matches_stdlib(tmp_path):
     for f in files:
         text = f.read_text()
         assert text == stdlib(json.loads(text)), f.name
+
+
+def test_csv_is_the_header_then_one_line_per_row(tmp_path):
+    rows = np.array([[0.0, -1.5, 1e-300], [0.1, 2.0, 5e-324]])
+    write_csv(tmp_path / "a.csv", ["t", "x", "y"], rows)
+    write_csv(tmp_path / "b.csv", ["t", "x", "y"], format_rows(rows))
+    write_csv(tmp_path / "empty.csv", ["t"], np.empty((0, 1)))
+    want = "t,x,y\n0.0,-1.5,1e-300\n0.1,2.0,5e-324\n"
+    assert (tmp_path / "a.csv").read_text() == (tmp_path / "b.csv").read_text() == want
+    assert (tmp_path / "empty.csv").read_text() == "t\n"
+
+
+def _records():
+    eye = np.eye(3)
+    reference = encoding.ReferenceTrajectory(times=[0.0, 0.5, 1.0], means=np.zeros((3, 2)),
+                                             covariances=np.tile(np.eye(2), (3, 1, 1)))
+    return [
+        reference,
+        encoding.GmmModel(priors=[0.5, 0.5], means=np.zeros((2, 3)),
+                          covariances=np.tile(eye, (2, 1, 1)), ll_history=[1.0]),
+        encoding.SynergyTrajectory(times=[0.0, 1.0], coeffs=np.zeros((2, 2))),
+        kmp.ViaPoint(0.5, np.zeros(2), np.eye(2)),
+        kmp.kmp_fit(reference, kmp.KernelSpec(kind="gaussian"), 1.0),
+        perception.SvmModel(weights=[1.0, 0.5], bias=0.0, classes=["a", "b"],
+                            feature_mean=[0.0, 0.0], feature_scale=[1.0, 1.0],
+                            objective_history=[1.0]),
+        perception.PlaneModel(normal=[0.0, 0.0, 1.0], offset=0.0),
+        perception.Cluster(indices=[0, 1], cloud=np.zeros((2, 3))),
+        perception.ObjectPose(centroid=np.zeros(3), extents=np.ones(3)),
+        perception.SynergyMappingParams(compliance=eye, motion_transfer=eye),
+        synergy.ConfigurationMatrix(rows=np.zeros((2, 3)), theta0=np.zeros(3)),
+        synergy.SynergyBasis(e_hat=eye[:, :2], theta0=np.zeros(3),
+                             variance_fractions=[0.6, 0.4]),
+        force.GraspModel(grasp_matrix=np.zeros((6, 3)), stiffness=np.zeros((3, 2)),
+                         hand_jacobian=np.zeros((3, 2)), motor_constant=np.eye(2)),
+    ]
+
+
+@pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
+def test_records_with_arrays_compare_and_hash_by_identity(record):
+    twin = dataclasses.replace(record)  # equal values, a second object
+    assert record == record and not record != record
+    assert record != twin and not record == twin
+    assert len({record, twin}) == 2

@@ -175,6 +175,60 @@ class TestKernelEval:
             kmp.kmp_fit(ref, ALL_SPECS[1], lam)
 
 
+def oracle_kernel_eval(spec, t1, t2):
+    """kernel_eval as whole-array expressions, each step a fresh array."""
+    dt = np.abs(np.asarray(t1, dtype=float) - np.asarray(t2, dtype=float))
+    if spec.kind == "exponential":
+        return spec.sigma2 * np.exp(-dt / spec.l)
+    if spec.kind == "gaussian":
+        return spec.sigma2 * np.exp(-(dt**2) / (2.0 * spec.l**2))
+    return spec.sigma2 * (1.0 + dt**2 / (2.0 * spec.alpha * spec.l**2)) ** (-spec.alpha)
+
+
+ORACLE_SPECS = [
+    kmp.KernelSpec(kind="exponential", l=0.07, sigma2=1.3),
+    kmp.KernelSpec(kind="gaussian", l=0.031, sigma2=0.6),
+    kmp.KernelSpec(kind="cauchy", l=0.07, sigma2=1.3, alpha=1.0),
+    kmp.KernelSpec(kind="cauchy", l=0.045, sigma2=2.7, alpha=2.5),
+    kmp.KernelSpec(kind="cauchy", l=0.2, sigma2=0.9, alpha=0.3),
+]
+
+
+class TestInPlaceKernelIsBitForBit:
+    @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: f"{s.kind}-{s.alpha}")
+    def test_kernel_eval_scalar_and_arrays(self, spec, rng):
+        times = np.sort(rng.uniform(0.0, 1.0, 40))
+        queries = rng.uniform(-0.2, 1.2, 17)
+        for t1, t2 in ((0.37, 0.12), (0.5, 0.5), (queries[:, None], times),
+                       (times[:, None], times[None, :]), (times, 0.0)):
+            got, want = kmp.kernel_eval(spec, t1, t2), oracle_kernel_eval(spec, t1, t2)
+            assert np.ndim(got) == np.ndim(want) and type(got) is type(want)
+            assert np.array_equal(got, want)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: f"{s.kind}-{s.alpha}")
+    def test_overflowing_lags_give_zero_without_a_warning(self, spec):
+        lags = np.array([1e160, -1e200, 1e308])
+        assert np.array_equal(kmp.kernel_eval(spec, 0.0, lags), np.zeros(3))
+        assert kmp.kernel_eval(spec, 1e308, -1e308) == 0.0
+
+    @pytest.mark.parametrize("lam", [1e-3, 1.0, 37.5])
+    @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: f"{s.kind}-{s.alpha}")
+    def test_mean_factor_matches_the_dense_sum(self, spec, lam, rng):
+        for n in (1, 7, 60):
+            ref = random_spd_reference(rng, n=n, s=3)
+            n_ref = len(ref)
+            a_mean = kmp.build_kernel_matrix(spec, ref.times) + lam * np.eye(n_ref)
+            want = np.linalg.solve(a_mean, ref.means)
+            assert np.array_equal(kmp.kmp_fit(ref, spec, lam).mean_factor, want)
+
+    def test_scalar_kernel_matrix_is_the_kernel_array(self, rng):
+        times = np.sort(rng.uniform(0.0, 1.0, 12))
+        for spec in ORACLE_SPECS:
+            want = np.kron(oracle_kernel_eval(spec, times[:, None], times[None, :]), np.eye(1))
+            assert np.array_equal(kmp.build_kernel_matrix(spec, times), want)
+
+
 class TestKernelMatrix:
     def test_single_time_scalar(self):
         spec = kmp.KernelSpec(kind="gaussian", l=0.1, sigma2=1.7)
