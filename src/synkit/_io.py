@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidInputError, SynkitError
+from .errors import DimensionMismatchError, InvalidInputError, SynkitError
 
 
 # With indent None this is the C encoder; no scalar it encodes holds a raw "\n".
@@ -150,11 +150,14 @@ def freeze(record, *names):
 
     Returns the stored arrays in the order named. A field holding NaN or Inf
     raises InvalidInputError naming it; one numpy cannot read as a float
-    array raises its ValueError or TypeError.
+    array (ragged or non-numeric) raises DimensionMismatchError naming it.
     """
     arrays = []
     for name in names:
-        array = np.array(getattr(record, name), dtype=float)
+        try:
+            array = np.array(getattr(record, name), dtype=float)
+        except (ValueError, TypeError) as exc:
+            raise DimensionMismatchError(f"{name} is not a numeric array: {exc}") from None
         if not np.isfinite(array).all():
             raise InvalidInputError(f"{name} contains NaN or Inf")
         array.setflags(write=False)

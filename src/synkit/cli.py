@@ -32,28 +32,33 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command")
 
     # Each subcommand takes --out plus the shared flags it reads: the flag
-    # sets nest, so each parent adds one flag to the one before.
+    # sets nest, so each parent adds one flag to the one before. A flag that
+    # sets a pipeline value has that PipelineConfig field as its dest and no
+    # default, so the config gives its default and _load_config validates it.
     out_flags = _Parser(add_help=False)
     out_flags.add_argument("--out", default="out", help="output directory")
     seed_flags = _Parser(add_help=False, parents=[out_flags])
-    seed_flags.add_argument("--seed", type=int, default=None, help="override the default seed")
+    seed_flags.add_argument("--seed", type=int, help="override the config seeds")
     task_flags = _Parser(add_help=False, parents=[seed_flags])
-    task_flags.add_argument("--task", default=None, choices=synthetic.TASKS)
+    task_flags.add_argument("--task", choices=synthetic.TASKS)
     config_flags = _Parser(add_help=False, parents=[task_flags])
-    config_flags.add_argument("--config", default=None, help="pipeline config JSON")
+    config_flags.add_argument("--config", help="pipeline config JSON")
+    demo_flags = _Parser(add_help=False)
+    demo_flags.add_argument("--count", dest="demo_count", type=int)
+    demo_flags.add_argument("--noise", dest="demo_noise", type=float)
 
     p = sub.add_parser("fit-synergies", parents=[out_flags],
                        help="fit a synergy basis from a postures CSV")
     p.add_argument("--input", required=True, help="CSV of postures, one per row")
-    p.add_argument("--threshold", type=float, default=0.85)
+    p.add_argument("--threshold", dest="synergy_threshold", type=float)
 
-    p = sub.add_parser("encode", parents=[config_flags],
+    p = sub.add_parser("encode", parents=[config_flags, demo_flags],
                        help="encode generated demos into a GMR reference")
-    p.add_argument("--count", type=int, default=8)
-    p.add_argument("--noise", type=float, default=0.004)
-    p.add_argument("--components", type=int, default=5)
-    p.add_argument("--grid-points", type=int, default=25)
+    p.add_argument("--components", dest="gmm_components", type=int)
+    p.add_argument("--grid-points", dest="reference_points", type=int)
 
+    # kmp-predict and benchmark-kernels keep defaults of their own for the
+    # kernel, so their flags name no config field
     p = sub.add_parser("kmp-predict", parents=[out_flags],
                        help="fit a KMP on a reference JSON and predict on a grid")
     p.add_argument("--reference", required=True)
@@ -61,47 +66,50 @@ def _build_parser():
     p.add_argument("--length-scale", type=float, default=0.05)
     p.add_argument("--sigma2", type=float, default=1.0)
     p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--lam", type=float, default=1.0)
+    p.add_argument("--lam", dest="kmp_lambda", type=float, default=1.0)
     p.add_argument("--points", type=int, default=201)
 
     for name, text in (("segment", "plane removal plus clustering on an ASCII cloud"),
                        ("classify", "segment a cloud and label clusters with a trained SVM")):
-        p = sub.add_parser(name, parents=[seed_flags], help=text)
+        p = sub.add_parser(name, parents=[out_flags], help=text)
         p.add_argument("--cloud", required=True)
         if name == "classify":
             p.add_argument("--svm", required=True, help="SvmModel JSON")
-        p.add_argument("--iterations", type=int, default=300)
-        p.add_argument("--threshold", type=float, default=0.005)
-        p.add_argument("--epsilon", type=float, default=0.02)
-        p.add_argument("--min-points", type=int, default=30)
+        p.add_argument("--seed", dest="ransac_seed", type=int, help="override the RANSAC seed")
+        p.add_argument("--iterations", dest="ransac_iterations", type=int)
+        p.add_argument("--threshold", dest="ransac_threshold", type=float)
+        p.add_argument("--epsilon", dest="cluster_epsilon", type=float)
+        p.add_argument("--min-points", dest="cluster_min_points", type=int)
 
     p = sub.add_parser("benchmark-kernels", parents=[config_flags],
                        help="compare the three kernels on the synthetic benchmark")
-    p.add_argument("--lam", type=float, default=1.0)
+    p.add_argument("--lam", dest="kmp_lambda", type=float, default=1.0)
     p.add_argument("--length-scale", type=float, default=0.02)
     p.add_argument("--alpha", type=float, default=1.0)
 
     sub.add_parser("simulate", parents=[config_flags], help="run a full task simulation")
 
-    p = sub.add_parser("generate", parents=[task_flags],
+    p = sub.add_parser("generate", parents=[task_flags, demo_flags],
                        help="emit synthetic demos or a synthetic scene")
     p.add_argument("what", choices=("demos", "scene"))
-    p.add_argument("--count", type=int, default=8)
-    p.add_argument("--noise", type=float, default=0.004)
 
     return parser
 
 
-def _load_config(args, **overrides):
-    """The --config file (or the task default) with the flags applied, validated once."""
-    path = getattr(args, "config", None)  # generate takes no --config
+_FIELDS = frozenset(f.name for f in dataclasses.fields(pipeline.PipelineConfig))
+
+
+def _load_config(args):
+    """The --config file (or the default config) with the given flags applied,
+    validated once: each flag whose dest is a config field sets that field."""
+    path = getattr(args, "config", None)  # only some commands take --config
     config = (pipeline.PipelineConfig.from_json(path) if path is not None
               else pipeline.default_config())
-    if args.task is not None:
-        overrides["task"] = args.task
-    if args.seed is not None:
-        overrides.update(seed=args.seed, gmm_seed=args.seed,
-                         ransac_seed=args.seed + 1, svm_seed=args.seed + 2)
+    overrides = {name: value for name, value in vars(args).items()
+                 if name in _FIELDS and value is not None}
+    if "seed" in overrides:  # one --seed sets every seed of the run
+        seed = overrides["seed"]
+        overrides.update(gmm_seed=seed, ransac_seed=seed + 1, svm_seed=seed + 2)
     return dataclasses.replace(config, out_dir=args.out, **overrides).validate()
 
 
@@ -113,9 +121,10 @@ def _out_dir(args) -> Path:
 
 
 def _cmd_fit_synergies(args):
+    config = _load_config(args)
     postures = synergy.load_postures_csv(args.input)
     configs = synergy.ConfigurationMatrix.from_postures(postures)
-    basis = synergy.fit_synergy_basis(configs, args.threshold)
+    basis = synergy.fit_synergy_basis(configs, config.synergy_threshold)
     out = _out_dir(args)
     basis.to_json(out / "basis.json")
     print(f"retained {basis.synergy_dim} synergies "
@@ -124,8 +133,7 @@ def _cmd_fit_synergies(args):
 
 
 def _cmd_encode(args):
-    config = _load_config(args, demo_count=args.count, demo_noise=args.noise,
-                          gmm_components=args.components, reference_points=args.grid_points)
+    config = _load_config(args)
     _, _, basis, model, reference = pipeline.build_reference(config)
     out = _out_dir(args)
     pipeline.save_learning(out, basis, model, reference)
@@ -143,7 +151,7 @@ def _cmd_kmp_predict(args):
     alpha = args.alpha if args.kernel == "cauchy" else None
     spec = kmp.KernelSpec(kind=args.kernel, l=args.length_scale,
                           sigma2=args.sigma2, alpha=alpha)
-    model = kmp.kmp_fit(reference, spec, args.lam)
+    model = kmp.kmp_fit(reference, spec, args.kmp_lambda)
     grid = np.linspace(float(reference.times[0]), float(reference.times[-1]), args.points)
     kmp.save_kmp_predictions(out / "predictions.csv", model, grid)
     print(f"predicted {args.points} points with {args.kernel} kernel "
@@ -153,11 +161,10 @@ def _cmd_kmp_predict(args):
 
 def _cmd_segment(args):
     """``segment``, and ``classify`` with its SVM: one detection path."""
+    config = _load_config(args)
     svm = perception.SvmModel.from_json(args.svm) if args.command == "classify" else None
-    record, inliers, outliers, poses = perception.detect_objects(
-        perception.load_cloud(args.cloud), iterations=args.iterations,
-        threshold=args.threshold, seed=args.seed if args.seed is not None else 11,
-        epsilon=args.epsilon, min_points=args.min_points, svm=svm)
+    record, inliers, outliers, poses = pipeline.detect_objects(
+        config, perception.load_cloud(args.cloud), svm)
     out = _out_dir(args)
     dump_json(record, out / "segmentation.json")
     if svm is None:
@@ -177,16 +184,16 @@ def benchmark_dataset(config: pipeline.PipelineConfig):
     dense = np.linspace(0.0, 1.0, config.dense_points)
     actual = encoding.generate_reference(model, dense)
     scenario = config.scenario()
-    s = basis.synergy_dim
+    cov = config.via_confidence * np.eye(basis.synergy_dim)
     adaptations = []
     for scale in (0.85, 1.0, 1.15):  # cubical, spherical, cylindrical instances
         adaptations.append([
             kmp.ViaPoint(t_star=scenario["grasp_time"],
                          desired_e=scale * scenario["grasp_e"],
-                         desired_cov=1e-6 * np.eye(s)),
+                         desired_cov=cov),
             kmp.ViaPoint(t_star=1.0,
                          desired_e=scale * scenario["manip_end_e"],
-                         desired_cov=1e-6 * np.eye(s)),
+                         desired_cov=cov),
         ])
     return reference, dense, actual, adaptations
 
@@ -199,7 +206,7 @@ def _cmd_benchmark(args):
                             alpha=args.alpha if kind == "cauchy" else None)
              for kind in kmp.KERNEL_KINDS]
     report = evaluation.benchmark_kernels(
-        reference, adaptations, specs, lam=args.lam, seed=config.seed,
+        reference, adaptations, specs, lam=args.kmp_lambda, seed=config.seed,
         grid=dense, actual=actual, dataset_id=f"{config.task}-synthetic",
         dump_dir=out)
     (out / "report.json").write_text(report.to_json())
@@ -219,19 +226,19 @@ def _cmd_simulate(args):
 
 
 def _cmd_generate(args):
-    config = _load_config(args, demo_count=args.count, demo_noise=args.noise)
+    config = _load_config(args)
     out = _out_dir(args)
     task, seed = config.task, config.seed
     if args.what == "demos":
         demos, truth = synthetic.generate_synthetic_demos(
-            task, count=args.count, noise=args.noise, seed=seed)
+            task, count=config.demo_count, noise=config.demo_noise, seed=seed)
         joints = [f"q{j + 1}" for j in range(demos[0][1].shape[1])]
         for k, (times, angles) in enumerate(demos):
             write_csv(out / f"demo_{k:02d}.csv", ["t", *joints],
                       np.column_stack([times, angles]))
         write_csv(out / "postures.csv", joints, np.vstack([angles for _, angles in demos]))
         dump_json({
-            "task": task, "seed": seed, "count": args.count, "noise": args.noise,
+            "task": task, "seed": seed, "count": config.demo_count, "noise": config.demo_noise,
             "directions": truth["directions"].tolist(),
             "theta0": truth["theta0"].tolist(),
         }, out / "demos_truth.json")

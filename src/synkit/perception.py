@@ -51,6 +51,9 @@ _SCORE_BLOCK = 1 << 15
 _SAVE_ROWS = 4096
 # most RANSAC samples per fit; all their triples are held at once, ~0.2 GB at the bound
 RANSAC_MAX_ITERATIONS = 1_000_000
+# largest |coordinate| RANSAC takes: a triple's cross product is at most 8 s^2
+# per axis, so the squares its norm sums stay below 192 s^4 < 1.8e308
+RANSAC_MAX_SCALE = 1e76
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,6 +178,10 @@ def ransac_plane(cloud, iterations: int = 200, inlier_threshold: float = 0.005,
     if points.ndim != 2 or points.shape[1] != 3 or points.shape[0] < 3:
         raise DegenerateCloudError("need at least 3 points of dimension 3")
     scale = max(float(np.max(np.abs(points))), 1.0)
+    if scale > RANSAC_MAX_SCALE:
+        raise InvalidInputError(
+            f"cloud scale {scale:g} (largest |coordinate|) exceeds {RANSAC_MAX_SCALE:g}, "
+            "past which the plane fit overflows")
     rng = np.random.default_rng(seed)
     n = points.shape[0]
     draw = rng.integers(n, size=(iterations, 3))
@@ -275,8 +282,8 @@ def euclidean_cluster(cloud, epsilon: float, min_points: int = 1) -> list[Cluste
     epsilon, rounded as the test is; the other pairs, nearest first, are
     distance-tested in fixed-size vectorized chunks until they are joined.
     """
-    if epsilon <= 0.0:
-        raise InvalidInputError("epsilon must be positive")
+    if not epsilon > 0.0:  # NaN too
+        raise InvalidInputError(f"epsilon must be positive, got {epsilon!r}")
     if min_points < 1:
         raise InvalidInputError("min_points must be >= 1")
     points = np.asarray(cloud, dtype=float).reshape(-1, 3)

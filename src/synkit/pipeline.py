@@ -23,7 +23,7 @@ from ._io import JsonRecord, dump_json, write_csv
 from .errors import ConfigInvalidError, DimensionMismatchError, StageError, SynkitError
 
 __all__ = ["PipelineConfig", "TaskLog", "default_config", "run_task", "build_reference",
-           "save_learning"]
+           "detect_objects", "save_learning"]
 
 
 @dataclass
@@ -104,6 +104,8 @@ class PipelineConfig(JsonRecord):
                 raise ConfigInvalidError(f"{name} must be positive, got {value!r}")
             if name in _MAXIMUM and value > _MAXIMUM[name]:
                 raise ConfigInvalidError(f"{name} must be <= {_MAXIMUM[name]}, got {value!r}")
+        if self.demos_path is None:  # build_reference checks the demo files once counted
+            self.check_em_size(self.demo_count)
         if self.synergy_threshold > 1.0:
             raise ConfigInvalidError("synergy_threshold must lie in (0, 1]")
         band = (self.force_target_low, self.force_target_high)
@@ -137,6 +139,14 @@ class PipelineConfig(JsonRecord):
 
     def mu(self) -> float:
         return self.force_mu if self.force_mu is not None else self.scenario()["mu"]
+
+    def check_em_size(self, demo_count):
+        """Raise unless EM on ``demo_count`` demos stays within MAX_COMPONENT_SAMPLES."""
+        size = self.gmm_components * demo_count * self.reference_points
+        if size > MAX_COMPONENT_SAMPLES:
+            raise ConfigInvalidError(
+                f"gmm_components * demos * reference_points must be <= {MAX_COMPONENT_SAMPLES}, "
+                f"got {self.gmm_components} * {demo_count} * {self.reference_points} = {size}")
 
     def check_basis(self, basis):
         """Raise unless the basis keeps as many synergies as the task's waypoints have."""
@@ -182,9 +192,15 @@ MAX_DEMO_COUNT = 500
 # temporaries, with d = 3 for the tasks' two synergies. Measured as +267 MiB
 # of peak RSS for encode --count 40 --grid-points 2000 (80,000 samples) at 40
 # components against 10, and 918 MiB peak and 4 minutes at 100 components on
-# 100,000 samples (50 demos). The cost is components times samples, so at
-# the largest sample count, 1,000,000, this bound alone allows about 9 GiB.
+# 100,000 samples (50 demos).
 MAX_GMM_COMPONENTS = 100
+# That cost is components times samples (demos times reference_points):
+# +80 MiB of peak RSS for encode --count 40 --grid-points 500 (20,000 samples)
+# at 50 components against 10, about 105 bytes per component-sample, so the
+# 10^7 allowed take about 1 GiB, as the 918 MiB peak at 100 components on
+# 100,000 samples confirms. Without it 100 components on the largest sample
+# count, 1,000,000, would take about 9 GiB.
+MAX_COMPONENT_SAMPLES = 10_000_000
 _MAXIMUM = {"dense_points": MAX_DENSE_POINTS, "reference_points": MAX_REFERENCE_POINTS,
             "ransac_iterations": perception.RANSAC_MAX_ITERATIONS,
             "force_steps": MAX_FORCE_STEPS, "demo_count": MAX_DEMO_COUNT,
@@ -279,6 +295,7 @@ def build_reference(config: PipelineConfig):
                 postures, theta0=synthetic.nominal_posture())
             basis = synergy.fit_synergy_basis(configs, config.synergy_threshold)
     with _stage("encoding"):
+        config.check_em_size(len(demos))
         grid = np.linspace(0.0, 1.0, config.reference_points)
         trajectories = encoding.interpolate_coefficients(demos, basis, grid)
         model = encoding.fit_gmm(trajectories, n_components=config.gmm_components,
@@ -286,6 +303,14 @@ def build_reference(config: PipelineConfig):
                                  tol=config.gmm_tol)
         reference = encoding.generate_reference(model, grid)
     return demos, truth, basis, model, reference
+
+
+def detect_objects(config: PipelineConfig, cloud, svm=None):
+    """``perception.detect_objects`` with the config's RANSAC and clustering settings."""
+    return perception.detect_objects(
+        cloud, iterations=config.ransac_iterations, threshold=config.ransac_threshold,
+        seed=config.ransac_seed, epsilon=config.cluster_epsilon,
+        min_points=config.cluster_min_points, svm=svm)
 
 
 def save_learning(out, basis, model, reference):
@@ -476,10 +501,7 @@ def run_task(config: PipelineConfig) -> TaskLog:
             positive = np.asarray(labels) == svm.classes[1]
             train_accuracy = float(np.mean(
                 (perception.svm_decision(svm, features) >= 0.0) == positive))
-        record, inliers, outliers, poses = perception.detect_objects(
-            cloud, iterations=config.ransac_iterations, threshold=config.ransac_threshold,
-            seed=config.ransac_seed, epsilon=config.cluster_epsilon,
-            min_points=config.cluster_min_points, svm=svm)
+        record, inliers, outliers, poses = detect_objects(config, cloud, svm)
         log.add("perception", {
             **record,
             "inlier_count": int(inliers.shape[0]),

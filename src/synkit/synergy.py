@@ -37,12 +37,7 @@ class ConfigurationMatrix:
     theta0: np.ndarray
 
     def __post_init__(self):
-        try:
-            rows, theta0 = freeze(self, "rows", "theta0")
-        except InvalidInputError:
-            raise
-        except (ValueError, TypeError) as exc:
-            raise DimensionMismatchError(f"ragged or non-numeric rows: {exc}") from exc
+        rows, theta0 = freeze(self, "rows", "theta0")
         if rows.ndim != 2:
             raise DimensionMismatchError("configuration rows must form a 2-D array")
         if rows.shape[0] < 2:

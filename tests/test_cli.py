@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 
 import numpy as np
@@ -73,6 +75,24 @@ class TestUsage:
         ):
             fresh = cli._build_parser.__wrapped__()
             assert vars(parser.parse_args(argv)) == vars(fresh.parse_args(argv)), argv
+
+    def test_config_field_flags_take_their_default_from_the_config(self):
+        # a flag whose dest is a config field sets that field only when given, and
+        # every number of the commands that run the pipeline's settings is one
+        fields = {f.name for f in dataclasses.fields(pipeline.PipelineConfig)}
+        commands = next(a for a in cli._build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        for command, parser in commands.items():
+            for action in parser._actions:
+                if action.dest in fields:
+                    assert action.default is None, (command, action.option_strings)
+                elif command in ("fit-synergies", "encode", "generate", "segment", "classify"):
+                    assert action.type not in (int, float), (command, action.option_strings)
+        seeds = {command: next(a.dest for a in commands[command]._actions
+                               if "--seed" in a.option_strings)
+                 for command in ("segment", "classify", "encode", "generate", "simulate")}
+        assert seeds == {"segment": "ransac_seed", "classify": "ransac_seed", "encode": "seed",
+                         "generate": "seed", "simulate": "seed"}
 
     def test_print_config_emits_valid_template(self, tmp_path, capsys):
         code, out, _ = run(capsys, "--print-config", "--task", "ketchup")
@@ -182,7 +202,8 @@ class TestInvalidInput:
 # {neg_reference} a reference whose covariances are -1e-3 I, {asym_reference}
 # one whose covariances differ from their transpose in the upper triangle
 # only, which eigvalsh does not read), then the text
-# the one error line must name. A failing command does not make --out.
+# the one error line must name. {svm} is a valid classifier and {big_cloud}
+# the plane cloud scaled by 1e80. A failing command does not make --out.
 CONTRACT_CASES = [
     (("benchmark-kernels", "--length-scale", "1e-300"), None, "l=1e-300"),
     (("kmp-predict", "--reference", "{reference}", "--length-scale", "1e-300"), None,
@@ -226,6 +247,20 @@ CONTRACT_CASES = [
     # EM holds temporaries of components x samples, so the count is bounded
     (("simulate", "--config", "{config}"), {"gmm_components": 10**15}, "gmm_components"),
     (("encode", "--components", "1000000000000000"), None, "gmm_components"),
+    # and so is the product, checked before any demo is drawn
+    (("encode", "--components", "11", "--count", "500", "--grid-points", "2000"), None,
+     "gmm_components * demos * reference_points"),
+    (("simulate", "--config", "{config}"),
+     {"gmm_components": 100, "demo_count": 51, "reference_points": 2000},
+     "gmm_components * demos * reference_points"),
+    # every number of segment and classify passes the config's validation
+    (("segment", "--cloud", "{cloud}", "--seed", "-1"), None, "ransac_seed"),
+    (("classify", "--cloud", "{cloud}", "--svm", "{svm}", "--seed", "-1"), None, "ransac_seed"),
+    (("segment", "--cloud", "{cloud}", "--epsilon", "nan"), None, "cluster_epsilon"),
+    (("classify", "--cloud", "{cloud}", "--svm", "{svm}", "--threshold", "inf"), None,
+     "ransac_threshold"),
+    # a cloud whose cross products would overflow the plane fit's norm
+    (("segment", "--cloud", "{big_cloud}"), None, "cloud scale 1e+80"),
 ]
 
 
@@ -239,13 +274,17 @@ def test_hostile_input_exits_2_with_one_error_line(argv, config, named, tmp_path
                                  covariances=np.tile(np.eye(2), (5, 1, 1))).to_json(reference)
     cloud = tmp_path / "cloud.xyz"
     perception.save_cloud(cloud, [[x, y, 0.0] for x in grid for y in grid])
+    big_cloud = tmp_path / "big_cloud.xyz"
+    perception.save_cloud(big_cloud, [[1e80 * x, 1e80 * y, 0.0] for x in grid for y in grid])
     svm = {"weights": [1.0, 0.5], "bias": 0.0, "classes": ["a", "b"],
            "feature_mean": [0.0, 0.0], "feature_scale": [1.0, 1.0], "objective_history": [1.0]}
-    files = {"reference": reference, "cloud": cloud, "nan_svm": tmp_path / "nan_svm.json",
+    files = {"reference": reference, "cloud": cloud, "big_cloud": big_cloud,
+             "svm": tmp_path / "svm.json", "nan_svm": tmp_path / "nan_svm.json",
              "flat_svm": tmp_path / "flat_svm.json", "same_svm": tmp_path / "same_svm.json",
              "neg_reference": tmp_path / "neg_reference.json",
              "asym_reference": tmp_path / "asym_reference.json", "models": tmp_path / "models",
              "config": tmp_path / "config.json"}
+    files["svm"].write_text(json.dumps(svm))
     files["nan_svm"].write_text(json.dumps({**svm, "weights": [1.0, float("nan")]}))
     files["flat_svm"].write_text(json.dumps({**svm, "feature_scale": [1.0, 0.0]}))
     files["same_svm"].write_text(json.dumps({**svm, "classes": ["egg", "egg"]}))
@@ -338,6 +377,26 @@ class TestLearningCommands:
         assert code == 0
         header = (pred_dir / "predictions.csv").read_text().splitlines()[0]
         assert header.startswith("t,mu1")
+
+    def test_encode_takes_config_fields_and_given_flags_beat_them(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"demo_count": 5, "demo_noise": 0.01,
+                                      "gmm_components": 3, "reference_points": 10}))
+        code, out, _ = run(capsys, "encode", "--config", str(config),
+                           "--out", str(tmp_path / "cfg"))
+        assert code == 0 and out.startswith("encoded 5 demos into 10 reference points")
+        assert len(json.loads((tmp_path / "cfg" / "gmm.json").read_text())["priors"]) == 3
+        # the same four values as flags give the same bytes, demo_noise included
+        code, _, _ = run(capsys, "encode", "--count", "5", "--noise", "0.01", "--components",
+                         "3", "--grid-points", "10", "--out", str(tmp_path / "flags"))
+        assert code == 0
+        for name in ("gmm.json", "reference.json", "basis.json"):
+            assert ((tmp_path / "cfg" / name).read_bytes()
+                    == (tmp_path / "flags" / name).read_bytes()), name
+        code, out, _ = run(capsys, "encode", "--config", str(config), "--components", "4",
+                           "--out", str(tmp_path / "both"))
+        assert code == 0 and out.startswith("encoded 5 demos into 10 reference points")
+        assert len(json.loads((tmp_path / "both" / "gmm.json").read_text())["priors"]) == 4
 
     def test_kmp_predict_missing_reference_is_stage_failure(self, tmp_path, capsys):
         code, _, err = run(capsys, "kmp-predict", "--reference",

@@ -6,6 +6,7 @@ import pytest
 from synkit import encoding, force, kmp, perception, pipeline, synergy
 from synkit.errors import (
     DegenerateComponentError,
+    DimensionMismatchError,
     EmptyDemoError,
     InvalidInputError,
     NonMonotonicTimeError,
@@ -554,6 +555,14 @@ class TestNonFiniteRecords:
         assert not np.shares_memory(stored, given[name])
         with pytest.raises(InvalidInputError, match=f"^{name} contains NaN or Inf"):
             cls(**self._spoiled(self.RECORDS[cls], name, np.nan))
+
+    @pytest.mark.parametrize("cls,name", ARRAY_FIELDS,
+                             ids=[f"{cls.__name__}.{name}" for cls, name in ARRAY_FIELDS])
+    @pytest.mark.parametrize("value", [[[1.0], [2.0, 3.0]], {"a": 1.0}],
+                             ids=["ragged", "mapping"])
+    def test_every_record_names_an_array_numpy_cannot_read(self, cls, name, value):
+        with pytest.raises(DimensionMismatchError, match=f"^{name} is not a numeric array"):
+            cls(**{**self.RECORDS[cls], name: value})
 
     @pytest.mark.parametrize("name,value", [
         ("bias", np.nan), ("bias", -np.inf),

@@ -95,6 +95,19 @@ class TestRansac:
         ])
         return np.vstack([plane, objects])
 
+    @pytest.mark.filterwarnings("error")  # an overflow would warn before any error
+    def test_cloud_past_the_scale_bound_rejected(self, rng):
+        # the cube's corners give the largest cross products a cloud of that scale has
+        corners = np.array(np.meshgrid([-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0])).reshape(3, -1).T
+        cloud = np.vstack([corners, rng.uniform(-1.0, 1.0, (200, 3))])
+        at_bound = perception.RANSAC_MAX_SCALE * cloud
+        for seed in range(3):
+            plane, _, _ = perception.ransac_plane(at_bound, iterations=500,
+                                                  inlier_threshold=1e73, seed=seed)
+            assert np.isfinite(plane.normal).all()
+        with pytest.raises(InvalidInputError, match=r"cloud scale 1e\+80"):
+            perception.ransac_plane(1e80 * cloud)
+
     def test_plane_recovery_with_ground_truth(self, rng):
         cloud = self.make_scene(rng)
         model, inliers, outliers = perception.ransac_plane(
@@ -329,6 +342,12 @@ class TestClustering:
         clusters = perception.euclidean_cluster(cloud, epsilon=0.02, min_points=1)
         got = {frozenset(c.indices.tolist()) for c in clusters}
         assert got == oracle_components(cloud, 0.02)
+
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0, np.nan])
+    def test_epsilon_must_be_positive(self, epsilon):
+        cloud = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        with pytest.raises(InvalidInputError, match="epsilon must be positive"):
+            perception.euclidean_cluster(cloud, epsilon=epsilon)
 
     def test_epsilon_below_the_cloud_resolution_rejected(self):
         cloud = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])

@@ -50,6 +50,20 @@ class TestConfig:
         setattr(config, field, value)
         config.validate()
 
+    @pytest.mark.parametrize("components,count,points", [(100, 50, 2000), (5, 500, 2000)])
+    def test_em_size_at_the_bound_is_valid(self, components, count, points):
+        pipeline.PipelineConfig(gmm_components=components, demo_count=count,
+                                reference_points=points).validate()
+
+    @pytest.mark.parametrize("components,count,points", [(100, 51, 2000), (11, 500, 2000)])
+    def test_em_size_past_the_bound_rejected(self, components, count, points):
+        config = pipeline.PipelineConfig(gmm_components=components, demo_count=count,
+                                         reference_points=points)
+        with pytest.raises(ConfigInvalidError,
+                           match=rf"gmm_components \* demos \* reference_points must be <= "
+                                 rf"10000000, got {components} \* {count} \* {points}"):
+            config.validate()
+
     def test_force_loop_rule_is_the_recurrence_spectral_radius_below_one(self):
         # the loop in (d, measured), with the grasp model's unit grip gain
         rng = np.random.default_rng(3)
@@ -251,6 +265,19 @@ class TestFileIngestion:
         assert labels == ["egg", "tray"]
         # a reused svm.json has no training set to score
         assert log.stage("perception")["svm_train_accuracy"] is None
+
+    def test_em_size_counts_the_demo_files_before_em(self, tmp_path):
+        # demo_count does not apply to a demo directory, so its files are counted:
+        # 51 files at 100 components on 2,000 points pass the bound by 2%
+        rng = np.random.default_rng(0)
+        for k in range(51):
+            np.savetxt(tmp_path / f"demo_{k:02d}.csv",
+                       np.column_stack([[0.0, 1.0], rng.standard_normal((2, 6))]),
+                       delimiter=",", header="t,q1,q2,q3,q4,q5,q6", comments="")
+        config = pipeline.PipelineConfig(demos_path=str(tmp_path), gmm_components=100,
+                                         reference_points=2000).validate()
+        with pytest.raises(StageError, match=r"stage 'encoding'.* got 100 \* 51 \* 2000"):
+            pipeline.build_reference(config)
 
     def test_demo_dir_without_files_rejected(self, tmp_path):
         with pytest.raises(ConfigInvalidError):
