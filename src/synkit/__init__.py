@@ -6,10 +6,11 @@ extraction (``synergy``), probabilistic trajectory encoding
 point-cloud perception (``perception``), contact-force adaptation
 (``force``), reproduction metrics (``evaluation``), synthetic data
 (``synthetic``), and end-to-end orchestration (``pipeline``, ``cli``).
+``cli`` is not imported with the package, so ``python -m synkit.cli`` runs
+it fresh.
 """
 
 from . import (  # noqa: F401
-    cli,
     encoding,
     errors,
     evaluation,

@@ -45,8 +45,9 @@ __all__ = [
 _PAIR_CHUNK = 4096
 # cells whose neighbours are looked up per vectorized step; bounds clustering memory
 _CELL_BLOCK = 4096
-# plane-to-point distances per vectorized RANSAC scoring step; bounds its memory
-_SCORE_BLOCK = 1 << 15
+# plane-to-point distances per RANSAC scoring step; its distance and mask
+# buffers hold 9 bytes per distance, 576 KiB (9 n bytes for a cloud of n > 2^16)
+_SCORE_BLOCK = 1 << 16
 # cloud rows formatted per write; bounds save_cloud's memory
 _SAVE_ROWS = 4096
 # most RANSAC samples per fit; all their triples are held at once, ~0.2 GB at the bound
@@ -177,7 +178,9 @@ def ransac_plane(cloud, iterations: int = 200, inlier_threshold: float = 0.005,
     points = np.asarray(cloud, dtype=float)
     if points.ndim != 2 or points.shape[1] != 3 or points.shape[0] < 3:
         raise DegenerateCloudError("need at least 3 points of dimension 3")
-    scale = max(float(np.max(np.abs(points))), 1.0)
+    scale = float(np.max(np.abs(points), initial=1.0))  # NaN for a NaN coordinate
+    if not math.isfinite(scale):
+        raise InvalidInputError("cloud contains NaN or Inf coordinates")
     if scale > RANSAC_MAX_SCALE:
         raise InvalidInputError(
             f"cloud scale {scale:g} (largest |coordinate|) exceeds {RANSAC_MAX_SCALE:g}, "
@@ -199,14 +202,7 @@ def ransac_plane(cloud, iterations: int = 200, inlier_threshold: float = 0.005,
         raise DegenerateCloudError("no non-collinear triple found")
     normals = cross[candidates] / norm[candidates, None]
     offsets = -np.einsum("ij,ij->i", normals, p1[candidates])
-    counts = np.empty(candidates.size, dtype=np.int64)
-    rows = max(1, _SCORE_BLOCK // n)
-    for start in range(0, candidates.size, rows):
-        block = slice(start, start + rows)
-        distances = normals[block] @ points.T
-        distances += offsets[block, None]
-        np.abs(distances, out=distances)
-        counts[block] = np.count_nonzero(distances <= inlier_threshold, axis=1)
+    counts = _inlier_counts(points, normals, offsets, inlier_threshold)
     # the first candidate with the most inliers wins; its plane is rebuilt
     # from its triple exactly as a lone candidate computes it
     p1, p2, p3 = triples[candidates[np.argmax(counts)]]
@@ -221,6 +217,30 @@ def ransac_plane(cloud, iterations: int = 200, inlier_threshold: float = 0.005,
     inliers = np.flatnonzero(mask)
     outliers = np.flatnonzero(~mask)
     return plane, inliers, outliers
+
+
+def _inlier_counts(points, normals, offsets, threshold):
+    """Number of points within ``threshold`` of each plane ``(normals[k], offsets[k])``.
+
+    Blocks of planes are scored against one contiguous (3, n) copy of the
+    cloud, which the matmul reads faster than the strided ``points.T``, into
+    distance and mask buffers allocated once; each row is counted on its
+    own, since ``count_nonzero(axis=1)`` sums the bools through an intp cast.
+    """
+    n, planes = points.shape[0], normals.shape[0]
+    xyz = np.ascontiguousarray(points.T)
+    rows = max(1, _SCORE_BLOCK // n)
+    distances, mask = np.empty((rows, n)), np.empty((rows, n), dtype=bool)
+    counts = np.empty(planes, dtype=np.int64)
+    for start in range(0, planes, rows):
+        stop = min(start + rows, planes)
+        dist, near = distances[:stop - start], mask[:stop - start]
+        np.matmul(normals[start:stop], xyz, out=dist)
+        dist += offsets[start:stop, None]
+        np.abs(dist, out=dist)
+        np.less_equal(dist, threshold, out=near)
+        counts[start:stop] = [np.count_nonzero(row) for row in near]
+    return counts
 
 
 def _cell_codes(points, side):
@@ -290,8 +310,11 @@ def euclidean_cluster(cloud, epsilon: float, min_points: int = 1) -> list[Cluste
     n = points.shape[0]
     if n == 0:
         return []
-    extent = float(np.ptp(points, axis=0).max())
-    if extent > 1e13 * epsilon:
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, or past 1.8e308
+        extent = float(np.ptp(points, axis=0).max())
+    if not extent <= 1e13 * epsilon:  # NaN too
+        if not np.isfinite(points).all():
+            raise InvalidInputError("cloud contains NaN or Inf coordinates")
         raise InvalidInputError("epsilon is too small for the extent of the cloud")
     # floor() may put a point a few ulps of the extent past its cell; the
     # shrink keeps a sub-cell's diagonal within epsilon, rounding included

@@ -1,6 +1,10 @@
 import argparse
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -103,6 +107,17 @@ class TestUsage:
         template = tmp_path / "config.json"
         template.write_text(out)
         assert pipeline.PipelineConfig.from_json(template).mu() == 0.71
+
+    def test_module_run_writes_nothing_to_stderr(self):
+        # runpy warns when the package has already imported the module it runs
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-m", "synkit.cli", "--print-config"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0
+        assert json.loads(done.stdout)["task"] == "egg"
+        assert done.stderr == ""
 
 
 class TestInvalidInput:

@@ -71,6 +71,21 @@ def oracle_ransac(cloud, iterations, threshold, seed):
     return normal, offset, best_count
 
 
+def oracle_counts(points, normals, offsets, threshold):
+    """Inlier count of each plane ``(normals[k], offsets[k])``, scored as
+    ``ransac_plane`` scored before its buffers: ``normals[block] @ points.T``,
+    ``+=``, ``abs`` and ``count_nonzero(axis=1)``, 2^15 distances a block."""
+    counts = np.empty(normals.shape[0], dtype=np.int64)
+    rows = max(1, (1 << 15) // points.shape[0])
+    for start in range(0, normals.shape[0], rows):
+        block = slice(start, start + rows)
+        distances = normals[block] @ points.T
+        distances += offsets[block, None]
+        np.abs(distances, out=distances)
+        counts[block] = np.count_nonzero(distances <= threshold, axis=1)
+    return counts
+
+
 def dense_egg_objects(rng):
     """The egg scene's objects sampled twice as finely, with sensor noise:
     about 4k points, some 30 to a clustering cell of side 0.02."""
@@ -161,6 +176,41 @@ class TestRansac:
             mask = np.abs(cloud @ normal + offset) <= 0.005
             assert np.array_equal(inliers, np.flatnonzero(mask))
             assert np.array_equal(outliers, np.flatnonzero(~mask))
+
+    @pytest.mark.parametrize("case", ["one row per block", "short last block",
+                                      "three points", "dense table"])
+    def test_inlier_counts_match_block_oracle_count_for_count(self, rng, case):
+        planes, threshold = 200, 0.005
+        if case == "one row per block":
+            cloud = rng.uniform(-1.0, 1.0, (perception._SCORE_BLOCK + 1000, 3))
+            cloud[:40000, 2] = 0.002 * rng.standard_normal(40000)
+            planes = 40
+        elif case == "short last block":
+            cloud = self.make_scene(rng)
+            assert 2 * planes % (perception._SCORE_BLOCK // cloud.shape[0]) != 0
+        elif case == "three points":
+            # the plane z = 0.375 lies exactly 0.125 from two of the points
+            cloud = np.array([[0.0, 0.0, 0.125], [1.0, 0.0, 0.25], [0.0, 1.0, 0.5]])
+            threshold = 0.125
+        else:
+            table = np.column_stack([rng.uniform(-0.25, 0.25, (11000, 2)),
+                                     0.0008 * rng.standard_normal(11000)])
+            cloud = np.vstack([table, dense_egg_objects(rng)])
+            assert 14000 < cloud.shape[0] < 16000
+        # planes through sampled triples, as RANSAC draws them, and planes of
+        # random orientation through single points of the cloud
+        triples = cloud[[rng.choice(cloud.shape[0], 3, replace=False) for _ in range(planes)]]
+        cross = np.cross(triples[:, 1] - triples[:, 0], triples[:, 2] - triples[:, 0])
+        normals = np.vstack([cross / np.linalg.norm(cross, axis=1)[:, None],
+                             rng.standard_normal((planes, 3))])
+        normals[planes:] /= np.linalg.norm(normals[planes:], axis=1)[:, None]
+        offsets = -np.einsum("ij,ij->i", normals, np.vstack([triples[:, 0], triples[:, 1]]))
+        if case == "three points":
+            normals, offsets = np.vstack([normals, [0.0, 0.0, 1.0]]), np.append(offsets, -0.375)
+        counts = perception._inlier_counts(cloud, normals, offsets, threshold)
+        assert counts.dtype == np.int64 and counts.shape == offsets.shape
+        assert np.array_equal(counts, oracle_counts(cloud, normals, offsets, threshold))
+        assert len(set(counts.tolist())) > 1
 
     def test_triples_with_a_repeated_index_are_skipped(self):
         # from three points most drawn triples repeat an index; those give a
@@ -368,6 +418,22 @@ class TestClustering:
         for comp in comps:
             if comp & discarded:
                 assert len(comp) < 10
+
+
+@pytest.mark.filterwarnings("error")  # no numpy warning before the error
+@pytest.mark.parametrize("fit, bad", [
+    ("ransac_plane", np.nan),
+    ("ransac_plane", np.inf),
+    ("euclidean_cluster", np.nan),
+    ("euclidean_cluster", -np.inf),
+])
+def test_non_finite_cloud_rejected(rng, fit, bad):
+    scattered = rng.uniform(0.0, 10.0, (50, 3))
+    assert len(perception.euclidean_cluster(scattered, epsilon=0.1)) == 50
+    cloud = np.vstack([scattered[:20], [[0.5, bad, 0.5]], scattered[20:]])
+    kwargs = {"epsilon": 0.1} if fit == "euclidean_cluster" else {"seed": 0}
+    with pytest.raises(InvalidInputError, match="NaN or Inf"):
+        getattr(perception, fit)(cloud, **kwargs)
 
 
 class TestFeaturesAndPose:
