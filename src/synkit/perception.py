@@ -19,6 +19,7 @@ from .errors import (
     DimensionMismatchError,
     InvalidInputError,
     SingleClassError,
+    SingularSystemError,
 )
 from .force import _stable_pinv
 from .synergy import SynergyBasis
@@ -441,6 +442,7 @@ class SvmModel(JsonRecord):
             raise InvalidInputError(f"classes must be two different labels, got {self.classes!r}")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite iterate is never the best
 def svm_train(features, labels, c: float = 10.0, epochs: int = 200, seed: int = 0) -> SvmModel:
     """Train a linear soft-margin SVM to the optimum of its hinge objective.
 
@@ -453,7 +455,9 @@ def svm_train(features, labels, c: float = 10.0, epochs: int = 200, seed: int = 
     exceeds the dual's ``1'a - 0.5 |w|^2`` by at most 1e-9 (1 + objective), or
     after ``epochs`` iterations; the model is the best iterate and
     ``objective_history`` its objective at the start and after each iteration.
-    ``seed`` is unused. Raises SingleClassError unless both classes are present.
+    ``seed`` is unused. Raises SingleClassError unless both classes are present,
+    SingularSystemError when a Newton system is singular (as it can be at a
+    large ``c``) and InvalidInputError when no iterate's objective is finite.
     """
     x = np.asarray(features, dtype=float)
     if x.ndim != 2:
@@ -494,7 +498,11 @@ def svm_train(features, labels, c: float = 10.0, epochs: int = 200, seed: int = 
         target = np.zeros((2, n))
         for corrector in (False, True):  # the step toward box * duals == target
             r = 1.0 - margins + target[0] / box[0] - target[1] / box[1]
-            step_wb = np.linalg.solve(normal, rows.T @ (y * dinv * r))
+            try:
+                step_wb = np.linalg.solve(normal, rows.T @ (y * dinv * r))
+            except np.linalg.LinAlgError:
+                raise SingularSystemError(
+                    f"SVM training at svm_c={c!r}: the Newton system is singular") from None
             step_box = dinv * (r - y * (rows @ step_wb)) * [[1.0], [-1.0]]
             step = np.concatenate([step_box, (target - duals * step_box) / box - duals])
             shrinking = step < 0.0
@@ -505,7 +513,9 @@ def svm_train(features, labels, c: float = 10.0, epochs: int = 200, seed: int = 
                 target = (comp_aff / comp) ** 3 * comp / (2 * n) - step_box * step[2:]
         state += 0.99 * length * step
         b += 0.99 * length * step_wb[-1]
-
+    if not math.isfinite(best[0]):
+        raise InvalidInputError(
+            f"SVM training at svm_c={c!r}: no iterate has a finite objective")
     return SvmModel(weights=best[1], bias=best[2], classes=classes, feature_mean=mean,
                     feature_scale=scale, objective_history=np.asarray(history))
 

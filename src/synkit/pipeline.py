@@ -174,7 +174,8 @@ MAX_DENSE_POINTS = 500_000
 # The KMP covariance system is (2N)^2 float64, 32 N^2 bytes, with S = 2 in
 # every run that fits KMP on the reference; at most four such arrays are live
 # at once (kernel, Kronecker product, solve copy, eigvalsh), 128 N^2 bytes,
-# which is 512 MB at 2,000 points.
+# which is 512 MB at 2,000 points. The subnormal cutoff's two boolean masks,
+# 8 N^2 bytes, are freed before the solve copy or eigvalsh is made.
 MAX_REFERENCE_POINTS = 2_000
 # A force step costs about 2.8 KiB (its record dict, its friction flags and
 # its tasklog.json text) and 25 us, measured as +86 MiB of peak RSS and +0.8 s
@@ -201,10 +202,15 @@ MAX_GMM_COMPONENTS = 100
 # 100,000 samples confirms. Without it 100 components on the largest sample
 # count, 1,000,000, would take about 9 GiB.
 MAX_COMPONENT_SAMPLES = 10_000_000
+# svm_train's Newton matrix loses its rank at large C. On the training fixtures
+# of both tasks at svm_seed 0-39, 20 values of C a decade, the least C that
+# failed was 6.3e3, and none of 56 from 10 to 5.6e3 did; at C >= 10 those fixtures
+# are separable, so every converged fit reads the same objective.
+MAX_SVM_C = 1e3
 _MAXIMUM = {"dense_points": MAX_DENSE_POINTS, "reference_points": MAX_REFERENCE_POINTS,
             "ransac_iterations": perception.RANSAC_MAX_ITERATIONS,
             "force_steps": MAX_FORCE_STEPS, "demo_count": MAX_DEMO_COUNT,
-            "gmm_components": MAX_GMM_COMPONENTS}
+            "gmm_components": MAX_GMM_COMPONENTS, "svm_c": MAX_SVM_C}
 _CHOICES = {"task": synthetic.TASKS, "kernel_kind": kmp.KERNEL_KINDS}
 
 

@@ -224,6 +224,16 @@ CONTRACT_CASES = [
     (("kmp-predict", "--reference", "{reference}", "--length-scale", "1e-300"), None,
      "l=1e-300"),
     (("simulate", "--config", "{config}"), {"kernel_l": 1e-300}, "l=1e-300"),
+    # a length scale whose 2 l^2 overflows, named before any kernel is evaluated
+    (("kmp-predict", "--reference", "{reference}", "--kernel", "gaussian",
+      "--length-scale", "1e200"), None, "l=1e+200"),
+    (("kmp-predict", "--reference", "{reference}", "--kernel", "cauchy",
+      "--length-scale", "1e200"), None, "l=1e+200"),
+    (("benchmark-kernels", "--length-scale", "1e300"), None, "l=1e+300"),
+    (("simulate", "--config", "{config}"), {"kernel_l": 1e300}, "l=1e+300"),
+    # a box bound at which the SVM solver's Newton system loses its rank
+    (("simulate", "--config", "{config}"), {"svm_c": 1e8}, "svm_c"),
+    (("simulate", "--config", "{config}"), {"svm_c": 1e160}, "svm_c"),
     (("simulate", "--config", "{config}"), {"force_gain": 100}, "force_gain"),
     (("simulate", "--config", "{config}"), {"force_gain": 1e6}, "force_gain"),
     (("simulate", "--config", "{config}"), {"force_lag": 1e-300}, "force_lag"),

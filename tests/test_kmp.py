@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -701,3 +703,76 @@ def test_overflowing_bound_defers_to_the_eigenvalues_without_a_warning():
         kmp.kmp_fit(ref, kmp.KernelSpec(kind="gaussian", l=1.0, sigma2=1e308), lam=1.0)
     model = kmp.kmp_fit(ref, ALL_SPECS[1], lam=1e300)  # lambda * COND_LIMIT / 4 overflows
     assert np.isfinite(kmp.kmp_predict_cov(model, 0.5)).all()
+
+
+@pytest.mark.parametrize("kind,l,alpha,rejected", [
+    ("gaussian", 1e200, None, True),
+    ("cauchy", 1e200, 1.0, True),
+    ("cauchy", 1e150, 1e10, True),  # l^2 is finite, 2 alpha l^2 is not
+    ("gaussian", 1e150, None, False),
+    ("cauchy", 1e150, 1.0, False),
+    ("exponential", 1e200, None, False),  # divides by l itself
+])
+def test_length_scale_whose_square_overflows_is_invalid_input(kind, l, alpha, rejected):
+    if rejected:
+        with pytest.raises(InvalidInputError, match=re.escape(f"l={l!r} is too large")):
+            kmp.KernelSpec(kind=kind, l=l, sigma2=1.0, alpha=alpha)
+    else:
+        kmp.KernelSpec(kind=kind, l=l, sigma2=1.0, alpha=alpha)
+
+
+def subnormal_gaussian_reference(n, s):
+    """A Gaussian kernel at l = 0.02 on n points of [0, 1]: far lags are subnormal."""
+    rng = np.random.default_rng(n)
+    ref = random_spd_reference(rng, n=n, s=s)
+    spec = kmp.KernelSpec(kind="gaussian", l=0.02, sigma2=1.0)
+    k = kmp.build_kernel_matrix(spec, ref.times)
+    assert ((k > 0.0) & (k < np.finfo(float).tiny)).any()
+    return ref, spec
+
+
+def factored_systems(monkeypatch):
+    """Every matrix np.linalg.solve factors from here on."""
+    real_solve, systems = np.linalg.solve, []
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda a, b: systems.append(a.copy()) or real_solve(a, b))
+    return systems
+
+
+def assert_no_subnormal(systems):
+    assert systems and all(not (np.abs(a[a != 0.0]) < np.finfo(float).tiny).any()
+                           for a in systems)
+
+
+@pytest.mark.parametrize("lam", [1e-3, 1.0])
+def test_subnormal_kernel_entries_leave_the_mean_factor_bit_for_bit(lam, monkeypatch):
+    ref, spec = subnormal_gaussian_reference(200, 3)
+    want = np.linalg.solve(kmp.build_kernel_matrix(spec, ref.times) + lam * np.eye(200),
+                           ref.means)
+    systems = factored_systems(monkeypatch)
+    assert np.array_equal(kmp.kmp_fit(ref, spec, lam).mean_factor, want)
+    assert_no_subnormal(systems)
+
+
+def test_subnormal_kernel_entries_leave_the_covariance_at_the_oracle(monkeypatch):
+    ref, spec = subnormal_gaussian_reference(120, 2)
+    model = kmp.kmp_fit(ref, spec, lam=0.5)
+    grid = np.array([-0.1, 0.0, 0.37, 1.0])
+    systems = factored_systems(monkeypatch)
+    got = kmp.kmp_predict_cov(model, grid)
+    assert_no_subnormal(systems)
+    monkeypatch.undo()
+    for t, cov in zip(grid, got):
+        assert np.abs(cov - oracle_predict_cov(ref, spec, 0.5, float(t))).max() < 1e-9
+
+
+def test_subnormal_products_are_dropped_in_place_and_nan_is_kept():
+    tiny = np.finfo(float).tiny
+    a = np.array([[2.0, 1e-160, -1e-160, tiny / 4],
+                  [np.nan, 1e-150, -1e-150, 0.0]])
+    kmp._drop_subnormal_products(a, 1.0)
+    assert np.array_equal(a, [[2.0, 0.0, 0.0, 0.0], [np.nan, 1e-150, -1e-150, 0.0]],
+                          equal_nan=True)
+    a = np.array([1e-140, 1e-130])
+    kmp._drop_subnormal_products(a, 1e20)  # the cut scales with sigma2
+    assert np.array_equal(a, [0.0, 1e-130])

@@ -1,15 +1,17 @@
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from synkit import perception, synergy, synthetic
+from synkit import perception, pipeline, synergy, synthetic
 from synkit.errors import (
     DegenerateCloudError,
     DimensionMismatchError,
     InvalidInputError,
     RankDeficientError,
     SingleClassError,
+    SingularSystemError,
 )
 
 
@@ -624,6 +626,23 @@ class TestSvm:
             assert abs(score - perception.svm_classify(model, feature)[1]) < 1e-12
         with pytest.raises(DimensionMismatchError):
             perception.svm_decision(model, np.zeros((3, 5)))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("c,error,cause", [
+        (1e8, SingularSystemError, "the Newton system is singular"),
+        (1e160, InvalidInputError, "no iterate has a finite objective"),
+    ])
+    def test_huge_c_is_a_semantic_error_naming_svm_c(self, c, error, cause):
+        features, labels = synthetic.svm_training_fixture("egg", seed=13)
+        with pytest.raises(error, match=re.escape(f"svm_c={c!r}: {cause}")):
+            perception.svm_train(features, labels, c=c)
+
+    @pytest.mark.parametrize("task", synthetic.TASKS)
+    def test_largest_allowed_c_converges_on_the_fixtures(self, task):
+        for seed in (0, 13):
+            features, labels = synthetic.svm_training_fixture(task, seed=seed)
+            model = perception.svm_train(features, labels, c=pipeline.MAX_SVM_C)
+            assert len(model.objective_history) - 1 < 200  # the duality gap closed
 
     def test_single_class_rejected(self, rng):
         x = rng.standard_normal((10, 2))
