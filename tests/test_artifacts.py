@@ -4,8 +4,10 @@ The manifest lists what ``COMMANDS`` write when run from one directory, at
 fixed relative ``--out`` paths, and the numpy, BLAS and SIMD extensions of the
 run that made it, since float bits depend on those as well as on the code.
 A digest that moves fails the test where the environment is the manifest's,
-and skips it, naming both environments, where it is not. When a change moves
-bits on purpose, rewrite the manifest in the same diff with
+and skips it, naming both environments, where it is not. A CI runner with
+another numpy or another CPU therefore skips: the test guards the bytes only
+on a host that matches the manifest. When a change moves bits on purpose,
+rewrite the manifest in the same diff with
 ``PYTHONPATH=src python tests/test_artifacts.py``.
 """
 import hashlib
