@@ -145,21 +145,24 @@ class JsonRecord:
             raise cls.json_error(f"{path}: {exc}") from exc
 
 
-def freeze(record, *names):
-    """Store each named field of a frozen dataclass as a read-only float64 copy.
+def finite_array(value, name):
+    """``value`` as a float64 copy; NaN or Inf raises InvalidInputError naming it, and a
+    value numpy cannot read as a float array (ragged, non-numeric) DimensionMismatchError."""
+    try:
+        array = np.array(value, dtype=float)
+    except (ValueError, TypeError) as exc:
+        raise DimensionMismatchError(f"{name} is not a numeric array: {exc}") from None
+    if not np.isfinite(array).all():
+        raise InvalidInputError(f"{name} contains NaN or Inf")
+    return array
 
-    Returns the stored arrays in the order named. A field holding NaN or Inf
-    raises InvalidInputError naming it; one numpy cannot read as a float
-    array (ragged or non-numeric) raises DimensionMismatchError naming it.
-    """
+
+def freeze(record, *names):
+    """Store each named field of a frozen dataclass as a read-only ``finite_array``;
+    returns the stored arrays in the order named."""
     arrays = []
     for name in names:
-        try:
-            array = np.array(getattr(record, name), dtype=float)
-        except (ValueError, TypeError) as exc:
-            raise DimensionMismatchError(f"{name} is not a numeric array: {exc}") from None
-        if not np.isfinite(array).all():
-            raise InvalidInputError(f"{name} contains NaN or Inf")
+        array = finite_array(getattr(record, name), name)
         array.setflags(write=False)
         object.__setattr__(record, name, array)
         arrays.append(array)

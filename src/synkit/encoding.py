@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import JsonRecord, freeze, write_csv
+from ._io import JsonRecord, finite_array, freeze, write_csv
 from .errors import (
     DegenerateComponentError,
     DimensionMismatchError,
@@ -22,7 +22,6 @@ from .errors import (
 from .synergy import SynergyBasis, project
 
 __all__ = [
-    "SynergyTrajectory",
     "GmmModel",
     "ReferenceTrajectory",
     "interpolate_coefficients",
@@ -36,25 +35,6 @@ _COV_FLOOR = 1e-6
 # Slack for the per-iteration log-likelihood monotonicity check.
 _LL_SLACK = 1e-7
 _COLLAPSED = "collapsed below the regularization floor"
-
-
-@dataclass(frozen=True, eq=False)
-class SynergyTrajectory:
-    """Synergy coefficients sampled on a strictly increasing time grid."""
-
-    times: np.ndarray
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        times, coeffs = freeze(self, "times", "coeffs")
-        if coeffs.ndim != 2 or times.ndim != 1 or coeffs.shape[0] != times.shape[0]:
-            raise DimensionMismatchError("coeffs must be (T, S) aligned with times")
-        if times.shape[0] > 1 and not np.all(np.diff(times) > 0.0):
-            raise NonMonotonicTimeError("trajectory times must strictly increase")
-
-    @property
-    def synergy_dim(self):
-        return self.coeffs.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,20 +118,23 @@ class ReferenceTrajectory(JsonRecord):
         write_csv(path, header, np.column_stack([self.times, self.means, flat_covs]))
 
 
-def interpolate_coefficients(demos, basis: SynergyBasis, grid) -> list[SynergyTrajectory]:
+def interpolate_coefficients(demos, basis: SynergyBasis, grid) -> np.ndarray:
     """Project demos into synergy space and resample on a common grid.
 
     Each demo is a ``(times, angles)`` pair with angles of shape (M, J).
     Times are normalized to [0, 1] per demo; coefficients are linearly
-    interpolated onto ``grid`` (which must lie within [0, 1]).
+    interpolated onto ``grid``, which must strictly increase within [0, 1].
+    Returns the (D, T, S) coefficients of the D demos on the T grid times.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise DimensionMismatchError("grid must be a nonempty 1-D array")
-    if grid.min() < -1e-12 or grid.max() > 1.0 + 1e-12:
+    if not (grid.min() >= -1e-12 and grid.max() <= 1.0 + 1e-12):  # NaN is not within
         raise InvalidInputError("grid must lie within the normalized span [0, 1]")
-    out = []
-    for times, angles in demos:
+    if not np.all(np.diff(grid) > 0.0):
+        raise NonMonotonicTimeError("grid times must strictly increase")
+    out = np.empty((len(demos), grid.size, basis.synergy_dim))
+    for resampled, (times, angles) in zip(out, demos):
         times = np.asarray(times, dtype=float)
         angles = np.asarray(angles, dtype=float)
         if times.ndim != 1 or times.shape[0] < 2:
@@ -162,10 +145,8 @@ def interpolate_coefficients(demos, basis: SynergyBasis, grid) -> list[SynergyTr
             raise DimensionMismatchError("demo angles must be (M, J)")
         tn = (times - times[0]) / (times[-1] - times[0])
         coeffs = project(basis, angles)
-        resampled = np.column_stack(
-            [np.interp(grid, tn, coeffs[:, j]) for j in range(coeffs.shape[1])]
-        )
-        out.append(SynergyTrajectory(times=grid, coeffs=resampled))
+        for j in range(coeffs.shape[1]):
+            resampled[:, j] = np.interp(grid, tn, coeffs[:, j])
     return out
 
 
@@ -332,9 +313,12 @@ def _squarem_step(data, theta0, theta1, theta2, stepmax):
     return (theta3, *_e_step(xt, theta3[0], theta3[1], factor, const))
 
 
-def fit_gmm(trajectories, n_components: int = 5, seed: int = 0,
+def fit_gmm(times, coeffs, n_components: int = 5, seed: int = 0,
             max_iter: int = 200, tol: float = 1e-6) -> GmmModel:
     """Fit a Gaussian mixture to joint (t, e) samples by EM, accelerated by SQUAREM.
+
+    ``coeffs`` holds the (D, T, S) synergy coefficients of D demos on the
+    (T,) ``times``, as ``interpolate_coefficients`` returns them.
 
     Initialization is k-means++ seeding (plus a few Lloyd refinements) with
     the supplied seed; every M-step adds a trace-scaled identity floor to the
@@ -351,10 +335,10 @@ def fit_gmm(trajectories, n_components: int = 5, seed: int = 0,
         raise InvalidInputError("n_components must be >= 1")
     if max_iter < 1:
         raise InvalidInputError("max_iter must be >= 1")
-    dims = {t.synergy_dim for t in trajectories}
-    if len(dims) != 1:
-        raise DimensionMismatchError("all trajectories must share the synergy dim")
-    x = np.vstack([np.column_stack([t.times, t.coeffs]) for t in trajectories])
+    times, coeffs = finite_array(times, "times"), finite_array(coeffs, "coeffs")
+    if times.ndim != 1 or coeffs.ndim != 3 or coeffs.shape[1] != times.shape[0]:
+        raise DimensionMismatchError("coeffs must be (D, T, S) aligned with times (T,)")
+    x = np.column_stack([np.tile(times, coeffs.shape[0]), coeffs.reshape(-1, coeffs.shape[2])])
     m, d = x.shape
     if m < n_components * (d + 1):
         raise InvalidInputError(f"too few samples ({m}) for {n_components} components in {d}-D")

@@ -21,7 +21,6 @@ from .errors import (
     SingleClassError,
     SingularSystemError,
 )
-from .force import _stable_pinv
 from .synergy import SynergyBasis
 
 __all__ = [
@@ -29,7 +28,6 @@ __all__ = [
     "Cluster",
     "ObjectPose",
     "SvmModel",
-    "SynergyMappingParams",
     "load_cloud",
     "save_cloud",
     "ransac_plane",
@@ -551,49 +549,21 @@ def estimate_pose(cluster: Cluster, label: str = "", score: float = 0.0) -> Obje
     )
 
 
-@dataclass(frozen=True, eq=False)
-class SynergyMappingParams:
-    """Matrices mapping a Cartesian pose into synergy coordinates.
-
-    ``compliance`` is the square joint compliance matrix, ``motion_transfer``
-    the square motion transfer matrix whose pseudo-inverse carries the pose
-    vector into joint space.
-    """
-
-    compliance: np.ndarray
-    motion_transfer: np.ndarray
-
-    def __post_init__(self):
-        c, a = freeze(self, "compliance", "motion_transfer")
-        for name, m in (("compliance", c), ("motion_transfer", a)):
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise DimensionMismatchError(f"{name} matrix must be square")
-        if c.shape != a.shape:
-            raise DimensionMismatchError("compliance and motion_transfer must agree on size")
-
-    @property
-    def joint_dim(self):
-        return self.compliance.shape[0]
-
-
-def pose_to_synergy(pose: ObjectPose, params: SynergyMappingParams,
-                    basis: SynergyBasis) -> np.ndarray:
+def pose_to_synergy(pose: ObjectPose, basis: SynergyBasis) -> np.ndarray:
     """Map an object pose to its (S,) synergy coordinates.
 
-    The pose 6-vector (centroid, extents) is carried into joint space by the
-    pseudo-inverse of the motion transfer matrix, passed through the joint
-    compliance, and projected onto the synergy basis.
+    The paper's map is ``E^T C A^+ op``: ``op`` is the pose 6-vector
+    (centroid, extents) zero-padded to the joint dim, ``A`` the motion
+    transfer and ``C`` the joint compliance matrix. synkit uses unit
+    compliance and motion transfer, C = A = I, so the map is ``E^T op``.
     """
     j = basis.joint_dim
-    if params.joint_dim != j:
-        raise DimensionMismatchError("mapping matrices do not match the basis joint dim")
     op = np.concatenate([pose.centroid, pose.extents])
     if j < op.shape[0]:
         raise DimensionMismatchError(f"cannot embed a 6-D pose into {j} joints")
     op_embedded = np.zeros(j)
     op_embedded[: op.shape[0]] = op
-    transfer_pinv = _stable_pinv(params.motion_transfer, "motion transfer matrix")
-    return basis.e_hat.T @ (params.compliance @ (transfer_pinv @ op_embedded))
+    return basis.e_hat.T @ op_embedded
 
 
 def detect_objects(cloud, *, iterations, threshold, seed, epsilon, min_points, svm=None):

@@ -303,8 +303,8 @@ def build_reference(config: PipelineConfig):
     with _stage("encoding"):
         config.check_em_size(len(demos))
         grid = np.linspace(0.0, 1.0, config.reference_points)
-        trajectories = encoding.interpolate_coefficients(demos, basis, grid)
-        model = encoding.fit_gmm(trajectories, n_components=config.gmm_components,
+        coeffs = encoding.interpolate_coefficients(demos, basis, grid)
+        model = encoding.fit_gmm(grid, coeffs, n_components=config.gmm_components,
                                  seed=config.gmm_seed, max_iter=config.gmm_max_iter,
                                  tol=config.gmm_tol)
         reference = encoding.generate_reference(model, grid)
@@ -524,16 +524,12 @@ def run_task(config: PipelineConfig) -> TaskLog:
             raise SynkitError(f"no cluster classified as {target_label!r}")
         target_pose = detected[0]
 
-        params = perception.SynergyMappingParams(
-            compliance=np.eye(basis.joint_dim),
-            motion_transfer=np.eye(basis.joint_dim),
-        )
         nominal_points = synthetic.object_points(scenario["objects"][target_label])
         nominal_pose = perception.estimate_pose(
             perception.Cluster(np.arange(nominal_points.shape[0]), nominal_points),
             label=target_label)
-        pose_delta = (perception.pose_to_synergy(target_pose, params, basis)
-                      - perception.pose_to_synergy(nominal_pose, params, basis))
+        pose_delta = (perception.pose_to_synergy(target_pose, basis)
+                      - perception.pose_to_synergy(nominal_pose, basis))
 
         # the grasp via-point shifted by the pose delta, then the manipulation
         # phase steered along the task curve at every reference step from its start

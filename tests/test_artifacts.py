@@ -1,4 +1,4 @@
-"""The KMP artifacts keep their bytes: SHA-256 digests against a committed manifest.
+"""The KMP and simulate artifacts keep their bytes: SHA-256 digests against a manifest.
 
 The manifest lists what ``COMMANDS`` write when run from one directory, at
 fixed relative ``--out`` paths, and the numpy, BLAS and SIMD extensions of the
@@ -25,6 +25,8 @@ COMMANDS = [
     ["benchmark-kernels", "--task", "egg", "--out", "bench"],
     ["encode", "--task", "egg", "--out", "enc"],
     ["kmp-predict", "--kernel", "gaussian", "--reference", "enc/reference.json", "--out", "kmp"],
+    ["simulate", "--task", "egg", "--out", "sim-egg"],
+    ["simulate", "--task", "ketchup", "--out", "sim-ketchup"],
 ]
 
 
@@ -53,7 +55,7 @@ def digests(directory):
             for path in sorted(Path(directory).rglob("*")) if path.is_file()}
 
 
-def test_kmp_artifacts_keep_their_bytes(tmp_path, capsys):
+def test_artifacts_keep_their_bytes(tmp_path, capsys):
     manifest = json.loads(MANIFEST.read_text())
     assert manifest["commands"] == COMMANDS
     got = digests(tmp_path)

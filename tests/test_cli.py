@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from synkit import cli, encoding, perception, pipeline
+from synkit._io import write_csv
 from synkit.cli import cli_dispatch
 
 
@@ -213,7 +214,9 @@ class TestInvalidInput:
 # a numpy message: each row is argv ({config} is a file holding the JSON in
 # the row's second field, {cloud} a small plane cloud, {nan_svm}, {flat_svm}
 # and {same_svm} classifiers with a NaN weight, a zero feature scale and two
-# equal classes, {models} a models_dir whose basis has a NaN theta0,
+# equal classes, {models} a models_dir whose basis has a NaN theta0 and
+# {good_models} one whose basis is valid, {nan_demos} a demos_path whose
+# second demo has one NaN angle,
 # {neg_reference} a reference whose covariances are -1e-3 I, {asym_reference}
 # one whose covariances differ from their transpose in the upper triangle
 # only, which eigvalsh does not read), then the text
@@ -267,6 +270,9 @@ CONTRACT_CASES = [
     (("kmp-predict", "--reference", "{neg_reference}", "--lam", "1e-6"), None, "covariances"),
     (("kmp-predict", "--reference", "{asym_reference}", "--lam", "1e-6"), None, "covariances"),
     (("simulate", "--config", "{config}"), {"models_dir": "{models}"}, "theta0"),
+    # a NaN angle reaches the encoding stage, whose samples must be finite
+    (("simulate", "--config", "{config}"),
+     {"demos_path": "{nan_demos}", "models_dir": "{good_models}"}, "coeffs contains NaN or Inf"),
     # more mixture components than samples fails in EM, which is the encoding stage
     (("simulate", "--config", "{config}"), {"gmm_components": 100}, "stage 'encoding'"),
     # EM holds temporaries of components x samples, so the count is bounded
@@ -308,6 +314,7 @@ def test_hostile_input_exits_2_with_one_error_line(argv, config, named, tmp_path
              "flat_svm": tmp_path / "flat_svm.json", "same_svm": tmp_path / "same_svm.json",
              "neg_reference": tmp_path / "neg_reference.json",
              "asym_reference": tmp_path / "asym_reference.json", "models": tmp_path / "models",
+             "good_models": tmp_path / "good_models", "nan_demos": tmp_path / "nan_demos",
              "config": tmp_path / "config.json"}
     files["svm"].write_text(json.dumps(svm))
     files["nan_svm"].write_text(json.dumps({**svm, "weights": [1.0, float("nan")]}))
@@ -319,11 +326,21 @@ def test_hostile_input_exits_2_with_one_error_line(argv, config, named, tmp_path
     files["asym_reference"].write_text(json.dumps({
         "times": grid.tolist(), "means": [[0.0, 0.0]] * 5,
         "covariances": [[[1e-2, 5.0], [0.0, 1e-2]]] * 5}))
-    files["models"].mkdir()
-    (files["models"] / "basis.json").write_text(json.dumps({
-        "e_hat": np.eye(6)[:, :2].tolist(), "theta0": [float("nan")] + [0.0] * 5,
-        "variance_fractions": [0.6, 0.4]}))
-    files["config"].write_text(json.dumps(config).replace("{models}", str(files["models"])))
+    for name, theta0 in (("models", [float("nan")] + [0.0] * 5), ("good_models", [0.0] * 6)):
+        files[name].mkdir()
+        (files[name] / "basis.json").write_text(json.dumps({
+            "e_hat": np.eye(6)[:, :2].tolist(), "theta0": theta0,
+            "variance_fractions": [0.6, 0.4]}))
+    files["nan_demos"].mkdir()
+    for k, spoiled in enumerate((0.0, np.nan)):
+        angles = np.outer(grid, np.arange(1.0, 7.0))
+        angles[2, 3] += spoiled
+        write_csv(files["nan_demos"] / f"demo_{k}.csv", ["t", *(f"q{j}" for j in range(1, 7))],
+                  np.column_stack([grid, angles]))
+    config_text = json.dumps(config)
+    for name, path in files.items():
+        config_text = config_text.replace("{%s}" % name, str(path))
+    files["config"].write_text(config_text)
     argv = [a.format(**files) for a in argv]
     code, out, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
     assert code == 2

@@ -39,25 +39,25 @@ class TestInterpolate:
         times = np.linspace(0.0, 5.0, 10)
         angles = np.tile(basis.theta0, (10, 1))
         grid = np.linspace(0.0, 1.0, 7)
-        (traj,) = encoding.interpolate_coefficients([(times, angles)], basis, grid)
-        assert np.abs(traj.coeffs).max() < 1e-12
+        (coeffs,) = encoding.interpolate_coefficients([(times, angles)], basis, grid)
+        assert np.abs(coeffs).max() < 1e-12
 
     def test_linear_coefficients_interpolate_exactly(self, basis):
         times = np.array([0.0, 2.0])
         e_values = np.array([[0.0, 0.0], [1.0, -0.5]])
         angles = basis.theta0[None, :] + e_values @ basis.e_hat.T
         grid = np.array([0.5])
-        (traj,) = encoding.interpolate_coefficients([(times, angles)], basis, grid)
-        assert np.abs(traj.coeffs[0] - np.array([0.5, -0.25])).max() < 1e-12
+        (coeffs,) = encoding.interpolate_coefficients([(times, angles)], basis, grid)
+        assert np.abs(coeffs[0] - np.array([0.5, -0.25])).max() < 1e-12
 
     def test_sine_coefficient_resampling_error(self, basis):
         times = np.linspace(0.0, 1.0, 400)
         e_values = np.column_stack([np.sin(2.0 * np.pi * times), np.zeros_like(times)])
         angles = basis.theta0[None, :] + e_values @ basis.e_hat.T
         grid = np.linspace(0.0, 1.0, 1000)
-        (traj,) = encoding.interpolate_coefficients([(times, angles)], basis, grid)
+        (coeffs,) = encoding.interpolate_coefficients([(times, angles)], basis, grid)
         analytic = np.sin(2.0 * np.pi * grid)
-        assert np.abs(traj.coeffs[:, 0] - analytic).max() < 1e-3
+        assert np.abs(coeffs[:, 0] - analytic).max() < 1e-3
 
     def test_empty_demo_rejected(self, basis):
         with pytest.raises(EmptyDemoError):
@@ -70,6 +70,23 @@ class TestInterpolate:
         with pytest.raises(NonMonotonicTimeError):
             encoding.interpolate_coefficients([(times, angles)], basis,
                                               np.array([0.5]))
+
+    @pytest.mark.parametrize("grid,error", [
+        ([0.0, 0.5, 0.5, 1.0], NonMonotonicTimeError), ([0.0, 1.0, 0.5], NonMonotonicTimeError),
+        ([0.0, np.nan, 1.0], InvalidInputError), ([np.nan], InvalidInputError),
+        ([0.0, 1.5], InvalidInputError), ([], DimensionMismatchError),
+    ], ids=["repeated", "decreasing", "nan", "only-nan", "outside", "empty"])
+    def test_bad_grid_rejected(self, basis, grid, error):
+        demo = (np.array([0.0, 1.0]), np.tile(basis.theta0, (2, 1)))
+        with pytest.raises(error, match="^grid"):
+            encoding.interpolate_coefficients([demo], basis, np.array(grid))
+
+    def test_coefficients_stack_as_demos_by_grid_by_synergies(self, basis):
+        grid = np.linspace(0.0, 1.0, 5)
+        demos = [(np.linspace(0.0, 2.0, 3), basis.theta0 + k * np.eye(6)[:3]) for k in (1, 2)]
+        coeffs = encoding.interpolate_coefficients(demos, basis, grid)
+        assert coeffs.shape == (2, 5, 2) and coeffs.dtype == np.float64
+        assert np.array_equal(coeffs[1], 2.0 * coeffs[0])
 
 
 LOG_2PI = np.log(2.0 * np.pi)
@@ -279,14 +296,14 @@ def _single_gaussian_trajectories(rng, n=400):
     cov = np.array([[0.04, 0.01], [0.01, 0.09]])
     e = rng.multivariate_normal(mean, cov, size=n)
     t = np.linspace(0.0, 1.0, n)
-    return [encoding.SynergyTrajectory(times=t, coeffs=e)], mean, cov, e
+    return (t, e[None]), mean, cov, e
 
 
 class TestFitGmm:
     def test_single_component_recovers_sample_moments(self, rng):
-        trajs, mean, cov, e = _single_gaussian_trajectories(rng)
-        model = encoding.fit_gmm(trajs, n_components=1, seed=0)
-        x = np.column_stack([trajs[0].times, e])
+        (t, coeffs), mean, cov, e = _single_gaussian_trajectories(rng)
+        model = encoding.fit_gmm(t, coeffs, n_components=1, seed=0)
+        x = np.column_stack([t, e])
         # closed-form single-component MLE: the sample mean and covariance
         sample_mean = x.mean(axis=0)
         assert np.abs(model.means[0] - sample_mean).max() < 1e-9
@@ -298,11 +315,7 @@ class TestFitGmm:
         t = np.linspace(0.0, 1.0, 200)
         e1 = rng.normal(0.0, 0.05, size=(200, 1))
         e2 = rng.normal(5.0, 0.05, size=(200, 1))  # 100 sigma apart
-        trajs = [
-            encoding.SynergyTrajectory(times=t, coeffs=e1),
-            encoding.SynergyTrajectory(times=t, coeffs=e2),
-        ]
-        model = encoding.fit_gmm(trajs, n_components=2, seed=3)
+        model = encoding.fit_gmm(t, np.stack([e1, e2]), n_components=2, seed=3)
         x = np.vstack([np.column_stack([t, e1]), np.column_stack([t, e2])])
         # brute-force oracle: label by nearest component mean
         labels = np.argmin(
@@ -319,22 +332,22 @@ class TestFitGmm:
         assert agree / x.shape[0] > 0.99
 
     def test_same_seed_identical_fit(self, rng):
-        trajs, *_ = _single_gaussian_trajectories(rng, n=150)
-        a = encoding.fit_gmm(trajs, n_components=3, seed=11)
-        b = encoding.fit_gmm(trajs, n_components=3, seed=11)
+        samples, *_ = _single_gaussian_trajectories(rng, n=150)
+        a = encoding.fit_gmm(*samples, n_components=3, seed=11)
+        b = encoding.fit_gmm(*samples, n_components=3, seed=11)
         assert np.array_equal(a.priors, b.priors)
         assert np.array_equal(a.means, b.means)
         assert np.array_equal(a.covariances, b.covariances)
 
     def test_log_likelihood_monotone_and_priors_normalized(self, rng):
-        trajs, *_ = _single_gaussian_trajectories(rng, n=300)
-        model = encoding.fit_gmm(trajs, n_components=4, seed=2)
+        samples, *_ = _single_gaussian_trajectories(rng, n=300)
+        model = encoding.fit_gmm(*samples, n_components=4, seed=2)
         diffs = np.diff(model.ll_history)
         assert np.all(diffs >= -1e-7 * (1.0 + np.abs(model.ll_history[:-1])))
         assert float(model.priors.sum()) == pytest.approx(1.0, abs=1e-9)
 
     def test_falling_log_likelihood_is_synkit_error(self, rng, monkeypatch):
-        trajs, *_ = _single_gaussian_trajectories(rng, n=300)
+        samples, *_ = _single_gaussian_trajectories(rng, n=300)
         calls = []
         log_gauss = encoding._log_gauss
 
@@ -344,12 +357,45 @@ class TestFitGmm:
 
         monkeypatch.setattr(encoding, "_log_gauss", falling)
         with pytest.raises(SynkitError, match="log-likelihood decreased"):
-            encoding.fit_gmm(trajs, n_components=2, seed=2)
+            encoding.fit_gmm(*samples, n_components=2, seed=2)
+
+    @pytest.mark.parametrize("times,coeffs,error,match", [
+        (np.linspace(0.0, 1.0, 20), np.r_[np.zeros(79), np.nan].reshape(2, 20, 2),
+         InvalidInputError, "^coeffs contains NaN or Inf"),
+        (np.r_[np.linspace(0.0, 0.9, 19), np.inf], np.zeros((2, 20, 2)), InvalidInputError,
+         "^times contains NaN or Inf"),
+        (np.linspace(0.0, 1.0, 20), np.zeros((2, 19, 2)), DimensionMismatchError, "aligned"),
+        (np.linspace(0.0, 1.0, 20), np.zeros((20, 2)), DimensionMismatchError, "aligned"),
+        (np.linspace(0.0, 1.0, 20)[:, None], np.zeros((2, 20, 2)), DimensionMismatchError,
+         "aligned"),
+        (np.linspace(0.0, 1.0, 2), [[[0.0], [1.0, 2.0]]], DimensionMismatchError,
+         "^coeffs is not a numeric array"),
+        ({"a": 1.0}, np.zeros((2, 20, 2)), DimensionMismatchError, "^times is not a numeric array"),
+    ], ids=["nan-coeffs", "inf-times", "grid-mismatch", "2-d-coeffs", "2-d-times", "ragged",
+            "mapping"])
+    def test_bad_samples_rejected(self, times, coeffs, error, match):
+        with pytest.raises(error, match=match):
+            encoding.fit_gmm(times, coeffs, n_components=2, seed=0)
+
+    def test_joint_samples_are_each_demo_in_turn(self, rng, monkeypatch):
+        t = np.linspace(0.0, 1.0, 30)
+        coeffs = rng.standard_normal((3, 30, 2))
+        seen = []
+        lloyd = encoding._lloyd
+
+        def recording(x, centers):
+            seen.append(x.copy(order="K"))
+            return lloyd(x, centers)
+
+        monkeypatch.setattr(encoding, "_lloyd", recording)
+        encoding.fit_gmm(t, coeffs, n_components=1, seed=0, max_iter=1)
+        want = np.vstack([np.column_stack([t, c]) for c in coeffs])
+        assert np.array_equal(seen[0], want) and seen[0].flags.c_contiguous
 
     def test_zero_iterations_is_invalid_input(self, rng):
-        trajs, *_ = _single_gaussian_trajectories(rng, n=150)
+        samples, *_ = _single_gaussian_trajectories(rng, n=150)
         with pytest.raises(InvalidInputError, match="max_iter"):
-            encoding.fit_gmm(trajs, n_components=2, seed=2, max_iter=0)
+            encoding.fit_gmm(*samples, n_components=2, seed=2, max_iter=0)
 
 
 class TestEmOnTaskData:
@@ -431,8 +477,8 @@ class TestGmr:
         # without time coupling and with one shared output mean, every component
         # conditions to that mean, so the blend returns it only when the
         # responsibilities sum to one, out in the time tail too
-        trajs, *_ = _single_gaussian_trajectories(rng, n=200)
-        fitted = encoding.fit_gmm(trajs, n_components=3, seed=5)
+        samples, *_ = _single_gaussian_trajectories(rng, n=200)
+        fitted = encoding.fit_gmm(*samples, n_components=3, seed=5)
         means, covs = fitted.means.copy(), fitted.covariances.copy()
         means[:, 1:] = [0.7, -1.3]
         covs[:, 0, 1:] = covs[:, 1:, 0] = 0.0
@@ -461,16 +507,16 @@ class TestGmr:
 
 class TestGenerateReference:
     def test_single_point_grid(self, rng):
-        trajs, *_ = _single_gaussian_trajectories(rng, n=200)
-        model = encoding.fit_gmm(trajs, n_components=2, seed=9)
+        samples, *_ = _single_gaussian_trajectories(rng, n=200)
+        model = encoding.fit_gmm(*samples, n_components=2, seed=9)
         ref = encoding.generate_reference(model, np.array([0.4]))
         mean, cov = encoding.gmr_condition(model, 0.4)
         assert np.array_equal(ref.means[0], mean)
         assert np.array_equal(ref.covariances[0], cov)
 
     def test_grid_matches_per_time_conditioning(self, rng):
-        trajs, *_ = _single_gaussian_trajectories(rng, n=300)
-        model = encoding.fit_gmm(trajs, n_components=4, seed=8)
+        samples, *_ = _single_gaussian_trajectories(rng, n=300)
+        model = encoding.fit_gmm(*samples, n_components=4, seed=8)
         grid = np.linspace(-0.1, 1.1, 50)
         ref = encoding.generate_reference(model, grid)
         for i, t in enumerate(grid):
@@ -481,21 +527,20 @@ class TestGenerateReference:
     def test_noiseless_linear_data_recovered(self):
         t = np.linspace(0.0, 1.0, 200)
         e = np.column_stack([0.5 + 0.8 * t])
-        trajs = [encoding.SynergyTrajectory(times=t, coeffs=e)]
-        model = encoding.fit_gmm(trajs, n_components=3, seed=1)
+        model = encoding.fit_gmm(t, e[None], n_components=3, seed=1)
         ref = encoding.generate_reference(model, t)
         assert np.abs(ref.means[:, 0] - (0.5 + 0.8 * t)).max() < 0.02
 
     def test_reference_covariances_psd(self, rng):
-        trajs, *_ = _single_gaussian_trajectories(rng, n=250)
-        model = encoding.fit_gmm(trajs, n_components=3, seed=4)
+        samples, *_ = _single_gaussian_trajectories(rng, n=250)
+        model = encoding.fit_gmm(*samples, n_components=3, seed=4)
         ref = encoding.generate_reference(model, np.linspace(0.0, 1.0, 31))
         for c in ref.covariances:
             assert np.linalg.eigvalsh(c).min() >= -1e-9
 
     def test_json_round_trip(self, rng, tmp_path):
-        trajs, *_ = _single_gaussian_trajectories(rng, n=150)
-        model = encoding.fit_gmm(trajs, n_components=2, seed=6)
+        samples, *_ = _single_gaussian_trajectories(rng, n=150)
+        model = encoding.fit_gmm(*samples, n_components=2, seed=6)
         ref = encoding.generate_reference(model, np.linspace(0.0, 1.0, 11))
         mpath = tmp_path / "gmm.json"
         rpath = tmp_path / "ref.json"
@@ -520,8 +565,6 @@ class TestNonFiniteRecords:
            "objective_history": np.array([1.0])}
     # valid fields of every model record; its ndarray fields are the stored arrays
     RECORDS = {
-        encoding.SynergyTrajectory: {"times": np.linspace(0.0, 1.0, 3),
-                                     "coeffs": np.zeros((3, 2))},
         encoding.GmmModel: GMM,
         encoding.ReferenceTrajectory: REFERENCE,
         synergy.ConfigurationMatrix: {"rows": np.eye(3), "theta0": np.zeros(3)},
@@ -531,7 +574,6 @@ class TestNonFiniteRecords:
         perception.PlaneModel: {"normal": np.array([0.0, 0.0, 1.0]), "offset": 0.0},
         perception.ObjectPose: {"centroid": np.zeros(3), "extents": np.ones(3)},
         perception.SvmModel: SVM,
-        perception.SynergyMappingParams: {"compliance": np.eye(6), "motion_transfer": np.eye(6)},
         force.GraspModel: {"grasp_matrix": np.ones((6, 9)), "stiffness": np.ones((9, 6)),
                            "hand_jacobian": np.ones((9, 6)), "motor_constant": np.eye(6)},
     }

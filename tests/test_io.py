@@ -163,7 +163,6 @@ def _records():
         reference,
         encoding.GmmModel(priors=[0.5, 0.5], means=np.zeros((2, 3)),
                           covariances=np.tile(eye, (2, 1, 1)), ll_history=[1.0]),
-        encoding.SynergyTrajectory(times=[0.0, 1.0], coeffs=np.zeros((2, 2))),
         kmp.ViaPoint(0.5, np.zeros(2), np.eye(2)),
         kmp.kmp_fit(reference, kmp.KernelSpec(kind="gaussian"), 1.0),
         perception.SvmModel(weights=[1.0, 0.5], bias=0.0, classes=["a", "b"],
@@ -172,7 +171,6 @@ def _records():
         perception.PlaneModel(normal=[0.0, 0.0, 1.0], offset=0.0),
         perception.Cluster(indices=[0, 1], cloud=np.zeros((2, 3))),
         perception.ObjectPose(centroid=np.zeros(3), extents=np.ones(3)),
-        perception.SynergyMappingParams(compliance=eye, motion_transfer=eye),
         synergy.ConfigurationMatrix(rows=np.zeros((2, 3)), theta0=np.zeros(3)),
         synergy.SynergyBasis(e_hat=eye[:, :2], theta0=np.zeros(3),
                              variance_fractions=[0.6, 0.4]),

@@ -9,7 +9,6 @@ from synkit.errors import (
     DegenerateCloudError,
     DimensionMismatchError,
     InvalidInputError,
-    RankDeficientError,
     SingleClassError,
     SingularSystemError,
 )
@@ -695,51 +694,33 @@ class TestPoseToSynergy:
         return synergy.SynergyBasis(e_hat=e_hat, theta0=np.zeros(6),
                                     variance_fractions=np.array([0.6, 0.4]))
 
-    @pytest.fixture()
-    def params(self):
-        return perception.SynergyMappingParams(compliance=np.eye(6),
-                                               motion_transfer=np.eye(6))
-
-    def test_zero_pose_maps_to_zero(self, basis, params):
+    def test_zero_pose_maps_to_zero(self, basis):
         pose = perception.ObjectPose(centroid=np.zeros(3), extents=np.zeros(3))
-        e = perception.pose_to_synergy(pose, params, basis)
+        e = perception.pose_to_synergy(pose, basis)
         assert np.abs(e).max() == 0.0
 
-    def test_identity_matrices_reduce_to_projection(self, basis, params):
+    def test_identity_matrices_reduce_to_projection(self, basis):
         pose = perception.ObjectPose(centroid=np.array([0.1, 0.2, 0.3]),
                                      extents=np.array([0.04, 0.05, 0.06]))
-        e = perception.pose_to_synergy(pose, params, basis)
-        want = basis.e_hat.T @ np.concatenate([pose.centroid, pose.extents])
-        assert np.abs(e - want).max() < 1e-12
+        embedded = np.concatenate([pose.centroid, pose.extents])  # 6 joints: no padding
+        assert np.array_equal(perception.pose_to_synergy(pose, basis), basis.e_hat.T @ embedded)
 
     def test_linearity(self, basis, rng):
-        c = rng.standard_normal((6, 6))
-        a = rng.standard_normal((6, 6)) + 3.0 * np.eye(6)
-        params = perception.SynergyMappingParams(compliance=c, motion_transfer=a)
         p1 = perception.ObjectPose(centroid=rng.standard_normal(3),
                                    extents=np.abs(rng.standard_normal(3)))
-        e1 = perception.pose_to_synergy(p1, params, basis)
+        e1 = perception.pose_to_synergy(p1, basis)
         doubled = perception.ObjectPose(centroid=2.0 * p1.centroid,
                                         extents=2.0 * p1.extents)
-        e2 = perception.pose_to_synergy(doubled, params, basis)
+        e2 = perception.pose_to_synergy(doubled, basis)
         assert np.abs(e2 - 2.0 * e1).max() < 1e-12
         # additivity over the pose vector through a second pose
         p3 = perception.ObjectPose(centroid=rng.standard_normal(3),
                                    extents=np.abs(rng.standard_normal(3)))
-        e3 = perception.pose_to_synergy(p3, params, basis)
+        e3 = perception.pose_to_synergy(p3, basis)
         summed = perception.ObjectPose(centroid=p1.centroid + p3.centroid,
                                        extents=p1.extents + p3.extents)
-        e13 = perception.pose_to_synergy(summed, params, basis)
+        e13 = perception.pose_to_synergy(summed, basis)
         assert np.abs(e13 - (e1 + e3)).max() < 1e-12
-
-    def test_rank_deficient_transfer_rejected(self, basis):
-        bad = np.eye(6)
-        bad[5, 5] = 0.0
-        params = perception.SynergyMappingParams(compliance=np.eye(6),
-                                                 motion_transfer=bad)
-        pose = perception.ObjectPose(centroid=np.ones(3), extents=np.ones(3))
-        with pytest.raises(RankDeficientError):
-            perception.pose_to_synergy(pose, params, basis)
 
 
 class TestCloudIo:
