@@ -1,4 +1,4 @@
-"""The KMP and simulate artifacts keep their bytes: SHA-256 digests against a manifest.
+"""The pinned CLI artifacts keep their bytes: SHA-256 digests against a manifest.
 
 The manifest lists what ``COMMANDS`` write when run from one directory, at
 fixed relative ``--out`` paths, and the numpy, BLAS and SIMD extensions of the
@@ -27,6 +27,12 @@ COMMANDS = [
     ["kmp-predict", "--kernel", "gaussian", "--reference", "enc/reference.json", "--out", "kmp"],
     ["simulate", "--task", "egg", "--out", "sim-egg"],
     ["simulate", "--task", "ketchup", "--out", "sim-ketchup"],
+    ["generate", "scene", "--task", "egg", "--seed", "11", "--out", "scene"],
+    ["segment", "--cloud", "scene/scene.xyz", "--seed", "11", "--out", "seg"],
+    ["classify", "--cloud", "scene/scene.xyz", "--svm", "scene/svm.json", "--seed", "11",
+     "--out", "cls"],
+    ["generate", "demos", "--task", "egg", "--out", "demos"],
+    ["fit-synergies", "--input", "demos/postures.csv", "--out", "fit"],
 ]
 
 
