@@ -123,8 +123,7 @@ def _out_dir(args) -> Path:
 def _cmd_fit_synergies(args):
     config = _load_config(args)
     postures = synergy.load_postures_csv(args.input)
-    configs = synergy.ConfigurationMatrix.from_postures(postures)
-    basis = synergy.fit_synergy_basis(configs, config.synergy_threshold)
+    basis = synergy.fit_synergy_basis(postures, config.synergy_threshold)
     out = _out_dir(args)
     basis.to_json(out / "basis.json")
     print(f"retained {basis.synergy_dim} synergies "

@@ -24,7 +24,6 @@ from .errors import (
 from .synergy import SynergyBasis
 
 __all__ = [
-    "PlaneModel",
     "Cluster",
     "ObjectPose",
     "SvmModel",
@@ -54,25 +53,6 @@ RANSAC_MAX_ITERATIONS = 1_000_000
 # largest |coordinate| RANSAC takes: a triple's cross product is at most 8 s^2
 # per axis, so the squares its norm sums stay below 192 s^4 < 1.8e308
 RANSAC_MAX_SCALE = 1e76
-
-
-@dataclass(frozen=True, eq=False)
-class PlaneModel:
-    """Plane a x + b y + c z + d = 0 with unit normal (a, b, c)."""
-
-    normal: np.ndarray
-    offset: float
-
-    def __post_init__(self):
-        (normal,) = freeze(self, "normal")
-        if normal.shape != (3,):
-            raise DimensionMismatchError("plane normal must be a 3-vector")
-        if abs(np.linalg.norm(normal) - 1.0) > 1e-9:
-            raise InvalidInputError("plane normal must be unit length")
-
-    def distances(self, points) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        return np.abs(points @ self.normal + self.offset)
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,8 +142,9 @@ def ransac_plane(cloud, iterations: int = 200, inlier_threshold: float = 0.005,
                  seed: int = 0):
     """Fit the dominant plane by random triple sampling.
 
-    Returns ``(plane, inlier_indices, outlier_indices)`` for the sampled
-    plane with the most inliers (points within the threshold distance).
+    Returns ``((normal, offset), inlier_indices, outlier_indices)``: the
+    sampled plane ``normal @ x + offset = 0`` with the most inliers (points
+    within the threshold), whose unit normal has a positive largest |entry|.
     Deterministic given the seed: the triples of all iterations come from
     one ``integers`` draw, and a triple that repeats an index is skipped
     with the collinear ones. Only when no drawn triple spans a plane are as
@@ -211,11 +192,8 @@ def ransac_plane(cloud, iterations: int = 200, inlier_threshold: float = 0.005,
     pivot = int(np.argmax(np.abs(normal)))
     if normal[pivot] < 0.0:
         normal, offset = -normal, -offset
-    plane = PlaneModel(normal=normal, offset=offset)
-    mask = plane.distances(points) <= inlier_threshold
-    inliers = np.flatnonzero(mask)
-    outliers = np.flatnonzero(~mask)
-    return plane, inliers, outliers
+    mask = np.abs(points @ normal + offset) <= inlier_threshold
+    return (normal, offset), np.flatnonzero(mask), np.flatnonzero(~mask)
 
 
 def _inlier_counts(points, normals, offsets, threshold):
@@ -574,8 +552,8 @@ def detect_objects(cloud, *, iterations, threshold, seed, epsilon, min_points, s
     ``svm`` every cluster is labelled and scored; without one the labels
     stay empty and the scores zero.
     """
-    plane, inliers, outliers = ransac_plane(cloud, iterations=iterations,
-                                            inlier_threshold=threshold, seed=seed)
+    (normal, offset), inliers, outliers = ransac_plane(
+        cloud, iterations=iterations, inlier_threshold=threshold, seed=seed)
     clusters = euclidean_cluster(np.asarray(cloud, dtype=float)[outliers],
                                  epsilon=epsilon, min_points=min_points)
     poses = []
@@ -586,7 +564,7 @@ def detect_objects(cloud, *, iterations, threshold, seed, epsilon, min_points, s
             label, score = svm_classify(svm, extract_features(cluster))
             poses.append(estimate_pose(cluster, label=label, score=score))
     record = {
-        "plane": {"normal": plane.normal.tolist(), "offset": plane.offset},
+        "plane": {"normal": normal.tolist(), "offset": offset},
         "clusters": [
             {
                 "label": pose.label,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import typing
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -266,14 +267,26 @@ def load_demo_dir(path):
     """Read timed demonstrations from a directory of ``demo_*.csv`` files.
 
     Each file holds rows of ``t, q1..qJ`` with one header line, the format
-    the ``generate demos`` command emits.
+    the ``generate demos`` command emits. A file that is not such a table,
+    holds no data rows, or has another width than the first file is named.
     """
     files = sorted(Path(path).glob("demo_*.csv"))
     if not files:
         raise ConfigInvalidError(f"no demo_*.csv files under {path}")
     demos = []
     for f in files:
-        rows = np.loadtxt(f, delimiter=",", skiprows=1, ndmin=2)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # loadtxt warns on a file of no rows
+                rows = np.loadtxt(f, delimiter=",", skiprows=1, ndmin=2)
+        except ValueError as exc:  # also undecodable text
+            raise DimensionMismatchError(f"{f}: {exc}") from None
+        if rows.shape[0] == 0:
+            raise DimensionMismatchError(f"{f}: no data rows")
+        if demos and rows.shape[1] != width:
+            raise DimensionMismatchError(
+                f"{f} has {rows.shape[1]} columns, but {files[0]} has {width}")
+        width = rows.shape[1]
         demos.append((rows[:, 0], rows[:, 1:]))
     return demos
 
@@ -297,9 +310,8 @@ def build_reference(config: PipelineConfig):
             basis = synergy.SynergyBasis.from_json(basis_file)
         else:
             postures = np.vstack([angles for _, angles in demos])
-            configs = synergy.ConfigurationMatrix.from_postures(
-                postures, theta0=synthetic.nominal_posture())
-            basis = synergy.fit_synergy_basis(configs, config.synergy_threshold)
+            basis = synergy.fit_synergy_basis(postures, config.synergy_threshold,
+                                              theta0=synthetic.nominal_posture())
     with _stage("encoding"):
         config.check_em_size(len(demos))
         grid = np.linspace(0.0, 1.0, config.reference_points)

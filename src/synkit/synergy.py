@@ -12,55 +12,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import JsonRecord, freeze, text_lines
+from ._io import JsonRecord, finite_array, freeze, text_lines
 from .errors import DimensionMismatchError, InvalidInputError, ZeroVarianceError
 
 __all__ = [
-    "ConfigurationMatrix",
     "SynergyBasis",
     "fit_synergy_basis",
     "project",
     "reconstruct",
     "load_postures_csv",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class ConfigurationMatrix:
-    """Mean-centered demonstration postures, one per row.
-
-    ``rows[k] = posture_k - theta0``. The nominal posture ``theta0`` travels
-    with the matrix so a fitted basis can map back to absolute joint angles.
-    """
-
-    rows: np.ndarray
-    theta0: np.ndarray
-
-    def __post_init__(self):
-        rows, theta0 = freeze(self, "rows", "theta0")
-        if rows.ndim != 2:
-            raise DimensionMismatchError("configuration rows must form a 2-D array")
-        if rows.shape[0] < 2:
-            raise DimensionMismatchError("need at least 2 demonstrations")
-        if theta0.shape != (rows.shape[1],):
-            raise DimensionMismatchError(
-                f"theta0 length {theta0.shape} does not match joint dim {rows.shape[1]}"
-            )
-
-    @property
-    def joint_dim(self):
-        return self.rows.shape[1]
-
-    @classmethod
-    def from_postures(cls, postures, theta0=None):
-        """Center raw demonstration postures on ``theta0`` (default: their mean)."""
-        postures = np.asarray(postures, dtype=float)
-        if postures.ndim != 2:
-            raise DimensionMismatchError("postures must form a 2-D array")
-        if theta0 is None:
-            theta0 = postures.mean(axis=0)
-        theta0 = np.asarray(theta0, dtype=float)
-        return cls(rows=postures - theta0[None, :], theta0=theta0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,41 +57,48 @@ class SynergyBasis(JsonRecord):
         return self.e_hat.shape[1]
 
 
-def fit_synergy_basis(configs: ConfigurationMatrix, variance_threshold: float = 0.85) -> SynergyBasis:
-    """Extract the synergy basis by PCA on the configuration matrix.
+def fit_synergy_basis(postures, variance_threshold: float = 0.85, theta0=None) -> SynergyBasis:
+    """Extract the synergy basis by PCA on demonstrated postures, one per row.
 
-    Eigen-decomposes the sample covariance (divisor K-1) of the centered rows
-    and retains the smallest number of components whose cumulative explained
-    variance reaches ``variance_threshold``. Each retained column is flipped so
-    its largest-magnitude entry is positive, making fits reproducible.
+    The basis keeps the nominal posture ``theta0`` (default: the postures'
+    mean). Eigen-decomposes the sample covariance (divisor K-1) of the centered
+    postures and retains the smallest number of components whose cumulative
+    explained variance reaches ``variance_threshold``. Each retained column is
+    flipped so its largest-magnitude entry is positive, making fits reproducible.
 
     Raises ZeroVarianceError when all demonstrations are identical.
     """
     if not 0.0 < variance_threshold <= 1.0:
         raise InvalidInputError("variance_threshold must lie in (0, 1]")
-    rows = configs.rows
-    centered = rows - rows.mean(axis=0, keepdims=True)
+    postures = finite_array(postures, "postures")
+    if postures.ndim != 2 or postures.shape[0] < 2:
+        raise DimensionMismatchError(
+            f"postures must form a 2-D array of at least 2 rows, got shape {postures.shape}")
+    theta0 = postures.mean(axis=0) if theta0 is None else finite_array(theta0, "theta0")
+    if theta0.shape != (postures.shape[1],):
+        raise DimensionMismatchError(
+            f"theta0 shape {theta0.shape} does not match joint dim {postures.shape[1]}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = postures - theta0  # centering in two steps keeps basis.json's bits
+        centered = rows - rows.mean(axis=0, keepdims=True)
+        cov = centered.T @ centered / (rows.shape[0] - 1)
+    if not np.isfinite(cov).all():
+        raise InvalidInputError("postures too large: their covariance overflows")
     if not np.any(np.abs(centered) > 0.0):
         raise ZeroVarianceError("all demonstrations identical; no synergy directions")
-    cov = centered.T @ centered / (rows.shape[0] - 1)
     eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(eigvals)[::-1]
     eigvals = np.clip(eigvals[order], 0.0, None)
-    eigvecs = eigvecs[:, order]
     total = eigvals.sum()
     if total <= 0.0:
-        raise ZeroVarianceError("zero total variance in configuration matrix")
+        raise ZeroVarianceError("zero total variance in the postures")
     fractions = eigvals / total
-    cumulative = np.cumsum(fractions)
-    n_keep = int(np.searchsorted(cumulative, variance_threshold - 1e-12) + 1)
+    n_keep = int(np.searchsorted(np.cumsum(fractions), variance_threshold - 1e-12) + 1)
     n_keep = min(n_keep, len(fractions))
-    e_hat = eigvecs[:, :n_keep].copy()
-    for j in range(n_keep):
-        pivot = np.argmax(np.abs(e_hat[:, j]))
-        if e_hat[pivot, j] < 0.0:
-            e_hat[:, j] = -e_hat[:, j]
-    return SynergyBasis(e_hat=e_hat, theta0=configs.theta0,
-                        variance_fractions=fractions[:n_keep])
+    e_hat = eigvecs[:, order[:n_keep]].copy()  # C order: the bits downstream depend on it
+    pivots = e_hat[np.argmax(np.abs(e_hat), axis=0), np.arange(n_keep)]
+    e_hat[:, pivots < 0.0] *= -1.0
+    return SynergyBasis(e_hat=e_hat, theta0=theta0, variance_fractions=fractions[:n_keep])
 
 
 def project(basis: SynergyBasis, posture) -> np.ndarray:

@@ -104,7 +104,7 @@ def test_criterion_5_perception_suite():
         cloud, meta = synthetic.generate_synthetic_scene("egg", seed=config.ransac_seed)
         n_table = meta["table_points"]
 
-        plane, inliers, outliers = perception.ransac_plane(
+        (fitted, _), inliers, outliers = perception.ransac_plane(
             cloud, iterations=config.ransac_iterations,
             inlier_threshold=0.005, seed=config.ransac_seed)
         inl = set(inliers.tolist())
@@ -113,7 +113,7 @@ def test_criterion_5_perception_suite():
         assert not (inl - table_idx), "object points contaminated the plane"
         # least-squares oracle on the known table points
         normal = lstsq_plane(cloud[:n_table])
-        assert abs(abs(float(plane.normal @ normal)) - 1.0) < 1e-4
+        assert abs(abs(float(fitted @ normal)) - 1.0) < 1e-4
 
         objects_cloud = cloud[outliers]
         assert objects_cloud.shape[0] <= 2000

@@ -216,12 +216,15 @@ class TestInvalidInput:
 # and {same_svm} classifiers with a NaN weight, a zero feature scale and two
 # equal classes, {models} a models_dir whose basis has a NaN theta0 and
 # {good_models} one whose basis is valid, {nan_demos} a demos_path whose
-# second demo has one NaN angle,
+# second demo has one NaN angle, {cell_demos}, {short_demos}, {empty_demos} and
+# {narrow_demos} ones whose second demo has a cell "x", a row one cell short, no
+# data rows and one column fewer than the first,
 # {neg_reference} a reference whose covariances are -1e-3 I, {asym_reference}
 # one whose covariances differ from their transpose in the upper triangle
 # only, which eigvalsh does not read), then the text
-# the one error line must name. {svm} is a valid classifier and {big_cloud}
-# the plane cloud scaled by 1e80. A failing command does not make --out.
+# the one error line must name, where {name} stands for that file's path.
+# {svm} is a valid classifier and {big_cloud} the plane cloud scaled by 1e80.
+# A failing command does not make --out.
 CONTRACT_CASES = [
     (("benchmark-kernels", "--length-scale", "1e-300"), None, "l=1e-300"),
     (("kmp-predict", "--reference", "{reference}", "--length-scale", "1e-300"), None,
@@ -273,6 +276,15 @@ CONTRACT_CASES = [
     # a NaN angle reaches the encoding stage, whose samples must be finite
     (("simulate", "--config", "{config}"),
      {"demos_path": "{nan_demos}", "models_dir": "{good_models}"}, "coeffs contains NaN or Inf"),
+    # a demo file that is no table of numbers, or not as wide as the first, is named
+    (("simulate", "--config", "{config}"), {"demos_path": "{cell_demos}"},
+     "{cell_demos}/demo_1.csv: could not convert string 'x'"),
+    (("simulate", "--config", "{config}"), {"demos_path": "{short_demos}"},
+     "{short_demos}/demo_1.csv: the number of columns changed from 7 to 6"),
+    (("simulate", "--config", "{config}"), {"demos_path": "{empty_demos}"},
+     "{empty_demos}/demo_1.csv: no data rows"),
+    (("simulate", "--config", "{config}"), {"demos_path": "{narrow_demos}"},
+     "{narrow_demos}/demo_1.csv has 6 columns, but {narrow_demos}/demo_0.csv has 7"),
     # more mixture components than samples fails in EM, which is the encoding stage
     (("simulate", "--config", "{config}"), {"gmm_components": 100}, "stage 'encoding'"),
     # EM holds temporaries of components x samples, so the count is bounded
@@ -315,6 +327,8 @@ def test_hostile_input_exits_2_with_one_error_line(argv, config, named, tmp_path
              "neg_reference": tmp_path / "neg_reference.json",
              "asym_reference": tmp_path / "asym_reference.json", "models": tmp_path / "models",
              "good_models": tmp_path / "good_models", "nan_demos": tmp_path / "nan_demos",
+             **{name: tmp_path / name for name in
+                ("cell_demos", "short_demos", "empty_demos", "narrow_demos")},
              "config": tmp_path / "config.json"}
     files["svm"].write_text(json.dumps(svm))
     files["nan_svm"].write_text(json.dumps({**svm, "weights": [1.0, float("nan")]}))
@@ -337,6 +351,15 @@ def test_hostile_input_exits_2_with_one_error_line(argv, config, named, tmp_path
         angles[2, 3] += spoiled
         write_csv(files["nan_demos"] / f"demo_{k}.csv", ["t", *(f"q{j}" for j in range(1, 7))],
                   np.column_stack([grid, angles]))
+    lines = (files["nan_demos"] / "demo_0.csv").read_text().splitlines()
+    cut = [line.rsplit(",", 1)[0] for line in lines]  # each line without its last cell
+    for name, spoiled in (("cell_demos", lines[:2] + [cut[2] + ",x"] + lines[3:]),
+                          ("short_demos", lines[:3] + [cut[3]] + lines[4:]),
+                          ("empty_demos", lines[:1]),
+                          ("narrow_demos", cut)):
+        files[name].mkdir()
+        for k, demo in enumerate((lines, spoiled)):
+            (files[name] / f"demo_{k}.csv").write_text("\n".join(demo) + "\n")
     config_text = json.dumps(config)
     for name, path in files.items():
         config_text = config_text.replace("{%s}" % name, str(path))
@@ -344,7 +367,7 @@ def test_hostile_input_exits_2_with_one_error_line(argv, config, named, tmp_path
     argv = [a.format(**files) for a in argv]
     code, out, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
     assert code == 2
-    assert err.startswith("error:") and named in err and err.count("\n") == 1
+    assert err.startswith("error:") and named.format(**files) in err and err.count("\n") == 1
     assert "Traceback" not in out + err
     assert not (tmp_path / "out").exists()
 

@@ -567,11 +567,9 @@ class TestNonFiniteRecords:
     RECORDS = {
         encoding.GmmModel: GMM,
         encoding.ReferenceTrajectory: REFERENCE,
-        synergy.ConfigurationMatrix: {"rows": np.eye(3), "theta0": np.zeros(3)},
         synergy.SynergyBasis: {"e_hat": np.eye(3)[:, :2], "theta0": np.zeros(3),
                                "variance_fractions": np.array([0.6, 0.4])},
         kmp.ViaPoint: {"t_star": 0.5, "desired_e": np.zeros(2), "desired_cov": np.eye(2)},
-        perception.PlaneModel: {"normal": np.array([0.0, 0.0, 1.0]), "offset": 0.0},
         perception.ObjectPose: {"centroid": np.zeros(3), "extents": np.ones(3)},
         perception.SvmModel: SVM,
         force.GraspModel: {"grasp_matrix": np.ones((6, 9)), "stiffness": np.ones((9, 6)),

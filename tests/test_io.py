@@ -168,10 +168,8 @@ def _records():
         perception.SvmModel(weights=[1.0, 0.5], bias=0.0, classes=["a", "b"],
                             feature_mean=[0.0, 0.0], feature_scale=[1.0, 1.0],
                             objective_history=[1.0]),
-        perception.PlaneModel(normal=[0.0, 0.0, 1.0], offset=0.0),
         perception.Cluster(indices=[0, 1], cloud=np.zeros((2, 3))),
         perception.ObjectPose(centroid=np.zeros(3), extents=np.ones(3)),
-        synergy.ConfigurationMatrix(rows=np.zeros((2, 3)), theta0=np.zeros(3)),
         synergy.SynergyBasis(e_hat=eye[:, :2], theta0=np.zeros(3),
                              variance_fractions=[0.6, 0.4]),
         force.GraspModel(grasp_matrix=np.zeros((6, 3)), stiffness=np.zeros((3, 2)),

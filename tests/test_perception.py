@@ -87,6 +87,14 @@ def oracle_counts(points, normals, offsets, threshold):
     return counts
 
 
+def assert_plane_normal(normal):
+    """The normal ``ransac_plane`` promises: a unit 3-vector whose
+    largest-magnitude entry is positive."""
+    assert normal.shape == (3,)
+    assert abs(np.linalg.norm(normal) - 1.0) <= 1e-9
+    assert normal[np.argmax(np.abs(normal))] > 0.0
+
+
 def dense_egg_objects(rng):
     """The egg scene's objects sampled twice as finely, with sensor noise:
     about 4k points, some 30 to a clustering cell of side 0.02."""
@@ -118,23 +126,24 @@ class TestRansac:
         cloud = np.vstack([corners, rng.uniform(-1.0, 1.0, (200, 3))])
         at_bound = perception.RANSAC_MAX_SCALE * cloud
         for seed in range(3):
-            plane, _, _ = perception.ransac_plane(at_bound, iterations=500,
-                                                  inlier_threshold=1e73, seed=seed)
-            assert np.isfinite(plane.normal).all()
+            (normal, _), _, _ = perception.ransac_plane(at_bound, iterations=500,
+                                                        inlier_threshold=1e73, seed=seed)
+            assert_plane_normal(normal)
         with pytest.raises(InvalidInputError, match=r"cloud scale 1e\+80"):
             perception.ransac_plane(1e80 * cloud)
 
     def test_plane_recovery_with_ground_truth(self, rng):
         cloud = self.make_scene(rng)
-        model, inliers, outliers = perception.ransac_plane(
+        (fitted, _), inliers, outliers = perception.ransac_plane(
             cloud, iterations=200, inlier_threshold=0.005, seed=3)
+        assert_plane_normal(fitted)
         inl = set(inliers.tolist())
         plane_idx = set(range(1000))
         assert len(inl & plane_idx) >= 990
         assert not (inl - plane_idx)
         # least-squares oracle: recovered normal is the true plane normal
         normal = lstsq_plane(cloud[sorted(inl & plane_idx)])
-        assert abs(abs(float(model.normal @ normal)) - 1.0) < 1e-6
+        assert abs(abs(float(fitted @ normal)) - 1.0) < 1e-6
 
     def test_coplanar_cloud_has_no_outliers(self, rng):
         pts = np.column_stack([
@@ -148,10 +157,10 @@ class TestRansac:
 
     def test_deterministic_given_seed(self, rng):
         cloud = self.make_scene(rng)
-        p1, i1, o1 = perception.ransac_plane(cloud, iterations=100, seed=42)
-        p2, i2, o2 = perception.ransac_plane(cloud, iterations=100, seed=42)
-        assert np.array_equal(p1.normal, p2.normal)
-        assert p1.offset == p2.offset
+        (n1, d1), i1, o1 = perception.ransac_plane(cloud, iterations=100, seed=42)
+        (n2, d2), i2, o2 = perception.ransac_plane(cloud, iterations=100, seed=42)
+        assert np.array_equal(n1, n2)
+        assert d1 == d2
         assert np.array_equal(i1, i2)
 
     def test_internal_argmax_consistency(self, rng):
@@ -169,11 +178,12 @@ class TestRansac:
         table = np.column_stack([rng.uniform(-0.25, 0.25, (4000, 2)),
                                  0.0008 * rng.standard_normal(4000)])
         for cloud in (self.make_scene(rng), np.vstack([table, dense_egg_objects(rng)])):
-            plane, inliers, outliers = perception.ransac_plane(
+            (got_normal, got_offset), inliers, outliers = perception.ransac_plane(
                 cloud, iterations=iterations, inlier_threshold=0.005, seed=seed)
             normal, offset, _ = oracle_ransac(cloud, iterations, 0.005, seed)
-            assert plane.normal.tobytes() == normal.tobytes()
-            assert plane.offset == offset
+            assert_plane_normal(got_normal)
+            assert got_normal.tobytes() == normal.tobytes()
+            assert got_offset == offset
             mask = np.abs(cloud @ normal + offset) <= 0.005
             assert np.array_equal(inliers, np.flatnonzero(mask))
             assert np.array_equal(outliers, np.flatnonzero(~mask))
@@ -219,10 +229,10 @@ class TestRansac:
         cloud = np.array([[0.0, 0.0, 0.1], [1.0, 0.0, 0.2], [0.0, 1.0, 0.3]])
         draws = np.random.default_rng(5).integers(3, size=(30, 3))
         assert 0 < sum(len(set(t)) == 3 for t in draws.tolist()) < 30
-        plane, inliers, outliers = perception.ransac_plane(
+        (normal, offset), inliers, outliers = perception.ransac_plane(
             cloud, iterations=30, inlier_threshold=1e-9, seed=5)
         assert np.array_equal(inliers, [0, 1, 2]) and outliers.size == 0
-        assert np.allclose(plane.distances(cloud), 0.0, atol=1e-12)
+        assert np.allclose(cloud @ normal + offset, 0.0, atol=1e-12)
 
     def test_collinear_cloud_rejected(self):
         t = np.linspace(0.0, 1.0, 50)
@@ -238,10 +248,11 @@ class TestRansac:
         # then a triple of distinct indices is drawn, which spans the plane
         cloud = np.array([[0.0, 0.0, 0.1], [1.0, 0.0, 0.2], [0.0, 1.0, 0.3]])
         for seed in range(100):
-            plane, inliers, outliers = perception.ransac_plane(
+            (normal, offset), inliers, outliers = perception.ransac_plane(
                 cloud, iterations=1, inlier_threshold=1e-9, seed=seed)
             assert np.array_equal(inliers, [0, 1, 2]) and outliers.size == 0
-            assert np.allclose(plane.distances(cloud), 0.0, atol=1e-12)
+            assert_plane_normal(normal)
+            assert np.allclose(cloud @ normal + offset, 0.0, atol=1e-12)
 
     @pytest.mark.parametrize("kwargs, name", [
         ({"iterations": 0}, "iterations"),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from synkit import synergy
-from synkit.errors import DimensionMismatchError, ZeroVarianceError
+from synkit.errors import DimensionMismatchError, InvalidInputError, ZeroVarianceError
 
 
 def brute_force_pca(rows):
@@ -28,20 +28,18 @@ class TestFit:
         v /= np.linalg.norm(v)
         amps = rng.standard_normal(100)
         postures = amps[:, None] * v[None, :]
-        configs = synergy.ConfigurationMatrix.from_postures(postures, theta0=np.zeros(6))
-        basis = synergy.fit_synergy_basis(configs, 0.85)
+        basis = synergy.fit_synergy_basis(postures, 0.85, theta0=np.zeros(6))
         assert basis.synergy_dim == 1
         # first column matches the generating direction up to sign
-        oracle_vals, oracle_vecs = brute_force_pca(configs.rows)
+        oracle_vals, oracle_vecs = brute_force_pca(postures)
         dot = abs(float(basis.e_hat[:, 0] @ v))
         assert dot == pytest.approx(1.0, abs=1e-9)
         assert abs(float(basis.e_hat[:, 0] @ oracle_vecs[:, 0])) == pytest.approx(1.0, abs=1e-9)
 
     def test_identical_demos_raise_zero_variance(self):
         postures = np.tile(np.linspace(0.0, 1.0, 6), (5, 1))
-        configs = synergy.ConfigurationMatrix.from_postures(postures)
         with pytest.raises(ZeroVarianceError):
-            synergy.fit_synergy_basis(configs, 0.85)
+            synergy.fit_synergy_basis(postures, 0.85)
 
     def test_two_factor_hand_data_retains_two(self, rng):
         d1 = np.array([1.0, 1.0, 1.0, 1.0, 0.0, 0.0]) / 2.0
@@ -50,29 +48,62 @@ class TestFit:
         b = 0.6 * rng.standard_normal(400)
         postures = a[:, None] * d1 + b[:, None] * d2
         postures += 0.01 * rng.standard_normal(postures.shape)
-        configs = synergy.ConfigurationMatrix.from_postures(postures)
-        basis = synergy.fit_synergy_basis(configs, 0.85)
+        basis = synergy.fit_synergy_basis(postures, 0.85)
         assert basis.synergy_dim == 2
-        oracle_vals, _ = brute_force_pca(configs.rows)
+        oracle_vals, _ = brute_force_pca(postures)
         assert oracle_vals[1] > 100.0 * oracle_vals[2]  # two dominant modes
 
     def test_ragged_rows_rejected(self):
         with pytest.raises(DimensionMismatchError):
-            synergy.ConfigurationMatrix(rows=np.array([[1.0, 2.0], [3.0]], dtype=object),
-                                        theta0=np.zeros(2))
+            synergy.fit_synergy_basis(np.array([[1.0, 2.0], [3.0]], dtype=object))
+
+    POSTURES = np.arange(12.0).reshape(4, 3) ** 1.5
+    SPOILED = np.arange(12).reshape(4, 3) == 7  # the one entry made NaN or Inf
+    # postures, theta0, then the error and the text it must name
+    INVALID = {
+        "nan postures": (np.where(SPOILED, np.nan, POSTURES), None, InvalidInputError,
+                         "^postures contains NaN or Inf"),
+        "inf postures": (np.where(SPOILED, np.inf, POSTURES), None, InvalidInputError,
+                         "^postures contains NaN or Inf"),
+        "nan theta0": (POSTURES, [0.0, np.nan, 0.0], InvalidInputError,
+                       "^theta0 contains NaN or Inf"),
+        "1-D": (POSTURES[0], None, DimensionMismatchError, "2-D array of at least 2 rows"),
+        "single row": (POSTURES[:1], None, DimensionMismatchError, "at least 2 rows"),
+        "theta0 length": (POSTURES, np.zeros(4), DimensionMismatchError,
+                          "does not match joint dim 3"),
+        "covariance overflows": (1e200 * POSTURES, None, InvalidInputError, "overflows"),
+        "centering overflows": (1e308 * (POSTURES > 5.0), [-1e308, 0.0, 0.0],
+                                InvalidInputError, "overflows"),
+    }
+
+    @pytest.mark.filterwarnings("error")  # an overflow must raise, not warn
+    @pytest.mark.parametrize("case", INVALID)
+    def test_invalid_input_rejected(self, case):
+        postures, theta0, error, named = self.INVALID[case]
+        with pytest.raises(error, match=named):
+            synergy.fit_synergy_basis(postures, theta0=theta0)
 
     def test_fit_is_deterministic(self, rng):
         postures = rng.standard_normal((40, 6))
-        configs = synergy.ConfigurationMatrix.from_postures(postures)
-        b1 = synergy.fit_synergy_basis(configs, 0.9)
-        b2 = synergy.fit_synergy_basis(configs, 0.9)
+        b1 = synergy.fit_synergy_basis(postures, 0.9)
+        b2 = synergy.fit_synergy_basis(postures, 0.9)
         assert np.array_equal(b1.e_hat, b2.e_hat)
         assert np.array_equal(b1.variance_fractions, b2.variance_fractions)
 
+    def test_columns_c_ordered_with_largest_entry_positive(self, rng):
+        # a loop over the columns is the reference for the flip
+        postures = rng.standard_normal((40, 6))
+        basis = synergy.fit_synergy_basis(postures, 0.9)
+        assert basis.e_hat.flags.c_contiguous  # later products take their bits from the layout
+        eigvecs = np.linalg.eigh(np.cov(postures, rowvar=False))[1][:, ::-1]
+        for column, reference in zip(basis.e_hat.T, eigvecs.T):
+            pivot = np.argmax(np.abs(reference))
+            assert column[pivot] > 0.0
+            assert np.allclose(column, np.sign(reference[pivot]) * reference)
+
     def test_columns_orthonormal_and_fractions_sum_to_one(self, rng):
         postures = rng.standard_normal((60, 6))
-        configs = synergy.ConfigurationMatrix.from_postures(postures)
-        full = synergy.fit_synergy_basis(configs, 1.0)
+        full = synergy.fit_synergy_basis(postures, 1.0)
         gram = full.e_hat.T @ full.e_hat
         assert np.abs(gram - np.eye(full.synergy_dim)).max() < 1e-9
         assert np.all(full.variance_fractions >= 0.0)
@@ -84,8 +115,7 @@ class TestProjectReconstruct:
     @pytest.fixture()
     def basis(self, rng):
         postures = rng.standard_normal((50, 6))
-        configs = synergy.ConfigurationMatrix.from_postures(postures)
-        return synergy.fit_synergy_basis(configs, 0.9)
+        return synergy.fit_synergy_basis(postures, 0.9)
 
     def test_nominal_posture_projects_to_zero(self, basis):
         assert np.abs(synergy.project(basis, basis.theta0)).max() < 1e-12
@@ -144,8 +174,7 @@ class TestProjectReconstruct:
 class TestPersistence:
     def test_json_round_trip(self, rng, tmp_path):
         postures = rng.standard_normal((30, 6))
-        configs = synergy.ConfigurationMatrix.from_postures(postures)
-        basis = synergy.fit_synergy_basis(configs, 0.9)
+        basis = synergy.fit_synergy_basis(postures, 0.9)
         path = tmp_path / "basis.json"
         basis.to_json(path)
         loaded = synergy.SynergyBasis.from_json(path)

@@ -152,9 +152,7 @@ class TestDemos:
     def test_pca_recovers_generative_directions(self, task):
         demos, truth = synthetic.generate_synthetic_demos(task, count=8, noise=0.004, seed=7)
         postures = np.vstack([angles for _, angles in demos])
-        configs = synergy.ConfigurationMatrix.from_postures(
-            postures, theta0=synthetic.nominal_posture())
-        basis = synergy.fit_synergy_basis(configs, 0.85)
+        basis = synergy.fit_synergy_basis(postures, 0.85, theta0=synthetic.nominal_posture())
         assert basis.synergy_dim == 2
         assert principal_angle_deg(truth["directions"].T, basis.e_hat) < 5.0
 
