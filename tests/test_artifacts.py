@@ -1,8 +1,9 @@
 """The pinned CLI artifacts keep their bytes: SHA-256 digests against a manifest.
 
 The manifest lists what ``COMMANDS`` write when run from one directory, at
-fixed relative ``--out`` paths, and the numpy, BLAS and SIMD extensions of the
-run that made it, since float bits depend on those as well as on the code.
+fixed relative ``--out`` paths, and what each prints to stdout, under a key
+that begins with "/" as no relative path does. It also records the numpy,
+BLAS and SIMD extensions of the run that made it, since float bits depend on those as well as on the code.
 A digest that moves fails the test where the environment is the manifest's,
 and skips it, naming both environments, where it is not. A CI runner with
 another numpy or another CPU therefore skips: the test guards the bytes only
@@ -10,7 +11,9 @@ on a host that matches the manifest. When a change moves bits on purpose,
 rewrite the manifest in the same diff with
 ``PYTHONPATH=src python tests/test_artifacts.py``.
 """
+import contextlib
 import hashlib
+import io
 import json
 import os
 from pathlib import Path
@@ -33,7 +36,10 @@ COMMANDS = [
      "--out", "cls"],
     ["generate", "demos", "--task", "egg", "--out", "demos"],
     ["fit-synergies", "--input", "demos/postures.csv", "--out", "fit"],
+    ["simulate", "--config", "demos.json", "--out", "sim-demos"],
 ]
+# the config of the run on the generated demo files, written before COMMANDS run
+DEMOS_CONFIG = {"demos_path": "demos"}
 
 
 def environment():
@@ -47,18 +53,28 @@ def environment():
             "simd": config.get("SIMD Extensions", {}).get("found")}
 
 
+def sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
 def digests(directory):
-    """Run COMMANDS in ``directory``; the SHA-256 of every file they write, by path."""
+    """Run COMMANDS in ``directory``; the SHA-256 of every file there, by path, and
+    of each command's stdout, by "/stdout: synkit" and the command's arguments."""
     home = os.getcwd()
     os.chdir(directory)
+    printed = {}
     try:
+        Path("demos.json").write_text(json.dumps(DEMOS_CONFIG))
         for argv in COMMANDS:
-            if cli_dispatch(argv) != 0:
+            with contextlib.redirect_stdout(io.StringIO()) as stdout:
+                status = cli_dispatch(argv)
+            if status != 0:
                 raise RuntimeError(f"synkit {' '.join(argv)} failed")
+            printed[f"/stdout: synkit {' '.join(argv)}"] = sha256(stdout.getvalue().encode())
     finally:
         os.chdir(home)
-    return {path.relative_to(directory).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
-            for path in sorted(Path(directory).rglob("*")) if path.is_file()}
+    return {**{path.relative_to(directory).as_posix(): sha256(path.read_bytes())
+               for path in sorted(Path(directory).rglob("*")) if path.is_file()}, **printed}
 
 
 def test_artifacts_keep_their_bytes(tmp_path, capsys):
