@@ -5,9 +5,10 @@ writer gives exactly the bytes of the stdlib's ``json.dumps(payload,
 sort_keys=True, indent=2)``, but formats all of an artifact's scalars in one
 call to the stdlib's C encoder. CSV is one header line, then one row per
 record with every cell written as ``repr(float(cell))``, so a float reads
-back exactly. Text inputs (clouds, postures) are read line by line through
-``text_lines``. Every model record stores its arrays through ``freeze``, as
-read-only, finite float64 copies.
+back exactly; ``read_csv`` reads it back, its header line optional. Text
+inputs (clouds, CSV tables) are read line by line through ``text_lines``.
+Every model record stores its arrays through ``freeze``, as read-only,
+finite float64 copies.
 """
 from __future__ import annotations
 
@@ -173,10 +174,10 @@ def _plain(value):
     return value.tolist() if isinstance(value, np.ndarray) else value
 
 
-def text_lines(path, **open_args):
+def text_lines(path):
     """The lines of a text file; an undecodable file raises InvalidInputError naming it."""
     try:
-        with open(path, **open_args) as fh:
+        with open(path) as fh:
             yield from fh
     except UnicodeDecodeError as exc:
         raise InvalidInputError(f"{path}: not a text file: {exc}") from None
@@ -197,3 +198,31 @@ def write_csv(path, header, rows) -> None:
     lines = rows if preformatted else format_rows(rows)
     with open(path, "w") as fh:
         fh.write("\n".join([",".join(header), *lines, ""]))
+
+
+def read_csv(path) -> np.ndarray:
+    """The (rows x columns) floats of a CSV table such as ``write_csv`` writes.
+
+    A first line with a non-numeric cell is the header and is skipped; every
+    other nonblank line is one row of floats, as wide as the first row. A line
+    that breaks this raises DimensionMismatchError naming ``path:lineno``, and
+    a file without rows the same error naming the path.
+    """
+    rows = []
+    for lineno, line in enumerate(text_lines(path), start=1):
+        if not line.strip():
+            continue
+        try:
+            row = [float(cell) for cell in line.split(",")]
+        except ValueError:
+            if lineno == 1:
+                continue  # the header
+            raise DimensionMismatchError(
+                f"{path}:{lineno}: non-numeric cell in {line.strip()!r}") from None
+        if rows and len(row) != len(rows[0]):
+            raise DimensionMismatchError(
+                f"{path}:{lineno}: {len(row)} cells, but the first row has {len(rows[0])}")
+        rows.append(row)
+    if not rows:
+        raise DimensionMismatchError(f"{path}: no data rows")
+    return np.array(rows)

@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from . import encoding, evaluation, kmp, perception, pipeline, synergy, synthetic
-from ._io import dump_json, write_csv
-from .errors import InvalidInputError, SynkitError, UsageError
+from ._io import dump_json, read_csv, write_csv
+from .errors import SynkitError, UsageError
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -58,7 +58,7 @@ def _build_parser():
     p.add_argument("--grid-points", dest="reference_points", type=int)
 
     # kmp-predict and benchmark-kernels keep defaults of their own for the
-    # kernel, so their flags name no config field
+    # kernel, so their kernel flags name no config field
     p = sub.add_parser("kmp-predict", parents=[out_flags],
                        help="fit a KMP on a reference JSON and predict on a grid")
     p.add_argument("--reference", required=True)
@@ -67,7 +67,7 @@ def _build_parser():
     p.add_argument("--sigma2", type=float, default=1.0)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--lam", dest="kmp_lambda", type=float, default=1.0)
-    p.add_argument("--points", type=int, default=201)
+    p.add_argument("--points", dest="dense_points", type=int)
 
     for name, text in (("segment", "plane removal plus clustering on an ASCII cloud"),
                        ("classify", "segment a cloud and label clusters with a trained SVM")):
@@ -122,8 +122,7 @@ def _out_dir(args) -> Path:
 
 def _cmd_fit_synergies(args):
     config = _load_config(args)
-    postures = synergy.load_postures_csv(args.input)
-    basis = synergy.fit_synergy_basis(postures, config.synergy_threshold)
+    basis = synergy.fit_synergy_basis(read_csv(args.input), config.synergy_threshold)
     out = _out_dir(args)
     basis.to_json(out / "basis.json")
     print(f"retained {basis.synergy_dim} synergies "
@@ -142,18 +141,16 @@ def _cmd_encode(args):
 
 
 def _cmd_kmp_predict(args):
-    if not 1 <= args.points <= pipeline.MAX_DENSE_POINTS:
-        raise InvalidInputError(
-            f"--points must lie in [1, {pipeline.MAX_DENSE_POINTS}], got {args.points}")
+    points = _load_config(args).dense_points
     out = Path(args.out)  # save_kmp_predictions makes it once the prediction passes
     reference = encoding.ReferenceTrajectory.from_json(args.reference)
     alpha = args.alpha if args.kernel == "cauchy" else None
     spec = kmp.KernelSpec(kind=args.kernel, l=args.length_scale,
                           sigma2=args.sigma2, alpha=alpha)
     model = kmp.kmp_fit(reference, spec, args.kmp_lambda)
-    grid = np.linspace(float(reference.times[0]), float(reference.times[-1]), args.points)
+    grid = np.linspace(float(reference.times[0]), float(reference.times[-1]), points)
     kmp.save_kmp_predictions(out / "predictions.csv", model, grid)
-    print(f"predicted {args.points} points with {args.kernel} kernel "
+    print(f"predicted {points} points with {args.kernel} kernel "
           f"-> {out / 'predictions.csv'}")
     return 0
 
@@ -162,17 +159,17 @@ def _cmd_segment(args):
     """``segment``, and ``classify`` with its SVM: one detection path."""
     config = _load_config(args)
     svm = perception.SvmModel.from_json(args.svm) if args.command == "classify" else None
-    record, inliers, outliers, poses = pipeline.detect_objects(
+    record, inliers, outliers = pipeline.detect_objects(
         config, perception.load_cloud(args.cloud), svm)
     out = _out_dir(args)
     dump_json(record, out / "segmentation.json")
     if svm is None:
         print(f"plane inliers {inliers.shape[0]}, outliers {outliers.shape[0]}, "
-              f"{len(poses)} clusters -> {out / 'segmentation.json'}")
+              f"{len(record['clusters'])} clusters -> {out / 'segmentation.json'}")
     else:
-        for pose in poses:
-            print(f"{pose.label}: score {pose.score:.3f}, centroid "
-                  f"{np.round(pose.centroid, 4).tolist()}")
+        for pose in record["clusters"]:
+            print(f"{pose['label']}: score {pose['score']:.3f}, centroid "
+                  f"{np.round(pose['centroid'], 4).tolist()}")
     return 0
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import JsonRecord, freeze, text_lines
+from ._io import JsonRecord, finite_array, freeze, text_lines
 from .errors import (
     DegenerateCloudError,
     DimensionMismatchError,
@@ -25,7 +25,6 @@ from .synergy import SynergyBasis
 
 __all__ = [
     "Cluster",
-    "ObjectPose",
     "SvmModel",
     "load_cloud",
     "save_cloud",
@@ -72,23 +71,6 @@ class Cluster:
 
     def __len__(self):
         return self.indices.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class ObjectPose:
-    """Centroid pose of a detected object: position, box extents, label."""
-
-    centroid: np.ndarray
-    extents: np.ndarray
-    label: str = ""
-    score: float = 0.0
-
-    def __post_init__(self):
-        centroid, extents = freeze(self, "centroid", "extents")
-        if centroid.shape != (3,) or extents.shape != (3,):
-            raise DimensionMismatchError("centroid and extents must be 3-vectors")
-        if np.any(extents < 0.0):
-            raise InvalidInputError("extents must be nonnegative")
 
 
 def load_cloud(path) -> np.ndarray:
@@ -433,8 +415,11 @@ def svm_train(features, labels, c: float = 10.0, epochs: int = 200, seed: int = 
     ``objective_history`` its objective at the start and after each iteration.
     ``seed`` is unused. Raises SingleClassError unless both classes are present,
     SingularSystemError when a Newton system is singular (as it can be at a
-    large ``c``) and InvalidInputError when no iterate's objective is finite.
+    large ``c``) and InvalidInputError unless ``c`` is positive or when no
+    iterate's objective is finite.
     """
+    if not c > 0.0:  # NaN too
+        raise InvalidInputError(f"svm_c must be positive, got {c!r}")
     x = np.asarray(features, dtype=float)
     if x.ndim != 2:
         raise DimensionMismatchError("features must form a 2-D array")
@@ -514,29 +499,31 @@ def svm_classify(model: SvmModel, feature):
     return label, score
 
 
-def estimate_pose(cluster: Cluster, label: str = "", score: float = 0.0) -> ObjectPose:
-    """Centroid and axis-aligned bounding-box extents of a cluster."""
+def estimate_pose(cluster: Cluster, label: str = "", score: float = 0.0) -> dict:
+    """A cluster's segmentation record: label, score, centroid, box extents, size."""
     pts = cluster.points
     if pts.shape[0] == 0:
         raise DimensionMismatchError("cannot estimate the pose of an empty cluster")
-    return ObjectPose(
-        centroid=pts.mean(axis=0),
-        extents=pts.max(axis=0) - pts.min(axis=0),
-        label=label,
-        score=score,
-    )
+    return {"label": label, "score": score, "centroid": pts.mean(axis=0).tolist(),
+            "extents": (pts.max(axis=0) - pts.min(axis=0)).tolist(), "size": len(cluster)}
 
 
-def pose_to_synergy(pose: ObjectPose, basis: SynergyBasis) -> np.ndarray:
-    """Map an object pose to its (S,) synergy coordinates.
+def pose_to_synergy(pose: dict, basis: SynergyBasis) -> np.ndarray:
+    """Map an object record's pose to its (S,) synergy coordinates.
 
     The paper's map is ``E^T C A^+ op``: ``op`` is the pose 6-vector
     (centroid, extents) zero-padded to the joint dim, ``A`` the motion
     transfer and ``C`` the joint compliance matrix. synkit uses unit
     compliance and motion transfer, C = A = I, so the map is ``E^T op``.
+    The centroid and extents must be finite 3-vectors, the extents nonnegative.
     """
+    centroid, extents = (finite_array(pose[key], key) for key in ("centroid", "extents"))
+    if centroid.shape != (3,) or extents.shape != (3,):
+        raise DimensionMismatchError("centroid and extents must be 3-vectors")
+    if np.any(extents < 0.0):
+        raise InvalidInputError("extents must be nonnegative")
     j = basis.joint_dim
-    op = np.concatenate([pose.centroid, pose.extents])
+    op = np.concatenate([centroid, extents])
     if j < op.shape[0]:
         raise DimensionMismatchError(f"cannot embed a 6-D pose into {j} joints")
     op_embedded = np.zeros(j)
@@ -547,10 +534,11 @@ def pose_to_synergy(pose: ObjectPose, basis: SynergyBasis) -> np.ndarray:
 def detect_objects(cloud, *, iterations, threshold, seed, epsilon, min_points, svm=None):
     """The visual pipeline on one cloud: plane removal, clustering, poses.
 
-    Returns ``(record, inliers, outliers, poses)``, where ``record`` is the
-    documented segmentation payload ``{"plane", "clusters"}``. With an
-    ``svm`` every cluster is labelled and scored; without one the labels
-    stay empty and the scores zero.
+    Returns ``(record, inliers, outliers)``, where ``record`` is the
+    documented segmentation payload ``{"plane", "clusters"}`` and each
+    cluster's entry is its ``estimate_pose`` record. With an ``svm`` every
+    cluster is labelled and scored; without one the labels stay empty and
+    the scores zero.
     """
     (normal, offset), inliers, outliers = ransac_plane(
         cloud, iterations=iterations, inlier_threshold=threshold, seed=seed)
@@ -563,17 +551,5 @@ def detect_objects(cloud, *, iterations, threshold, seed, epsilon, min_points, s
         else:
             label, score = svm_classify(svm, extract_features(cluster))
             poses.append(estimate_pose(cluster, label=label, score=score))
-    record = {
-        "plane": {"normal": normal.tolist(), "offset": offset},
-        "clusters": [
-            {
-                "label": pose.label,
-                "score": pose.score,
-                "centroid": pose.centroid.tolist(),
-                "extents": pose.extents.tolist(),
-                "size": len(cluster),
-            }
-            for pose, cluster in zip(poses, clusters)
-        ],
-    }
-    return record, inliers, outliers, poses
+    record = {"plane": {"normal": normal.tolist(), "offset": offset}, "clusters": poses}
+    return record, inliers, outliers

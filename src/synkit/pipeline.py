@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import typing
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import encoding, evaluation, force, kmp, perception, synergy, synthetic
-from ._io import JsonRecord, dump_json, write_csv
+from ._io import JsonRecord, dump_json, read_csv, write_csv
 from .errors import ConfigInvalidError, DimensionMismatchError, StageError, SynkitError
 
 __all__ = ["PipelineConfig", "TaskLog", "default_config", "run_task", "build_reference",
@@ -266,23 +265,16 @@ def _stage(name):
 def load_demo_dir(path):
     """Read timed demonstrations from a directory of ``demo_*.csv`` files.
 
-    Each file holds rows of ``t, q1..qJ`` with one header line, the format
-    the ``generate demos`` command emits. A file that is not such a table,
-    holds no data rows, or has another width than the first file is named.
+    Each file is a ``read_csv`` table of rows ``t, q1..qJ``, the format the
+    ``generate demos`` command emits. A file that is not such a table, holds
+    no data rows, or has another width than the first file is named.
     """
     files = sorted(Path(path).glob("demo_*.csv"))
     if not files:
         raise ConfigInvalidError(f"no demo_*.csv files under {path}")
     demos = []
     for f in files:
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # loadtxt warns on a file of no rows
-                rows = np.loadtxt(f, delimiter=",", skiprows=1, ndmin=2)
-        except ValueError as exc:  # also undecodable text
-            raise DimensionMismatchError(f"{f}: {exc}") from None
-        if rows.shape[0] == 0:
-            raise DimensionMismatchError(f"{f}: no data rows")
+        rows = read_csv(f)
         if demos and rows.shape[1] != width:
             raise DimensionMismatchError(
                 f"{f} has {rows.shape[1]} columns, but {files[0]} has {width}")
@@ -519,7 +511,7 @@ def run_task(config: PipelineConfig) -> TaskLog:
             positive = np.asarray(labels) == svm.classes[1]
             train_accuracy = float(np.mean(
                 (perception.svm_decision(svm, features) >= 0.0) == positive))
-        record, inliers, outliers, poses = detect_objects(config, cloud, svm)
+        record, inliers, outliers = detect_objects(config, cloud, svm)
         log.add("perception", {
             **record,
             "inlier_count": int(inliers.shape[0]),
@@ -531,16 +523,16 @@ def run_task(config: PipelineConfig) -> TaskLog:
 
     with _stage("adaptation"):
         target_label = scenario["target_label"]
-        detected = [p for p in poses if p.label == target_label]
+        detected = [c for c in record["clusters"] if c["label"] == target_label]
         if not detected:
             raise SynkitError(f"no cluster classified as {target_label!r}")
-        target_pose = detected[0]
+        target = detected[0]
 
         nominal_points = synthetic.object_points(scenario["objects"][target_label])
         nominal_pose = perception.estimate_pose(
             perception.Cluster(np.arange(nominal_points.shape[0]), nominal_points),
             label=target_label)
-        pose_delta = (perception.pose_to_synergy(target_pose, basis)
+        pose_delta = (perception.pose_to_synergy(target, basis)
                       - perception.pose_to_synergy(nominal_pose, basis))
 
         # the grasp via-point shifted by the pose delta, then the manipulation
@@ -573,7 +565,7 @@ def run_task(config: PipelineConfig) -> TaskLog:
         log.add("reconstruction", {"joint_angles": joints.tolist()})
 
     with _stage("force"):
-        contact_radius = 0.5 * float(np.mean(target_pose.extents[:2]))
+        contact_radius = 0.5 * float(np.mean(target["extents"][:2]))
         grasp_model = build_grasp_model(basis, contact_radius)
         force_log = _run_force_loop(config, basis, grasp_model)
         log.add("force", force_log)

@@ -7,12 +7,11 @@ coordinates and to reconstruct postures from them.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import JsonRecord, finite_array, freeze, text_lines
+from ._io import JsonRecord, finite_array, freeze
 from .errors import DimensionMismatchError, InvalidInputError, ZeroVarianceError
 
 __all__ = [
@@ -20,7 +19,6 @@ __all__ = [
     "fit_synergy_basis",
     "project",
     "reconstruct",
-    "load_postures_csv",
 ]
 
 
@@ -124,28 +122,4 @@ def reconstruct(basis: SynergyBasis, e) -> np.ndarray:
             f"coordinate shape {e.shape} does not end in synergy dim {basis.synergy_dim}"
         )
     return np.matmul(basis.e_hat, e[..., None])[..., 0] + basis.theta0
-
-
-def load_postures_csv(path) -> np.ndarray:
-    """Read demonstration postures from CSV, one posture per row.
-
-    A single leading header row of non-numeric cells is tolerated and skipped.
-    """
-    rows = []
-    for record in csv.reader(text_lines(path, newline="")):
-        cells = [c.strip() for c in record if c.strip()]
-        if not cells:
-            continue
-        try:
-            rows.append([float(c) for c in cells])
-        except ValueError:
-            if rows:
-                raise DimensionMismatchError(f"non-numeric row in {path}")
-            continue  # header
-    if not rows:
-        raise DimensionMismatchError(f"no numeric rows in {path}")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise DimensionMismatchError(f"ragged rows in {path}: widths {sorted(widths)}")
-    return np.asarray(rows, dtype=float)
 

@@ -254,7 +254,7 @@ CONTRACT_CASES = [
     (("segment", "--cloud", "{cloud}", "--iterations", "100000000000"), None, "iterations"),
     (("simulate", "--config", "{config}"), {"ransac_iterations": 10**11}, "ransac_iterations"),
     (("kmp-predict", "--reference", "{reference}", "--points", "1000000000000000"), None,
-     "--points"),
+     "dense_points"),
     (("benchmark-kernels", "--config", "{config}"), {"dense_points": 10**15}, "dense_points"),
     (("simulate", "--config", "{config}"), {"dense_points": 10**15}, "dense_points"),
     (("simulate", "--config", "{config}"), {"reference_points": 10**15}, "reference_points"),
@@ -278,9 +278,9 @@ CONTRACT_CASES = [
      {"demos_path": "{nan_demos}", "models_dir": "{good_models}"}, "coeffs contains NaN or Inf"),
     # a demo file that is no table of numbers, or not as wide as the first, is named
     (("simulate", "--config", "{config}"), {"demos_path": "{cell_demos}"},
-     "{cell_demos}/demo_1.csv: could not convert string 'x'"),
+     "{cell_demos}/demo_1.csv:3: non-numeric cell"),
     (("simulate", "--config", "{config}"), {"demos_path": "{short_demos}"},
-     "{short_demos}/demo_1.csv: the number of columns changed from 7 to 6"),
+     "{short_demos}/demo_1.csv:4: 6 cells, but the first row has 7"),
     (("simulate", "--config", "{config}"), {"demos_path": "{empty_demos}"},
      "{empty_demos}/demo_1.csv: no data rows"),
     (("simulate", "--config", "{config}"), {"demos_path": "{narrow_demos}"},

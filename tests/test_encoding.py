@@ -570,7 +570,6 @@ class TestNonFiniteRecords:
         synergy.SynergyBasis: {"e_hat": np.eye(3)[:, :2], "theta0": np.zeros(3),
                                "variance_fractions": np.array([0.6, 0.4])},
         kmp.ViaPoint: {"t_star": 0.5, "desired_e": np.zeros(2), "desired_cov": np.eye(2)},
-        perception.ObjectPose: {"centroid": np.zeros(3), "extents": np.ones(3)},
         perception.SvmModel: SVM,
         force.GraspModel: {"grasp_matrix": np.ones((6, 9)), "stiffness": np.ones((9, 6)),
                            "hand_jacobian": np.ones((9, 6)), "motor_constant": np.eye(6)},

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from synkit import encoding, perception, pipeline, synergy
+from synkit import _io, encoding, perception, pipeline, synergy
 from synkit.errors import SynkitError
 
 TRIALS = 80
@@ -90,10 +90,15 @@ def test_malformed_record_json_raises_synkit_error(name, records, tmp_path):
     load(path)
 
 
-@pytest.mark.parametrize("load", [perception.load_cloud, synergy.load_postures_csv])
-def test_random_text_raises_synkit_error(load, tmp_path):
+# the demo directory loader reads each text as the one file demo_00.csv of a directory
+@pytest.mark.parametrize("load,name", [
+    (perception.load_cloud, "input.txt"),
+    (_io.read_csv, "input.txt"),
+    (lambda path: pipeline.load_demo_dir(path.parent), "demo_00.csv"),
+], ids=["load_cloud", "read_csv", "load_demo_dir"])
+def test_random_text_raises_synkit_error(load, name, tmp_path):
     rng = np.random.default_rng(17)
     alphabet = list("0123456789") + list(" .,-+e#\t\nnaifx") + ["nan", "inf", "1e999", "\n"]
     texts = ["".join(rng.choice(alphabet, size=rng.integers(0, 60))) for _ in range(TRIALS)]
     texts += ["1 2 3\n4 5 6\n", "1,2\n3,4\n"]
-    assert _load_each(load, tmp_path / "input.txt", texts) >= 1
+    assert _load_each(load, tmp_path / name, texts) >= 1

@@ -1,14 +1,17 @@
 """The JSON writer gives exactly the stdlib's sorted-key, indent=2 bytes; the CSV
-writer's lines; the model records' identity equality."""
+writer's lines and the reader that reads them back; the model records' identity
+equality."""
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from synkit import encoding, force, kmp, perception, pipeline, synergy
-from synkit._io import dump_json, format_rows, write_csv
+from synkit._io import dump_json, format_rows, read_csv, write_csv
+from synkit.errors import DimensionMismatchError, InvalidInputError
 
 TRIALS = 400
 MAX_DEPTH = 5
@@ -155,6 +158,49 @@ def test_csv_is_the_header_then_one_line_per_row(tmp_path):
     assert (tmp_path / "empty.csv").read_text() == "t\n"
 
 
+def test_csv_reader_reads_back_with_and_without_header(tmp_path):
+    rows = np.array([[0.0, -1.5, 1e-300], [0.1, 2.0, 5e-324], [math.pi, 1e300, -0.0]])
+    write_csv(tmp_path / "headed.csv", ["t", "x", "y"], rows)
+    text = (tmp_path / "headed.csv").read_text()
+    (tmp_path / "plain.csv").write_text(text.split("\n", 1)[1])
+    (tmp_path / "blank.csv").write_text(text.replace("\n", "\n\n").replace("\n", "\r\n"))
+    for name in ("headed.csv", "plain.csv", "blank.csv"):
+        got = read_csv(tmp_path / name)
+        assert got.dtype == np.float64 and got.shape == (3, 3)
+        assert got.tobytes() == rows.tobytes()
+
+
+@pytest.mark.parametrize("text,lineno", [
+    ("1.0,2.0\n3.0,4.0,5.0\n", 2),
+    ("t,x\n1.0,2.0\n3.0\n", 3),
+    ("t,x\n1.0,2.0\n3.0,x\n", 3),
+    ("1.0,2.0\nt,x\n", 2),
+    ("\nt,x\n1.0,2.0\n", 2),  # only the first line can be the header
+    ("t,x\n1.0,,2.0\n", 2),
+], ids=["ragged", "short", "cell", "header-after-rows", "header-after-blank", "empty-cell"])
+def test_csv_reader_names_the_line_that_breaks_the_table(text, lineno, tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(DimensionMismatchError, match=f"^{re.escape(str(path))}:{lineno}: "):
+        read_csv(path)
+
+
+@pytest.mark.parametrize("text", ["", "\n\n", "t,x\n", "t,x\n\n"],
+                         ids=["empty", "blank", "header", "header-blank"])
+def test_csv_reader_rejects_a_file_without_rows(text, tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text(text)
+    with pytest.raises(DimensionMismatchError, match=f"^{re.escape(str(path))}: no data rows"):
+        read_csv(path)
+
+
+def test_csv_reader_names_an_undecodable_file(tmp_path):
+    path = tmp_path / "binary.csv"
+    path.write_bytes(b"t,x\n\xff\xfe,1\n")
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(str(path))}: not a text file"):
+        read_csv(path)
+
+
 def _records():
     eye = np.eye(3)
     reference = encoding.ReferenceTrajectory(times=[0.0, 0.5, 1.0], means=np.zeros((3, 2)),
@@ -169,7 +215,6 @@ def _records():
                             feature_mean=[0.0, 0.0], feature_scale=[1.0, 1.0],
                             objective_history=[1.0]),
         perception.Cluster(indices=[0, 1], cloud=np.zeros((2, 3))),
-        perception.ObjectPose(centroid=np.zeros(3), extents=np.ones(3)),
         synergy.SynergyBasis(e_hat=eye[:, :2], theta0=np.zeros(3),
                              variance_fractions=[0.6, 0.4]),
         force.GraspModel(grasp_matrix=np.zeros((6, 3)), stiffness=np.zeros((3, 2)),

@@ -499,9 +499,9 @@ class TestFeaturesAndPose:
     def test_pose_two_points(self):
         pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
         cluster = perception.Cluster(indices=np.array([0, 1]), cloud=pts)
-        pose = perception.estimate_pose(cluster)
-        assert np.allclose(pose.centroid, [0.5, 0.0, 0.0])
-        assert np.allclose(pose.extents, [1.0, 0.0, 0.0])
+        pose = perception.estimate_pose(cluster, label="egg", score=-0.5)
+        assert pose == {"label": "egg", "score": -0.5, "centroid": [0.5, 0.0, 0.0],
+                        "extents": [1.0, 0.0, 0.0], "size": 2}
 
     def test_pose_synthetic_sphere(self):
         # deterministic surface sampling; generator center is ground truth
@@ -515,8 +515,8 @@ class TestFeaturesAndPose:
         pts = center + radius * np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
         cluster = perception.Cluster(indices=np.arange(n), cloud=pts)
         pose = perception.estimate_pose(cluster, label="sphere")
-        assert np.linalg.norm(pose.centroid - center) < 0.05 * radius
-        assert np.abs(pose.extents - 2.0 * radius).max() < 0.1 * (2.0 * radius)
+        assert np.linalg.norm(np.subtract(pose["centroid"], center)) < 0.05 * radius
+        assert np.abs(np.subtract(pose["extents"], 2.0 * radius)).max() < 0.1 * (2.0 * radius)
 
     def test_pose_translation_equivariance(self, rng):
         pts = rng.standard_normal((200, 3))
@@ -525,7 +525,20 @@ class TestFeaturesAndPose:
         shifted = perception.Cluster(indices=np.arange(200), cloud=pts + v)
         p0 = perception.estimate_pose(cluster)
         p1 = perception.estimate_pose(shifted)
-        assert np.abs(p1.centroid - (p0.centroid + v)).max() < 1e-12
+        assert np.abs(np.subtract(p1["centroid"], p0["centroid"]) - v).max() < 1e-12
+
+    def test_segmentation_records_are_the_cluster_poses(self, rng):
+        # a table plane and two boxes above it; each record is its cluster's pose
+        grid = np.linspace(-0.2, 0.2, 21)
+        table = np.array([[x, y, 0.0] for x in grid for y in grid])
+        boxes = [rng.uniform(0.0, 0.03, (60, 3)) + [x, 0.0, 0.05] for x in (-0.1, 0.1)]
+        cloud = np.vstack([table, *boxes])
+        record, inliers, outliers = perception.detect_objects(
+            cloud, iterations=50, threshold=0.005, seed=0, epsilon=0.02, min_points=10)
+        assert inliers.shape[0] == table.shape[0] and outliers.shape[0] == 120
+        clusters = perception.euclidean_cluster(cloud[outliers], epsilon=0.02, min_points=10)
+        assert len(clusters) == 2
+        assert record["clusters"] == [perception.estimate_pose(c) for c in clusters]
 
 
 def oracle_svm_train(features, labels, c, epochs, seed):
@@ -661,6 +674,15 @@ class TestSvm:
             model = perception.svm_train(features, labels, c=pipeline.MAX_SVM_C)
             assert len(model.objective_history) - 1 < 200  # the duality gap closed
 
+    @pytest.mark.parametrize("c", [0.0, -1.0, np.nan])
+    def test_c_must_be_positive(self, c):
+        # at c = 0 the solver used to stop with zero weights, and at c = -1 it
+        # returned a negative objective
+        features, labels = synthetic.svm_training_fixture("egg", seed=13)
+        with pytest.raises(InvalidInputError,
+                           match=re.escape(f"svm_c must be positive, got {c!r}")):
+            perception.svm_train(features, labels, c=c)
+
     def test_single_class_rejected(self, rng):
         x = rng.standard_normal((10, 2))
         with pytest.raises(SingleClassError):
@@ -705,33 +727,50 @@ class TestPoseToSynergy:
         return synergy.SynergyBasis(e_hat=e_hat, theta0=np.zeros(6),
                                     variance_fractions=np.array([0.6, 0.4]))
 
+    @staticmethod
+    def pose(centroid, extents):
+        return {"centroid": np.asarray(centroid, dtype=float).tolist(),
+                "extents": np.asarray(extents, dtype=float).tolist()}
+
     def test_zero_pose_maps_to_zero(self, basis):
-        pose = perception.ObjectPose(centroid=np.zeros(3), extents=np.zeros(3))
-        e = perception.pose_to_synergy(pose, basis)
+        e = perception.pose_to_synergy(self.pose(np.zeros(3), np.zeros(3)), basis)
         assert np.abs(e).max() == 0.0
 
     def test_identity_matrices_reduce_to_projection(self, basis):
-        pose = perception.ObjectPose(centroid=np.array([0.1, 0.2, 0.3]),
-                                     extents=np.array([0.04, 0.05, 0.06]))
-        embedded = np.concatenate([pose.centroid, pose.extents])  # 6 joints: no padding
+        pose = self.pose([0.1, 0.2, 0.3], [0.04, 0.05, 0.06])
+        embedded = np.array(pose["centroid"] + pose["extents"])  # 6 joints: no padding
         assert np.array_equal(perception.pose_to_synergy(pose, basis), basis.e_hat.T @ embedded)
 
     def test_linearity(self, basis, rng):
-        p1 = perception.ObjectPose(centroid=rng.standard_normal(3),
-                                   extents=np.abs(rng.standard_normal(3)))
-        e1 = perception.pose_to_synergy(p1, basis)
-        doubled = perception.ObjectPose(centroid=2.0 * p1.centroid,
-                                        extents=2.0 * p1.extents)
-        e2 = perception.pose_to_synergy(doubled, basis)
+        c1, x1 = rng.standard_normal(3), np.abs(rng.standard_normal(3))
+        e1 = perception.pose_to_synergy(self.pose(c1, x1), basis)
+        e2 = perception.pose_to_synergy(self.pose(2.0 * c1, 2.0 * x1), basis)
         assert np.abs(e2 - 2.0 * e1).max() < 1e-12
         # additivity over the pose vector through a second pose
-        p3 = perception.ObjectPose(centroid=rng.standard_normal(3),
-                                   extents=np.abs(rng.standard_normal(3)))
-        e3 = perception.pose_to_synergy(p3, basis)
-        summed = perception.ObjectPose(centroid=p1.centroid + p3.centroid,
-                                       extents=p1.extents + p3.extents)
-        e13 = perception.pose_to_synergy(summed, basis)
+        c3, x3 = rng.standard_normal(3), np.abs(rng.standard_normal(3))
+        e3 = perception.pose_to_synergy(self.pose(c3, x3), basis)
+        e13 = perception.pose_to_synergy(self.pose(c1 + c3, x1 + x3), basis)
         assert np.abs(e13 - (e1 + e3)).max() < 1e-12
+
+    @pytest.mark.parametrize("key", ["centroid", "extents"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_pose_is_named(self, basis, key, value):
+        pose = self.pose(np.zeros(3), np.ones(3))
+        pose[key][1] = value
+        with pytest.raises(InvalidInputError, match=f"^{key} contains NaN or Inf"):
+            perception.pose_to_synergy(pose, basis)
+
+    @pytest.mark.parametrize("key", ["centroid", "extents"])
+    @pytest.mark.parametrize("value", [[0.0, 1.0], [0.0] * 4, [[0.0], [1.0, 2.0]]],
+                             ids=["short", "long", "ragged"])
+    def test_pose_vectors_must_be_3_vectors(self, basis, key, value):
+        pose = {**self.pose(np.zeros(3), np.ones(3)), key: value}
+        with pytest.raises(DimensionMismatchError):
+            perception.pose_to_synergy(pose, basis)
+
+    def test_negative_extents_rejected(self, basis):
+        with pytest.raises(InvalidInputError, match="extents must be nonnegative"):
+            perception.pose_to_synergy(self.pose(np.zeros(3), [0.1, -1e-9, 0.1]), basis)
 
 
 class TestCloudIo:

@@ -279,6 +279,19 @@ class TestFileIngestion:
         with pytest.raises(StageError, match=r"stage 'encoding'.* got 100 \* 51 \* 2000"):
             pipeline.build_reference(config)
 
+    def test_demo_file_without_header_loses_no_row(self, tmp_path, capsys):
+        from synkit.cli import cli_dispatch
+
+        assert cli_dispatch(["generate", "demos", "--task", "egg", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        headed = pipeline.load_demo_dir(tmp_path)
+        first = tmp_path / "demo_00.csv"
+        first.write_text(first.read_text().split("\n", 1)[1])
+        plain = pipeline.load_demo_dir(tmp_path)
+        assert len(plain) == len(headed)
+        for (t0, q0), (t1, q1) in zip(headed, plain):
+            assert np.array_equal(t0, t1) and np.array_equal(q0, q1)
+
     def test_demo_dir_without_files_rejected(self, tmp_path):
         with pytest.raises(ConfigInvalidError):
             pipeline.load_demo_dir(tmp_path)

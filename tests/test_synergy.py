@@ -182,20 +182,3 @@ class TestPersistence:
         assert np.array_equal(loaded.theta0, basis.theta0)
         payload = json.loads(path.read_text())
         assert set(payload) == {"theta0", "e_hat", "variance_fractions"}
-
-    def test_csv_loader_with_and_without_header(self, tmp_path):
-        body = "1.0,2.0,3.0\n4.0,5.0,6.0\n"
-        plain = tmp_path / "plain.csv"
-        plain.write_text(body)
-        headed = tmp_path / "headed.csv"
-        headed.write_text("q1,q2,q3\n" + body)
-        a = synergy.load_postures_csv(plain)
-        b = synergy.load_postures_csv(headed)
-        assert np.array_equal(a, b)
-        assert a.shape == (2, 3)
-
-    def test_csv_loader_rejects_ragged(self, tmp_path):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("1.0,2.0\n3.0,4.0,5.0\n")
-        with pytest.raises(DimensionMismatchError):
-            synergy.load_postures_csv(bad)
