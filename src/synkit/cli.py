@@ -132,7 +132,7 @@ def _cmd_fit_synergies(args):
 
 def _cmd_encode(args):
     config = _load_config(args)
-    _, _, basis, model, reference = pipeline.build_reference(config)
+    _, basis, model, reference = pipeline.build_reference(config)
     out = _out_dir(args)
     pipeline.save_learning(out, basis, model, reference)
     print(f"encoded {config.demo_count} demos into {len(reference)} reference points "
@@ -175,7 +175,7 @@ def _cmd_segment(args):
 
 def benchmark_dataset(config: pipeline.PipelineConfig):
     """Reference, dense actual, and three object-instance adaptations."""
-    _, _, basis, model, reference = pipeline.build_reference(config)
+    _, basis, model, reference = pipeline.build_reference(config)
     config.check_basis(basis)
     dense = np.linspace(0.0, 1.0, config.dense_points)
     actual = encoding.generate_reference(model, dense)

@@ -118,38 +118,35 @@ def component_scores(actual, predicted):
     return np.sum(da * dp, axis=-1) / denom, np.sqrt(np.mean((a - p) ** 2, axis=-1))
 
 
-def benchmark_kernels(reference: ReferenceTrajectory, adaptations, kernel_specs,
-                      lam: float = 1.0, seed: int = 0, grid=None,
-                      actual: ReferenceTrajectory | None = None,
-                      dataset_id: str = "default", dump_dir=None) -> MetricReport:
+def benchmark_kernels(reference: ReferenceTrajectory, adaptations, kernel_specs, lam: float,
+                      seed: int, grid, actual: ReferenceTrajectory, dataset_id: str,
+                      dump_dir) -> MetricReport:
     """Compare kernels on reproduction plus adaptation of a reference.
 
-    Every adaptation (a list of via-points, one per object instance) is
-    applied to the reference once. For each kernel, fit on every adapted
-    reference, predict the mean trajectory on the evaluation grid, and score
-    it against the actual trajectory with per-component R and rMSE, averaged
-    over components and adaptations. Adapted references with the same times
-    share one fit: KMP's block kernel ``K kron I_S`` acts on every output
-    column alike, so their means are solved side by side in one system.
+    Every adaptation (a list of via-points, one per object instance; ``[]``
+    reproduces the reference) is applied to the reference once. For each
+    kernel, fit on every adapted reference, predict the mean trajectory on
+    ``grid``, and score it against the ``actual`` trajectory with
+    per-component R and rMSE, averaged over components and adaptations.
+    Adapted references with the same times share one fit: KMP's block kernel
+    ``K kron I_S`` acts on every output column alike, so their means are
+    solved side by side in one system.
 
-    ``grid``/``actual`` default to the reference's own times and means. When
-    ``dump_dir`` is given, every predicted trajectory is written there as CSV,
-    once every kernel has been fitted, so a failed fit writes none and leaves
+    Every predicted trajectory is written to ``dump_dir`` as CSV, once every
+    kernel has been fitted, so a failed fit writes none and leaves
     ``dump_dir`` unmade.
     """
-    specs = list(kernel_specs)
-    if not specs or len(reference) == 0:
-        raise LengthMismatchError("need a nonempty reference and at least one kernel")
-    grid = np.asarray(reference.times if grid is None else grid, dtype=float)
-    if actual is None:
-        actual = reference
+    specs, adaptations = list(kernel_specs), list(adaptations)
+    if not specs or not adaptations or len(reference) == 0:
+        raise LengthMismatchError(
+            "need a nonempty reference, at least one adaptation and at least one kernel")
+    grid = np.asarray(grid, dtype=float)
     if actual.means.shape[0] != grid.shape[0]:
         raise LengthMismatchError("actual trajectory must live on the evaluation grid")
     if actual.synergy_dim != reference.synergy_dim:
         raise DimensionMismatchError("actual and reference trajectories differ in dimension")
 
-    scenarios = [list(vias) for vias in adaptations] or [[]]
-    adapted = [apply_via_points(reference, vias) if vias else reference for vias in scenarios]
+    adapted = [apply_via_points(reference, vias) for vias in adaptations]
     groups = {}
     for idx, ref in enumerate(adapted):
         groups.setdefault(ref.times.tobytes(), []).append(idx)
@@ -169,14 +166,13 @@ def benchmark_kernels(reference: ReferenceTrajectory, adaptations, kernel_specs,
         for idx, means in enumerate(predicted):
             trajectories[f"trajectory_{spec.kind}_adaptation{idx}.csv"] = means
 
-    if dump_dir is not None:
-        Path(dump_dir).mkdir(parents=True, exist_ok=True)
-        header = (["t"] + [f"actual{j + 1}" for j in range(s)]
-                  + [f"predicted{j + 1}" for j in range(s)])
-        shared = format_rows(np.column_stack([grid, actual.means]))
-        for name, means in trajectories.items():
-            write_csv(Path(dump_dir) / name, header,
-                      [f"{a},{p}" for a, p in zip(shared, format_rows(means))])
+    Path(dump_dir).mkdir(parents=True, exist_ok=True)
+    header = (["t"] + [f"actual{j + 1}" for j in range(s)]
+              + [f"predicted{j + 1}" for j in range(s)])
+    shared = format_rows(np.column_stack([grid, actual.means]))
+    for name, means in trajectories.items():
+        write_csv(Path(dump_dir) / name, header,
+                  [f"{a},{p}" for a, p in zip(shared, format_rows(means))])
     return MetricReport(
         rows=rows,
         kernel_specs={spec.kind: spec.to_dict() for spec in specs},

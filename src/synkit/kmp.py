@@ -266,8 +266,12 @@ def kmp_predict_cov(model: KmpModel, times) -> np.ndarray:
     beyond 1e12: its least eigenvalue is at least lambda times the least
     eigenvalue of the reference covariances, which bounds the condition
     number by the system's row sums; only when that bound exceeds 2.5e11
-    does the exact eigenvalue test run.
+    does the exact eigenvalue test run. Raises InvalidInputError when sigma2 /
+    lambda exceeds 1e12: (n / lambda)(sigma2 I - quad) then cancels to rounding.
     """
+    if model.kernel.sigma2 > COND_LIMIT * model.lam:
+        raise InvalidInputError(f"kernel sigma2={model.kernel.sigma2!r} over lambda={model.lam!r}"
+                                " exceeds 1e12: the predicted covariance cancels to rounding")
     ref = model.reference
     n, s = len(ref), ref.synergy_dim
     a_cov = build_kernel_matrix(model.kernel, ref.times, s)
@@ -288,19 +292,17 @@ def kmp_predict_cov(model: KmpModel, times) -> np.ndarray:
     return (0.5 * (cov + cov.transpose(0, 2, 1))).reshape(np.shape(times) + (s, s))
 
 
-def insert_via_point(reference: ReferenceTrajectory, via: ViaPoint,
-                     radius: float | None = None) -> ReferenceTrajectory:
+def insert_via_point(reference: ReferenceTrajectory, via: ViaPoint) -> ReferenceTrajectory:
     """Write a via-point into the reference trajectory.
 
-    An existing point within ``radius`` (by default half the median grid
-    spacing, 0 for a one-point reference) of the via time is replaced;
-    otherwise the via-point is appended and the sequence re-sorted.
+    An existing point within half the median grid spacing (0 for a one-point
+    reference) of the via time is replaced; otherwise the via-point is
+    appended and the sequence re-sorted.
     """
-    return apply_via_points(reference, [via], radius)
+    return apply_via_points(reference, [via])
 
 
-def apply_via_points(reference: ReferenceTrajectory, via_points,
-                     radius: float | None = None) -> ReferenceTrajectory:
+def apply_via_points(reference: ReferenceTrajectory, via_points) -> ReferenceTrajectory:
     """Insert via-points in sequence, as insert_via_point does, and build the result once."""
     times = np.array(reference.times)
     means = np.array(reference.means)
@@ -308,9 +310,7 @@ def apply_via_points(reference: ReferenceTrajectory, via_points,
     for via in via_points:
         if via.desired_e.shape[0] != means.shape[1]:
             raise DimensionMismatchError("via-point dimension does not match reference")
-        r = radius
-        if r is None:
-            r = 0.5 * float(np.median(np.diff(times))) if times.shape[0] > 1 else 0.0
+        r = 0.5 * float(np.median(np.diff(times))) if times.shape[0] > 1 else 0.0
         gaps = np.abs(times - via.t_star)
         nearest = int(np.argmin(gaps)) if gaps.size else None
         if nearest is not None and gaps[nearest] <= r:

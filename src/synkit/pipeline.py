@@ -291,9 +291,8 @@ def build_reference(config: PipelineConfig):
     with _stage("synergy"):
         if config.demos_path is not None:
             demos = load_demo_dir(config.demos_path)
-            truth = None
         else:
-            demos, truth = synthetic.generate_synthetic_demos(
+            demos, _ = synthetic.generate_synthetic_demos(
                 config.task, count=config.demo_count, noise=config.demo_noise,
                 seed=config.seed,
             )
@@ -312,7 +311,7 @@ def build_reference(config: PipelineConfig):
                                  seed=config.gmm_seed, max_iter=config.gmm_max_iter,
                                  tol=config.gmm_tol)
         reference = encoding.generate_reference(model, grid)
-    return demos, truth, basis, model, reference
+    return demos, basis, model, reference
 
 
 def detect_objects(config: PipelineConfig, cloud, svm=None):
@@ -460,7 +459,7 @@ def run_task(config: PipelineConfig) -> TaskLog:
     log = TaskLog(task=config.task, config=dataclasses.asdict(config))
 
     with _stage("synergy"):
-        demos, truth, basis, gmm_model, reference = build_reference(config)
+        demos, basis, gmm_model, reference = build_reference(config)
         config.check_basis(basis)
         log.add("synergy", {
             "joint_dim": basis.joint_dim,

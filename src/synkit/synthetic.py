@@ -78,6 +78,7 @@ TABLE_SIDE = 0.5
 TABLE_GRID = 40
 OBJECT_CLEARANCE = 0.012  # objects hover above the table so plane inliers stay clean
 SAMPLES_PER_DEMO = 40
+INSTANCES_PER_CLASS = 24  # object instances per label in svm_training_fixture
 
 
 def task_scenario(task: str) -> dict:
@@ -171,11 +172,7 @@ def generate_synthetic_demos(task: str, count: int = 8, noise: float = 0.004, se
     truth = {
         "directions": directions,
         "theta0": _NOMINAL_POSTURE.copy(),
-        "grid": grid,
-        "coefficients": coeffs,
-        "style_offsets": offsets,
         "clean_demos": clean_demos,
-        "scenario": sc,
     }
     return demos, truth
 
@@ -343,7 +340,7 @@ def generate_synthetic_scene(task: str, seed: int = 11, noise: float = 0.0008):
     return cloud, meta
 
 
-def svm_training_fixture(task: str, seed: int = 13, instances_per_class: int = 24):
+def svm_training_fixture(task: str, seed: int = 13):
     """Labeled feature vectors from size-jittered object instances.
 
     Each instance is a standalone sampled object with its dimensions scaled
@@ -358,10 +355,10 @@ def svm_training_fixture(task: str, seed: int = 13, instances_per_class: int = 2
     sc = task_scenario(task)
     rng = np.random.default_rng(seed)
     labels = sorted(sc["objects"])
-    jitters = 1.0 + 0.1 * rng.uniform(-1.0, 1.0, (len(labels), instances_per_class))
+    jitters = 1.0 + 0.1 * rng.uniform(-1.0, 1.0, (len(labels), INSTANCES_PER_CLASS))
     clouds, counts = zip(*(_instances(sc["objects"][label], j)
                            for label, j in zip(labels, jitters)))
     cloud = np.vstack(clouds)
     cloud += 0.0008 * rng.standard_normal(cloud.shape)
     return (_segment_features(cloud, np.concatenate(counts)),
-            [label for label in labels for _ in range(instances_per_class)])
+            [label for label in labels for _ in range(INSTANCES_PER_CLASS)])

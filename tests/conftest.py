@@ -8,11 +8,10 @@ from synkit import encoding, pipeline
 def egg_learning():
     """Shared learning artifacts for the default egg configuration."""
     config = pipeline.default_config("egg")
-    demos, truth, basis, gmm_model, reference = pipeline.build_reference(config)
+    demos, basis, gmm_model, reference = pipeline.build_reference(config)
     return {
         "config": config,
         "demos": demos,
-        "truth": truth,
         "basis": basis,
         "gmm": gmm_model,
         "reference": reference,

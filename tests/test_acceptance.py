@@ -78,7 +78,7 @@ def test_criterion_3_via_point_attainment(egg_learning):
             assert np.abs(got - desired).max() < 0.01, kind
 
 
-def test_criterion_4_kernel_ordering():
+def test_criterion_4_kernel_ordering(tmp_path):
     with criterion(4, "kernel comparison ordering (rMSE exp>gauss>cauchy, R reversed)"):
         start = time.perf_counter()
         config = pipeline.default_config("egg")
@@ -90,7 +90,7 @@ def test_criterion_4_kernel_ordering():
         ]
         report = evaluation.benchmark_kernels(
             reference, adaptations, specs, lam=1.0, seed=config.seed,
-            grid=dense, actual=actual, dataset_id="egg-synthetic")
+            grid=dense, actual=actual, dataset_id="egg-synthetic", dump_dir=tmp_path)
         rows = report.rows
         assert rows["exponential"]["rmse"] > rows["gaussian"]["rmse"] > rows["cauchy"]["rmse"]
         assert rows["exponential"]["R"] < rows["gaussian"]["R"] < rows["cauchy"]["R"]

@@ -417,7 +417,7 @@ class TestEmOnTaskData:
     def check_fit(task, seed, m_steps):
         config = dataclasses.replace(pipeline.default_config(task), seed=seed, gmm_seed=seed)
         m_steps.clear()
-        ll = pipeline.build_reference(config)[3].ll_history
+        ll = pipeline.build_reference(config)[2].ll_history
         assert len(m_steps) < config.gmm_max_iter, (task, seed)
         assert ll[-1] - ll[-2] < config.gmm_tol, (task, seed)
         assert np.all(np.diff(ll) >= -encoding._LL_SLACK * (1.0 + np.abs(ll[:-1]))), (task, seed)
@@ -433,7 +433,7 @@ class TestEmOnTaskData:
 
     def test_max_iter_bounds_the_m_steps(self, m_steps):
         config = dataclasses.replace(pipeline.default_config("ketchup"), gmm_max_iter=7)
-        ll = pipeline.build_reference(config)[3].ll_history
+        ll = pipeline.build_reference(config)[2].ll_history
         assert len(m_steps) == 7
         assert 1 < ll.shape[0] <= 7
 

@@ -112,27 +112,38 @@ class TestBenchmark:
         covs = np.tile((0.05 * np.eye(2))[None, :, :], (15, 1, 1))
         return make_reference(times, means, covs)
 
-    def test_zero_adaptation_reproduces_reference(self, reference):
+    def test_zero_adaptation_reproduces_reference(self, reference, tmp_path):
         spec = kmp.KernelSpec(kind="gaussian", l=0.1, sigma2=1.0)
-        report = evaluation.benchmark_kernels(reference, [], [spec], lam=1e-8, seed=0)
+        report = evaluation.benchmark_kernels(
+            reference, [[]], [spec], lam=1e-8, seed=0, grid=reference.times,
+            actual=reference, dataset_id="unit", dump_dir=tmp_path)
         assert report.rows["gaussian"]["rmse"] < 1e-2
 
-    def test_determinism(self, reference):
+    def test_no_adaptation_rejected(self, reference, tmp_path):
+        spec = kmp.KernelSpec(kind="gaussian", l=0.1, sigma2=1.0)
+        with pytest.raises(LengthMismatchError, match="at least one adaptation"):
+            evaluation.benchmark_kernels(
+                reference, [], [spec], lam=1e-8, seed=0, grid=reference.times,
+                actual=reference, dataset_id="unit", dump_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_determinism(self, reference, tmp_path):
         specs = [
             kmp.KernelSpec(kind="exponential", l=0.05, sigma2=1.0),
             kmp.KernelSpec(kind="gaussian", l=0.05, sigma2=1.0),
             kmp.KernelSpec(kind="cauchy", l=0.05, sigma2=1.0, alpha=1.0),
         ]
         vias = [[kmp.ViaPoint(0.5, np.array([0.3, 0.1]), 1e-6 * np.eye(2))]]
-        r1 = evaluation.benchmark_kernels(reference, vias, specs, lam=0.5, seed=3)
-        r2 = evaluation.benchmark_kernels(reference, vias, specs, lam=0.5, seed=3)
+        r1, r2 = (evaluation.benchmark_kernels(
+            reference, vias, specs, lam=0.5, seed=3, grid=reference.times, actual=reference,
+            dataset_id="unit", dump_dir=tmp_path / name) for name in ("a", "b"))
         assert r1.to_json() == r2.to_json()
 
     def test_report_provenance_and_formats(self, reference, tmp_path):
         spec = kmp.KernelSpec(kind="cauchy", l=0.05, sigma2=1.0, alpha=1.0)
         report = evaluation.benchmark_kernels(
-            reference, [], [spec], lam=0.7, seed=11, dataset_id="unit",
-            dump_dir=tmp_path)
+            reference, [[]], [spec], lam=0.7, seed=11, grid=reference.times,
+            actual=reference, dataset_id="unit", dump_dir=tmp_path)
         payload = json.loads(report.to_json())
         assert payload["lambda"] == 0.7
         assert payload["seed"] == 11
@@ -152,7 +163,7 @@ class TestBenchmark:
             kmp.KernelSpec(kind="cauchy", l=0.1, sigma2=1.0, alpha=1.0),
         ]
         cov = 1e-6 * np.eye(2)
-        adaptations, fits_per_kernel = [], 1
+        adaptations, fits_per_kernel = [[]], 1
         if case == "mixed":
             adaptations = [
                 [kmp.ViaPoint(0.5, np.array([0.3, 0.1]), cov),
@@ -176,14 +187,15 @@ class TestBenchmark:
             return real_fit(ref, spec, lam)
 
         monkeypatch.setattr(evaluation, "kmp_fit", counting_fit)
-        report = evaluation.benchmark_kernels(reference, adaptations, specs, lam=0.5,
-                                              grid=grid, actual=actual, dump_dir=tmp_path)
+        report = evaluation.benchmark_kernels(reference, adaptations, specs, lam=0.5, seed=0,
+                                              grid=grid, actual=actual, dataset_id="unit",
+                                              dump_dir=tmp_path)
         assert len(fit_sizes) == fits_per_kernel * len(specs)
 
         shared_cells = set()
         for spec in specs:
             r_scores, e_scores = [], []
-            for idx, vias in enumerate(adaptations or [[]]):
+            for idx, vias in enumerate(adaptations):
                 adapted = kmp.apply_via_points(reference, vias)
                 want = np.array([oracle_predict_mean(adapted, spec, 0.5, t) for t in grid])
                 path = tmp_path / f"trajectory_{spec.kind}_adaptation{idx}.csv"
@@ -202,11 +214,13 @@ class TestBenchmark:
         assert len(shared_cells) == 1
 
     @pytest.mark.parametrize("s", [1, 3])
-    def test_actual_of_other_dimension_rejected(self, reference, s):
+    def test_actual_of_other_dimension_rejected(self, reference, s, tmp_path):
         actual = make_reference(reference.times, np.ones((len(reference), s)))
         spec = kmp.KernelSpec(kind="gaussian", l=0.1, sigma2=1.0)
         with pytest.raises(DimensionMismatchError):
-            evaluation.benchmark_kernels(reference, [], [spec], actual=actual)
+            evaluation.benchmark_kernels(reference, [[]], [spec], lam=1.0, seed=0,
+                                         grid=reference.times, actual=actual,
+                                         dataset_id="unit", dump_dir=tmp_path)
 
     def test_r_range_validation(self):
         with pytest.raises(ValueError):

@@ -78,15 +78,13 @@ def random_spd_reference(rng, n=10, s=2):
     return make_reference(times, means, covs)
 
 
-def oracle_apply_via_points(reference, via_points, radius=None):
+def oracle_apply_via_points(reference, via_points):
     """The per-insert loop: a checked ReferenceTrajectory is built after every via-point."""
     out = reference
     for via in via_points:
         if via.desired_e.shape[0] != out.synergy_dim:
             raise DimensionMismatchError("via-point dimension does not match reference")
-        r = radius
-        if r is None:
-            r = 0.5 * float(np.median(np.diff(out.times))) if len(out) > 1 else 0.0
+        r = 0.5 * float(np.median(np.diff(out.times))) if len(out) > 1 else 0.0
         times = np.array(out.times)
         means = np.array(out.means)
         covs = np.array(out.covariances)
@@ -418,25 +416,17 @@ class TestViaPoints:
         idx = int(np.argmin(np.abs(out.times - 0.5)))
         assert np.array_equal(out.means[idx], via.desired_e)
 
-    def test_append_beyond_radius(self, reference):
-        via = kmp.ViaPoint(t_star=0.512, desired_e=np.array([2.0, -1.0]),
-                           desired_cov=1e-6 * np.eye(2))
-        out = kmp.insert_via_point(reference, via, radius=0.001)
-        assert len(out) == len(reference) + 1
-        assert np.all(np.diff(out.times) > 0.0)
-
     # via times as a function of the reference's grid; the grid of
     # random_spd_reference spans [0, 1] and its half median spacing exceeds 1e-4
     VIA_PLANS = {
-        "replace": (lambda t: [t[2] + 1e-5, t[5] - 1e-5, t[0]], None),
-        "append": (lambda t: [1.5, -0.5, 2.5], None),
-        "replace-appended": (lambda t: [1.5, t[3], 1.5 + 1e-5], None),
+        "replace": lambda t: [t[2] + 1e-5, t[5] - 1e-5, t[0]],
+        "append": lambda t: [1.5, -0.5, 2.5],
+        "replace-appended": lambda t: [1.5, t[3], 1.5 + 1e-5],
         # the radius follows the grown grid: once 2..5 are in, the median
         # spacing is 1, so 5.4 replaces 5 where the first grid's radius would not
-        "growing-grid": (lambda t: [2.0, 3.0, 4.0, 5.0, 5.4], None),
+        "growing-grid": lambda t: [2.0, 3.0, 4.0, 5.0, 5.4],
         # the same before the grid, which only a grid sorted after each insert sees
-        "growing-grid-before": (lambda t: [-1.0, -2.0, -3.0, -4.0, -4.4], None),
-        "explicit-radius": (lambda t: [t[1] + 5e-4, t[4] + 2e-3, t[4] + 2.5e-3], 1e-3),
+        "growing-grid-before": lambda t: [-1.0, -2.0, -3.0, -4.0, -4.4],
     }
 
     @staticmethod
@@ -449,11 +439,10 @@ class TestViaPoints:
     @pytest.mark.parametrize("seed", range(4))
     def test_bit_equal_to_per_insert_oracle(self, plan, seed, monkeypatch):
         rng = np.random.default_rng(seed)
-        times_of, radius = self.VIA_PLANS[plan]
         n = 3 if plan.startswith("growing-grid") else 10
         reference = random_spd_reference(rng, n=n)
-        vias = [self.random_via(rng, t) for t in times_of(reference.times)]
-        want = oracle_apply_via_points(reference, vias, radius)
+        vias = [self.random_via(rng, t) for t in self.VIA_PLANS[plan](reference.times)]
+        want = oracle_apply_via_points(reference, vias)
 
         built = []
         check = encoding.ReferenceTrajectory.__post_init__
@@ -463,7 +452,7 @@ class TestViaPoints:
             check(record)
 
         monkeypatch.setattr(encoding.ReferenceTrajectory, "__post_init__", counted)
-        got = kmp.apply_via_points(reference, vias, radius)
+        got = kmp.apply_via_points(reference, vias)
         assert len(built) == 1 and built[0] is got  # built and checked once
         for name in ("times", "means", "covariances"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name

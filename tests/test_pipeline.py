@@ -140,7 +140,7 @@ class TestRunTask:
         basis = egg_learning["basis"]
         for log in (egg_log, ketchup_log):
             if log.task != "egg":
-                _, _, basis, _, _ = pipeline.build_reference(
+                _, basis, _, _ = pipeline.build_reference(
                     pipeline.default_config(log.task))
             stage = log.stage("adaptation")
             joints = np.asarray(log.stage("reconstruction")["joint_angles"])
@@ -355,7 +355,7 @@ def oracle_force_loop(config, basis, grasp_model):
 
 @pytest.fixture(scope="module")
 def task_bases(egg_learning):
-    ketchup = pipeline.build_reference(pipeline.default_config("ketchup"))[2]
+    ketchup = pipeline.build_reference(pipeline.default_config("ketchup"))[1]
     return {"egg": egg_learning["basis"], "ketchup": ketchup}
 
 
