@@ -5,8 +5,9 @@ writer gives exactly the bytes of the stdlib's ``json.dumps(payload,
 sort_keys=True, indent=2)``, but formats all of an artifact's scalars in one
 call to the stdlib's C encoder. CSV is one header line, then one row per
 record with every cell written as ``repr(float(cell))``, so a float reads
-back exactly; ``read_csv`` reads it back, its header line optional. Text
-inputs (clouds, CSV tables) are read line by line through ``text_lines``.
+back exactly; ``write_csv`` fills one row template with a file's cells in
+one ``%``, and ``read_csv`` reads it back, its header optional. Text inputs
+(clouds, CSV tables) are read line by line through ``text_lines``.
 Every model record stores its arrays through ``freeze``, as read-only,
 finite float64 copies.
 """
@@ -183,21 +184,27 @@ def text_lines(path):
         raise InvalidInputError(f"{path}: not a text file: {exc}") from None
 
 
-def format_rows(rows) -> list[str]:
-    """The CSV line of each row of a (records x columns) array, without its newline."""
-    return [",".join(map(repr, row)) for row in np.asarray(rows, dtype=float).tolist()]
+def format_cells(rows) -> list[str]:
+    """The ``repr`` of every cell of a (records x columns) array, row by row."""
+    return list(map(repr, np.asarray(rows, dtype=float).ravel().tolist()))
 
 
 def write_csv(path, header, rows) -> None:
     """Write the header cells, then each row of a (records x columns) array.
 
-    ``rows`` may instead be a list of lines from ``format_rows``, so that
-    columns shared by several files are formatted once and joined to each.
+    ``rows`` may instead be its row-major list of cells from ``format_cells``.
+    Ragged rows, or rows not as wide as the header, raise DimensionMismatchError.
     """
-    preformatted = isinstance(rows, list) and rows and isinstance(rows[0], str)
-    lines = rows if preformatted else format_rows(rows)
+    width = len(header)
+    try:
+        if not (isinstance(rows, list) and (not rows or isinstance(rows[0], str))):
+            rows = format_cells(np.asarray(rows, dtype=float).reshape(len(rows), width))
+        text = ("%s," * (width - 1) + "%s\n") * (len(rows) // width) % tuple(rows)
+    except (ValueError, TypeError, ZeroDivisionError) as exc:  # no table ``width`` cells wide
+        raise DimensionMismatchError(
+            f"{path}: rows are not {width} numeric cells wide: {exc}") from None
     with open(path, "w") as fh:
-        fh.write("\n".join([",".join(header), *lines, ""]))
+        fh.write(",".join(header) + "\n" + text)
 
 
 def read_csv(path) -> np.ndarray:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._io import dump_json, format_rows, write_csv
+from ._io import dump_json, finite_array, format_cells, write_csv
 from .encoding import ReferenceTrajectory
 from .errors import (DimensionMismatchError, InvalidInputError, LengthMismatchError,
                      ZeroVarianceError)
@@ -102,8 +102,8 @@ def component_scores(actual, predicted):
     ``predicted[k]``, bit for bit: every sum runs along a contiguous row of
     T values, as it does for one column, and the arithmetic is the same.
     """
-    a = np.asarray(actual, dtype=float)
-    p = np.asarray(predicted, dtype=float)
+    a = finite_array(actual, "actual")
+    p = finite_array(predicted, "predicted")
     if a.ndim != 2 or p.ndim != 3 or p.shape[1:] != a.shape:
         raise LengthMismatchError(f"shape mismatch: {a.shape} vs {p.shape[1:]} per prediction")
     if a.shape[0] < 2:
@@ -160,7 +160,10 @@ def benchmark_kernels(reference: ReferenceTrajectory, adaptations, kernel_specs,
         for members, stacked in systems:
             means = kmp_predict(kmp_fit(stacked, spec, lam), grid)
             predicted[members] = means.reshape(q, len(members), s).transpose(1, 0, 2)
-        r, e = component_scores(actual.means, predicted)
+        try:
+            r, e = component_scores(actual.means, predicted)
+        except ZeroVarianceError as exc:
+            raise ZeroVarianceError(f"{spec!r} at lambda={lam!r}: {exc}") from None
         rows[spec.kind] = {"R": float(np.mean(np.mean(r, axis=1))),
                            "rmse": float(np.mean(np.mean(e, axis=1)))}
         for idx, means in enumerate(predicted):
@@ -169,10 +172,13 @@ def benchmark_kernels(reference: ReferenceTrajectory, adaptations, kernel_specs,
     Path(dump_dir).mkdir(parents=True, exist_ok=True)
     header = (["t"] + [f"actual{j + 1}" for j in range(s)]
               + [f"predicted{j + 1}" for j in range(s)])
-    shared = format_rows(np.column_stack([grid, actual.means]))
+    width, shared = len(header), format_cells(np.column_stack([grid, actual.means]))
+    cells = [""] * (q * width)
     for name, means in trajectories.items():
-        write_csv(Path(dump_dir) / name, header,
-                  [f"{a},{p}" for a, p in zip(shared, format_rows(means))])
+        predicted = format_cells(means)
+        for j in range(width):
+            cells[j::width] = shared[j::s + 1] if j <= s else predicted[j - s - 1::s]
+        write_csv(Path(dump_dir) / name, header, cells)
     return MetricReport(
         rows=rows,
         kernel_specs={spec.kind: spec.to_dict() for spec in specs},

@@ -239,7 +239,7 @@ def kmp_fit(reference: ReferenceTrajectory, spec: KernelSpec, lam: float = 1.0) 
     _drop_subnormal_products(a_mean, spec.sigma2)
     _require_conditioned(a_mean, lam, spec, "(K + lambda I)")
     mean_factor = np.linalg.solve(a_mean, reference.means)
-    return KmpModel(kernel=spec, lam=lam, reference=reference, mean_factor=mean_factor)
+    return KmpModel(kernel=spec, lam=float(lam), reference=reference, mean_factor=mean_factor)
 
 
 def kmp_predict(model: KmpModel, times) -> np.ndarray:
@@ -266,20 +266,23 @@ def kmp_predict_cov(model: KmpModel, times) -> np.ndarray:
     beyond 1e12: its least eigenvalue is at least lambda times the least
     eigenvalue of the reference covariances, which bounds the condition
     number by the system's row sums; only when that bound exceeds 2.5e11
-    does the exact eigenvalue test run. Raises InvalidInputError when sigma2 /
-    lambda exceeds 1e12: (n / lambda)(sigma2 I - quad) then cancels to rounding.
+    does the exact eigenvalue test run. Raises InvalidInputError when sigma2 / (lambda
+    times that least eigenvalue) exceeds 1e13: at simulate's via points the rounding then
+    reached 0.4% of the least variance, 11% at 1e15, and turned it negative at 1e16.
     """
-    if model.kernel.sigma2 > COND_LIMIT * model.lam:
-        raise InvalidInputError(f"kernel sigma2={model.kernel.sigma2!r} over lambda={model.lam!r}"
-                                " exceeds 1e12: the predicted covariance cancels to rounding")
     ref = model.reference
+    least = float(ref.spectrum.min())
+    if model.kernel.sigma2 > 1e13 * (model.lam * least):
+        raise InvalidInputError(f"kernel sigma2={model.kernel.sigma2!r} over lambda={model.lam!r}"
+                                f" and the least reference covariance eigenvalue {least!r}"
+                                " exceeds 1e13: the least predicted variance is lost to rounding")
     n, s = len(ref), ref.synergy_dim
     a_cov = build_kernel_matrix(model.kernel, ref.times, s)
     diagonal = np.arange(n)
     # the fresh result is contiguous, so this reshape is a writable view
     a_cov.reshape(n, s, n, s)[diagonal, :, diagonal, :] += model.lam * ref.covariances
     _drop_subnormal_products(a_cov, model.kernel.sigma2)
-    _require_conditioned(a_cov, model.lam * ref.spectrum.min(), model.kernel, "(K + lambda Sigma)")
+    _require_conditioned(a_cov, model.lam * least, model.kernel, "(K + lambda Sigma)")
     flat = np.asarray(times, dtype=float).reshape(-1)
     quad = np.empty((flat.size, s, s))
     for start in range(0, flat.size, _QUERY_BLOCK):

@@ -20,7 +20,8 @@ import numpy as np
 
 from . import encoding, evaluation, force, kmp, perception, synergy, synthetic
 from ._io import JsonRecord, dump_json, read_csv, write_csv
-from .errors import ConfigInvalidError, DimensionMismatchError, StageError, SynkitError
+from .errors import (ConfigInvalidError, DimensionMismatchError, StageError, SynkitError,
+                     ZeroVarianceError)
 
 __all__ = ["PipelineConfig", "TaskLog", "default_config", "run_task", "build_reference",
            "detect_objects", "save_learning"]
@@ -570,7 +571,10 @@ def run_task(config: PipelineConfig) -> TaskLog:
         log.add("force", force_log)
 
     with _stage("metrics"):
-        r, e = evaluation.component_scores(kmp.kmp_predict(baseline, steps), means[None])
+        try:
+            r, e = evaluation.component_scores(kmp.kmp_predict(baseline, steps), means[None])
+        except ZeroVarianceError as exc:
+            raise ZeroVarianceError(f"{spec!r} at lambda={config.lam!r}: {exc}") from None
         per_r, per_e = r[0].tolist(), e[0].tolist()
         log.add("metrics", {
             "R": float(np.mean(per_r)),

@@ -304,9 +304,21 @@ CONTRACT_CASES = [
      "ransac_threshold"),
     # a cloud whose cross products would overflow the plane fit's norm
     (("segment", "--cloud", "{big_cloud}"), None, "cloud scale 1e+80"),
-    # a sigma2 / lambda past 1e12, at which the predicted covariance cancels
+    # a sigma2 / (lambda * least reference covariance eigenvalue) past 1e13, at which
+    # the rounding of the predicted covariance is no longer small against its least variance
     (("kmp-predict", "--reference", "{reference}", "--sigma2", "1e200", "--lam", "1e-200"), None,
      "sigma2=1e+200 over lambda=1e-200"),
+    (("simulate", "--config", "{config}"), {"via_confidence": 1e-10},
+     "sigma2=1.0 over lambda=1e-06 and the least reference covariance eigenvalue 1e-10"),
+    # a constant prediction, which has no correlation, names its kernel
+    (("benchmark-kernels", "--alpha", "1e300"), None,
+     "KernelSpec(kind='cauchy', l=0.02, sigma2=1.0, alpha=1e+300) at lambda=1.0"),
+    (("benchmark-kernels", "--alpha", "1e-300"), None, "kind='cauchy'"),
+    (("benchmark-kernels", "--length-scale", "1e150"), None,
+     "KernelSpec(kind='exponential', l=1e+150, sigma2=1.0, alpha=None)"),
+    (("simulate", "--config", "{config}"), {"kernel_alpha": 1e300},
+     "stage 'metrics' failed: KernelSpec(kind='cauchy', l=0.05, sigma2=1.0, alpha=1e+300)"),
+    (("simulate", "--config", "{config}"), {"lam": 1e300}, "at lambda=1e+300"),
     (("kmp-predict", "--reference", "{reference}", "--sigma2", "1e150"), None, "sigma2=1e+150"),
     (("kmp-predict", "--reference", "{reference}", "--sigma2", "1e300"), None, "sigma2=1e+300"),
     (("kmp-predict", "--reference", "{reference}", "--lam", "1e-16"), None, "lambda=1e-16"),
@@ -415,14 +427,8 @@ KMP_SWEEP = (
     + [(("simulate", "--config", "{config}"), field)
        for field in ("kernel_l", "kernel_sigma2", "kernel_alpha", "lam", "via_confidence")]
 )
-# at a via point the true variance is near 0, below (n / lambda) sigma2 eps, the rounding
-# of the covariance formula, which the sigma2 / lambda bound does not catch
-VIA_ROUNDING = pytest.mark.xfail(strict=True, reason=(
-    "a via_confidence of 1e-10 or less leaves variances of -5.6e-9 at the via points"))
 KMP_SWEEP_CASES = [
-    pytest.param(argv, knob, value, id=f"{' '.join(argv)} {knob}={value}",
-                 marks=VIA_ROUNDING if knob == "via_confidence" and value in ("1e-300", "1e-150")
-                 else ())
+    pytest.param(argv, knob, value, id=f"{' '.join(argv)} {knob}={value}")
     for argv, knob in KMP_SWEEP for value in KMP_EXTREMES
 ]
 

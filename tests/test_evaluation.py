@@ -1,11 +1,15 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
-from synkit import evaluation, kmp
-from synkit.errors import DimensionMismatchError, LengthMismatchError, ZeroVarianceError
+from synkit import cli, evaluation, kmp, pipeline
+from synkit._io import read_csv
+from synkit.errors import (DimensionMismatchError, InvalidInputError, LengthMismatchError,
+                           ZeroVarianceError)
 from conftest import make_reference
+from test_io import oracle_csv
 from test_kmp import oracle_predict_mean
 
 # hand-computed with the covariance / sigma-product formula:
@@ -102,6 +106,16 @@ class TestBatchedScoresAreBitForBit:
         with pytest.raises(LengthMismatchError):
             evaluation.component_scores(rng.standard_normal(actual_shape),
                                         rng.standard_normal(predicted_shape))
+
+    @pytest.mark.parametrize("actual,predicted,error", [
+        ([[1.0, 2.0], [1.0]], np.zeros((1, 2, 2)), DimensionMismatchError),
+        (np.eye(2), [[[1.0, 2.0], [1.0]]], DimensionMismatchError),
+        (np.eye(2), [[["x", "y"], [1.0, 2.0]]], DimensionMismatchError),
+        (np.full((2, 2), np.nan), np.zeros((1, 2, 2)), InvalidInputError),
+    ], ids=["ragged-actual", "ragged-predicted", "non-numeric", "nan"])
+    def test_ragged_or_nonfinite_input_rejected(self, actual, predicted, error):
+        with pytest.raises(error):
+            evaluation.component_scores(actual, predicted)
 
 
 class TestBenchmark:
@@ -213,6 +227,16 @@ class TestBenchmark:
         # t and actual cells are byte-identical in every dump of the call
         assert len(shared_cells) == 1
 
+    def test_constant_prediction_names_its_kernel(self, reference, tmp_path):
+        # at alpha = 1e300 the Cauchy kernel is sigma2 at every lag: a constant prediction
+        spec = kmp.KernelSpec(kind="cauchy", l=0.05, sigma2=1.0, alpha=1e300)
+        with pytest.raises(ZeroVarianceError, match=re.escape(
+                "KernelSpec(kind='cauchy', l=0.05, sigma2=1.0, alpha=1e+300) at lambda=0.5")):
+            evaluation.benchmark_kernels(reference, [[]], [spec], lam=0.5, seed=0,
+                                         grid=reference.times, actual=reference,
+                                         dataset_id="unit", dump_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("s", [1, 3])
     def test_actual_of_other_dimension_rejected(self, reference, s, tmp_path):
         actual = make_reference(reference.times, np.ones((len(reference), s)))
@@ -226,3 +250,23 @@ class TestBenchmark:
         with pytest.raises(ValueError):
             evaluation.MetricReport(rows={"gaussian": {"R": 1.5, "rmse": 0.1}},
                                     kernel_specs={}, lam=1.0, seed=0, dataset_id="x")
+
+
+@pytest.mark.parametrize("n", [25, 100, 200])
+def test_dumps_are_the_row_join_of_the_values_they_hold(n, tmp_path):
+    """Every dump is the one-line-per-row join of its floats, as the earlier writer made
+    it, and its t and actual columns are the grid and the actual means, bit for bit."""
+    config = pipeline.default_config("egg")
+    config.reference_points = n
+    reference, dense, actual, adaptations = cli.benchmark_dataset(config)
+    specs = [kmp.KernelSpec(kind=kind, l=0.02, alpha=1.0 if kind == "cauchy" else None)
+             for kind in kmp.KERNEL_KINDS]
+    evaluation.benchmark_kernels(reference, adaptations, specs, lam=1.0, seed=0, grid=dense,
+                                 actual=actual, dataset_id="unit", dump_dir=tmp_path)
+    dumps = sorted(tmp_path.glob("trajectory_*.csv"))
+    assert len(dumps) == len(specs) * len(adaptations)
+    for path in dumps:
+        text, rows = path.read_text(), read_csv(path)
+        header = ["t", "actual1", "actual2", "predicted1", "predicted2"]
+        assert text == oracle_csv(header, rows.tolist()), path.name
+        assert rows[:, :3].tobytes() == np.column_stack([dense, actual.means]).tobytes()

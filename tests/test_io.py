@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from synkit import encoding, force, kmp, perception, pipeline, synergy
-from synkit._io import dump_json, format_rows, read_csv, write_csv
+from synkit._io import dump_json, format_cells, read_csv, write_csv
 from synkit.errors import DimensionMismatchError, InvalidInputError
 
 TRIALS = 400
@@ -148,14 +148,62 @@ def test_every_json_artifact_of_a_long_simulate_matches_stdlib(tmp_path):
         assert text == stdlib(json.loads(text)), f.name
 
 
+def oracle_csv(header, rows):
+    """The writer's bytes as its earlier code made them: one ``",".join(map(repr, row))``
+    line per row of floats under the header line."""
+    return "\n".join([",".join(header), *(",".join(map(repr, row)) for row in rows), ""])
+
+
 def test_csv_is_the_header_then_one_line_per_row(tmp_path):
     rows = np.array([[0.0, -1.5, 1e-300], [0.1, 2.0, 5e-324]])
     write_csv(tmp_path / "a.csv", ["t", "x", "y"], rows)
-    write_csv(tmp_path / "b.csv", ["t", "x", "y"], format_rows(rows))
+    write_csv(tmp_path / "b.csv", ["t", "x", "y"], format_cells(rows))
     write_csv(tmp_path / "empty.csv", ["t"], np.empty((0, 1)))
     want = "t,x,y\n0.0,-1.5,1e-300\n0.1,2.0,5e-324\n"
     assert (tmp_path / "a.csv").read_text() == (tmp_path / "b.csv").read_text() == want
     assert (tmp_path / "empty.csv").read_text() == "t\n"
+
+
+# signed zero, the least subnormal, huge, non-finite and integer-valued floats
+CSV_SPECIALS = [-0.0, 0.0, 5e-324, -1e-300, 1e300, 1.7976931348623157e308, math.nan, math.inf,
+                -math.inf, 3.0, -7.0, 1e16, 2.0**53 + 2.0, 0.1]
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 3, 40])
+@pytest.mark.parametrize("width", range(1, 8))
+def test_csv_writer_gives_the_row_join_bytes(width, n_rows, rng, tmp_path):
+    scales = 10.0 ** rng.integers(-300, 300, 26)
+    pool = np.concatenate([CSV_SPECIALS, rng.standard_normal(26) * scales])
+    rows = np.resize(rng.permutation(pool), (n_rows, width))
+    header = [f"c{j}" for j in range(width)]
+    want = oracle_csv(header, rows.tolist())
+    for name, given in [("array", rows), ("lists", rows.tolist()), ("cells", format_cells(rows)),
+                        ("transposed", np.asfortranarray(rows))]:
+        write_csv(tmp_path / f"{name}.csv", header, given)
+        assert (tmp_path / f"{name}.csv").read_text() == want, name
+    if n_rows:
+        assert read_csv(tmp_path / "array.csv").tobytes() == rows.tobytes()
+
+
+@pytest.mark.parametrize("rows", [
+    [[1.0, 2.0, 3.0], [1.0]],  # ragged
+    [(1.0, 2.0, 3.0), (1.0, 2.0)],
+    [["1.0", "x", "2.0"]],  # not numeric
+    np.zeros((2, 2)),  # too narrow
+    np.zeros((2, 4)),  # too wide
+    np.zeros(3),  # not a table
+    ["1.0", "2.0", "3.0", "4.0"],  # cells that do not fill their rows
+], ids=["ragged", "ragged-tuples", "non-numeric", "narrow", "wide", "flat", "cells"])
+def test_csv_writer_rejects_rows_not_as_wide_as_the_header(rows, tmp_path):
+    path = tmp_path / "bad.csv"
+    with pytest.raises(DimensionMismatchError, match=re.escape(f"{path}: rows are not 3")):
+        write_csv(path, ["t", "x", "y"], rows)
+    assert not path.exists()
+
+
+def test_csv_writer_rejects_an_empty_header(tmp_path):
+    with pytest.raises(DimensionMismatchError, match="rows are not 0 numeric cells wide"):
+        write_csv(tmp_path / "bad.csv", [], [])
 
 
 def test_csv_reader_reads_back_with_and_without_header(tmp_path):

@@ -383,14 +383,35 @@ class TestFitPredict:
             assert np.abs(kmp.kmp_predict(model, float(t)) - mean).max() < 1e-12
 
     def test_singular_cov_system_raises_on_every_prediction(self):
-        # two times 1e-15 apart give K = 1.5 * ones(2, 2), so with Sigma = 0
-        # K + lambda Sigma is singular while K + lambda I has condition 7
-        ref = make_reference([0.5, 0.5 + 1e-15], [[2.0], [2.0]], np.zeros((2, 1, 1)))
+        # two times 1e-15 apart give K = 1.5 * ones(2, 2), so with Sigma = 1e-12
+        # K + lambda Sigma has condition 6e12 while K + lambda I has condition 7;
+        # sigma2 / (lambda * 1e-12) = 3e12 is within the rounding bound
+        ref = make_reference([0.5, 0.5 + 1e-15], [[2.0], [2.0]], np.full((2, 1, 1), 1e-12))
         spec = kmp.KernelSpec(kind="gaussian", l=0.1, sigma2=1.5)
         model = kmp.kmp_fit(ref, spec, lam=0.5)
         for _ in range(2):
             with pytest.raises(SingularSystemError):
                 kmp.kmp_predict_cov(model, 0.5)
+
+    @pytest.mark.parametrize("confidence,rejected", [
+        (0.0, True), (1e-300, True), (1e-10, True), (1.1e-7, False), (1e-6, False)])
+    def test_cov_rounding_bound_names_the_least_covariance_eigenvalue(self, confidence,
+                                                                      rejected):
+        # the variance at a via point is about n * confidence; the covariance formula
+        # rounds by (n / lambda) sigma2 eps, so sigma2 / (lambda * confidence) is bounded
+        times = np.linspace(0.0, 1.0, 25)
+        covs = np.tile(1e-2 * np.eye(2), (25, 1, 1))
+        covs[12] = confidence * np.eye(2)
+        ref = make_reference(times, np.column_stack([np.sin(times), np.cos(times)]), covs)
+        model = kmp.kmp_fit(ref, kmp.KernelSpec(kind="gaussian", l=0.05), lam=1e-6)
+        if rejected:
+            with pytest.raises(InvalidInputError, match="sigma2=1.0 over lambda=1e-06 and "
+                               "the least reference covariance eigenvalue .* exceeds 1e13"):
+                kmp.kmp_predict_cov(model, times)
+            return
+        variances = np.diagonal(kmp.kmp_predict_cov(model, times), axis1=1, axis2=2)
+        assert variances.min() > 0.0
+        assert variances[12] == pytest.approx(25 * confidence, rel=1e-2)
 
     def test_singular_system_raises(self):
         times = np.array([0.2, 0.2 + 1e-15, 0.4])
@@ -690,8 +711,9 @@ def test_overflowing_bound_defers_to_the_eigenvalues_without_a_warning():
     ref = make_reference(np.linspace(0.0, 1.0, 5), np.zeros((5, 2)))
     with pytest.raises(SingularSystemError):  # row sums of 5 * 1e308 overflow
         kmp.kmp_fit(ref, kmp.KernelSpec(kind="gaussian", l=1.0, sigma2=1e308), lam=1.0)
-    model = kmp.kmp_fit(ref, ALL_SPECS[1], lam=1e300)  # lambda * COND_LIMIT / 4 overflows
-    assert np.isfinite(kmp.kmp_predict_cov(model, 0.5)).all()
+    for lam in (1e300, np.float64(1e300)):  # lambda * COND_LIMIT / 4 overflows
+        model = kmp.kmp_fit(ref, ALL_SPECS[1], lam=lam)
+        assert np.isfinite(kmp.kmp_predict_cov(model, 0.5)).all()
 
 
 @pytest.mark.parametrize("kind,l,alpha,rejected", [
