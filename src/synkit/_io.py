@@ -7,9 +7,9 @@ call to the stdlib's C encoder. CSV is one header line, then one row per
 record with every cell written as ``repr(float(cell))``, so a float reads
 back exactly; ``write_csv`` fills one row template with a file's cells in
 one ``%``, and ``read_csv`` reads it back, its header optional. Text inputs
-(clouds, CSV tables) are read line by line through ``text_lines``.
-Every model record stores its arrays through ``freeze``, as read-only,
-finite float64 copies.
+(clouds, CSV tables) are read line by line through ``text_lines``. Arrays are
+read through ``float_array`` (``finite_array`` where NaN and Inf are invalid), and
+every model record stores its own through ``freeze``, as read-only copies.
 """
 from __future__ import annotations
 
@@ -147,24 +147,29 @@ class JsonRecord:
             raise cls.json_error(f"{path}: {exc}") from exc
 
 
-def finite_array(value, name):
-    """``value`` as a float64 copy; NaN or Inf raises InvalidInputError naming it, and a
-    value numpy cannot read as a float array (ragged, non-numeric) DimensionMismatchError."""
+def float_array(value, name):
+    """``value`` as a float64 array, itself when it is one; a value numpy cannot read
+    as one (ragged, non-numeric) raises DimensionMismatchError naming it."""
     try:
-        array = np.array(value, dtype=float)
+        return np.asarray(value, dtype=float)
     except (ValueError, TypeError) as exc:
         raise DimensionMismatchError(f"{name} is not a numeric array: {exc}") from None
+
+
+def finite_array(value, name):
+    """``float_array(value, name)``; NaN or Inf raises InvalidInputError naming it."""
+    array = float_array(value, name)
     if not np.isfinite(array).all():
         raise InvalidInputError(f"{name} contains NaN or Inf")
     return array
 
 
 def freeze(record, *names):
-    """Store each named field of a frozen dataclass as a read-only ``finite_array``;
-    returns the stored arrays in the order named."""
+    """Store each named field of a frozen dataclass as a read-only copy of its
+    ``finite_array``; returns the stored arrays in the order named."""
     arrays = []
     for name in names:
-        array = finite_array(getattr(record, name), name)
+        array = finite_array(getattr(record, name), name).copy()
         array.setflags(write=False)
         object.__setattr__(record, name, array)
         arrays.append(array)

@@ -289,9 +289,6 @@ def cli_dispatch(argv) -> int:
     args.task = getattr(args, "task", None) or args.top_task
     try:
         return _DISPATCH[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (SynkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

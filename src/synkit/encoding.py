@@ -281,6 +281,10 @@ def _m_step(x, xt, resp, floor, floor_eye):
     return (priors / np.add.reduce(priors), means, covs), _factor(covs, floor)
 
 
+def _norm(parts):
+    return np.sqrt(sum([np.add.reduce(p * p, axis=None) for p in parts]))
+
+
 def _squarem_step(data, theta0, theta1, theta2, stepmax):
     """One EM step from the SQUAREM extrapolation of theta0 -> theta1 -> theta2.
 
@@ -295,8 +299,10 @@ def _squarem_step(data, theta0, theta1, theta2, stepmax):
     x, xt, floor, floor_eye, const = data
     r = [b - a for a, b in zip(theta0, theta1)]
     v = [c - 2.0 * b + a for a, b, c in zip(theta0, theta1, theta2)]
-    r_norm = np.sqrt(sum([np.add.reduce(p * p, axis=None) for p in r]))
-    v_norm = np.sqrt(sum([np.add.reduce(p * p, axis=None) for p in v]))
+    with np.errstate(over="ignore"):
+        r_norm, v_norm = _norm(r), _norm(v)
+    if np.isinf(r_norm + v_norm):  # a square past 1.8e308: 2^-600 scales both alike, exactly
+        r_norm, v_norm = _norm([2.0**-600 * p for p in r]), _norm([2.0**-600 * p for p in v])
     alpha = -min(max(r_norm / v_norm, 1.0), stepmax) if v_norm > 0.0 else -1.0
     priors, means, covs = [a - 2.0 * alpha * dr + alpha**2 * dv
                            for a, dr, dv in zip(theta0, r, v)]

@@ -8,8 +8,7 @@ import numpy as np
 
 from ._io import dump_json, finite_array, format_cells, write_csv
 from .encoding import ReferenceTrajectory
-from .errors import (DimensionMismatchError, InvalidInputError, LengthMismatchError,
-                     ZeroVarianceError)
+from .errors import DimensionMismatchError, LengthMismatchError, ZeroVarianceError
 from .kmp import apply_via_points, kmp_fit, kmp_predict
 
 __all__ = ["MetricReport", "pearson_r", "rmse", "component_scores", "benchmark_kernels"]
@@ -62,25 +61,9 @@ class MetricReport:
     seed: int
     dataset_id: str
 
-    def __post_init__(self):
-        for kind, row in self.rows.items():
-            r = row["R"]
-            if not -1.0 - 1e-9 <= r <= 1.0 + 1e-9:
-                raise InvalidInputError(f"R out of range for kernel {kind}: {r}")
-            if row["rmse"] < 0.0:
-                raise InvalidInputError(f"negative rmse for kernel {kind}")
-
-    def to_dict(self):
-        return {
-            "rows": self.rows,
-            "kernel_specs": self.kernel_specs,
-            "lambda": self.lam,
-            "seed": self.seed,
-            "dataset_id": self.dataset_id,
-        }
-
     def to_json(self):
-        return dump_json(self.to_dict())
+        return dump_json({"rows": self.rows, "kernel_specs": self.kernel_specs,
+                          "lambda": self.lam, "seed": self.seed, "dataset_id": self.dataset_id})
 
     def to_text(self):
         """Fixed-width comparison table, one row per kernel."""

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._io import freeze
+from ._io import float_array, freeze
 from .errors import COND_LIMIT, DimensionMismatchError, InvalidInputError, RankDeficientError
 from .synergy import SynergyBasis
 
@@ -119,7 +119,7 @@ def friction_cone_check(force, mu: float):
     """
     if mu <= 0.0:
         raise InvalidInputError("friction coefficient must be positive")
-    f = np.asarray(force, dtype=float)
+    f = float_array(force, "force")
     if f.shape[-1:] != (3,):
         raise DimensionMismatchError("forces must be 3-vectors along the last axis")
     fx, fy, fz = np.moveaxis(f, -1, 0)

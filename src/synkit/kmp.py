@@ -109,7 +109,10 @@ def kernel_eval(spec: KernelSpec, t1, t2):
     so large that a step overflows gives the kernel's exact limit there, 0.
     """
     with np.errstate(over="ignore"):
-        lag = np.subtract(t1, t2, dtype=float)
+        try:
+            lag = np.subtract(t1, t2, dtype=float)
+        except (ValueError, TypeError) as exc:  # ragged, non-numeric or unbroadcastable
+            raise DimensionMismatchError(f"t1 and t2 do not broadcast as floats: {exc}") from None
         k = np.atleast_1d(lag)  # a scalar lag gets a one-element buffer
         np.abs(k, out=k)
         if spec.kind != "exponential":

@@ -3,7 +3,8 @@
 A scene cloud is split into a dominant plane (background) and object
 candidates by RANSAC, candidates are grouped by Euclidean clustering,
 classified with a linear SVM on simple geometric features, reduced to
-centroid poses, and finally mapped into synergy coordinates.
+centroid poses, and finally mapped into synergy coordinates; the
+configured chain of these steps is ``pipeline.detect_objects``.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import JsonRecord, finite_array, freeze, text_lines
+from ._io import JsonRecord, finite_array, float_array, freeze, text_lines
 from .errors import (
     DegenerateCloudError,
     DimensionMismatchError,
@@ -34,7 +35,6 @@ __all__ = [
     "svm_train",
     "svm_classify",
     "estimate_pose",
-    "detect_objects",
     "pose_to_synergy",
 ]
 
@@ -88,9 +88,7 @@ def load_cloud(path) -> np.ndarray:
         cloud = _parse_lines(path)
     if cloud.shape[1] != 3:  # rows of another width, or an empty file read as (0, 1)
         cloud = _parse_lines(path)
-    if cloud.size and not np.isfinite(cloud).all():
-        raise InvalidInputError(f"{path}: cloud contains NaN or Inf coordinates")
-    return cloud
+    return finite_array(cloud, f"{path}: cloud")
 
 
 def _parse_lines(path) -> np.ndarray:
@@ -113,7 +111,7 @@ def _parse_lines(path) -> np.ndarray:
 
 def save_cloud(path, points) -> None:
     """Write one "x y z" line per point, each coordinate as ``repr(float)``."""
-    points = np.asarray(points, dtype=float)
+    points = float_array(points, "points")
     with open(path, "w") as fh:
         for start in range(0, points.shape[0], _SAVE_ROWS):
             rows = points[start:start + _SAVE_ROWS].tolist()
@@ -137,12 +135,10 @@ def ransac_plane(cloud, iterations: int = 200, inlier_threshold: float = 0.005,
         raise InvalidInputError(f"iterations must lie in [1, {RANSAC_MAX_ITERATIONS}]")
     if not inlier_threshold > 0.0:
         raise InvalidInputError("inlier_threshold must be positive")
-    points = np.asarray(cloud, dtype=float)
+    points = finite_array(cloud, "cloud")
     if points.ndim != 2 or points.shape[1] != 3 or points.shape[0] < 3:
         raise DegenerateCloudError("need at least 3 points of dimension 3")
-    scale = float(np.max(np.abs(points), initial=1.0))  # NaN for a NaN coordinate
-    if not math.isfinite(scale):
-        raise InvalidInputError("cloud contains NaN or Inf coordinates")
+    scale = float(np.max(np.abs(points), initial=1.0))
     if scale > RANSAC_MAX_SCALE:
         raise InvalidInputError(
             f"cloud scale {scale:g} (largest |coordinate|) exceeds {RANSAC_MAX_SCALE:g}, "
@@ -265,15 +261,13 @@ def euclidean_cluster(cloud, epsilon: float, min_points: int = 1) -> list[Cluste
         raise InvalidInputError(f"epsilon must be positive, got {epsilon!r}")
     if min_points < 1:
         raise InvalidInputError("min_points must be >= 1")
-    points = np.asarray(cloud, dtype=float).reshape(-1, 3)
+    points = finite_array(cloud, "cloud").reshape(-1, 3)
     n = points.shape[0]
     if n == 0:
         return []
-    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, or past 1.8e308
+    with np.errstate(over="ignore"):  # past 1.8e308
         extent = float(np.ptp(points, axis=0).max())
-    if not extent <= 1e13 * epsilon:  # NaN too
-        if not np.isfinite(points).all():
-            raise InvalidInputError("cloud contains NaN or Inf coordinates")
+    if not extent <= 1e13 * epsilon:
         raise InvalidInputError("epsilon is too small for the extent of the cloud")
     # floor() may put a point a few ulps of the extent past its cell; the
     # shrink keeps a sub-cell's diagonal within epsilon, rounding included
@@ -420,11 +414,9 @@ def svm_train(features, labels, c: float = 10.0, epochs: int = 200, seed: int = 
     """
     if not c > 0.0:  # NaN too
         raise InvalidInputError(f"svm_c must be positive, got {c!r}")
-    x = np.asarray(features, dtype=float)
+    x = finite_array(features, "features")
     if x.ndim != 2:
         raise DimensionMismatchError("features must form a 2-D array")
-    if not np.all(np.isfinite(x)):
-        raise InvalidInputError("features contain NaN or Inf")
     labels = list(labels)
     if len(labels) != x.shape[0]:
         raise DimensionMismatchError("one label per feature row")
@@ -529,27 +521,3 @@ def pose_to_synergy(pose: dict, basis: SynergyBasis) -> np.ndarray:
     op_embedded = np.zeros(j)
     op_embedded[: op.shape[0]] = op
     return basis.e_hat.T @ op_embedded
-
-
-def detect_objects(cloud, *, iterations, threshold, seed, epsilon, min_points, svm=None):
-    """The visual pipeline on one cloud: plane removal, clustering, poses.
-
-    Returns ``(record, inliers, outliers)``, where ``record`` is the
-    documented segmentation payload ``{"plane", "clusters"}`` and each
-    cluster's entry is its ``estimate_pose`` record. With an ``svm`` every
-    cluster is labelled and scored; without one the labels stay empty and
-    the scores zero.
-    """
-    (normal, offset), inliers, outliers = ransac_plane(
-        cloud, iterations=iterations, inlier_threshold=threshold, seed=seed)
-    clusters = euclidean_cluster(np.asarray(cloud, dtype=float)[outliers],
-                                 epsilon=epsilon, min_points=min_points)
-    poses = []
-    for cluster in clusters:
-        if svm is None:
-            poses.append(estimate_pose(cluster))
-        else:
-            label, score = svm_classify(svm, extract_features(cluster))
-            poses.append(estimate_pose(cluster, label=label, score=score))
-    record = {"plane": {"normal": normal.tolist(), "offset": offset}, "clusters": poses}
-    return record, inliers, outliers

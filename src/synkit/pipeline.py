@@ -237,7 +237,6 @@ class TaskLog(JsonRecord):
         raise KeyError(name)
 
 
-
 # Stage names in execution order; the learning stages precede the perception
 # stages, which precede the force loop.
 STAGE_ORDER = (
@@ -257,8 +256,6 @@ def _stage(name):
     """Re-raise a stage's failure as StageError; interrupts pass through."""
     try:
         yield
-    except StageError:
-        raise
     except Exception as exc:
         raise StageError(name, exc) from exc
 
@@ -316,11 +313,21 @@ def build_reference(config: PipelineConfig):
 
 
 def detect_objects(config: PipelineConfig, cloud, svm=None):
-    """``perception.detect_objects`` with the config's RANSAC and clustering settings."""
-    return perception.detect_objects(
-        cloud, iterations=config.ransac_iterations, threshold=config.ransac_threshold,
-        seed=config.ransac_seed, epsilon=config.cluster_epsilon,
-        min_points=config.cluster_min_points, svm=svm)
+    """Plane removal, clustering and each cluster's ``estimate_pose`` on one cloud, at the
+    config's RANSAC and clustering settings: ``(record, inliers, outliers)``, ``record``
+    the ``{"plane", "clusters"}`` payload. Without an ``svm`` labels are empty, scores 0."""
+    (normal, offset), inliers, outliers = perception.ransac_plane(
+        cloud, iterations=config.ransac_iterations, inlier_threshold=config.ransac_threshold,
+        seed=config.ransac_seed)
+    poses = []
+    for cluster in perception.euclidean_cluster(np.asarray(cloud, dtype=float)[outliers],
+                                                epsilon=config.cluster_epsilon,
+                                                min_points=config.cluster_min_points):
+        label, score = ("", 0.0) if svm is None else perception.svm_classify(
+            svm, perception.extract_features(cluster))
+        poses.append(perception.estimate_pose(cluster, label=label, score=score))
+    record = {"plane": {"normal": normal.tolist(), "offset": offset}, "clusters": poses}
+    return record, inliers, outliers
 
 
 def save_learning(out, basis, model, reference):
@@ -459,8 +466,8 @@ def run_task(config: PipelineConfig) -> TaskLog:
     scenario = config.scenario()
     log = TaskLog(task=config.task, config=dataclasses.asdict(config))
 
+    demos, basis, gmm_model, reference = build_reference(config)  # wraps its own stages
     with _stage("synergy"):
-        demos, basis, gmm_model, reference = build_reference(config)
         config.check_basis(basis)
         log.add("synergy", {
             "joint_dim": basis.joint_dim,

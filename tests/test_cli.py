@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -415,35 +416,55 @@ def egg_reference(tmp_path_factory):
     return out / "reference.json"
 
 
-# Every KMP number a user can give, at each finite extreme: the run either
-# succeeds with finite CSVs and nonnegative predicted variances, or exits 2
-# with one error line and no --out. Sizes and loop counts are not swept.
-KMP_EXTREMES = ("0", "-1", "1e-300", "1e-150", "1e150", "1e300")
-KMP_SWEEP = (
+@pytest.fixture(scope="module")
+def egg_scene(tmp_path_factory):
+    out = tmp_path_factory.mktemp("scene")
+    assert cli_dispatch(["generate", "scene", "--task", "egg", "--out", str(out)]) == 0
+    return out
+
+
+# Every KMP number a user can give, and every other float of simulate, segment,
+# classify, encode and generate demos, at each finite extreme: the run either
+# succeeds with finite CSVs and nonnegative predicted variances, or exits 2 with
+# one error line and no --out; either way without a warning. Sizes and loop
+# counts are not swept.
+EXTREMES = ("0", "-1", "1e-300", "1e-150", "1e150", "1e300")
+SCENE_COMMANDS = (("segment", "--cloud", "{cloud}"),
+                  ("classify", "--cloud", "{cloud}", "--svm", "{svm}"))
+SWEEP = (
     [(("kmp-predict", "--reference", "{reference}", "--kernel", kind), flag)
      for kind in ("exponential", "gaussian", "cauchy")
      for flag in ("--length-scale", "--sigma2", "--alpha", "--lam")]
     + [(("benchmark-kernels",), flag) for flag in ("--length-scale", "--alpha", "--lam")]
     + [(("simulate", "--config", "{config}"), field)
-       for field in ("kernel_l", "kernel_sigma2", "kernel_alpha", "lam", "via_confidence")]
+       for field in ("kernel_l", "kernel_sigma2", "kernel_alpha", "lam", "via_confidence",
+                     "gmm_tol", "ransac_threshold", "cluster_epsilon", "svm_c", "force_mu",
+                     "force_gain", "force_target_low", "force_target_high", "force_dt",
+                     "force_lag", "demo_noise", "synergy_threshold")]
+    + [(argv, flag) for argv in SCENE_COMMANDS for flag in ("--threshold", "--epsilon")]
+    + [(argv, "--noise") for argv in (("encode",), ("generate", "demos"))]
 )
-KMP_SWEEP_CASES = [
+SWEEP_CASES = [
     pytest.param(argv, knob, value, id=f"{' '.join(argv)} {knob}={value}")
-    for argv, knob in KMP_SWEEP for value in KMP_EXTREMES
+    for argv, knob in SWEEP for value in EXTREMES
 ]
 
 
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("argv,knob,value", KMP_SWEEP_CASES)
-def test_kmp_numbers_at_finite_extremes(argv, knob, value, egg_reference, tmp_path, capsys):
+@pytest.mark.parametrize("argv,knob,value", SWEEP_CASES)
+def test_numbers_at_finite_extremes(argv, knob, value, egg_reference, egg_scene, tmp_path,
+                                    capsys):
     config = tmp_path / "config.json"
-    argv = [a.format(reference=egg_reference, config=config) for a in argv]
+    argv = [a.format(reference=egg_reference, config=config, cloud=egg_scene / "scene.xyz",
+                     svm=egg_scene / "svm.json") for a in argv]
     if knob.startswith("--"):
         argv.append(f"{knob}={value}")
     else:
         config.write_text(json.dumps({knob: float(value)}))
     out = tmp_path / "out"
-    code, _, err = run(capsys, *argv, "--out", str(out))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run(capsys, *argv, "--out", str(out))
+    assert not caught, [str(w.message) for w in caught]
     assert code in (0, 2)
     if code == 2:
         assert err.startswith("error:") and err.count("\n") == 1

@@ -64,6 +64,11 @@ class TestInterpolate:
             encoding.interpolate_coefficients(
                 [(np.array([0.0]), basis.theta0[None, :])], basis, np.array([0.0]))
 
+    def test_angles_of_another_joint_count_rejected(self, basis):
+        demo = (np.array([0.0, 1.0]), np.zeros((2, 5)))
+        with pytest.raises(DimensionMismatchError, match="demo angles must be"):
+            encoding.interpolate_coefficients([demo], basis, np.array([0.5]))
+
     def test_non_monotonic_time_rejected(self, basis):
         times = np.array([0.0, 2.0, 1.0])
         angles = np.tile(basis.theta0, (3, 1))
@@ -133,6 +138,30 @@ class TestFactor:
         covs = np.stack([np.eye(2), np.diag([1.0, -1e-3]), np.eye(2)])
         with pytest.raises(DegenerateComponentError, match="component 1 covariance collapsed"):
             encoding._factor(covs)
+
+    def test_covariance_only_cholesky_rejects_is_collapsed(self):
+        # rotations of diag(1, 1, 1e-17): the first whose Cholesky fails although
+        # eigvalsh puts all its eigenvalues above zero
+        rng = np.random.default_rng(0)
+        for _ in range(1000):
+            q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+            cov = q @ np.diag([1.0, 1.0, 1e-17]) @ q.T
+            cov = 0.5 * (cov + cov.T)
+            try:
+                np.linalg.cholesky(cov)
+            except np.linalg.LinAlgError:
+                if np.linalg.eigvalsh(cov).min() > 0.0:
+                    break
+        else:
+            pytest.fail("no such covariance among 1000 rotations")
+        with pytest.raises(DegenerateComponentError, match="^a covariance collapsed"):
+            encoding._factor(cov[None])
+
+    def test_component_without_responsibility_mass_is_degenerate(self, rng):
+        x = rng.standard_normal((10, 2))
+        resp = np.vstack([np.ones(10), np.zeros(10)])
+        with pytest.raises(DegenerateComponentError, match="lost all responsibility mass"):
+            encoding._m_step(x, np.ascontiguousarray(x.T), resp, 1e-6, 1e-6 * np.eye(2))
 
 
 # The EM step and Lloyd loop as written before they were fused: the fused
@@ -392,10 +421,12 @@ class TestFitGmm:
         want = np.vstack([np.column_stack([t, c]) for c in coeffs])
         assert np.array_equal(seen[0], want) and seen[0].flags.c_contiguous
 
-    def test_zero_iterations_is_invalid_input(self, rng):
+    @pytest.mark.parametrize("kwargs", [{"max_iter": 0}, {"n_components": 0}],
+                             ids=["max_iter", "n_components"])
+    def test_zero_iterations_or_components_is_invalid_input(self, kwargs, rng):
         samples, *_ = _single_gaussian_trajectories(rng, n=150)
-        with pytest.raises(InvalidInputError, match="max_iter"):
-            encoding.fit_gmm(*samples, n_components=2, seed=2, max_iter=0)
+        with pytest.raises(InvalidInputError, match=f"^{next(iter(kwargs))} must be >= 1"):
+            encoding.fit_gmm(*samples, **{"n_components": 2, "seed": 2, **kwargs})
 
 
 class TestEmOnTaskData:
@@ -601,6 +632,32 @@ class TestNonFiniteRecords:
                              ids=["ragged", "mapping"])
     def test_every_record_names_an_array_numpy_cannot_read(self, cls, name, value):
         with pytest.raises(DimensionMismatchError, match=f"^{name} is not a numeric array"):
+            cls(**{**self.RECORDS[cls], name: value})
+
+    # a field of the wrong shape, the error and the text it must name
+    SHAPES = [
+        (encoding.GmmModel, "covariances", np.ones((2, 2, 3)), DimensionMismatchError,
+         "must be square"),
+        (synergy.SynergyBasis, "e_hat", np.ones(3), DimensionMismatchError,
+         "^e_hat must be a J x S matrix"),
+        (kmp.ViaPoint, "desired_cov", np.eye(3), DimensionMismatchError,
+         "^desired_cov must be S x S"),
+        (kmp.ViaPoint, "desired_cov", np.diag([1.0, 0.0]), InvalidInputError,
+         "^desired_cov must be positive definite"),
+        (force.GraspModel, "grasp_matrix", np.ones((5, 9)), DimensionMismatchError,
+         "^grasp matrix must be 6 x 3"),
+        (force.GraspModel, "stiffness", np.ones((8, 6)), DimensionMismatchError, "^stiffness rows"),
+        (force.GraspModel, "hand_jacobian", np.ones((8, 6)), DimensionMismatchError,
+         "^hand Jacobian rows"),
+        (force.GraspModel, "motor_constant", np.eye(5), DimensionMismatchError,
+         "^motor constant must be square"),
+    ]
+
+    @pytest.mark.parametrize("cls,name,value,error,match", SHAPES,
+                             ids=[f"{c.__name__}.{n}" for c, n, _, _, _ in SHAPES])
+    def test_every_record_rejects_a_field_of_the_wrong_shape(self, cls, name, value, error,
+                                                              match):
+        with pytest.raises(error, match=match):
             cls(**{**self.RECORDS[cls], name: value})
 
     @pytest.mark.parametrize("name,value", [

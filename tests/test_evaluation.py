@@ -50,9 +50,12 @@ class TestPearson:
         with pytest.raises(ZeroVarianceError):
             evaluation.pearson_r([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
 
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
-            evaluation.pearson_r([1.0, 2.0], [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("actual,predicted,match", [
+        ([1.0, 2.0], [1.0, 2.0, 3.0], "length mismatch"), ([1.0], [2.0], "at least 2 points"),
+    ], ids=["mismatch", "one-point"])
+    def test_length_mismatch(self, actual, predicted, match):
+        with pytest.raises(LengthMismatchError, match=match):
+            evaluation.pearson_r(actual, predicted)
 
 
 class TestRmse:
@@ -73,9 +76,12 @@ class TestRmse:
         p = rng.standard_normal(20)
         assert evaluation.rmse(a, p) == evaluation.rmse(p, a)
 
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
-            evaluation.rmse([1.0], [1.0, 2.0])
+    @pytest.mark.parametrize("actual,predicted,match", [
+        ([1.0], [1.0, 2.0], "length mismatch"), ([], [], "at least 1 point"),
+    ], ids=["mismatch", "empty"])
+    def test_length_mismatch(self, actual, predicted, match):
+        with pytest.raises(LengthMismatchError, match=match):
+            evaluation.rmse(actual, predicted)
 
 
 class TestBatchedScoresAreBitForBit:
@@ -237,6 +243,14 @@ class TestBenchmark:
                                          dataset_id="unit", dump_dir=tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
+    def test_actual_off_the_grid_rejected(self, reference, tmp_path):
+        spec = kmp.KernelSpec(kind="gaussian", l=0.1, sigma2=1.0)
+        with pytest.raises(LengthMismatchError, match="must live on the evaluation grid"):
+            evaluation.benchmark_kernels(reference, [[]], [spec], lam=1.0, seed=0,
+                                         grid=reference.times[1:], actual=reference,
+                                         dataset_id="unit", dump_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("s", [1, 3])
     def test_actual_of_other_dimension_rejected(self, reference, s, tmp_path):
         actual = make_reference(reference.times, np.ones((len(reference), s)))
@@ -245,11 +259,6 @@ class TestBenchmark:
             evaluation.benchmark_kernels(reference, [[]], [spec], lam=1.0, seed=0,
                                          grid=reference.times, actual=actual,
                                          dataset_id="unit", dump_dir=tmp_path)
-
-    def test_r_range_validation(self):
-        with pytest.raises(ValueError):
-            evaluation.MetricReport(rows={"gaussian": {"R": 1.5, "rmse": 0.1}},
-                                    kernel_specs={}, lam=1.0, seed=0, dataset_id="x")
 
 
 @pytest.mark.parametrize("n", [25, 100, 200])

@@ -65,6 +65,8 @@ class TestContactForces:
             force.contact_forces(model, np.zeros(5), basis, np.zeros(2))
         with pytest.raises(DimensionMismatchError):
             force.contact_forces(model, np.zeros(6), basis, np.zeros(3))
+        with pytest.raises(DimensionMismatchError, match="joints disagree with the basis"):
+            force.contact_forces(model, np.zeros(6), make_basis(rng, j=5), np.zeros(2))
 
     def test_rank_deficient_grasp_matrix(self, rng):
         basis = make_basis(rng)
@@ -177,6 +179,10 @@ class TestMotorCurrents:
         out = force.motor_currents(model, np.zeros((3, 3)))
         assert np.abs(out).max() == 0.0
 
+    def test_one_force_per_contact_required(self, rng):
+        with pytest.raises(DimensionMismatchError, match="one 3-vector per contact"):
+            force.motor_currents(make_model(rng), np.zeros((2, 3)))
+
     def test_diagonal_system(self):
         model = force.GraspModel(
             grasp_matrix=np.eye(6),  # two contacts
@@ -255,6 +261,11 @@ class TestAdaptForce:
         after = force.grip_force(force.contact_forces(model, np.zeros(6), basis,
                                                       correction))
         assert after > before
+
+    @pytest.mark.parametrize("gain", [0.0, -0.5])
+    def test_non_positive_gain_rejected(self, gain, rng):
+        with pytest.raises(InvalidInputError, match="gain must be positive"):
+            force.adapt_force(1.0, coupling_pinv(make_model(rng), make_basis(rng)), gain=gain)
 
     def test_linearity_in_error(self, rng):
         model = make_model(rng)

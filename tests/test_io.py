@@ -11,7 +11,7 @@ import pytest
 
 from synkit import encoding, force, kmp, perception, pipeline, synergy
 from synkit._io import dump_json, format_cells, read_csv, write_csv
-from synkit.errors import DimensionMismatchError, InvalidInputError
+from synkit.errors import ConfigInvalidError, DimensionMismatchError, InvalidInputError
 
 TRIALS = 400
 MAX_DEPTH = 5
@@ -276,3 +276,34 @@ def test_records_with_arrays_compare_and_hash_by_identity(record):
     assert record == record and not record != record
     assert record != twin and not record == twin
     assert len({record, twin}) == 2
+
+
+@pytest.mark.parametrize("text", [b"{not json", b"\xff\xfe{}"], ids=["malformed", "undecodable"])
+@pytest.mark.parametrize("cls,error", [(pipeline.PipelineConfig, ConfigInvalidError),
+                                       (synergy.SynergyBasis, InvalidInputError)],
+                         ids=["config", "basis"])
+def test_record_file_that_is_not_json_is_named(cls, error, text, tmp_path):
+    path = tmp_path / "record.json"
+    path.write_bytes(text)
+    with pytest.raises(error, match=f"^{re.escape(str(path))}: not JSON"):
+        cls.from_json(path)
+
+
+RAGGED = [[1, 2, 3], [1]]
+
+
+@pytest.mark.parametrize("call,name", [
+    (lambda out: perception.svm_train(RAGGED, ["a", "b"]), "features"),
+    (lambda out: perception.ransac_plane(RAGGED), "cloud"),
+    (lambda out: perception.euclidean_cluster(RAGGED, epsilon=0.1), "cloud"),
+    (lambda out: perception.save_cloud(out, RAGGED), "points"),
+    (lambda out: kmp.kernel_eval(kmp.KernelSpec(kind="gaussian", l=0.1, sigma2=1.0),
+                                 RAGGED, 0.0), "t1"),
+    (lambda out: force.friction_cone_check(RAGGED, 0.5), "force"),
+], ids=["svm_train", "ransac_plane", "euclidean_cluster", "save_cloud", "kernel_eval",
+        "friction_cone_check"])
+def test_ragged_input_raises_dimension_mismatch_naming_it(call, name, tmp_path):
+    out = tmp_path / "cloud.xyz"
+    with pytest.raises(DimensionMismatchError, match=f"^{name} "):
+        call(out)
+    assert not out.exists()

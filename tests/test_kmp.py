@@ -250,6 +250,12 @@ class TestKernelMatrix:
             assert np.abs(mat - mat.T).max() < 1e-12
             assert np.linalg.eigvalsh(mat).min() >= -1e-9
 
+    @pytest.mark.parametrize("times", [[], [[0.0, 0.5]]], ids=["empty", "2-d"])
+    def test_times_must_be_a_nonempty_vector(self, times):
+        spec = kmp.KernelSpec(kind="gaussian", l=0.1, sigma2=1.0)
+        with pytest.raises(DimensionMismatchError, match="nonempty 1-D array"):
+            kmp.build_kernel_matrix(spec, times)
+
     def test_block_structure(self):
         spec = kmp.KernelSpec(kind="gaussian", l=0.1, sigma2=1.0)
         times = np.array([0.0, 0.3])
@@ -261,6 +267,11 @@ class TestKernelMatrix:
 
 
 class TestFitPredict:
+    def test_empty_reference_rejected(self):
+        empty = make_reference(np.zeros(0), np.zeros((0, 2)), np.zeros((0, 2, 2)))
+        with pytest.raises(DimensionMismatchError, match="reference trajectory is empty"):
+            kmp.kmp_fit(empty, kmp.KernelSpec(kind="gaussian", l=0.1, sigma2=1.0))
+
     def test_scalar_closed_form_mean_factor(self):
         ref = make_reference([0.5], [[2.0]], [[[0.3]]])
         spec = kmp.KernelSpec(kind="gaussian", l=0.1, sigma2=1.5)
@@ -587,6 +598,16 @@ class TestFusePriorities:
         ref = make_reference(np.linspace(0.0, 1.0, 4), np.ones((4, 2)))
         with pytest.raises(InvalidInputError, match="priority weights"):
             kmp.fuse_priorities([ref, ref], [[1.0, weight, 1.0, 1.0], 1.0])
+
+    @pytest.mark.parametrize("times,dim,match", [
+        (None, 2, "at least one trajectory"), (np.linspace(0.0, 1.0, 5), 2, "share grid"),
+        (np.linspace(0.0, 0.9, 4), 2, "share grid"), (np.linspace(0.0, 1.0, 4), 3, "share grid"),
+    ], ids=["none", "longer", "shifted", "wider"])
+    def test_trajectories_must_share_grid_and_dimension(self, times, dim, match):
+        ref = make_reference(np.linspace(0.0, 1.0, 4), np.ones((4, 2)))
+        refs = [] if times is None else [ref, make_reference(times, np.ones((len(times), dim)))]
+        with pytest.raises(DimensionMismatchError, match=match):
+            kmp.fuse_priorities(refs, [1.0] * len(refs))
 
     def test_singular_error_names_first_grid_point(self):
         times = np.linspace(0.0, 1.0, 6)

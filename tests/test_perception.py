@@ -254,6 +254,11 @@ class TestRansac:
             assert_plane_normal(normal)
             assert np.allclose(cloud @ normal + offset, 0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("shape", [(2, 3), (5, 2), (9,)])
+    def test_fewer_than_three_points_of_dimension_three_rejected(self, shape):
+        with pytest.raises(DegenerateCloudError, match="at least 3 points of dimension 3"):
+            perception.ransac_plane(np.arange(np.prod(shape), dtype=float).reshape(shape))
+
     @pytest.mark.parametrize("kwargs, name", [
         ({"iterations": 0}, "iterations"),
         ({"iterations": perception.RANSAC_MAX_ITERATIONS + 1}, "iterations"),
@@ -411,6 +416,12 @@ class TestClustering:
         with pytest.raises(InvalidInputError, match="epsilon must be positive"):
             perception.euclidean_cluster(cloud, epsilon=epsilon)
 
+    @pytest.mark.parametrize("min_points", [0, -1])
+    def test_min_points_must_be_positive(self, min_points):
+        cloud = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        with pytest.raises(InvalidInputError, match="min_points must be >= 1"):
+            perception.euclidean_cluster(cloud, epsilon=0.1, min_points=min_points)
+
     def test_epsilon_below_the_cloud_resolution_rejected(self):
         cloud = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
         with pytest.raises(InvalidInputError, match="epsilon"):
@@ -474,8 +485,10 @@ class TestFeaturesAndPose:
         pts = np.array([[0.1, -0.2, 0.3]])
         feats = perception.extract_features(perception.Cluster(indices=[0], cloud=pts))
         assert np.array_equal(feats, [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0])
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(DimensionMismatchError, match="cannot featurize an empty cluster"):
             perception.extract_features(perception.Cluster(indices=[], cloud=pts))
+        with pytest.raises(DimensionMismatchError, match="pose of an empty cluster"):
+            perception.estimate_pose(perception.Cluster(indices=[], cloud=pts))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_segment_features_match_per_cluster_features(self, seed):
@@ -533,8 +546,10 @@ class TestFeaturesAndPose:
         table = np.array([[x, y, 0.0] for x in grid for y in grid])
         boxes = [rng.uniform(0.0, 0.03, (60, 3)) + [x, 0.0, 0.05] for x in (-0.1, 0.1)]
         cloud = np.vstack([table, *boxes])
-        record, inliers, outliers = perception.detect_objects(
-            cloud, iterations=50, threshold=0.005, seed=0, epsilon=0.02, min_points=10)
+        config = pipeline.PipelineConfig(ransac_iterations=50, ransac_threshold=0.005,
+                                         ransac_seed=0, cluster_epsilon=0.02,
+                                         cluster_min_points=10)
+        record, inliers, outliers = pipeline.detect_objects(config, cloud)
         assert inliers.shape[0] == table.shape[0] and outliers.shape[0] == 120
         clusters = perception.euclidean_cluster(cloud[outliers], epsilon=0.02, min_points=10)
         assert len(clusters) == 2
@@ -683,6 +698,14 @@ class TestSvm:
                            match=re.escape(f"svm_c must be positive, got {c!r}")):
             perception.svm_train(features, labels, c=c)
 
+    @pytest.mark.parametrize("features,labels,match", [
+        (np.ones(4), ["a", "b", "a", "b"], "2-D array"),
+        (np.ones((4, 2)), ["a", "b", "a"], "one label per feature row"),
+    ], ids=["1-d", "labels"])
+    def test_features_must_be_a_table_with_one_label_a_row(self, features, labels, match):
+        with pytest.raises(DimensionMismatchError, match=match):
+            perception.svm_train(features, labels)
+
     def test_single_class_rejected(self, rng):
         x = rng.standard_normal((10, 2))
         with pytest.raises(SingleClassError):
@@ -767,6 +790,12 @@ class TestPoseToSynergy:
         pose = {**self.pose(np.zeros(3), np.ones(3)), key: value}
         with pytest.raises(DimensionMismatchError):
             perception.pose_to_synergy(pose, basis)
+
+    def test_pose_needs_six_joints(self):
+        basis = synergy.SynergyBasis(e_hat=np.eye(5)[:, :2], theta0=np.zeros(5),
+                                     variance_fractions=np.array([0.6, 0.4]))
+        with pytest.raises(DimensionMismatchError, match="into 5 joints"):
+            perception.pose_to_synergy(self.pose(np.zeros(3), np.ones(3)), basis)
 
     def test_negative_extents_rejected(self, basis):
         with pytest.raises(InvalidInputError, match="extents must be nonnegative"):

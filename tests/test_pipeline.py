@@ -80,6 +80,12 @@ class TestConfig:
             verdicts.add(radius < 1.0)
         assert verdicts == {True, False}
 
+    @pytest.mark.parametrize("low,high", [(3.0, 3.0), (4.0, 2.0)])
+    def test_force_band_must_be_increasing(self, low, high):
+        config = pipeline.PipelineConfig(force_target_low=low, force_target_high=high)
+        with pytest.raises(ConfigInvalidError, match="low < high"):
+            config.validate()
+
     def test_missing_paths_rejected(self):
         config = pipeline.default_config("egg")
         config.demos_path = "/nonexistent/demos.csv"
@@ -96,6 +102,8 @@ class TestRunTask:
     def test_stage_order_matches_contract(self, egg_log, ketchup_log):
         for log in (egg_log, ketchup_log):
             assert tuple(s["name"] for s in log.stages) == STAGE_ORDER
+        with pytest.raises(KeyError, match="planning"):
+            egg_log.stage("planning")
 
     def test_egg_force_band_and_stability(self, egg_log):
         stage = egg_log.stage("force")

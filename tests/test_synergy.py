@@ -74,6 +74,8 @@ class TestFit:
         "covariance overflows": (1e200 * POSTURES, None, InvalidInputError, "overflows"),
         "centering overflows": (1e308 * (POSTURES > 5.0), [-1e308, 0.0, 0.0],
                                 InvalidInputError, "overflows"),
+        "covariance underflows": (1e-200 * POSTURES, None, ZeroVarianceError,
+                                  "zero total variance"),
     }
 
     @pytest.mark.filterwarnings("error")  # an overflow must raise, not warn
@@ -82,6 +84,11 @@ class TestFit:
         postures, theta0, error, named = self.INVALID[case]
         with pytest.raises(error, match=named):
             synergy.fit_synergy_basis(postures, theta0=theta0)
+
+    @pytest.mark.parametrize("threshold", [0.0, 1.5, np.nan])
+    def test_variance_threshold_outside_the_unit_interval_rejected(self, threshold):
+        with pytest.raises(InvalidInputError, match="^variance_threshold must lie in"):
+            synergy.fit_synergy_basis(self.POSTURES, threshold)
 
     def test_fit_is_deterministic(self, rng):
         postures = rng.standard_normal((40, 6))
