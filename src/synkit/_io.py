@@ -1,15 +1,15 @@
-"""The one JSON and CSV format shared by every synkit artifact.
+"""The one writer, and the one JSON and CSV format, of every synkit artifact.
 
-JSON is sorted-key, two-space-indented text with a trailing newline: one
-writer gives exactly the bytes of the stdlib's ``json.dumps(payload,
-sort_keys=True, indent=2)``, but formats all of an artifact's scalars in one
-call to the stdlib's C encoder. CSV is one header line, then one row per
-record with every cell written as ``repr(float(cell))``, so a float reads
-back exactly; ``write_csv`` fills one row template with a file's cells in
-one ``%``, and ``read_csv`` reads it back, its header optional. Text inputs
-(clouds, CSV tables) are read line by line through ``text_lines``. Arrays are
-read through ``float_array`` (``finite_array`` where NaN and Inf are invalid), and
-every model record stores its own through ``freeze``, as read-only copies.
+``write_file`` makes the directory at the first write, so a failed command,
+whose checks all run first, writes nothing. JSON is sorted-key, two-space
+indented text with a trailing newline: exactly the bytes of ``json.dumps(payload,
+sort_keys=True, indent=2)``, its scalars formatted in one call to the stdlib's
+C encoder. CSV is one header line, then one row per record, each cell
+``repr(float(cell))`` so a float reads back exactly; ``write_csv`` fills one row
+template per ``ROW_CHUNK`` rows, and ``read_csv`` reads it back, its header
+optional. Text inputs are read line by line through ``text_lines``, arrays through
+``float_array`` (``finite_array`` where NaN and Inf are invalid), and every model
+record stores its own through ``freeze``, as read-only copies.
 """
 from __future__ import annotations
 
@@ -28,6 +28,19 @@ _ENCODE = json.JSONEncoder(separators=("\n", ": ")).encode
 _KEY = json.encoder.encode_basestring_ascii
 _LEAF = "%s"  # a scalar's place: the static text is a %-format, so keys double "%"
 _NESTED = (dict, list, tuple)
+# table rows formatted per write; bounds a table writer's memory
+ROW_CHUNK = 4096
+
+
+def write_file(path, text) -> None:
+    """Write ``text``, a string or string chunks, to ``path``, making its directory;
+    the first chunk is formatted before the file opens, which writes it faster."""
+    chunks = iter([text] if isinstance(text, str) else text)
+    first = next(chunks, "")
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w") as fh:
+        fh.write(first)
+        fh.writelines(chunks)
 
 
 def dump_json(payload, path=None) -> str:
@@ -42,7 +55,7 @@ def dump_json(payload, path=None) -> str:
     tokens = tuple(_ENCODE(leaves)[1:-1].split("\n")) if leaves else ()
     text = "".join(parts) % tokens
     if path is not None:
-        Path(path).write_text(text)
+        write_file(path, text)
     return text
 
 
@@ -194,22 +207,33 @@ def format_cells(rows) -> list[str]:
     return list(map(repr, np.asarray(rows, dtype=float).ravel().tolist()))
 
 
-def write_csv(path, header, rows) -> None:
-    """Write the header cells, then each row of a (records x columns) array.
+def write_csv(path, header, rows, sep=",", head=True) -> None:
+    """Write the header line unless ``head`` is False, then each row of a
+    (records x columns) array, its cells joined by ``sep``.
 
     ``rows`` may instead be its row-major list of cells from ``format_cells``.
     Ragged rows, or rows not as wide as the header, raise DimensionMismatchError.
     """
     width = len(header)
     try:
-        if not (isinstance(rows, list) and (not rows or isinstance(rows[0], str))):
-            rows = format_cells(np.asarray(rows, dtype=float).reshape(len(rows), width))
-        text = ("%s," * (width - 1) + "%s\n") * (len(rows) // width) % tuple(rows)
+        rows = (tuple(rows) if isinstance(rows, list) and (not rows or isinstance(rows[0], str))
+                else np.asarray(rows, dtype=float).reshape(len(rows), width).ravel())
+        if len(rows) % width:
+            raise ValueError(f"{len(rows)} cells")
     except (ValueError, TypeError, ZeroDivisionError) as exc:  # no table ``width`` cells wide
         raise DimensionMismatchError(
             f"{path}: rows are not {width} numeric cells wide: {exc}") from None
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n" + text)
+    row, step = sep.join(["%s"] * width) + "\n", ROW_CHUNK * width
+
+    def text():
+        line = sep.join(header) + "\n" if head else ""  # before the first chunk's rows
+        for start in range(0, max(len(rows), 1), step):
+            cells = rows[start:start + step]
+            cells = cells if isinstance(cells, tuple) else tuple(map(repr, cells.tolist()))
+            yield line + row * (len(cells) // width) % cells
+            line = ""
+
+    write_file(path, text())
 
 
 def read_csv(path) -> np.ndarray:

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import encoding, evaluation, kmp, perception, pipeline, synergy, synthetic
-from ._io import dump_json, read_csv, write_csv
+from ._io import dump_json, read_csv, write_csv, write_file
 from .errors import SynkitError, UsageError
 
 class _Parser(argparse.ArgumentParser):
@@ -113,17 +113,10 @@ def _load_config(args):
     return dataclasses.replace(config, out_dir=args.out, **overrides).validate()
 
 
-def _out_dir(args) -> Path:
-    """The --out directory, made only once the command has its results to write."""
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _cmd_fit_synergies(args):
     config = _load_config(args)
     basis = synergy.fit_synergy_basis(read_csv(args.input), config.synergy_threshold)
-    out = _out_dir(args)
+    out = Path(args.out)
     basis.to_json(out / "basis.json")
     print(f"retained {basis.synergy_dim} synergies "
           f"(fractions {np.round(basis.variance_fractions, 4).tolist()}) -> {out / 'basis.json'}")
@@ -133,7 +126,7 @@ def _cmd_fit_synergies(args):
 def _cmd_encode(args):
     config = _load_config(args)
     _, basis, model, reference = pipeline.build_reference(config)
-    out = _out_dir(args)
+    out = Path(args.out)
     pipeline.save_learning(out, basis, model, reference)
     print(f"encoded {config.demo_count} demos into {len(reference)} reference points "
           f"-> {out / 'reference.json'}")
@@ -142,7 +135,7 @@ def _cmd_encode(args):
 
 def _cmd_kmp_predict(args):
     points = _load_config(args).dense_points
-    out = Path(args.out)  # save_kmp_predictions makes it once the prediction passes
+    out = Path(args.out)
     reference = encoding.ReferenceTrajectory.from_json(args.reference)
     alpha = args.alpha if args.kernel == "cauchy" else None
     spec = kmp.KernelSpec(kind=args.kernel, l=args.length_scale,
@@ -161,7 +154,7 @@ def _cmd_segment(args):
     svm = perception.SvmModel.from_json(args.svm) if args.command == "classify" else None
     record, inliers, outliers = pipeline.detect_objects(
         config, perception.load_cloud(args.cloud), svm)
-    out = _out_dir(args)
+    out = Path(args.out)
     dump_json(record, out / "segmentation.json")
     if svm is None:
         print(f"plane inliers {inliers.shape[0]}, outliers {outliers.shape[0]}, "
@@ -195,7 +188,7 @@ def benchmark_dataset(config: pipeline.PipelineConfig):
 
 
 def _cmd_benchmark(args):
-    out = Path(args.out)  # benchmark_kernels makes it once every kernel is fitted
+    out = Path(args.out)
     config = _load_config(args)
     reference, dense, actual, adaptations = benchmark_dataset(config)
     specs = [kmp.KernelSpec(kind=kind, l=args.length_scale, sigma2=config.kernel_sigma2,
@@ -205,8 +198,8 @@ def _cmd_benchmark(args):
         reference, adaptations, specs, lam=args.kmp_lambda, seed=config.seed,
         grid=dense, actual=actual, dataset_id=f"{config.task}-synthetic",
         dump_dir=out)
-    (out / "report.json").write_text(report.to_json())
-    (out / "report.txt").write_text(report.to_text())
+    write_file(out / "report.json", report.to_json())
+    write_file(out / "report.txt", report.to_text())
     print(report.to_text(), end="")
     return 0
 
@@ -223,7 +216,7 @@ def _cmd_simulate(args):
 
 def _cmd_generate(args):
     config = _load_config(args)
-    out = _out_dir(args)
+    out = Path(args.out)
     task, seed = config.task, config.seed
     if args.what == "demos":
         demos, truth = synthetic.generate_synthetic_demos(

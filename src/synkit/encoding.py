@@ -109,11 +109,8 @@ class ReferenceTrajectory(JsonRecord):
     def to_csv(self, path):
         """Write rows of t, mean components, then the flattened covariance."""
         s = self.synergy_dim
-        header = (
-            ["t"]
-            + [f"mu{i + 1}" for i in range(s)]
-            + [f"sigma{i + 1}{j + 1}" for i in range(s) for j in range(s)]
-        )
+        header = (["t"] + [f"mu{i + 1}" for i in range(s)]
+                  + [f"sigma{i + 1}{j + 1}" for i in range(s) for j in range(s)])
         flat_covs = self.covariances.reshape(len(self), s * s)
         write_csv(path, header, np.column_stack([self.times, self.means, flat_covs]))
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._io import dump_json, finite_array, format_cells, write_csv
+from ._io import dump_json, finite_array, float_array, format_cells, write_csv
 from .encoding import ReferenceTrajectory
 from .errors import DimensionMismatchError, LengthMismatchError, ZeroVarianceError
 from .kmp import apply_via_points, kmp_fit, kmp_predict
@@ -21,8 +21,8 @@ def pearson_r(actual, predicted) -> float:
     standard deviations. Invariant under positive affine transforms of
     either argument; raises ZeroVarianceError when either input is constant.
     """
-    a = np.asarray(actual, dtype=float).reshape(-1)
-    p = np.asarray(predicted, dtype=float).reshape(-1)
+    a = float_array(actual, "actual").reshape(-1)
+    p = float_array(predicted, "predicted").reshape(-1)
     if a.shape != p.shape:
         raise LengthMismatchError(f"length mismatch: {a.shape[0]} vs {p.shape[0]}")
     if a.shape[0] < 2:
@@ -37,8 +37,8 @@ def pearson_r(actual, predicted) -> float:
 
 def rmse(actual, predicted) -> float:
     """Root mean squared difference between two equal-length sequences."""
-    a = np.asarray(actual, dtype=float).reshape(-1)
-    p = np.asarray(predicted, dtype=float).reshape(-1)
+    a = float_array(actual, "actual").reshape(-1)
+    p = float_array(predicted, "predicted").reshape(-1)
     if a.shape != p.shape:
         raise LengthMismatchError(f"length mismatch: {a.shape[0]} vs {p.shape[0]}")
     if a.shape[0] < 1:
@@ -116,8 +116,7 @@ def benchmark_kernels(reference: ReferenceTrajectory, adaptations, kernel_specs,
     solved side by side in one system.
 
     Every predicted trajectory is written to ``dump_dir`` as CSV, once every
-    kernel has been fitted, so a failed fit writes none and leaves
-    ``dump_dir`` unmade.
+    kernel has been fitted, so a failed fit writes none.
     """
     specs, adaptations = list(kernel_specs), list(adaptations)
     if not specs or not adaptations or len(reference) == 0:
@@ -152,7 +151,6 @@ def benchmark_kernels(reference: ReferenceTrajectory, adaptations, kernel_specs,
         for idx, means in enumerate(predicted):
             trajectories[f"trajectory_{spec.kind}_adaptation{idx}.csv"] = means
 
-    Path(dump_dir).mkdir(parents=True, exist_ok=True)
     header = (["t"] + [f"actual{j + 1}" for j in range(s)]
               + [f"predicted{j + 1}" for j in range(s)])
     width, shared = len(header), format_cells(np.column_stack([grid, actual.means]))

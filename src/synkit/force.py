@@ -9,7 +9,6 @@ error maps back to a synergy correction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -35,8 +34,6 @@ class GraspModel:
     object wrench; ``stiffness`` (3 n_c x J) maps joint displacements to
     contact-force changes; ``hand_jacobian`` (3 n_c x J) and the diagonal
     ``motor_constant`` (J x J) relate motor currents to contact forces.
-    The constant pseudo-inverses are cached per model (no ``slots``:
-    ``cached_property`` stores them in the instance ``__dict__``).
     """
 
     grasp_matrix: np.ndarray
@@ -64,25 +61,13 @@ class GraspModel:
     def joint_dim(self):
         return self.stiffness.shape[1]
 
-    @cached_property
-    def grasp_pinv(self) -> np.ndarray:
-        """Pseudo-inverse of the grasp matrix, computed on first use."""
-        return _stable_pinv(self.grasp_matrix, "grasp matrix")
-
-    @cached_property
-    def actuation_pinv(self) -> np.ndarray:
-        """Pseudo-inverse of hand Jacobian times motor constant, computed on first use."""
-        return _stable_pinv(self.hand_jacobian @ self.motor_constant,
-                            "hand Jacobian times motor constant")
-
 
 def _stable_pinv(matrix, name):
     """``pinv(matrix)``, or RankDeficientError when its condition exceeds COND_LIMIT.
 
     One SVD serves the condition test and the pseudo-inverse, built as
     ``np.linalg.pinv`` builds it: no singular value passing the test falls
-    below pinv's cutoff, so the result is bit-equal. A raised error is not
-    cached, so every later use of a rank-deficient model raises again.
+    below pinv's cutoff, so the result is bit-equal.
     """
     u, sv, vt = np.linalg.svd(matrix, full_matrices=False)
     if sv[-1] <= 0.0 or sv[0] / sv[-1] > COND_LIMIT:
@@ -105,7 +90,7 @@ def contact_forces(model: GraspModel, omega, basis: SynergyBasis, delta_e) -> np
     if basis.joint_dim != model.joint_dim:
         raise DimensionMismatchError("grasp model joints disagree with the basis")
     dq_ref = basis.e_hat @ delta_e
-    flat = model.grasp_pinv @ omega + model.stiffness @ dq_ref
+    flat = _stable_pinv(model.grasp_matrix, "grasp matrix") @ omega + model.stiffness @ dq_ref
     return flat.reshape(model.n_contacts, 3)
 
 
@@ -117,8 +102,8 @@ def friction_cone_check(force, mu: float):
     Python bool for a single 3-vector. A positive normal with zero
     tangential is stable (infinite ratio); a non-positive normal never is.
     """
-    if mu <= 0.0:
-        raise InvalidInputError("friction coefficient must be positive")
+    if not 0.0 < mu < np.inf:
+        raise InvalidInputError(f"friction coefficient mu must be positive and finite, got {mu!r}")
     f = float_array(force, "force")
     if f.shape[-1:] != (3,):
         raise DimensionMismatchError("forces must be 3-vectors along the last axis")
@@ -131,10 +116,11 @@ def friction_cone_check(force, mu: float):
 
 def motor_currents(model: GraspModel, forces) -> np.ndarray:
     """Least-squares motor currents realizing the requested contact forces."""
-    flat = np.asarray(forces, dtype=float).reshape(-1)
+    flat = float_array(forces, "forces").reshape(-1)
     if flat.shape[0] != 3 * model.n_contacts:
         raise DimensionMismatchError("forces must supply one 3-vector per contact")
-    return model.actuation_pinv @ flat
+    return _stable_pinv(model.hand_jacobian @ model.motor_constant,
+                        "hand Jacobian times motor constant") @ flat
 
 
 def realized_forces(model: GraspModel, currents) -> np.ndarray:
@@ -145,7 +131,7 @@ def realized_forces(model: GraspModel, currents) -> np.ndarray:
 
 def grip_force(forces) -> float:
     """Scalar grip magnitude: mean normal (z) component over contacts."""
-    forces = np.asarray(forces, dtype=float).reshape(-1, 3)
+    forces = float_array(forces, "forces").reshape(-1, 3)
     return float(forces[:, 2].mean())
 
 
@@ -164,6 +150,8 @@ def adapt_force(error: float, coupling_pinv: np.ndarray, gain: float = 0.5) -> n
     product ``stiffness @ e_hat`` (a least-squares fit), scaled by ``gain``.
     Linear in the error and zero when it is zero.
     """
-    if gain <= 0.0:
-        raise InvalidInputError("gain must be positive")
+    if not 0.0 < gain < np.inf:
+        raise InvalidInputError(f"gain must be positive and finite, got {gain!r}")
+    if not np.isfinite(error):
+        raise InvalidInputError(f"error must be finite, got {error!r}")
     return gain * (coupling_pinv @ (float(error) * normal_pattern(coupling_pinv.shape[1] // 3)))

@@ -9,11 +9,10 @@ an identity block structure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from ._io import freeze, write_csv
+from ._io import float_array, freeze, write_csv
 from .encoding import ReferenceTrajectory, _spectrum
 from .errors import (
     COND_LIMIT,
@@ -135,7 +134,7 @@ def build_kernel_matrix(spec: KernelSpec, times, dim: int = 1) -> np.ndarray:
     identically on every output dimension. For ``dim == 1`` the fresh N x N
     kernel array itself is returned, so a caller may write into it.
     """
-    times = np.asarray(times, dtype=float)
+    times = float_array(times, "times")
     if times.ndim != 1 or times.size == 0:
         raise DimensionMismatchError("times must be a nonempty 1-D array")
     # an l**2 that underflows to 0 gives 0/0 here, which _require_conditioned reports
@@ -250,7 +249,7 @@ def kmp_predict(model: KmpModel, times) -> np.ndarray:
 
     Kernel rows are built for one block of query times at a time.
     """
-    t = np.asarray(times, dtype=float)
+    t = float_array(times, "times")
     flat = t.reshape(-1)
     means = np.empty((flat.size, model.reference.synergy_dim))
     for start in range(0, flat.size, _QUERY_BLOCK):
@@ -286,7 +285,7 @@ def kmp_predict_cov(model: KmpModel, times) -> np.ndarray:
     a_cov.reshape(n, s, n, s)[diagonal, :, diagonal, :] += model.lam * ref.covariances
     _drop_subnormal_products(a_cov, model.kernel.sigma2)
     _require_conditioned(a_cov, model.lam * least, model.kernel, "(K + lambda Sigma)")
-    flat = np.asarray(times, dtype=float).reshape(-1)
+    flat = float_array(times, "times").reshape(-1)
     quad = np.empty((flat.size, s, s))
     for start in range(0, flat.size, _QUERY_BLOCK):
         block = flat[start:start + _QUERY_BLOCK]
@@ -372,13 +371,9 @@ def fuse_priorities(trajectories, priorities) -> ReferenceTrajectory:
 
 
 def save_kmp_predictions(path, model: KmpModel, times):
-    """Predict on ``times`` and write the CSV: t, mean components, diagonal variances.
-
-    The directory of ``path`` is made once the prediction has passed its checks.
-    """
+    """Predict on ``times`` and write the CSV: t, mean components, diagonal variances."""
     means = kmp_predict(model, times)
     variances = np.diagonal(kmp_predict_cov(model, times), axis1=1, axis2=2)
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
     s = means.shape[1]
     header = ["t"] + [f"mu{i + 1}" for i in range(s)] + [f"var{i + 1}" for i in range(s)]
     write_csv(path, header, np.column_stack([times, means, variances]))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import JsonRecord, finite_array, float_array, freeze, text_lines
+from ._io import JsonRecord, finite_array, float_array, freeze, text_lines, write_csv
 from .errors import (
     DegenerateCloudError,
     DimensionMismatchError,
@@ -45,8 +45,6 @@ _CELL_BLOCK = 4096
 # plane-to-point distances per RANSAC scoring step; its distance and mask
 # buffers hold 9 bytes per distance, 576 KiB (9 n bytes for a cloud of n > 2^16)
 _SCORE_BLOCK = 1 << 16
-# cloud rows formatted per write; bounds save_cloud's memory
-_SAVE_ROWS = 4096
 # most RANSAC samples per fit; all their triples are held at once, ~0.2 GB at the bound
 RANSAC_MAX_ITERATIONS = 1_000_000
 # largest |coordinate| RANSAC takes: a triple's cross product is at most 8 s^2
@@ -110,12 +108,8 @@ def _parse_lines(path) -> np.ndarray:
 
 
 def save_cloud(path, points) -> None:
-    """Write one "x y z" line per point, each coordinate as ``repr(float)``."""
-    points = float_array(points, "points")
-    with open(path, "w") as fh:
-        for start in range(0, points.shape[0], _SAVE_ROWS):
-            rows = points[start:start + _SAVE_ROWS].tolist()
-            fh.write("".join([f"{x!r} {y!r} {z!r}\n" for x, y, z in rows]))
+    """Write (n, 3) points as "x y z" lines of ``repr`` floats, checked before opening."""
+    write_csv(path, ("x", "y", "z"), float_array(points, "points"), sep=" ", head=False)
 
 
 def ransac_plane(cloud, iterations: int = 200, inlier_threshold: float = 0.005,
@@ -261,10 +255,11 @@ def euclidean_cluster(cloud, epsilon: float, min_points: int = 1) -> list[Cluste
         raise InvalidInputError(f"epsilon must be positive, got {epsilon!r}")
     if min_points < 1:
         raise InvalidInputError("min_points must be >= 1")
-    points = finite_array(cloud, "cloud").reshape(-1, 3)
-    n = points.shape[0]
-    if n == 0:
+    points = finite_array(cloud, "cloud")
+    if points.size == 0:
         return []
+    if points.shape[1:] != (3,):
+        raise DimensionMismatchError(f"cloud must be (n, 3), got shape {points.shape}")
     with np.errstate(over="ignore"):  # past 1.8e308
         extent = float(np.ptp(points, axis=0).max())
     if not extent <= 1e13 * epsilon:
@@ -317,7 +312,7 @@ def euclidean_cluster(cloud, epsilon: float, min_points: int = 1) -> list[Cluste
                 joined = np.flatnonzero(np.bincount(pair[near], minlength=1))
                 _link(parent, a[joined], b[joined])
             a, b = a[take:], b[take:]
-    labels = np.empty(n, dtype=np.int64)  # the root cell of each point's component
+    labels = np.empty(len(points), dtype=np.int64)  # the root cell of each point's component
     labels[order] = np.repeat(_roots(parent, np.arange(cells.size)), counts)
     sizes = np.bincount(labels)
     members = np.argsort(labels, kind="stable")

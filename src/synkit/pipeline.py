@@ -592,8 +592,7 @@ def run_task(config: PipelineConfig) -> TaskLog:
 
     if config.out_dir is not None:
         out_dir = Path(config.out_dir)
-        # the dense prediction, for plotting only, goes first: its covariance
-        # check can fail, and save_kmp_predictions makes out_dir only once it passes
+        # the dense prediction, for plotting only, goes first: its covariance check can fail
         with _stage("adaptation"):
             dense = np.linspace(0.0, 1.0, config.dense_points)
             kmp.save_kmp_predictions(out_dir / "predictions.csv", adapted, dense)

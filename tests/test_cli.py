@@ -417,6 +417,13 @@ def egg_reference(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def egg_postures(tmp_path_factory):
+    out = tmp_path_factory.mktemp("demos")
+    assert cli_dispatch(["generate", "demos", "--task", "egg", "--out", str(out)]) == 0
+    return out / "postures.csv"
+
+
+@pytest.fixture(scope="module")
 def egg_scene(tmp_path_factory):
     out = tmp_path_factory.mktemp("scene")
     assert cli_dispatch(["generate", "scene", "--task", "egg", "--out", str(out)]) == 0
@@ -424,7 +431,7 @@ def egg_scene(tmp_path_factory):
 
 
 # Every KMP number a user can give, and every other float of simulate, segment,
-# classify, encode and generate demos, at each finite extreme: the run either
+# classify, encode, generate demos and fit-synergies, at each finite extreme: the run either
 # succeeds with finite CSVs and nonnegative predicted variances, or exits 2 with
 # one error line and no --out; either way without a warning. Sizes and loop
 # counts are not swept.
@@ -443,6 +450,7 @@ SWEEP = (
                      "force_lag", "demo_noise", "synergy_threshold")]
     + [(argv, flag) for argv in SCENE_COMMANDS for flag in ("--threshold", "--epsilon")]
     + [(argv, "--noise") for argv in (("encode",), ("generate", "demos"))]
+    + [(("fit-synergies", "--input", "{postures}"), "--threshold")]
 )
 SWEEP_CASES = [
     pytest.param(argv, knob, value, id=f"{' '.join(argv)} {knob}={value}")
@@ -451,11 +459,11 @@ SWEEP_CASES = [
 
 
 @pytest.mark.parametrize("argv,knob,value", SWEEP_CASES)
-def test_numbers_at_finite_extremes(argv, knob, value, egg_reference, egg_scene, tmp_path,
-                                    capsys):
+def test_numbers_at_finite_extremes(argv, knob, value, egg_reference, egg_scene, egg_postures,
+                                    tmp_path, capsys):
     config = tmp_path / "config.json"
     argv = [a.format(reference=egg_reference, config=config, cloud=egg_scene / "scene.xyz",
-                     svm=egg_scene / "svm.json") for a in argv]
+                     svm=egg_scene / "svm.json", postures=egg_postures) for a in argv]
     if knob.startswith("--"):
         argv.append(f"{knob}={value}")
     else:

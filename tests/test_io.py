@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from synkit import encoding, force, kmp, perception, pipeline, synergy
+from synkit import _io, encoding, evaluation, force, kmp, perception, pipeline, synergy
 from synkit._io import dump_json, format_cells, read_csv, write_csv
 from synkit.errors import ConfigInvalidError, DimensionMismatchError, InvalidInputError
 
@@ -185,6 +185,15 @@ def test_csv_writer_gives_the_row_join_bytes(width, n_rows, rng, tmp_path):
         assert read_csv(tmp_path / "array.csv").tobytes() == rows.tobytes()
 
 
+def test_csv_rows_in_chunks_make_the_directory(rng, tmp_path, monkeypatch):
+    monkeypatch.setattr(_io, "ROW_CHUNK", 3)
+    rows = rng.standard_normal((10, 2))
+    for name, given in (("array", rows), ("cells", format_cells(rows))):
+        path = tmp_path / name / "nested" / "table.csv"
+        write_csv(path, ["a", "b"], given)
+        assert path.read_text() == oracle_csv(["a", "b"], rows.tolist()), name
+
+
 @pytest.mark.parametrize("rows", [
     [[1.0, 2.0, 3.0], [1.0]],  # ragged
     [(1.0, 2.0, 3.0), (1.0, 2.0)],
@@ -290,6 +299,15 @@ def test_record_file_that_is_not_json_is_named(cls, error, text, tmp_path):
 
 
 RAGGED = [[1, 2, 3], [1]]
+SPEC = kmp.KernelSpec(kind="gaussian", l=0.1, sigma2=1.0)
+GRASP = force.GraspModel(grasp_matrix=np.eye(6, 9), stiffness=np.zeros((9, 6)),
+                         hand_jacobian=np.eye(9, 6), motor_constant=np.eye(6))
+
+
+def kmp_model():
+    reference = encoding.ReferenceTrajectory(times=[0.0, 0.5, 1.0], means=np.zeros((3, 1)),
+                                             covariances=np.ones((3, 1, 1)))
+    return kmp.kmp_fit(reference, SPEC)
 
 
 @pytest.mark.parametrize("call,name", [
@@ -297,11 +315,21 @@ RAGGED = [[1, 2, 3], [1]]
     (lambda out: perception.ransac_plane(RAGGED), "cloud"),
     (lambda out: perception.euclidean_cluster(RAGGED, epsilon=0.1), "cloud"),
     (lambda out: perception.save_cloud(out, RAGGED), "points"),
-    (lambda out: kmp.kernel_eval(kmp.KernelSpec(kind="gaussian", l=0.1, sigma2=1.0),
-                                 RAGGED, 0.0), "t1"),
+    (lambda out: kmp.kernel_eval(SPEC, RAGGED, 0.0), "t1"),
     (lambda out: force.friction_cone_check(RAGGED, 0.5), "force"),
+    (lambda out: kmp.build_kernel_matrix(SPEC, RAGGED), "times"),
+    (lambda out: kmp.kmp_predict(kmp_model(), RAGGED), "times"),
+    (lambda out: kmp.kmp_predict_cov(kmp_model(), RAGGED), "times"),
+    (lambda out: force.motor_currents(GRASP, RAGGED), "forces"),
+    (lambda out: force.grip_force(RAGGED), "forces"),
+    (lambda out: evaluation.pearson_r(RAGGED, [1.0, 2.0]), "actual"),
+    (lambda out: evaluation.rmse([1.0, 2.0], RAGGED), "predicted"),
+    (lambda out: perception.euclidean_cluster([1.0] * 6, epsilon=0.1), "cloud"),
+    (lambda out: perception.euclidean_cluster([1.0] * 4, epsilon=0.1), "cloud"),
 ], ids=["svm_train", "ransac_plane", "euclidean_cluster", "save_cloud", "kernel_eval",
-        "friction_cone_check"])
+        "friction_cone_check", "build_kernel_matrix", "kmp_predict", "kmp_predict_cov",
+        "motor_currents", "grip_force", "pearson_r", "rmse", "euclidean_cluster-flat6",
+        "euclidean_cluster-flat4"])
 def test_ragged_input_raises_dimension_mismatch_naming_it(call, name, tmp_path):
     out = tmp_path / "cloud.xyz"
     with pytest.raises(DimensionMismatchError, match=f"^{name} "):

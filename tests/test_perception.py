@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from synkit import perception, pipeline, synergy, synthetic
+from synkit import _io, perception, pipeline, synergy, synthetic
 from synkit.errors import (
     DegenerateCloudError,
     DimensionMismatchError,
@@ -811,6 +811,22 @@ class TestCloudIo:
         path.write_text(text)
         loaded = perception.load_cloud(path)
         assert np.array_equal(loaded, pts)
+
+    @pytest.mark.parametrize("points", [[1.0, 2.0], [[1.0, 2.0], [3.0, 4.0]]],
+                             ids=["flat", "pairs"])
+    def test_save_rejects_points_that_are_not_triples_before_opening(self, points, tmp_path):
+        path = tmp_path / "cloud.xyz"
+        path.write_text("0.5 1.5 2.5\n")
+        with pytest.raises(DimensionMismatchError, match="rows are not 3 numeric cells wide"):
+            perception.save_cloud(path, points)
+        assert path.read_text() == "0.5 1.5 2.5\n"
+
+    def test_save_writes_repr_triples_in_row_chunks(self, tmp_path, rng, monkeypatch):
+        monkeypatch.setattr(_io, "ROW_CHUNK", 4)
+        pts = rng.standard_normal((10, 3)) * 10.0 ** rng.integers(-300, 300, (10, 3))
+        path = tmp_path / "new" / "cloud.xyz"
+        perception.save_cloud(path, pts)
+        assert path.read_text() == "".join(f"{x!r} {y!r} {z!r}\n" for x, y, z in pts.tolist())
 
     def test_rejects_nan(self, tmp_path):
         path = tmp_path / "bad.xyz"
