@@ -33,12 +33,16 @@ ROW_CHUNK = 4096
 
 
 def write_file(path, text) -> None:
-    """Write ``text``, a string or string chunks, to ``path``, making its directory;
-    the first chunk is formatted before the file opens, which writes it faster."""
+    """Write ``text``, a string or string chunks, to ``path``, making its directory when
+    the open finds none; the first chunk is formatted first, which writes it faster."""
     chunks = iter([text] if isinstance(text, str) else text)
     first = next(chunks, "")
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
+    try:
+        fh = open(path, "w")
+    except FileNotFoundError:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        fh = open(path, "w")
+    with fh:
         fh.write(first)
         fh.writelines(chunks)
 

@@ -142,7 +142,7 @@ def _cmd_kmp_predict(args):
                           sigma2=args.sigma2, alpha=alpha)
     model = kmp.kmp_fit(reference, spec, args.kmp_lambda)
     grid = np.linspace(float(reference.times[0]), float(reference.times[-1]), points)
-    kmp.save_kmp_predictions(out / "predictions.csv", model, grid)
+    write_csv(out / "predictions.csv", *kmp.prediction_table(model, grid))
     print(f"predicted {points} points with {args.kernel} kernel "
           f"-> {out / 'predictions.csv'}")
     return 0

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import JsonRecord, finite_array, freeze, write_csv
+from ._io import JsonRecord, finite_array, float_array, freeze, write_csv
 from .errors import (
     DegenerateComponentError,
     DimensionMismatchError,
@@ -35,6 +35,19 @@ _COV_FLOOR = 1e-6
 # Slack for the per-iteration log-likelihood monotonicity check.
 _LL_SLACK = 1e-7
 _COLLAPSED = "collapsed below the regularization floor"
+# A mixture component costs about 90-120 bytes per EM sample: k-means++
+# seeding, Lloyd and every E-step hold (M, C, d) or (C, d, M) float64
+# temporaries, with d = 3 for the tasks' two synergies. Measured as +267 MiB
+# of peak RSS for encode --count 40 --grid-points 2000 (80,000 samples) at 40
+# components against 10, and 918 MiB peak and 4 minutes at 100 components on
+# 100,000 samples (50 demos).
+MAX_GMM_COMPONENTS = 100
+# That cost is components times samples (demos times grid times): +80 MiB of
+# peak RSS for encode --count 40 --grid-points 500 (20,000 samples) at 50
+# components against 10, about 105 bytes per component-sample, so the 10^7
+# allowed take about 1 GiB, as the 918 MiB peak at 100 components on 100,000
+# samples confirms; 100 components on 500 demos of 2,000 times would take 9 GiB.
+MAX_COMPONENT_SAMPLES = 10_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,7 +136,7 @@ def interpolate_coefficients(demos, basis: SynergyBasis, grid) -> np.ndarray:
     interpolated onto ``grid``, which must strictly increase within [0, 1].
     Returns the (D, T, S) coefficients of the D demos on the T grid times.
     """
-    grid = np.asarray(grid, dtype=float)
+    grid = float_array(grid, "grid")
     if grid.ndim != 1 or grid.size == 0:
         raise DimensionMismatchError("grid must be a nonempty 1-D array")
     if not (grid.min() >= -1e-12 and grid.max() <= 1.0 + 1e-12):  # NaN is not within
@@ -132,8 +145,7 @@ def interpolate_coefficients(demos, basis: SynergyBasis, grid) -> np.ndarray:
         raise NonMonotonicTimeError("grid times must strictly increase")
     out = np.empty((len(demos), grid.size, basis.synergy_dim))
     for resampled, (times, angles) in zip(out, demos):
-        times = np.asarray(times, dtype=float)
-        angles = np.asarray(angles, dtype=float)
+        times, angles = float_array(times, "demo times"), float_array(angles, "demo angles")
         if times.ndim != 1 or times.shape[0] < 2:
             raise EmptyDemoError("each demo needs at least 2 samples")
         if not np.all(np.diff(times) > 0.0):
@@ -332,15 +344,21 @@ def fit_gmm(times, coeffs, n_components: int = 5, seed: int = 0,
     ``max_iter`` bounds the M-steps; the fit stops once an accepted iterate
     gains less than ``tol`` and returns one EM step past it. Raises
     DegenerateComponentError when a component keeps collapsing despite the
-    floor.
+    floor, InvalidInputError past MAX_GMM_COMPONENTS or MAX_COMPONENT_SAMPLES.
     """
-    if n_components < 1:
-        raise InvalidInputError("n_components must be >= 1")
+    if not 1 <= n_components <= MAX_GMM_COMPONENTS:
+        raise InvalidInputError(
+            f"n_components must be >= 1 and <= {MAX_GMM_COMPONENTS}, got {n_components!r}")
     if max_iter < 1:
         raise InvalidInputError("max_iter must be >= 1")
     times, coeffs = finite_array(times, "times"), finite_array(coeffs, "coeffs")
     if times.ndim != 1 or coeffs.ndim != 3 or coeffs.shape[1] != times.shape[0]:
         raise DimensionMismatchError("coeffs must be (D, T, S) aligned with times (T,)")
+    size = n_components * coeffs.shape[0] * coeffs.shape[1]
+    if size > MAX_COMPONENT_SAMPLES:
+        raise InvalidInputError(
+            f"n_components * demos * times must be <= {MAX_COMPONENT_SAMPLES}, got "
+            f"{n_components} * {coeffs.shape[0]} * {coeffs.shape[1]} = {size}")
     x = np.column_stack([np.tile(times, coeffs.shape[0]), coeffs.reshape(-1, coeffs.shape[2])])
     m, d = x.shape
     if m < n_components * (d + 1):
@@ -402,7 +420,7 @@ def gmr_condition(model: GmmModel, t):
     time densities; the blended covariance is moment-matched so it stays
     symmetric PSD.
     """
-    t = np.asarray(t, dtype=float)
+    t = float_array(t, "t")
     q, s, n = t.size, model.output_dim, model.n_components
     gain = model.covariances[:, 0, 1:] / model.covariances[:, 0, :1]
     # (Q, C, S): every component's conditional mean at every time
@@ -422,5 +440,6 @@ def gmr_condition(model: GmmModel, t):
 
 def generate_reference(model: GmmModel, grid) -> ReferenceTrajectory:
     """Condition the mixture on every grid time to build the reference."""
+    grid = float_array(grid, "grid")
     means, covs = gmr_condition(model, grid)
     return ReferenceTrajectory(times=grid, means=means, covariances=covs)

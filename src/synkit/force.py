@@ -81,8 +81,7 @@ def contact_forces(model: GraspModel, omega, basis: SynergyBasis, delta_e) -> np
     Returns ``G^+ omega + stiffness . E . delta_e`` partitioned into one
     3-vector per contact (rows). Affine in (omega, delta_e).
     """
-    omega = np.asarray(omega, dtype=float)
-    delta_e = np.asarray(delta_e, dtype=float)
+    omega, delta_e = float_array(omega, "omega"), float_array(delta_e, "delta_e")
     if omega.shape != (6,):
         raise DimensionMismatchError("external wrench must be a 6-vector")
     if delta_e.shape != (basis.synergy_dim,):
@@ -125,7 +124,7 @@ def motor_currents(model: GraspModel, forces) -> np.ndarray:
 
 def realized_forces(model: GraspModel, currents) -> np.ndarray:
     """Contact forces produced by a current vector, per contact."""
-    flat = model.hand_jacobian @ model.motor_constant @ np.asarray(currents, dtype=float)
+    flat = model.hand_jacobian @ model.motor_constant @ float_array(currents, "currents")
     return flat.reshape(model.n_contacts, 3)
 
 

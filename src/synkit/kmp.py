@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import float_array, freeze, write_csv
+from ._io import float_array, freeze
 from .encoding import ReferenceTrajectory, _spectrum
 from .errors import (
     COND_LIMIT,
@@ -43,6 +43,12 @@ KERNEL_KINDS = ("exponential", "gaussian", "cauchy")
 _QUERY_BLOCK = 256
 
 _SQRT_TINY = np.sqrt(np.finfo(float).tiny)
+# The KMP covariance system is (2N)^2 float64, 32 N^2 bytes, with S = 2 in
+# every run that fits KMP on the pipeline's reference; at most four such arrays
+# are live at once (kernel, Kronecker product, solve copy, eigvalsh), 128 N^2
+# bytes, which is 512 MB at 2,000 points. The subnormal cutoff's two boolean
+# masks, 8 N^2 bytes, are freed before the solve copy or eigvalsh is made.
+MAX_REFERENCE_POINTS = 2_000
 
 
 @dataclass(frozen=True)
@@ -235,6 +241,9 @@ def kmp_fit(reference: ReferenceTrajectory, spec: KernelSpec, lam: float = 1.0) 
         raise InvalidInputError(f"lambda must be finite and positive, got {lam!r}")
     if len(reference) == 0:
         raise DimensionMismatchError("reference trajectory is empty")
+    if len(reference) > MAX_REFERENCE_POINTS:
+        raise InvalidInputError(
+            f"reference has {len(reference)} points, more than {MAX_REFERENCE_POINTS}")
     a_mean = build_kernel_matrix(spec, reference.times)
     # kernel values are >= +0, so adding lambda on the diagonal alone is K + lambda I
     a_mean.reshape(-1)[::len(reference) + 1] += lam
@@ -351,7 +360,7 @@ def fuse_priorities(trajectories, priorities) -> ReferenceTrajectory:
         if (traj.synergy_dim != s or traj.times.shape != t.shape
                 or not np.allclose(traj.times, t, atol=1e-12)):
             raise DimensionMismatchError("trajectories must share grid and dimension")
-        w = np.broadcast_to(np.asarray(w, dtype=float), t.shape)
+        w = np.broadcast_to(float_array(w, "priorities"), t.shape)
         if not np.all((w > 0.0) & (w < np.inf)):
             raise InvalidInputError("priority weights must be finite and positive")
         weights.append(w)
@@ -370,10 +379,10 @@ def fuse_priorities(trajectories, priorities) -> ReferenceTrajectory:
                                covariances=fused)
 
 
-def save_kmp_predictions(path, model: KmpModel, times):
-    """Predict on ``times`` and write the CSV: t, mean components, diagonal variances."""
+def prediction_table(model: KmpModel, times):
+    """CSV ``(header, rows)`` of the prediction on ``times``: t, means, diagonal variances."""
     means = kmp_predict(model, times)
     variances = np.diagonal(kmp_predict_cov(model, times), axis1=1, axis2=2)
     s = means.shape[1]
     header = ["t"] + [f"mu{i + 1}" for i in range(s)] + [f"var{i + 1}" for i in range(s)]
-    write_csv(path, header, np.column_stack([times, means, variances]))
+    return header, np.column_stack([times, means, variances])

@@ -50,6 +50,11 @@ RANSAC_MAX_ITERATIONS = 1_000_000
 # largest |coordinate| RANSAC takes: a triple's cross product is at most 8 s^2
 # per axis, so the squares its norm sums stay below 192 s^4 < 1.8e308
 RANSAC_MAX_SCALE = 1e76
+# svm_train's Newton matrix loses its rank at large C. On the training fixtures
+# of both tasks at svm_seed 0-39, 20 values of C a decade, the least C that
+# failed was 6.3e3, and none of 56 from 10 to 5.6e3 did; at C >= 10 those fixtures
+# are separable, so every converged fit reads the same objective.
+MAX_SVM_C = 1e3
 
 
 @dataclass(frozen=True, eq=False)
@@ -404,11 +409,13 @@ def svm_train(features, labels, c: float = 10.0, epochs: int = 200, seed: int = 
     ``objective_history`` its objective at the start and after each iteration.
     ``seed`` is unused. Raises SingleClassError unless both classes are present,
     SingularSystemError when a Newton system is singular (as it can be at a
-    large ``c``) and InvalidInputError unless ``c`` is positive or when no
-    iterate's objective is finite.
+    large ``c``) and InvalidInputError unless ``c`` is positive and at most
+    MAX_SVM_C or when no iterate's objective is finite.
     """
     if not c > 0.0:  # NaN too
         raise InvalidInputError(f"svm_c must be positive, got {c!r}")
+    if c > MAX_SVM_C:
+        raise InvalidInputError(f"svm_c must be <= {MAX_SVM_C}, got {c!r}")
     x = finite_array(features, "features")
     if x.ndim != 2:
         raise DimensionMismatchError("features must form a 2-D array")
@@ -470,7 +477,7 @@ def svm_train(features, labels, c: float = 10.0, epochs: int = 200, seed: int = 
 
 def svm_decision(model: SvmModel, features):
     """Decision value of a feature vector (D,), or of each row of a stack (..., D)."""
-    features = np.asarray(features, dtype=float)
+    features = float_array(features, "features")
     if features.shape[-1:] != model.weights.shape:
         raise DimensionMismatchError(
             f"feature shape {features.shape} does not end in model dim {model.weights.shape}"

@@ -105,8 +105,6 @@ class PipelineConfig(JsonRecord):
                 raise ConfigInvalidError(f"{name} must be positive, got {value!r}")
             if name in _MAXIMUM and value > _MAXIMUM[name]:
                 raise ConfigInvalidError(f"{name} must be <= {_MAXIMUM[name]}, got {value!r}")
-        if self.demos_path is None:  # build_reference checks the demo files once counted
-            self.check_em_size(self.demo_count)
         if self.synergy_threshold > 1.0:
             raise ConfigInvalidError("synergy_threshold must lie in (0, 1]")
         band = (self.force_target_low, self.force_target_high)
@@ -141,14 +139,6 @@ class PipelineConfig(JsonRecord):
     def mu(self) -> float:
         return self.force_mu if self.force_mu is not None else self.scenario()["mu"]
 
-    def check_em_size(self, demo_count):
-        """Raise unless EM on ``demo_count`` demos stays within MAX_COMPONENT_SAMPLES."""
-        size = self.gmm_components * demo_count * self.reference_points
-        if size > MAX_COMPONENT_SAMPLES:
-            raise ConfigInvalidError(
-                f"gmm_components * demos * reference_points must be <= {MAX_COMPONENT_SAMPLES}, "
-                f"got {self.gmm_components} * {demo_count} * {self.reference_points} = {size}")
-
     def check_basis(self, basis):
         """Raise unless the basis keeps as many synergies as the task's waypoints have."""
         steered = self.scenario()["grasp_e"].size
@@ -172,12 +162,6 @@ _MINIMUM = {"seed": 0, "gmm_seed": 0, "ransac_seed": 0, "svm_seed": 0,
 # CSV row, measured as +61 MiB of peak RSS for 50,000 kmp-predict points at
 # the hand's largest synergy dimension S = 6; 500,000 points take 610 MiB.
 MAX_DENSE_POINTS = 500_000
-# The KMP covariance system is (2N)^2 float64, 32 N^2 bytes, with S = 2 in
-# every run that fits KMP on the reference; at most four such arrays are live
-# at once (kernel, Kronecker product, solve copy, eigvalsh), 128 N^2 bytes,
-# which is 512 MB at 2,000 points. The subnormal cutoff's two boolean masks,
-# 8 N^2 bytes, are freed before the solve copy or eigvalsh is made.
-MAX_REFERENCE_POINTS = 2_000
 # A force step costs about 2.8 KiB (its record dict, its friction flags and
 # its tasklog.json text) and 25 us, measured as +86 MiB of peak RSS and +0.8 s
 # for simulate at 64,000 steps against 32,000; 250,000 steps take 670 MiB
@@ -189,29 +173,10 @@ MAX_FORCE_STEPS = 250_000
 # for encode --grid-points 2000 at 80 demos against 40; 500 demos take
 # 560 MiB and about a minute of EM.
 MAX_DEMO_COUNT = 500
-# A mixture component costs about 90-120 bytes per EM sample: k-means++
-# seeding, Lloyd and every E-step hold (M, C, d) or (C, d, M) float64
-# temporaries, with d = 3 for the tasks' two synergies. Measured as +267 MiB
-# of peak RSS for encode --count 40 --grid-points 2000 (80,000 samples) at 40
-# components against 10, and 918 MiB peak and 4 minutes at 100 components on
-# 100,000 samples (50 demos).
-MAX_GMM_COMPONENTS = 100
-# That cost is components times samples (demos times reference_points):
-# +80 MiB of peak RSS for encode --count 40 --grid-points 500 (20,000 samples)
-# at 50 components against 10, about 105 bytes per component-sample, so the
-# 10^7 allowed take about 1 GiB, as the 918 MiB peak at 100 components on
-# 100,000 samples confirms. Without it 100 components on the largest sample
-# count, 1,000,000, would take about 9 GiB.
-MAX_COMPONENT_SAMPLES = 10_000_000
-# svm_train's Newton matrix loses its rank at large C. On the training fixtures
-# of both tasks at svm_seed 0-39, 20 values of C a decade, the least C that
-# failed was 6.3e3, and none of 56 from 10 to 5.6e3 did; at C >= 10 those fixtures
-# are separable, so every converged fit reads the same objective.
-MAX_SVM_C = 1e3
-_MAXIMUM = {"dense_points": MAX_DENSE_POINTS, "reference_points": MAX_REFERENCE_POINTS,
+_MAXIMUM = {"dense_points": MAX_DENSE_POINTS, "reference_points": kmp.MAX_REFERENCE_POINTS,
             "ransac_iterations": perception.RANSAC_MAX_ITERATIONS,
             "force_steps": MAX_FORCE_STEPS, "demo_count": MAX_DEMO_COUNT,
-            "gmm_components": MAX_GMM_COMPONENTS, "svm_c": MAX_SVM_C}
+            "gmm_components": encoding.MAX_GMM_COMPONENTS, "svm_c": perception.MAX_SVM_C}
 _CHOICES = {"task": synthetic.TASKS, "kernel_kind": kmp.KERNEL_KINDS}
 
 
@@ -302,7 +267,6 @@ def build_reference(config: PipelineConfig):
             basis = synergy.fit_synergy_basis(postures, config.synergy_threshold,
                                               theta0=synthetic.nominal_posture())
     with _stage("encoding"):
-        config.check_em_size(len(demos))
         grid = np.linspace(0.0, 1.0, config.reference_points)
         coeffs = encoding.interpolate_coefficients(demos, basis, grid)
         model = encoding.fit_gmm(grid, coeffs, n_components=config.gmm_components,
@@ -590,12 +554,13 @@ def run_task(config: PipelineConfig) -> TaskLog:
             "per_component_rmse": per_e,
         })
 
+    # the dense prediction, for plotting only, comes last whether or not it is written:
+    # its covariance check can fail
+    with _stage("adaptation"):
+        predictions = kmp.prediction_table(adapted, np.linspace(0.0, 1.0, config.dense_points))
     if config.out_dir is not None:
         out_dir = Path(config.out_dir)
-        # the dense prediction, for plotting only, goes first: its covariance check can fail
-        with _stage("adaptation"):
-            dense = np.linspace(0.0, 1.0, config.dense_points)
-            kmp.save_kmp_predictions(out_dir / "predictions.csv", adapted, dense)
+        write_csv(out_dir / "predictions.csv", *predictions)
         dump_json(record, out_dir / "segmentation.json")
         svm.to_json(out_dir / "svm.json")
         write_csv(out_dir / "grip_force.csv", ["t", "force"],

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import JsonRecord, finite_array, freeze
+from ._io import JsonRecord, finite_array, float_array, freeze
 from .errors import DimensionMismatchError, InvalidInputError, ZeroVarianceError
 
 __all__ = [
@@ -106,7 +106,7 @@ def project(basis: SynergyBasis, posture) -> np.ndarray:
     transpose. A stack is one matrix-vector product per posture, the same
     product a single posture gets, so the bytes do not depend on stacking.
     """
-    posture = np.asarray(posture, dtype=float)
+    posture = float_array(posture, "posture")
     if posture.shape[-1:] != (basis.joint_dim,):
         raise DimensionMismatchError(
             f"posture shape {posture.shape} does not end in joint dim {basis.joint_dim}"
@@ -116,7 +116,7 @@ def project(basis: SynergyBasis, posture) -> np.ndarray:
 
 def reconstruct(basis: SynergyBasis, e) -> np.ndarray:
     """Map synergy coordinates (..., S) back to joint space (..., J): ``E e + theta0``."""
-    e = np.asarray(e, dtype=float)
+    e = float_array(e, "e")
     if e.shape[-1:] != (basis.synergy_dim,):
         raise DimensionMismatchError(
             f"coordinate shape {e.shape} does not end in synergy dim {basis.synergy_dim}"

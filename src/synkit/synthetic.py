@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._io import float_array
 from .errors import InvalidInputError, UnknownTaskError
 
 __all__ = [
@@ -119,7 +120,7 @@ def coefficient_curves(task: str, times) -> np.ndarray:
     Monotone per segment in each coordinate.
     """
     sc = task_scenario(task)
-    times = np.asarray(times, dtype=float)
+    times = float_array(times, "times")
     knots = np.array([0.0, 0.12, 0.28, sc["grasp_time"], sc["manip_start_time"], 1.0])
     values = np.vstack([
         np.zeros(2), sc["preshape_e"], sc["preshape_e"],

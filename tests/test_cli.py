@@ -222,7 +222,7 @@ class TestInvalidInput:
 # data rows and one column fewer than the first,
 # {neg_reference} a reference whose covariances are -1e-3 I, {asym_reference}
 # one whose covariances differ from their transpose in the upper triangle
-# only, which eigvalsh does not read), then the text
+# only, which eigvalsh does not read, {long_reference} one of 2,001 points), then the text
 # the one error line must name, where {name} stands for that file's path.
 # {svm} is a valid classifier and {big_cloud} the plane cloud scaled by 1e80.
 # A failing command does not make --out.
@@ -291,12 +291,12 @@ CONTRACT_CASES = [
     # EM holds temporaries of components x samples, so the count is bounded
     (("simulate", "--config", "{config}"), {"gmm_components": 10**15}, "gmm_components"),
     (("encode", "--components", "1000000000000000"), None, "gmm_components"),
-    # and so is the product, checked before any demo is drawn
+    # and so is the product, which EM checks in the encoding stage before it allocates
     (("encode", "--components", "11", "--count", "500", "--grid-points", "2000"), None,
-     "gmm_components * demos * reference_points"),
+     "stage 'encoding' failed: n_components * demos * times must be <= 10000000"),
     (("simulate", "--config", "{config}"),
      {"gmm_components": 100, "demo_count": 51, "reference_points": 2000},
-     "gmm_components * demos * reference_points"),
+     "stage 'encoding' failed: n_components * demos * times must be <= 10000000"),
     # every number of segment and classify passes the config's validation
     (("segment", "--cloud", "{cloud}", "--seed", "-1"), None, "ransac_seed"),
     (("classify", "--cloud", "{cloud}", "--svm", "{svm}", "--seed", "-1"), None, "ransac_seed"),
@@ -321,6 +321,10 @@ CONTRACT_CASES = [
      "stage 'metrics' failed: KernelSpec(kind='cauchy', l=0.05, sigma2=1.0, alpha=1e+300)"),
     (("simulate", "--config", "{config}"), {"lam": 1e300}, "at lambda=1e+300"),
     (("kmp-predict", "--reference", "{reference}", "--sigma2", "1e150"), None, "sigma2=1e+150"),
+    # kmp_fit's own bound on the reference: 2,001 points used to fit with exit 0,
+    # and 100,000 ran out of memory with a traceback and exit 1
+    (("kmp-predict", "--reference", "{long_reference}"), None,
+     "error: reference has 2001 points, more than 2000"),
     (("kmp-predict", "--reference", "{reference}", "--sigma2", "1e300"), None, "sigma2=1e+300"),
     (("kmp-predict", "--reference", "{reference}", "--lam", "1e-16"), None, "lambda=1e-16"),
     (("simulate", "--config", "{config}"), {"kernel_sigma2": 1e200, "lam": 1e-200},
@@ -347,7 +351,8 @@ def test_hostile_input_exits_2_with_one_error_line(argv, config, named, tmp_path
              "svm": tmp_path / "svm.json", "nan_svm": tmp_path / "nan_svm.json",
              "flat_svm": tmp_path / "flat_svm.json", "same_svm": tmp_path / "same_svm.json",
              "neg_reference": tmp_path / "neg_reference.json",
-             "asym_reference": tmp_path / "asym_reference.json", "models": tmp_path / "models",
+             "asym_reference": tmp_path / "asym_reference.json",
+             "long_reference": tmp_path / "long_reference.json", "models": tmp_path / "models",
              "good_models": tmp_path / "good_models", "nan_demos": tmp_path / "nan_demos",
              **{name: tmp_path / name for name in
                 ("cell_demos", "short_demos", "empty_demos", "narrow_demos")},
@@ -362,6 +367,9 @@ def test_hostile_input_exits_2_with_one_error_line(argv, config, named, tmp_path
     files["asym_reference"].write_text(json.dumps({
         "times": grid.tolist(), "means": [[0.0, 0.0]] * 5,
         "covariances": [[[1e-2, 5.0], [0.0, 1e-2]]] * 5}))
+    files["long_reference"].write_text(json.dumps({
+        "times": np.linspace(0.0, 1.0, 2001).tolist(), "means": [[0.0, 0.0]] * 2001,
+        "covariances": [[[1.0, 0.0], [0.0, 1.0]]] * 2001}))
     for name, theta0 in (("models", [float("nan")] + [0.0] * 5), ("good_models", [0.0] * 6)):
         files[name].mkdir()
         (files[name] / "basis.json").write_text(json.dumps({

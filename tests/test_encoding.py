@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -320,6 +321,20 @@ class TestLloyd:
         assert labels[-1] == 2 and np.all(labels[:-1] != 2)
 
 
+class TestKmeansPlusPlus:
+    def test_centers_past_the_distinct_points_are_data_points_repeated_per_seed(self):
+        # once every point sits on a chosen center, the remaining centers are
+        # drawn uniformly from the data
+        x = np.array([[0.0, 0.0], [1.0, 2.0]])
+        for seed in range(5):
+            centers = encoding._kmeanspp_centers(x, 3, np.random.default_rng(seed))
+            assert centers.shape == (3, 2)
+            assert all(any(np.array_equal(c, p) for p in x) for c in centers)
+            assert {tuple(c) for c in centers[:2]} == {tuple(p) for p in x}
+            again = encoding._kmeanspp_centers(x, 3, np.random.default_rng(seed))
+            assert np.array_equal(centers, again)
+
+
 def _single_gaussian_trajectories(rng, n=400):
     mean = np.array([0.3, -0.2])
     cov = np.array([[0.04, 0.01], [0.01, 0.09]])
@@ -421,12 +436,22 @@ class TestFitGmm:
         want = np.vstack([np.column_stack([t, c]) for c in coeffs])
         assert np.array_equal(seen[0], want) and seen[0].flags.c_contiguous
 
-    @pytest.mark.parametrize("kwargs", [{"max_iter": 0}, {"n_components": 0}],
-                             ids=["max_iter", "n_components"])
+    @pytest.mark.parametrize("kwargs", [{"max_iter": 0}, {"n_components": 0},
+                                        {"n_components": encoding.MAX_GMM_COMPONENTS + 1}],
+                             ids=["max_iter", "n_components", "n_components-past-the-bound"])
     def test_zero_iterations_or_components_is_invalid_input(self, kwargs, rng):
         samples, *_ = _single_gaussian_trajectories(rng, n=150)
         with pytest.raises(InvalidInputError, match=f"^{next(iter(kwargs))} must be >= 1"):
             encoding.fit_gmm(*samples, **{"n_components": 2, "seed": 2, **kwargs})
+
+    def test_component_samples_at_the_bound_fit_and_past_it_are_invalid_input(
+            self, rng, monkeypatch):
+        t, coeffs = np.linspace(0.0, 1.0, 30), rng.standard_normal((3, 30, 2))
+        monkeypatch.setattr(encoding, "MAX_COMPONENT_SAMPLES", 2 * 3 * 30)
+        encoding.fit_gmm(t, coeffs, n_components=2, seed=0)
+        with pytest.raises(InvalidInputError, match=re.escape(
+                "n_components * demos * times must be <= 180, got 3 * 3 * 30 = 270")):
+            encoding.fit_gmm(t, coeffs, n_components=3, seed=0)
 
 
 class TestEmOnTaskData:

@@ -9,7 +9,8 @@ import re
 import numpy as np
 import pytest
 
-from synkit import _io, encoding, evaluation, force, kmp, perception, pipeline, synergy
+from synkit import (_io, encoding, evaluation, force, kmp, perception, pipeline, synergy,
+                    synthetic)
 from synkit._io import dump_json, format_cells, read_csv, write_csv
 from synkit.errors import ConfigInvalidError, DimensionMismatchError, InvalidInputError
 
@@ -194,6 +195,23 @@ def test_csv_rows_in_chunks_make_the_directory(rng, tmp_path, monkeypatch):
         assert path.read_text() == oracle_csv(["a", "b"], rows.tolist()), name
 
 
+def test_write_file_makes_the_directory_only_when_the_open_finds_none(tmp_path, monkeypatch):
+    folder = tmp_path / "a" / "b"
+    _io.write_file(folder / "first.txt", "one")
+    made = []
+    mkdir = _io.Path.mkdir
+    monkeypatch.setattr(_io.Path, "mkdir", lambda self, *a, **kw: made.append(self) or mkdir(
+        self, *a, **kw))
+    _io.write_file(folder / "second.txt", iter(["t", "wo"]))
+    assert made == []
+    _io.write_file(tmp_path / "c" / "third.txt", "three")
+    assert made[0] == tmp_path / "c"
+    assert [p.read_text() for p in (folder / "first.txt", folder / "second.txt",
+                                    tmp_path / "c" / "third.txt")] == ["one", "two", "three"]
+    with pytest.raises(NotADirectoryError):  # a parent that is a file is no directory to make
+        _io.write_file(folder / "first.txt" / "fourth.txt", "four")
+
+
 @pytest.mark.parametrize("rows", [
     [[1.0, 2.0, 3.0], [1.0]],  # ragged
     [(1.0, 2.0, 3.0), (1.0, 2.0)],
@@ -304,10 +322,19 @@ GRASP = force.GraspModel(grasp_matrix=np.eye(6, 9), stiffness=np.zeros((9, 6)),
                          hand_jacobian=np.eye(9, 6), motor_constant=np.eye(6))
 
 
+BASIS = synergy.SynergyBasis(e_hat=np.eye(6)[:, :2], theta0=np.zeros(6),
+                             variance_fractions=[0.6, 0.4])
+SVM = perception.SvmModel(weights=[1.0, 0.5, 0.0], bias=0.0, classes=["a", "b"],
+                          feature_mean=np.zeros(3), feature_scale=np.ones(3),
+                          objective_history=[1.0])
+GMM = encoding.GmmModel(priors=[1.0], means=[[0.5, 0.0, 0.0]], covariances=[np.eye(3)],
+                        ll_history=[0.0])
+REFERENCE = encoding.ReferenceTrajectory(times=[0.0, 0.5, 1.0], means=np.zeros((3, 1)),
+                                         covariances=np.ones((3, 1, 1)))
+
+
 def kmp_model():
-    reference = encoding.ReferenceTrajectory(times=[0.0, 0.5, 1.0], means=np.zeros((3, 1)),
-                                             covariances=np.ones((3, 1, 1)))
-    return kmp.kmp_fit(reference, SPEC)
+    return kmp.kmp_fit(REFERENCE, SPEC)
 
 
 @pytest.mark.parametrize("call,name", [
@@ -326,10 +353,25 @@ def kmp_model():
     (lambda out: evaluation.rmse([1.0, 2.0], RAGGED), "predicted"),
     (lambda out: perception.euclidean_cluster([1.0] * 6, epsilon=0.1), "cloud"),
     (lambda out: perception.euclidean_cluster([1.0] * 4, epsilon=0.1), "cloud"),
+    (lambda out: synergy.project(BASIS, RAGGED), "posture"),
+    (lambda out: synergy.reconstruct(BASIS, RAGGED), "e"),
+    (lambda out: perception.svm_decision(SVM, RAGGED), "features"),
+    (lambda out: perception.svm_classify(SVM, RAGGED), "features"),
+    (lambda out: force.contact_forces(GRASP, RAGGED, BASIS, np.zeros(2)), "omega"),
+    (lambda out: force.contact_forces(GRASP, np.zeros(6), BASIS, RAGGED), "delta_e"),
+    (lambda out: force.realized_forces(GRASP, RAGGED), "currents"),
+    (lambda out: encoding.gmr_condition(GMM, RAGGED), "t"),
+    (lambda out: encoding.generate_reference(GMM, RAGGED), "grid"),
+    (lambda out: encoding.interpolate_coefficients([], BASIS, RAGGED), "grid"),
+    (lambda out: synthetic.coefficient_curves("egg", RAGGED), "times"),
+    (lambda out: kmp.fuse_priorities([REFERENCE], [RAGGED]), "priorities"),
 ], ids=["svm_train", "ransac_plane", "euclidean_cluster", "save_cloud", "kernel_eval",
         "friction_cone_check", "build_kernel_matrix", "kmp_predict", "kmp_predict_cov",
         "motor_currents", "grip_force", "pearson_r", "rmse", "euclidean_cluster-flat6",
-        "euclidean_cluster-flat4"])
+        "euclidean_cluster-flat4", "project", "reconstruct", "svm_decision", "svm_classify",
+        "contact_forces-omega", "contact_forces-delta_e", "realized_forces", "gmr_condition",
+        "generate_reference", "interpolate_coefficients", "coefficient_curves",
+        "fuse_priorities"])
 def test_ragged_input_raises_dimension_mismatch_naming_it(call, name, tmp_path):
     out = tmp_path / "cloud.xyz"
     with pytest.raises(DimensionMismatchError, match=f"^{name} "):

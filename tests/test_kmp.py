@@ -272,6 +272,14 @@ class TestFitPredict:
         with pytest.raises(DimensionMismatchError, match="reference trajectory is empty"):
             kmp.kmp_fit(empty, kmp.KernelSpec(kind="gaussian", l=0.1, sigma2=1.0))
 
+    def test_reference_past_the_bound_rejected_before_the_kernel_matrix(self, monkeypatch):
+        n = kmp.MAX_REFERENCE_POINTS + 1
+        ref = make_reference(np.linspace(0.0, 1.0, n), np.zeros((n, 2)),
+                             np.tile(np.eye(2), (n, 1, 1)))
+        monkeypatch.setattr(kmp, "build_kernel_matrix", None)  # never reached
+        with pytest.raises(InvalidInputError, match="^reference has 2001 points, more than 2000$"):
+            kmp.kmp_fit(ref, kmp.KernelSpec(kind="gaussian", l=0.1, sigma2=1.0))
+
     def test_scalar_closed_form_mean_factor(self):
         ref = make_reference([0.5], [[2.0]], [[[0.3]]])
         spec = kmp.KernelSpec(kind="gaussian", l=0.1, sigma2=1.5)

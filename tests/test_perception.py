@@ -677,16 +677,26 @@ class TestSvm:
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_objective_is_a_semantic_error_naming_svm_c(self):
+        # the feature mean overflows to -inf, so no standardized iterate is finite
+        big = np.finfo(float).max
+        with pytest.raises(InvalidInputError,
+                           match=re.escape("svm_c=10.0: no iterate has a finite objective")):
+            perception.svm_train([[big], [-big], [-big], [-big]], ["a", "b", "a", "b"])
+
+    @pytest.mark.parametrize("c", [float(np.nextafter(perception.MAX_SVM_C, np.inf)), 1e120])
+    def test_c_past_the_bound_is_a_semantic_error_naming_svm_c(self, c):
+        # at c = 1e120 the solver used to return a model capped at 200 iterations
+        # whose objective was 7.9e239
         features, labels = synthetic.svm_training_fixture("egg", seed=13)
         with pytest.raises(InvalidInputError,
-                           match=re.escape("svm_c=1e+160: no iterate has a finite objective")):
-            perception.svm_train(features, labels, c=1e160)
+                           match=re.escape(f"svm_c must be <= 1000.0, got {c!r}")):
+            perception.svm_train(features, labels, c=c)
 
     @pytest.mark.parametrize("task", synthetic.TASKS)
     def test_largest_allowed_c_converges_on_the_fixtures(self, task):
         for seed in (0, 13):
             features, labels = synthetic.svm_training_fixture(task, seed=seed)
-            model = perception.svm_train(features, labels, c=pipeline.MAX_SVM_C)
+            model = perception.svm_train(features, labels, c=perception.MAX_SVM_C)
             assert len(model.objective_history) - 1 < 200  # the duality gap closed
 
     @pytest.mark.parametrize("c", [0.0, -1.0, np.nan])

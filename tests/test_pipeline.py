@@ -1,10 +1,11 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from synkit import force, pipeline, synergy
-from synkit.errors import ConfigInvalidError, StageError, SynkitError
+from synkit import encoding, force, kmp, pipeline, synergy
+from synkit.errors import ConfigInvalidError, InvalidInputError, StageError, SynkitError
 from synkit.pipeline import STAGE_ORDER
 
 
@@ -35,7 +36,7 @@ class TestConfig:
         ("cluster_epsilon", -0.1),
         ("ransac_iterations", 10**6 + 1),
         ("dense_points", pipeline.MAX_DENSE_POINTS + 1),
-        ("reference_points", pipeline.MAX_REFERENCE_POINTS + 1),
+        ("reference_points", kmp.MAX_REFERENCE_POINTS + 1),
     ])
     def test_invalid_values_rejected(self, field, value):
         config = pipeline.default_config("egg")
@@ -44,7 +45,7 @@ class TestConfig:
             config.validate()
 
     @pytest.mark.parametrize("field,value", [("dense_points", pipeline.MAX_DENSE_POINTS),
-                                             ("reference_points", pipeline.MAX_REFERENCE_POINTS)])
+                                             ("reference_points", kmp.MAX_REFERENCE_POINTS)])
     def test_largest_grid_is_valid(self, field, value):
         config = pipeline.default_config("egg")
         setattr(config, field, value)
@@ -57,12 +58,18 @@ class TestConfig:
 
     @pytest.mark.parametrize("components,count,points", [(100, 51, 2000), (11, 500, 2000)])
     def test_em_size_past_the_bound_rejected(self, components, count, points):
-        config = pipeline.PipelineConfig(gmm_components=components, demo_count=count,
-                                         reference_points=points)
-        with pytest.raises(ConfigInvalidError,
-                           match=rf"gmm_components \* demos \* reference_points must be <= "
-                                 rf"10000000, got {components} \* {count} \* {points}"):
-            config.validate()
+        # the bound is fit_gmm's own: it refuses before EM makes one (C, M) array
+        coeffs = np.broadcast_to(0.0, (count, points, 2))
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidInputError,
+                               match=rf"n_components \* demos \* times must be <= 10000000, "
+                                     rf"got {components} \* {count} \* {points}"):
+                encoding.fit_gmm(np.linspace(0.0, 1.0, points), coeffs, n_components=components)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * components * count * points / 20
 
     def test_force_loop_rule_is_the_recurrence_spectral_radius_below_one(self):
         # the loop in (d, measured), with the grasp model's unit grip gain
@@ -182,6 +189,13 @@ class TestRunTask:
             pipeline.run_task(config)
         assert info.value.stage == "encoding"
 
+    def test_outcome_does_not_depend_on_out_dir(self):
+        # the dense prediction's covariance check fails as it does for simulate,
+        # although without out_dir its table is not written
+        with pytest.raises(StageError, match="exceeds 1e13") as info:
+            pipeline.run_task(pipeline.PipelineConfig(via_confidence=1e-11))
+        assert info.value.stage == "adaptation"
+
     def test_interrupt_passes_through_stages(self, monkeypatch):
         def interrupted(*args, **kwargs):
             raise KeyboardInterrupt
@@ -275,7 +289,7 @@ class TestFileIngestion:
         assert log.stage("perception")["svm_train_accuracy"] is None
 
     def test_em_size_counts_the_demo_files_before_em(self, tmp_path):
-        # demo_count does not apply to a demo directory, so its files are counted:
+        # fit_gmm counts the demos it is given, here the directory's files:
         # 51 files at 100 components on 2,000 points pass the bound by 2%
         rng = np.random.default_rng(0)
         for k in range(51):
